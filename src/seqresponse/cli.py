@@ -21,6 +21,9 @@ import numpy as np
 from . import __version__, constants, grid, noise, response, sequence, transfer
 from .config import (
     ExperimentConfig,
+    _as_float,
+    _as_int,
+    _get,
     build_drift,
     build_kick,
     build_map,
@@ -89,24 +92,20 @@ def _emit_gnuplot(cfg: ExperimentConfig, csv_files: list, title: str) -> None:
 
 
 def _seed_density(cfg: ExperimentConfig, section: str, zero_mass: bool) -> DensityGrid:
-    csv = None
-    if cfg.raw.has_section(section):
-        csv = cfg.raw.get(section, "seed_csv", fallback=None)
+    csv = _get(cfg.raw, section, "seed_csv", None)
     if csv is not None:
-        return grid.read_density_csv(csv.strip())
-    k = 1
-    if cfg.raw.has_section(section):
-        k = int(cfg.raw.get(section, "harmonic", fallback="1"))
+        return grid.read_density_csv(csv)
+    k = _as_int(_get(cfg.raw, section, "harmonic", "1"), f"{section}.harmonic")
     x = np.arange(cfg.n_points) / cfg.n_points
     wave = np.cos(2 * np.pi * k * x)
     return DensityGrid(wave if zero_mass else 1.0 + 0.5 * wave)
 
 
 def _tail_constants(cfg: ExperimentConfig) -> tuple[float, float]:
-    c = cfg.raw.get("experiment", "tail_c", fallback=None)
-    rate = cfg.raw.get("experiment", "tail_rate", fallback=None)
+    c = _get(cfg.raw, "experiment", "tail_c", None)
+    rate = _get(cfg.raw, "experiment", "tail_rate", None)
     if c is not None and rate is not None:
-        return float(c), float(rate)
+        return _as_float(c, "experiment.tail_c"), _as_float(rate, "experiment.tail_rate")
     if cfg.mode == "noisy":
         return constants.doeblin_certificate(build_noise(cfg))
     cert = constants.certify(build_map(cfg), cfg.n_points)
@@ -163,11 +162,8 @@ def cmd_equivariant(cfg: ExperimentConfig, emit_gnuplot: bool, t0: float, two_se
 def cmd_memory(cfg: ExperimentConfig, emit_gnuplot: bool, t0: float) -> int:
     sys_ = build_system(cfg)
     v = grid.project_zero_mass(_seed_density(cfg, "memory", zero_mass=True))
-    k_max = 12
-    start = cfg.window[0]
-    if cfg.raw.has_section("memory"):
-        k_max = int(cfg.raw.get("memory", "k_max", fallback="12"))
-        start = int(cfg.raw.get("memory", "start", fallback=str(start)))
+    k_max = _as_int(_get(cfg.raw, "memory", "k_max", "12"), "memory.k_max")
+    start = _as_int(_get(cfg.raw, "memory", "start", str(cfg.window[0])), "memory.start")
     md = sequence.memory_decay(sys_, v, start, k_max)
     out_csv = os.path.join(cfg.output_dir, "decay.csv")
     with open(out_csv, "w") as fh:
@@ -187,14 +183,14 @@ def cmd_respond(cfg: ExperimentConfig, emit_gnuplot: bool, t0: float) -> int:
     seed = DensityGrid.constant(1.0, cfg.n_points)
     fam = sequence.pullback_equivariant(sys_, cfg.burn_in, seed, tol=cfg.pullback_tol)
     g = response.forcing(sys_, fam)
-    tail_tol = cfg.raw.get("experiment", "tail_tol", fallback=None)
+    tail_tol = _get(cfg.raw, "experiment", "tail_tol", None)
     rep = response.neumann_response(
         sys_,
         fam,
         g,
         cfg.truncation,
         _tail_constants(cfg),
-        tol=float(tail_tol) if tail_tol is not None else None,
+        tol=_as_float(tail_tol, "experiment.tail_tol") if tail_tol is not None else None,
     )
     files = []
     for n in range(rep.n_lo, rep.n_hi + 1):
@@ -232,12 +228,10 @@ def cmd_simulate(cfg: ExperimentConfig, emit_gnuplot: bool, t0: float) -> int:
         raise ConfigError("simulate requires experiment.mode = noisy")
     drift = build_drift(cfg, build_map(cfg))
     q = build_noise(cfg)
-    steps, samples, bins, eps = 5, 10**5, 64, 0.0
-    if cfg.raw.has_section("simulate"):
-        steps = int(cfg.raw.get("simulate", "steps", fallback=str(steps)))
-        samples = int(cfg.raw.get("simulate", "samples", fallback=str(samples)))
-        bins = int(cfg.raw.get("simulate", "bins", fallback=str(bins)))
-        eps = float(cfg.raw.get("simulate", "eps", fallback=str(eps)))
+    steps = _as_int(_get(cfg.raw, "simulate", "steps", "5"), "simulate.steps")
+    samples = _as_int(_get(cfg.raw, "simulate", "samples", "100000"), "simulate.samples")
+    bins = _as_int(_get(cfg.raw, "simulate", "bins", "64"), "simulate.bins")
+    eps = _as_float(_get(cfg.raw, "simulate", "eps", "0.0"), "simulate.eps")
     hist = noise.simulate_marginal(drift, eps, q, steps, samples, seed=cfg.seed, n_bins=bins)
     out_csv = os.path.join(cfg.output_dir, "histogram.csv")
     hist.write_csv(out_csv)

@@ -30,11 +30,11 @@ Example::
 from __future__ import annotations
 
 import configparser
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import grid as gridmod
 from .errors import ConfigError
 from .maps import CircleMap, KickField
 from .noise import DriftMap, NoiseDensity
@@ -66,7 +66,6 @@ class ExperimentConfig:
     truncation: int
     tolerance: float
     pullback_tol: float
-    threads: int
     raw: configparser.ConfigParser = field(repr=False, compare=False)
 
 
@@ -133,6 +132,8 @@ def load_config(path: str) -> ExperimentConfig:
     if mode not in MODES:
         raise ConfigError(f"experiment.mode must be one of {MODES}, got {mode!r}")
     n = _as_int(_require(parser, "experiment", "n"), "experiment.n")
+    if n < gridmod.MIN_POINTS or n % 2 != 0:
+        raise ConfigError(f"experiment.n must be even and >= {gridmod.MIN_POINTS}, got {n}")
     window_text = _get(parser, "experiment", "window", "0, 10").split(",")
     if len(window_text) != 2:
         raise ConfigError("experiment.window must be two comma-separated integers")
@@ -144,7 +145,6 @@ def load_config(path: str) -> ExperimentConfig:
     eps_list = tuple(
         _as_float(e, "experiment.eps") for e in eps_text.split(",") if e.strip()
     )
-    threads_default = os.cpu_count() or 1
     return ExperimentConfig(
         path=str(path),
         mode=mode,
@@ -159,7 +159,6 @@ def load_config(path: str) -> ExperimentConfig:
         pullback_tol=_as_float(
             _get(parser, "experiment", "pullback_tol", "1e-8"), "experiment.pullback_tol"
         ),
-        threads=_as_int(_get(parser, "experiment", "threads", str(threads_default)), "experiment.threads"),
         raw=parser,
     )
 
@@ -183,8 +182,6 @@ def build_noise(cfg: ExperimentConfig) -> NoiseDensity:
     if preset is None and csv is None:
         raise ConfigError("missing field noise.preset (or noise.csv)")
     if csv is not None:
-        from . import grid as gridmod
-
         return NoiseDensity(gridmod.read_density_csv(csv))
     if preset == "uniform":
         return NoiseDensity.uniform(cfg.n_points)

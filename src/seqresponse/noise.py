@@ -26,14 +26,13 @@ MC_BLOCK_SIZE = 1 << 16
 class NoiseDensity:
     """Grid-sampled noise density q, normalized to unit mass.
 
-    alpha is the probed minorization constant (min sample); lip the
-    probed Lipschitz constant.  alpha > 0 is required for Doeblin-mode
-    contraction arguments; alpha = 0 is allowed with a warning.
+    alpha is the probed minorization constant (min sample).  alpha > 0
+    is required for Doeblin-mode contraction arguments; alpha = 0 is
+    allowed with a warning.
     """
 
     density: DensityGrid
     alpha: float = field(init=False)
-    lip: float = field(init=False)
 
     def __post_init__(self):
         v = self.density.values
@@ -43,8 +42,6 @@ class NoiseDensity:
         if np.min(v) < 0.0:
             raise ValueError("noise density has negative samples")
         object.__setattr__(self, "alpha", float(np.min(v)))
-        n = v.shape[0]
-        object.__setattr__(self, "lip", float(np.max(np.abs(np.diff(np.append(v, v[0])))) * n))
         if self.alpha == 0.0:
             warnings.warn("noise density touches zero; Doeblin contraction unavailable", stacklevel=2)
 
@@ -119,13 +116,22 @@ class DriftMap:
         return (self.base_values(x) + eps * self.dot_values(x)) % 1.0
 
 
+def _shifted_profile(profile: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """N x N matrix P[i, j] = p(y_i - c_j mod 1) of grid samples p, by cubic interpolation."""
+    n = centers.shape[0]
+    shifts = (np.arange(n) / n)[:, None] - centers[None, :]
+    np.mod(shifts, 1.0, out=shifts)
+    # The result overwrites the shift buffer, so one N x N array fewer is live
+    # while the caller finishes assembly.
+    shifts.flat = gridmod.interpolate_values(profile, shifts.ravel())
+    return shifts
+
+
 def build_kernel(f: DriftMap, eps: float, q: NoiseDensity, n_points: int) -> TransferMatrix:
     """Annealed operator A[i,j] = (1/N) q(y_i - f_eps(x_j)), mass-corrected."""
     x = np.arange(n_points) / n_points
-    centers = f.eval(x, eps)
-    diff = (x[:, None] - centers[None, :]) % 1.0
-    a = gridmod.interpolate_values(q.density.values, diff.ravel()).reshape(n_points, n_points) / n_points
-    return TransferMatrix(_mass_correct(a), "kernel")
+    a = _shifted_profile(q.density.values, f.eval(x, eps)) / n_points
+    return TransferMatrix(_mass_correct(a))
 
 
 def kernel_forcing(f: DriftMap, q: NoiseDensity, mu: DensityGrid) -> DensityGrid:
@@ -137,10 +143,7 @@ def kernel_forcing(f: DriftMap, q: NoiseDensity, mu: DensityGrid) -> DensityGrid
     """
     n = mu.n_points
     x = np.arange(n) / n
-    centers = f.base_values(x)
-    qprime = gridmod.derivative(q.density).values
-    diff = (x[:, None] - centers[None, :]) % 1.0
-    kq = gridmod.interpolate_values(qprime, diff.ravel()).reshape(n, n)
+    kq = _shifted_profile(gridmod.derivative(q.density).values, f.base_values(x))
     g = -(kq * (mu.values * f.dot_values(x))[None, :]).sum(axis=1) / n
     return DensityGrid(g)
 

@@ -15,7 +15,7 @@ this time-ordered semantics and it is used consistently everywhere.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,26 +24,29 @@ from . import noise as noisemod
 from . import transfer
 from .errors import NotConverged, WindowExceeded
 from .grid import DensityGrid
-from .maps import CircleMap, KickField, c2_distance
+from .maps import CircleMap, KickField, c2_distance, kick_map
 from .noise import DriftMap, NoiseDensity
 from .transfer import TransferMatrix
 
 DEFAULT_PULLBACK_TOL = 1e-8
-MIN_BURN_IN = 50
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeterministicEntry:
-    """One scheduled deterministic step: expanding map + kick direction."""
+    """One scheduled deterministic step: expanding map + kick direction.
+
+    Entries hash by identity, so operator caches never share a slot
+    between two entries; `key` is only a label.
+    """
 
     map: CircleMap
     kick: KickField
     key: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoisyEntry:
-    """One scheduled noisy step: drift map + common noise density."""
+    """One scheduled noisy step: drift map + common noise density; hashes by identity."""
 
     drift: DriftMap
     noise: NoiseDensity
@@ -106,9 +109,9 @@ class SequenceSystem:
     def _admissibility(self, entry: DeterministicEntry) -> None:
         if self.reference is None or self.delta_star is None:
             return
-        if entry.key in self._checked:
+        if entry in self._checked:
             return
-        self._checked.add(entry.key)
+        self._checked.add(entry)
         dist = c2_distance(entry.map, self.reference)
         if dist > self.delta_star:
             msg = f"scheduled map is outside the certified ball: C2 distance {dist:.4g} > delta_star {self.delta_star:.4g}"
@@ -117,26 +120,22 @@ class SequenceSystem:
             warnings.warn(msg, stacklevel=3)
 
     def operator(self, n: int, eps: float | None = None) -> TransferMatrix:
-        """Transfer matrix at index n and perturbation strength eps.
+        """Transfer matrix at index n and perturbation strength eps, cached per (entry, eps).
 
-        Deterministic entries realize L_n^eps = L_{h_eps} L_{T_n}
-        (pushforward of the post-composition kick h_eps o T_n).
+        Deterministic entries realize L_n^eps = L_{h_eps o T_n}, the
+        operator of the post-composition kicked map, assembled in one pass
+        from its inverse branches.  It equals L_{h_eps} L_{T_n}, which the
+        tests use as the reference.
         """
         eps = self.eps if eps is None else float(eps)
         entry = self.entry(n)
-        cache_key = (entry.key, eps)
+        cache_key = (entry, eps)
         if cache_key in self._cache:
             return self._cache[cache_key]
         if isinstance(entry, DeterministicEntry):
             self._admissibility(entry)
-            base_key = (entry.key, "base")
-            if base_key not in self._cache:
-                self._cache[base_key] = transfer.build_deterministic(entry.map, self.n_points)
-            mat = self._cache[base_key]
-            if eps != 0.0:
-                mat = transfer.compose_matrices(
-                    transfer.build_kick(entry.kick, eps, self.n_points), mat, kind="deterministic"
-                )
+            t = entry.map if eps == 0.0 else kick_map(entry.kick, eps, entry.map)
+            mat = transfer.build_deterministic(t, self.n_points)
         else:
             mat = noisemod.build_kernel(entry.drift, eps, entry.noise, self.n_points)
         self._cache[cache_key] = mat
@@ -242,11 +241,3 @@ def memory_decay(sys: SequenceSystem, v: DensityGrid, j: int, k_max: int, eps: f
     else:
         rate = 0.0
     return MemoryDecay(records=records, fitted_rate=rate)
-
-
-def default_burn_in(c_elom: float, rate: float, tol: float = DEFAULT_PULLBACK_TOL) -> int:
-    """Smallest burn-in with C * rate^k < tol, floored at 50."""
-    if not 0.0 < rate < 1.0:
-        raise ValueError("rate must be in (0, 1)")
-    k = int(np.ceil(np.log(tol / max(c_elom, 1.0)) / np.log(rate)))
-    return max(k, MIN_BURN_IN)

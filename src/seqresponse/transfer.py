@@ -16,15 +16,14 @@ import numpy as np
 from . import grid as gridmod
 from .errors import DimensionMismatch
 from .grid import DensityGrid
-from .maps import CircleMap, KickField
+from .maps import CircleMap, KickedMap, KickField
 
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """Dense realization of one transfer operator; kind tags its origin."""
+    """Dense realization of one transfer operator."""
 
     entries: np.ndarray
-    kind: str
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
@@ -49,18 +48,33 @@ def _mass_correct(a: np.ndarray) -> np.ndarray:
     return a + defect[None, :] / a.shape[0]
 
 
-def build_deterministic(t: CircleMap, n_points: int) -> TransferMatrix:
-    """Branch-formula operator (Lf)(x_i) = sum_j f(h_j(x_i)) / l'(h_j(x_i))."""
+def _assemble(points: np.ndarray, weights: np.ndarray) -> TransferMatrix:
+    """Mass-corrected matrix with (Af)[i] = sum_b weights[b, i] f(points[b, i]).
+
+    f is read off-grid by the 6-point stencil.  One scatter covers all
+    (branch, stencil) pairs in branch-major order, so each entry sums its
+    contributions in the same order as a loop over branches then stencil
+    offsets would.
+    """
+    n_branches, n_points = points.shape
+    idx, w = gridmod.interpolation_stencil6(n_points, points.ravel())
+    idx = np.ascontiguousarray(idx.reshape(6, n_branches, n_points).swapaxes(0, 1))
+    w = np.ascontiguousarray(w.reshape(6, n_branches, n_points).swapaxes(0, 1)) * weights[:, None, :]
+    rows = np.broadcast_to(np.arange(n_points), idx.shape)
+    a = np.zeros((n_points, n_points))
+    np.add.at(a, (rows, idx), w)
+    return TransferMatrix(_mass_correct(a))
+
+
+def build_deterministic(t: CircleMap | KickedMap, n_points: int) -> TransferMatrix:
+    """Branch-formula operator (Lf)(x_i) = sum_j f(h_j(x_i)) / l'(h_j(x_i)).
+
+    A KickedMap h_eps o T gives the kicked operator L_{h_eps o T} in the
+    same single pass.
+    """
     x = np.arange(n_points) / n_points
     branches = t.inverse_branches(x)  # (d, N)
-    weights = 1.0 / t.eval_d1(branches)  # lift derivative is positive for our maps
-    a = np.zeros((n_points, n_points))
-    rows = np.arange(n_points)
-    for j in range(t.degree):
-        idx, w = gridmod.interpolation_stencil6(n_points, branches[j])  # (6, N)
-        for s in range(6):
-            np.add.at(a, (rows, idx[s]), w[s] * weights[j])
-    return TransferMatrix(_mass_correct(a), "deterministic")
+    return _assemble(branches, 1.0 / t.eval_d1(branches))  # lift derivative is positive for our maps
 
 
 def build_kick(kick: KickField, eps: float, n_points: int) -> TransferMatrix:
@@ -68,13 +82,7 @@ def build_kick(kick: KickField, eps: float, n_points: int) -> TransferMatrix:
     kick.check_diffeo(eps)
     x = np.arange(n_points) / n_points
     u = kick.h_inverse(eps, x) % 1.0
-    weights = 1.0 / kick.h_d1(eps, u)
-    a = np.zeros((n_points, n_points))
-    rows = np.arange(n_points)
-    idx, w = gridmod.interpolation_stencil6(n_points, u)
-    for s in range(6):
-        np.add.at(a, (rows, idx[s]), w[s] * weights)
-    return TransferMatrix(_mass_correct(a), "kick")
+    return _assemble(u[None, :], 1.0 / kick.h_d1(eps, u)[None, :])
 
 
 def d_operator(kick: KickField, u: DensityGrid) -> DensityGrid:
@@ -83,18 +91,14 @@ def d_operator(kick: KickField, u: DensityGrid) -> DensityGrid:
     return gridmod.derivative(DensityGrid(x_samples * u.values)) * -1.0
 
 
-def compose_matrices(outer: TransferMatrix, inner: TransferMatrix, kind: str = "composed") -> TransferMatrix:
+def compose_matrices(outer: TransferMatrix, inner: TransferMatrix) -> TransferMatrix:
+    """Product operator: inner acts first.  The one-pass kicked operator is tested against it."""
     if outer.n_points != inner.n_points:
         raise DimensionMismatch("matrix sizes differ")
-    return TransferMatrix(outer.entries @ inner.entries, kind)
+    return TransferMatrix(outer.entries @ inner.entries)
 
 
 def apply(a: TransferMatrix, f: DensityGrid) -> DensityGrid:
     if a.n_points != f.n_points:
         raise DimensionMismatch(f"matrix is {a.n_points}, grid is {f.n_points}")
     return DensityGrid(a.entries @ f.values)
-
-
-def write_matrix_csv(path, a: TransferMatrix) -> None:
-    """Debug dump of the raw entries; not a stable format."""
-    np.savetxt(path, a.entries, delimiter=",")

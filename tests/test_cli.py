@@ -144,6 +144,23 @@ class TestExitCodes:
         path, _ = write_config(tmp_path, BASE_DET)
         assert cli.main(["simulate", path]) == 1
 
+    @pytest.mark.parametrize(
+        "base, old, new, command",
+        [
+            pytest.param(BASE_DET, "n = 256", "n = 255", "certify", id="odd-n"),
+            pytest.param(BASE_DET, "n = 256", "n = 8", "certify", id="small-n"),
+            pytest.param(BASE_DET, "[schedule]", "[memory]\nk_max = twelve\n\n[schedule]", "memory", id="k_max"),
+            pytest.param(BASE_DET, "tail_c = 1.0", "tail_c = one", "respond", id="tail_c"),
+            pytest.param(BASE_DET, "[schedule]", "[memory]\nharmonic = two\n\n[schedule]", "memory", id="harmonic"),
+            pytest.param(BASE_NOISY, "samples = 20000", "samples = 1e5", "simulate", id="samples"),
+        ],
+    )
+    def test_bad_value_is_1(self, tmp_path, capsys, base, old, new, command):
+        assert old in base
+        path, _ = write_config(tmp_path, base.replace(old, new))
+        assert cli.main([command, path]) == 1
+        assert "config error" in capsys.readouterr().err
+
 
 class TestCertify:
     def test_doubling(self, tmp_path):

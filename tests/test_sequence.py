@@ -4,7 +4,7 @@ import pytest
 from seqresponse import grid, sequence, transfer
 from seqresponse.errors import NotConverged, WindowExceeded
 from seqresponse.grid import DensityGrid
-from seqresponse.maps import CircleMap, KickField
+from seqresponse.maps import CircleMap, KickField, kick_map
 from seqresponse.noise import DriftMap, NoiseDensity
 from seqresponse.sequence import (
     DeterministicEntry,
@@ -182,6 +182,16 @@ class TestSchedules:
     def test_matrix_cache_reused(self):
         sys_ = doubling_system()
         assert sys_.operator(0) is sys_.operator(7)
+
+    def test_entries_sharing_a_key_get_their_own_operators(self):
+        kick = KickField(sin_coeffs=(0.0, 0.1))
+        maps = (CircleMap(2), CircleMap(2, sin_coeffs=(0.0, 0.05)))
+        entries = [DeterministicEntry(t, kick, "T") for t in maps]
+        sys_ = SequenceSystem(periodic_schedule(entries), (0, 3), eps=0.0, n_points=N)
+        for eps in (0.0, 0.01):
+            for n, t in enumerate(maps):
+                expected = transfer.build_deterministic(t if eps == 0.0 else kick_map(kick, eps, t), N)
+                assert np.array_equal(sys_.operator(n, eps).entries, expected.entries)
 
 
 class TestStrongBound:

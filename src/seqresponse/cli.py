@@ -105,7 +105,10 @@ def _tail_constants(cfg: ExperimentConfig) -> tuple[float, float]:
     c = _get(cfg.raw, "experiment", "tail_c", None)
     rate = _get(cfg.raw, "experiment", "tail_rate", None)
     if c is not None and rate is not None:
-        return _as_float(c, "experiment.tail_c"), _as_float(rate, "experiment.tail_rate")
+        c, rate = _as_float(c, "experiment.tail_c"), _as_float(rate, "experiment.tail_rate")
+        if not (c > 0.0 and 0.0 < rate < 1.0):
+            raise ConfigError(f"need experiment.tail_c > 0 and 0 < tail_rate < 1, got {c}, {rate}")
+        return c, rate
     if cfg.mode == "noisy":
         return constants.doeblin_certificate(build_noise(cfg))
     cert = constants.certify(build_map(cfg), cfg.n_points)
@@ -232,6 +235,10 @@ def cmd_simulate(cfg: ExperimentConfig, emit_gnuplot: bool, t0: float) -> int:
     samples = _as_int(_get(cfg.raw, "simulate", "samples", "100000"), "simulate.samples")
     bins = _as_int(_get(cfg.raw, "simulate", "bins", "64"), "simulate.bins")
     eps = _as_float(_get(cfg.raw, "simulate", "eps", "0.0"), "simulate.eps")
+    if samples < 10**4:
+        raise ConfigError(f"simulate.samples must be >= 1e4, got {samples}")
+    if bins < 1 or cfg.n_points % bins != 0:
+        raise ConfigError(f"simulate.bins must divide experiment.n = {cfg.n_points}, got {bins}")
     hist = noise.simulate_marginal(drift, eps, q, steps, samples, seed=cfg.seed, n_bins=bins)
     out_csv = os.path.join(cfg.output_dir, "histogram.csv")
     hist.write_csv(out_csv)

@@ -141,20 +141,28 @@ def load_config(path: str) -> ExperimentConfig:
         _as_int(window_text[0], "experiment.window"),
         _as_int(window_text[1], "experiment.window"),
     )
+    if window[1] < window[0]:
+        raise ConfigError(f"experiment.window must have hi >= lo, got {window}")
     eps_text = _get(parser, "experiment", "eps", "")
     eps_list = tuple(
         _as_float(e, "experiment.eps") for e in eps_text.split(",") if e.strip()
     )
+    if 0.0 in eps_list:
+        raise ConfigError("experiment.eps entries must be nonzero")
+    burn_in = _as_int(_get(parser, "experiment", "burn_in", "60"), "experiment.burn_in")
+    truncation = _as_int(_get(parser, "experiment", "truncation", "8"), "experiment.truncation")
+    if burn_in < 1 or truncation < 1:
+        raise ConfigError(f"experiment.burn_in and truncation must be >= 1, got {burn_in}, {truncation}")
     return ExperimentConfig(
         path=str(path),
         mode=mode,
         n_points=n,
         window=window,
-        burn_in=_as_int(_get(parser, "experiment", "burn_in", "60"), "experiment.burn_in"),
+        burn_in=burn_in,
         eps_list=eps_list,
         seed=_as_int(_get(parser, "experiment", "seed", "0"), "experiment.seed"),
         output_dir=_get(parser, "experiment", "output_dir", "out"),
-        truncation=_as_int(_get(parser, "experiment", "truncation", "8"), "experiment.truncation"),
+        truncation=truncation,
         tolerance=_as_float(_get(parser, "experiment", "tolerance", "1e-2"), "experiment.tolerance"),
         pullback_tol=_as_float(
             _get(parser, "experiment", "pullback_tol", "1e-8"), "experiment.pullback_tol"

@@ -54,19 +54,6 @@ class TrigPoly:
         th = np.multiply.outer(np.asarray(x, dtype=float), self._k)
         return -np.cos(th) @ (self._k**2 * self.a) - np.sin(th) @ (self._k**2 * self.b)
 
-    @classmethod
-    def from_triples(cls, triples) -> "TrigPoly":
-        """Build from (k, a_k, b_k) triples."""
-        if not triples:
-            return cls()
-        kmax = max(int(k) for k, _, _ in triples)
-        a = np.zeros(kmax + 1)
-        b = np.zeros(kmax + 1)
-        for k, ak, bk in triples:
-            a[int(k)] += float(ak)
-            b[int(k)] += float(bk)
-        return cls(a, b)
-
 
 class CircleMap:
     """Degree-d expanding map T(x) = (d*x + p(x)) mod 1."""
@@ -160,12 +147,6 @@ class KickField:
 
     def x_field(self, x):
         return self._poly(x)
-
-    def x_field_d1(self, x):
-        return self._poly.d1(x)
-
-    def x_field_d2(self, x):
-        return self._poly.d2(x)
 
     def sup_d1(self) -> float:
         return float(np.max(np.abs(self._poly.d1(_PROBE))))

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grid as gridmod
+from . import transfer
 from .errors import DimensionMismatch
 from .grid import DensityGrid
 from .maps import CircleMap
@@ -116,36 +117,32 @@ class DriftMap:
         return (self.base_values(x) + eps * self.dot_values(x)) % 1.0
 
 
-def _shifted_profile(profile: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """N x N matrix P[i, j] = p(y_i - c_j mod 1) of grid samples p, by cubic interpolation."""
-    n = centers.shape[0]
-    shifts = (np.arange(n) / n)[:, None] - centers[None, :]
-    np.mod(shifts, 1.0, out=shifts)
-    # The result overwrites the shift buffer, so one N x N array fewer is live
-    # while the caller finishes assembly.
-    shifts.flat = gridmod.interpolate_values(profile, shifts.ravel())
-    return shifts
-
-
 def build_kernel(f: DriftMap, eps: float, q: NoiseDensity, n_points: int) -> TransferMatrix:
     """Annealed operator A[i,j] = (1/N) q(y_i - f_eps(x_j)), mass-corrected."""
     x = np.arange(n_points) / n_points
-    a = _shifted_profile(q.density.values, f.eval(x, eps)) / n_points
-    return TransferMatrix(_mass_correct(a))
+    shifts = x[:, None] - f.eval(x, eps)[None, :]
+    np.mod(shifts, 1.0, out=shifts)
+    # The samples overwrite the shift buffer, so one N x N array fewer is live
+    # during the mass correction.
+    shifts.flat = gridmod.interpolate_values(q.density.values, shifts.ravel())
+    shifts /= n_points
+    return TransferMatrix(_mass_correct(shifts))
 
 
-def kernel_forcing(f: DriftMap, q: NoiseDensity, mu: DensityGrid) -> DensityGrid:
+def kernel_forcing(f: DriftMap, a: TransferMatrix, mu: DensityGrid) -> DensityGrid:
     """Derivative of the kernel operator along the drift perturbation.
 
-    g(y) = integral of mu(x) * (-q'(y - f0(x))) * fdot(x) dx, with q'
-    the grid derivative of q so forcing and difference quotients share
-    discretization bias.  The result has zero mass to round-off.
+    g = -(A (fdot mu))', with A the eps = 0 kernel of build_kernel and '
+    the grid derivative.  Column j of A interpolates q at y_i - f0(x_j) with
+    weights that do not depend on i, a circular convolution in i that
+    commutes with the grid derivative, and the derivative removes the
+    constant mass correction.  So g is the integral of
+    mu(x) * (-q'(y - f0(x))) * fdot(x) dx with q' the grid derivative of q,
+    the discretization bias that the difference quotients share.
+    The result has zero mass to round-off.
     """
-    n = mu.n_points
-    x = np.arange(n) / n
-    kq = _shifted_profile(gridmod.derivative(q.density).values, f.base_values(x))
-    g = -(kq * (mu.values * f.dot_values(x))[None, :]).sum(axis=1) / n
-    return DensityGrid(g)
+    weighted = DensityGrid(mu.values * f.dot_values(mu.nodes))
+    return gridmod.derivative(transfer.apply(a, weighted)) * -1.0
 
 
 @dataclass(frozen=True)

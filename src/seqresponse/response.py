@@ -53,7 +53,7 @@ def forcing(sys: SequenceSystem, family: EquivariantFamily) -> Forcing:
     """Derivative of the perturbed operator along the reference family.
 
     Deterministic entries: g_n = D mu_{n+1} with D u = -(X u)'.  Noisy
-    entries: the kernel-derivative integral against mu_n.
+    entries: g_n = -(A_n (fdot mu_n))' from the cached eps = 0 kernel A_n.
     """
     out = []
     for n in range(family.n_lo, family.n_hi + 1):
@@ -65,7 +65,7 @@ def forcing(sys: SequenceSystem, family: EquivariantFamily) -> Forcing:
                 mu_next = transfer.apply(sys.operator(n, 0.0), family.density(n))
             g = transfer.d_operator(entry.kick, mu_next)
         else:
-            g = noisemod.kernel_forcing(entry.drift, entry.noise, family.density(n))
+            g = noisemod.kernel_forcing(entry.drift, sys.operator(n, 0.0), family.density(n))
         out.append(g)
     return Forcing(n_lo=family.n_lo, densities=tuple(out))
 

@@ -153,6 +153,16 @@ class TestExitCodes:
             pytest.param(BASE_DET, "tail_c = 1.0", "tail_c = one", "respond", id="tail_c"),
             pytest.param(BASE_DET, "[schedule]", "[memory]\nharmonic = two\n\n[schedule]", "memory", id="harmonic"),
             pytest.param(BASE_NOISY, "samples = 20000", "samples = 1e5", "simulate", id="samples"),
+            pytest.param(BASE_DET, "window = 0, 12", "window = 5, 0", "equivariant", id="window-reversed"),
+            pytest.param(BASE_DET, "burn_in = 60", "burn_in = 0", "equivariant", id="burn_in-0"),
+            pytest.param(BASE_DET, "truncation = 8", "truncation = 0", "respond", id="truncation-0"),
+            pytest.param(BASE_DET, "eps = 1e-2, 1e-3", "eps = 1e-2, 0", "respond", id="eps-0"),
+            pytest.param(BASE_NOISY, "samples = 20000", "samples = 9999", "simulate", id="samples-few"),
+            pytest.param(BASE_NOISY, "bins = 32", "bins = 48", "simulate", id="bins-not-dividing-n"),
+            pytest.param(BASE_DET, "tail_rate = 0.5", "tail_rate = 1.5", "respond", id="tail_rate-1.5"),
+            pytest.param(BASE_DET, "tail_rate = 0.5", "tail_rate = 1.0", "respond", id="tail_rate-1"),
+            pytest.param(BASE_DET, "tail_rate = 0.5", "tail_rate = -0.5", "respond", id="tail_rate-negative"),
+            pytest.param(BASE_DET, "tail_c = 1.0", "tail_c = 0", "respond", id="tail_c-0"),
         ],
     )
     def test_bad_value_is_1(self, tmp_path, capsys, base, old, new, command):
@@ -160,6 +170,20 @@ class TestExitCodes:
         path, _ = write_config(tmp_path, base.replace(old, new))
         assert cli.main([command, path]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "base, old, new, command",
+        [
+            pytest.param(BASE_DET, "degree = 2", "degree = 1", "certify", id="degree-1"),
+            pytest.param(BASE_DET, "degree = 2", "degree = 2\ncoeffs = 17:0.0:0.001", "certify", id="index-17"),
+            pytest.param(BASE_NOISY, "bump:0.5,0.08,0.3", "bump:0.5,0.08,1.0", "simulate", id="floor-1"),
+        ],
+    )
+    def test_invalid_system_is_2(self, tmp_path, capsys, base, old, new, command):
+        assert old in base
+        path, _ = write_config(tmp_path, base.replace(old, new))
+        assert cli.main([command, path]) == 2
+        assert "invalid system" in capsys.readouterr().err
 
 
 class TestCertify:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from seqresponse import grid, noise, transfer
+from seqresponse.errors import NotExpanding
 from seqresponse.grid import DensityGrid
 from seqresponse.maps import CircleMap
 from seqresponse.noise import DriftMap, NoiseDensity
@@ -17,6 +20,43 @@ def bump_q():
 
 def identity_drift(dot=None):
     return DriftMap(base=lambda x: np.asarray(x) % 1.0, dot=dot)
+
+
+def forcing(drift, q, mu):
+    return noise.kernel_forcing(drift, noise.build_kernel(drift, 0.0, q, N), mu)
+
+
+def q_prime_quadrature(drift, q, mu):
+    """Reference forcing: (1/N) sum_j -q'(y_i - f0(x_j)) fdot(x_j) mu(x_j), q' the grid derivative."""
+    shifts = (X[:, None] - drift.base_values(X)[None, :]) % 1.0
+    kq = grid.interpolate_values(grid.derivative(q.density).values, shifts.ravel()).reshape(N, N)
+    return DensityGrid(-(kq @ (mu.values * drift.dot_values(X))) / N)
+
+
+def smooth_samples(rng, scale):
+    v = np.zeros(N)
+    for k in range(1, 5):
+        v += scale * (rng.normal() * np.cos(2 * np.pi * k * X) + rng.normal() * np.sin(2 * np.pi * k * X))
+    return v
+
+
+@st.composite
+def noisy_systems(draw):
+    """(drift, q, mu): expanding degree 2-3 base, smooth fdot, bump noise, positive smooth mu."""
+    coeffs = st.lists(st.floats(-0.04, 0.04), min_size=4, max_size=4)
+    try:
+        base = CircleMap(draw(st.integers(2, 3)), draw(coeffs), draw(coeffs))
+    except NotExpanding:
+        assume(False)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = NoiseDensity.bump(
+        center=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        width=draw(st.floats(0.05, 0.3)),
+        floor=draw(st.floats(0.05, 0.9)),
+        n_points=N,
+    )
+    mu = DensityGrid(1.0 + smooth_samples(rng, 0.05))
+    return DriftMap(base=base, dot=smooth_samples(rng, 0.5)), q, mu
 
 
 class TestNoiseDensity:
@@ -92,19 +132,19 @@ class TestKernelForcing:
     def test_uniform_q_zero(self):
         q = NoiseDensity.uniform(N)
         drift = DriftMap(base=CircleMap(2), dot=np.sin(2 * np.pi * X))
-        g = noise.kernel_forcing(drift, q, DensityGrid.constant(1.0, N))
+        g = forcing(drift, q, DensityGrid.constant(1.0, N))
         assert np.max(np.abs(g.values)) <= 1e-12
 
     def test_zero_dot_zero(self, bump_q):
         drift = DriftMap(base=CircleMap(2))
-        g = noise.kernel_forcing(drift, bump_q, DensityGrid.constant(1.0, N))
+        g = forcing(drift, bump_q, DensityGrid.constant(1.0, N))
         assert np.max(np.abs(g.values)) == 0.0
 
     def test_zero_mass(self, bump_q):
         rng = np.random.default_rng(5)
         drift = DriftMap(base=CircleMap(2), dot=rng.normal(size=N))
         mu = DensityGrid(rng.uniform(0.5, 1.5, N))
-        assert abs(grid.mass(noise.kernel_forcing(drift, bump_q, mu))) <= 1e-9
+        assert abs(grid.mass(forcing(drift, bump_q, mu))) <= 1e-9
 
     def test_difference_quotient_oracle(self, bump_q):
         eps = 1e-4
@@ -113,8 +153,18 @@ class TestKernelForcing:
         l_eps = noise.build_kernel(drift, eps, bump_q, N)
         l_0 = noise.build_kernel(drift, 0.0, bump_q, N)
         quot = (transfer.apply(l_eps, mu) - transfer.apply(l_0, mu)) * (1.0 / eps)
-        g = noise.kernel_forcing(drift, bump_q, mu)
+        g = noise.kernel_forcing(drift, l_0, mu)
         assert grid.norm_l1(quot - g) <= 5e-3
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(system=noisy_systems())
+    def test_matches_q_prime_quadrature(self, system):
+        # -(A (fdot mu))' from the eps = 0 kernel equals the q' quadrature
+        drift, q, mu = system
+        g = forcing(drift, q, mu)
+        ref = q_prime_quadrature(drift, q, mu)
+        assert grid.norm_l1(g - ref) <= 1e-10 * grid.norm_l1(ref)
+        assert abs(grid.mass(g)) <= 1e-12
 
 
 class TestSimulateMarginal:

@@ -104,7 +104,9 @@ def _seed_density(cfg: ExperimentConfig, section: str, zero_mass: bool) -> Densi
 def _tail_constants(cfg: ExperimentConfig) -> tuple[float, float]:
     c = _get(cfg.raw, "experiment", "tail_c", None)
     rate = _get(cfg.raw, "experiment", "tail_rate", None)
-    if c is not None and rate is not None:
+    if (c is None) != (rate is None):
+        raise ConfigError("experiment.tail_c and experiment.tail_rate must be set together")
+    if c is not None:
         c, rate = _as_float(c, "experiment.tail_c"), _as_float(rate, "experiment.tail_rate")
         if not (c > 0.0 and 0.0 < rate < 1.0):
             raise ConfigError(f"need experiment.tail_c > 0 and 0 < tail_rate < 1, got {c}, {rate}")

@@ -83,18 +83,40 @@ def _probe_family(n_points: int) -> np.ndarray:
     return np.array(cols).T  # (N, 50)
 
 
+class ProbePushes:
+    """Per-probe norms of L0^m v over the probe family, each push made once.
+
+    The probes are pushed through one dense copy of L0 as far as the
+    largest m asked for so far; l1(m) then answers from the cache.
+    """
+
+    def __init__(self, l0: transfer.TransferMatrix):
+        probes = _probe_family(l0.n_points)
+        self.w11 = np.array([gridmod.norm_w11(DensityGrid(probes[:, i])) for i in range(probes.shape[1])])
+        self._l0 = l0.to_dense()
+        self._pushed = probes
+        self._l1: list[np.ndarray] = []  # _l1[m - 1] holds ||L0^m v||_L1 per probe
+
+    def l1(self, m: int) -> np.ndarray:
+        while len(self._l1) < m:
+            self._pushed = self._l0 @ self._pushed
+            self._l1.append(np.abs(self._pushed).sum(axis=0) / self._l0.shape[0])
+        return self._l1[m - 1]
+
+
 def choose_M(
     t0: CircleMap,
     lambda1: float,
     b: float,
     n_points: int,
-    l0_matrix: transfer.TransferMatrix | None = None,
+    pushes: ProbePushes | None = None,
 ) -> int:
     """Smallest block length M passing both contraction conditions.
 
     Closed form gives the lambda1^M threshold; the weak condition
     ||L0^M v||_L1 <= (1-lambda1)/(10 B) ||v||_W11 is then verified on
-    the probe family, continuing the search upward on failure.
+    the probe family, continuing the search upward on failure.  `pushes`
+    shares the probe pushes of L0 = L_{t0} between calls.
     """
     if not 0.0 < lambda1 < 1.0:
         raise MNotFound(f"lambda1 = {lambda1} admits no finite M")
@@ -102,18 +124,11 @@ def choose_M(
     m_closed = max(1, int(np.ceil(np.log(target) / np.log(lambda1))))
     if m_closed > M_SEARCH_LIMIT:
         raise MNotFound(f"closed-form threshold already exceeds {M_SEARCH_LIMIT}")
-    if l0_matrix is None:
-        l0_matrix = transfer.build_deterministic(t0, n_points)
-    probes = _probe_family(n_points)
-    w11 = np.array([gridmod.norm_w11(DensityGrid(probes[:, i])) for i in range(probes.shape[1])])
+    if pushes is None:
+        pushes = ProbePushes(transfer.build_deterministic(t0, n_points))
     threshold = (1.0 - lambda1) / (10.0 * b) if b > 0 else np.inf
-    pushed = probes.copy()
-    for m in range(1, M_SEARCH_LIMIT + 1):
-        pushed = l0_matrix.entries @ pushed
-        if m < m_closed:
-            continue
-        l1 = np.abs(pushed).sum(axis=0) / n_points
-        if np.all(l1 <= threshold * w11):
+    for m in range(m_closed, M_SEARCH_LIMIT + 1):
+        if np.all(pushes.l1(m) <= threshold * pushes.w11):
             return m
     raise MNotFound(f"no M <= {M_SEARCH_LIMIT} passes the weak contraction check")
 
@@ -197,16 +212,17 @@ def certify(t0: CircleMap, n_points: int) -> Certificate:
     """Largest admissible delta_star by bisection, plus the decay certificate.
 
     lambda1, B, M all depend on delta_star, so each probe recomputes the
-    chain.  The strong norm contracts by 9/10 per 2M steps, giving the
-    per-step rate (9/10)^(1/(2M)) and C_ELoM = (10/9)(B/(1-lambda1)+1).
+    chain; the probe pushes of L0 behind M are made once and shared.  The
+    strong norm contracts by 9/10 per 2M steps, giving the per-step rate
+    (9/10)^(1/(2M)) and C_ELoM = (10/9)(B/(1-lambda1)+1).
     """
     lam0, m0, m2 = t0.constants()
     ct0 = c_t0(lam0, m0, m2, t0.degree)
-    l0_matrix = transfer.build_deterministic(t0, n_points)
+    pushes = ProbePushes(transfer.build_deterministic(t0, n_points))
 
     def chain(delta):
         lam1, b = lasota_yorke_constants(lam0, m2, delta)
-        m = choose_M(t0, lam1, b, n_points, l0_matrix)
+        m = choose_M(t0, lam1, b, n_points, pushes)
         return lam1, b, m
 
     def feasible(delta):

@@ -1,7 +1,9 @@
 """Annealed transfer operators for random circle maps with additive noise.
 
 The one-step kernel is k(x, y) = q(y - f(x)) for a common noise density
-q; the annealed operator integrates it against the current density.  A
+q; the annealed operator integrates it against the current density.  It
+is stored matrix-free: the 4-point spread of each node's mass onto the
+grid near its drift image, then an FFT circular convolution with q.  A
 uniformly positive q gives Doeblin minorization with alpha = min q and
 hence one-step L1 contraction by (1 - alpha) on zero-mass densities.
 """
@@ -18,7 +20,7 @@ from . import transfer
 from .errors import DimensionMismatch
 from .grid import DensityGrid
 from .maps import CircleMap
-from .transfer import TransferMatrix, _mass_correct
+from .transfer import TransferMatrix
 
 MC_BLOCK_SIZE = 1 << 16
 
@@ -118,15 +120,17 @@ class DriftMap:
 
 
 def build_kernel(f: DriftMap, eps: float, q: NoiseDensity, n_points: int) -> TransferMatrix:
-    """Annealed operator A[i,j] = (1/N) q(y_i - f_eps(x_j)), mass-corrected."""
+    """Annealed operator A[i,j] = (1/N) q(y_i - f_eps(x_j)), mass-corrected.
+
+    q(y_i - c_j) is read by the 4-point cubic, whose weights at y_i - c_j
+    do not depend on i: it is sum_k w_kj q[(i + idx_kj) % N] with (idx, w)
+    the stencil of -c_j.  So A f is q/N circularly convolved with the
+    spread S f, (S f)[-idx_kj % N] += w_kj f_j, in O(N log N).
+    """
     x = np.arange(n_points) / n_points
-    shifts = x[:, None] - f.eval(x, eps)[None, :]
-    np.mod(shifts, 1.0, out=shifts)
-    # The samples overwrite the shift buffer, so one N x N array fewer is live
-    # during the mass correction.
-    shifts.flat = gridmod.interpolate_values(q.density.values, shifts.ravel())
-    shifts /= n_points
-    return TransferMatrix(_mass_correct(shifts))
+    idx, w = gridmod.interpolation_stencil(n_points, -f.eval(x, eps))
+    cols = np.broadcast_to(np.arange(n_points), idx.shape)
+    return TransferMatrix.from_stencil(-idx % n_points, cols, w, n_points, kernel=q.density.values / n_points)
 
 
 def kernel_forcing(f: DriftMap, a: TransferMatrix, mu: DensityGrid) -> DensityGrid:

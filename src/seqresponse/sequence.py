@@ -63,12 +63,15 @@ def periodic_schedule(entries):
 
 
 def seeded_random_schedule(entries, seed: int):
-    """Deterministic per-index choice among a finite entry list."""
+    """Deterministic per-index choice among a finite entry list, drawn once per index."""
     entries = list(entries)
+    picks = {}
 
     def schedule(n):
-        rng = np.random.Generator(np.random.Philox(key=(seed, n & 0xFFFFFFFFFFFFFFFF)))
-        return entries[rng.integers(len(entries))]
+        if n not in picks:
+            rng = np.random.Generator(np.random.Philox(key=(seed, n & 0xFFFFFFFFFFFFFFFF)))
+            picks[n] = entries[rng.integers(len(entries))]
+        return picks[n]
 
     return schedule
 

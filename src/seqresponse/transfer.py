@@ -1,10 +1,18 @@
 """Discretized Perron-Frobenius operators on the periodic grid.
 
-Each operator is realized as a dense N x N matrix acting on grid values,
-(Af)[i] = sum_j A[i,j] f[j].  After assembly every matrix receives a
-rank-one mass correction A <- A + 1*c^T so the discrete mass functional
-(1/N) sum f is preserved to round-off; the zero-mass subspace is then
-exactly invariant, which the response series relies on.
+Each operator is stored matrix-free as A f = K(S f) + (c . f) 1:
+
+- S is a sparse stencil in COO form, (S f)[i] = sum over k with
+  rows[k] = i of entries[k] f[cols[k]], applied in O(nnz) by np.bincount;
+- K is an optional circular convolution (the noise kernels), stored as the
+  rfft spectrum of its kernel and applied in O(N log N);
+- c is the rank-one mass correction c_j = (1 - column sum_j of K S) / N,
+  which makes every column of A sum to exactly 1, so the discrete mass
+  functional (1/N) sum f is preserved to round-off and the zero-mass
+  subspace is exactly invariant, which the response series relies on.
+
+No N x N array is built except by `to_dense`, which the tests and the
+probe pushes of `constants.choose_M` use.
 """
 
 from __future__ import annotations
@@ -19,51 +27,79 @@ from .grid import DensityGrid
 from .maps import CircleMap, KickedMap, KickField
 
 
+def _frozen(a, dtype) -> np.ndarray:
+    a = np.array(a, dtype=dtype).ravel()
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class TransferMatrix:
-    """Dense realization of one transfer operator."""
+    """Matrix-free realization of one transfer operator, A f = K(S f) + (c . f) 1.
 
+    Build one with `from_stencil`, which checks the stencil against the
+    grid and derives the mass correction.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
     entries: np.ndarray
+    correction: np.ndarray
+    spectrum: np.ndarray | None = None  # rfft of the convolution kernel of K; None means K = identity
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError("transfer matrix must be square")
-        e = e.copy()
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
+        for name, dtype in (("rows", np.int64), ("cols", np.int64), ("entries", float), ("correction", float)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        if self.spectrum is not None:
+            object.__setattr__(self, "spectrum", _frozen(self.spectrum, complex))
+
+    @classmethod
+    def from_stencil(cls, rows, cols, entries, n_points: int, kernel=None) -> "TransferMatrix":
+        """Mass-corrected operator A = K S + 1 c^T from the stencil S and K's kernel.
+
+        K f is the circular convolution (K f)[i] = sum_m kernel[(i - m) % N] f[m].
+        Every column of a circulant sums to sum(kernel), so the column sums
+        of K S are those of S times sum(kernel).
+        """
+        rows, cols, entries = np.ravel(rows), np.ravel(cols), np.ravel(entries)
+        if not rows.shape == cols.shape == entries.shape:
+            raise ValueError("stencil rows, cols and entries must have one length")
+        for index in (rows, cols):
+            if index.size and not (0 <= index.min() and index.max() < n_points):
+                raise ValueError(f"stencil index outside the {n_points}-point grid")
+        col_sums = np.bincount(cols, entries, minlength=n_points)
+        spectrum = None
+        if kernel is not None:
+            col_sums *= np.sum(kernel)
+            spectrum = np.fft.rfft(kernel)
+        return cls(rows, cols, entries, (1.0 - col_sums) / n_points, spectrum)
 
     @property
     def n_points(self) -> int:
-        return self.entries.shape[0]
+        return self.correction.shape[0]
 
-
-def _mass_correct(a: np.ndarray) -> np.ndarray:
-    """Rank-one correction making every column sum exactly 1.
-
-    Column sums of 1 are equivalent to exact preservation of the discrete
-    mass functional (1/N) sum_i f[i].
-    """
-    defect = 1.0 - a.sum(axis=0)
-    return a + defect[None, :] / a.shape[0]
+    def to_dense(self) -> np.ndarray:
+        """The N x N matrix of the operator, for tests and probe pushes."""
+        n = self.n_points
+        a = np.zeros((n, n))
+        np.add.at(a, (self.rows, self.cols), self.entries)
+        if self.spectrum is not None:
+            a = np.fft.irfft(self.spectrum[:, None] * np.fft.rfft(a, axis=0), n=n, axis=0)
+        return a + self.correction[None, :]
 
 
 def _assemble(points: np.ndarray, weights: np.ndarray) -> TransferMatrix:
-    """Mass-corrected matrix with (Af)[i] = sum_b weights[b, i] f(points[b, i]).
+    """Mass-corrected operator with (Af)[i] = sum_b weights[b, i] f(points[b, i]).
 
-    f is read off-grid by the 6-point stencil.  One scatter covers all
-    (branch, stencil) pairs in branch-major order, so each entry sums its
-    contributions in the same order as a loop over branches then stencil
-    offsets would.
+    f is read off-grid by the 6-point stencil.  The stencil lists all
+    (branch, offset, row) triples in branch-major order.
     """
     n_branches, n_points = points.shape
     idx, w = gridmod.interpolation_stencil6(n_points, points.ravel())
-    idx = np.ascontiguousarray(idx.reshape(6, n_branches, n_points).swapaxes(0, 1))
-    w = np.ascontiguousarray(w.reshape(6, n_branches, n_points).swapaxes(0, 1)) * weights[:, None, :]
-    rows = np.broadcast_to(np.arange(n_points), idx.shape)
-    a = np.zeros((n_points, n_points))
-    np.add.at(a, (rows, idx), w)
-    return TransferMatrix(_mass_correct(a))
+    cols = idx.reshape(6, n_branches, n_points).swapaxes(0, 1)
+    entries = w.reshape(6, n_branches, n_points).swapaxes(0, 1) * weights[:, None, :]
+    rows = np.broadcast_to(np.arange(n_points), cols.shape)
+    return TransferMatrix.from_stencil(rows, cols, entries, n_points)
 
 
 def build_deterministic(t: CircleMap | KickedMap, n_points: int) -> TransferMatrix:
@@ -92,13 +128,20 @@ def d_operator(kick: KickField, u: DensityGrid) -> DensityGrid:
 
 
 def compose_matrices(outer: TransferMatrix, inner: TransferMatrix) -> TransferMatrix:
-    """Product operator: inner acts first.  The one-pass kicked operator is tested against it."""
+    """Dense product operator: inner acts first.  The one-pass kicked operator is tested against it."""
     if outer.n_points != inner.n_points:
         raise DimensionMismatch("matrix sizes differ")
-    return TransferMatrix(outer.entries @ inner.entries)
+    product = outer.to_dense() @ inner.to_dense()
+    rows, cols = np.nonzero(product)
+    return TransferMatrix.from_stencil(rows, cols, product[rows, cols], outer.n_points)
 
 
 def apply(a: TransferMatrix, f: DensityGrid) -> DensityGrid:
+    """A f = K(S f) + (c . f) 1 in O(nnz), plus O(N log N) for a convolution."""
     if a.n_points != f.n_points:
         raise DimensionMismatch(f"matrix is {a.n_points}, grid is {f.n_points}")
-    return DensityGrid(a.entries @ f.values)
+    v = f.values
+    s = np.bincount(a.rows, a.entries * v[a.cols], minlength=a.n_points)
+    if a.spectrum is not None:
+        s = np.fft.irfft(a.spectrum * np.fft.rfft(s), n=a.n_points)
+    return DensityGrid(s + a.correction @ v)

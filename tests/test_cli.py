@@ -163,6 +163,8 @@ class TestExitCodes:
             pytest.param(BASE_DET, "tail_rate = 0.5", "tail_rate = 1.0", "respond", id="tail_rate-1"),
             pytest.param(BASE_DET, "tail_rate = 0.5", "tail_rate = -0.5", "respond", id="tail_rate-negative"),
             pytest.param(BASE_DET, "tail_c = 1.0", "tail_c = 0", "respond", id="tail_c-0"),
+            pytest.param(BASE_DET, "tail_rate = 0.5\n", "", "respond", id="tail_c-alone"),
+            pytest.param(BASE_DET, "tail_c = 1.0\n", "", "respond", id="tail_rate-alone"),
         ],
     )
     def test_bad_value_is_1(self, tmp_path, capsys, base, old, new, command):

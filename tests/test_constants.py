@@ -94,6 +94,53 @@ class TestChooseM:
             constants.choose_M(CircleMap(2), 1.0, 0.1, N)
 
 
+def per_call_choose_M(t0, lambda1, b, n_points, pushes=None):
+    """Reference: the search without shared pushes (`pushes` is ignored); every call pushes from m = 1."""
+    if not 0.0 < lambda1 < 1.0:
+        raise MNotFound(f"lambda1 = {lambda1} admits no finite M")
+    target = 1.0 / (10.0 * (b / (1.0 - lambda1) + 1.0))
+    m_closed = max(1, int(np.ceil(np.log(target) / np.log(lambda1))))
+    if m_closed > constants.M_SEARCH_LIMIT:
+        raise MNotFound("closed-form threshold too large")
+    l0 = transfer.build_deterministic(t0, n_points).to_dense()
+    probes = constants._probe_family(n_points)
+    w11 = np.array([grid.norm_w11(DensityGrid(probes[:, i])) for i in range(probes.shape[1])])
+    threshold = (1.0 - lambda1) / (10.0 * b) if b > 0 else np.inf
+    pushed = probes.copy()
+    for m in range(1, constants.M_SEARCH_LIMIT + 1):
+        pushed = l0 @ pushed
+        if m < m_closed:
+            continue
+        l1 = np.abs(pushed).sum(axis=0) / n_points
+        if np.all(l1 <= threshold * w11):
+            return m
+    raise MNotFound("no M passes")
+
+
+class TestProbePushes:
+    @pytest.mark.parametrize(
+        "t0",
+        [
+            CircleMap(2),
+            CircleMap(2, sin_coeffs=(0.0, 0.05)),
+            CircleMap(3, cos_coeffs=(0.0, 0.02), sin_coeffs=(0.0, 0.03, 0.01)),
+        ],
+        ids=["doubling", "sine-2", "mixed-3"],
+    )
+    def test_certificate_matches_per_call_search(self, monkeypatch, t0):
+        shared = constants.certify(t0, N).to_json()
+        monkeypatch.setattr(constants, "choose_M", per_call_choose_M)
+        assert shared == constants.certify(t0, N).to_json()
+
+    def test_shared_pushes_match_per_call_search(self):
+        # b large against 1 - lambda1: the probe check, not the closed form, sets M
+        t0 = CircleMap(2, sin_coeffs=(0.0, 0.05))
+        pushes = constants.ProbePushes(transfer.build_deterministic(t0, N))
+        for lam1, b in ((0.05, 1e8), (0.1, 1e2), (0.5, 1e3), (0.1, 1e4)):
+            assert constants.choose_M(t0, lam1, b, N, pushes) == per_call_choose_M(t0, lam1, b, N)
+        assert constants.choose_M(t0, 0.05, 1e8, N, pushes) == 12  # the closed form alone gives 7
+
+
 class TestDisplacementBounds:
     def test_measured_below_bound(self):
         t0 = CircleMap(2)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from seqresponse import grid, noise, transfer
@@ -31,6 +31,13 @@ def q_prime_quadrature(drift, q, mu):
     shifts = (X[:, None] - drift.base_values(X)[None, :]) % 1.0
     kq = grid.interpolate_values(grid.derivative(q.density).values, shifts.ravel()).reshape(N, N)
     return DensityGrid(-(kq @ (mu.values * drift.dot_values(X))) / N)
+
+
+def dense_kernel(drift, eps, q):
+    """Reference: A[i,j] = (1/N) q(y_i - f_eps(x_j)) by the 4-point cubic at all N^2 shifts, mass-corrected."""
+    shifts = (X[:, None] - drift.eval(X, eps)[None, :]) % 1.0
+    a = grid.interpolate_values(q.density.values, shifts.ravel()).reshape(N, N) / N
+    return a + (1.0 - a.sum(axis=0))[None, :] / N
 
 
 def smooth_samples(rng, scale):
@@ -126,6 +133,28 @@ class TestBuildKernel:
             f = DensityGrid(rng.uniform(0, 2, N))
             tilde = transfer.apply(a, f).values - alpha * grid.mass(f)
             assert np.min(tilde) >= -1e-9
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(system=noisy_systems(), eps=st.floats(-0.05, 0.05))
+    @example(
+        system=(
+            DriftMap(CircleMap(2), dot=np.sin(2 * np.pi * X)),
+            NoiseDensity.bump(0.5, 0.08, 0.3, N),
+            DensityGrid(1 + 0.2 * np.cos(2 * np.pi * X)),
+        ),
+        eps=1e-4,  # f_eps(x_128) = 1.2e-20 mod 1: N f_eps(x_128) = 3e-18 sits just above node 0
+    )
+    def test_matches_dense_kernel(self, system, eps):
+        # the FFT kernel equals the N^2 interpolated kernel, keeps mass and the zero-mass subspace
+        drift, q, mu = system
+        a = noise.build_kernel(drift, eps, q, N)
+        ref = dense_kernel(drift, eps, q)
+        assert np.sum(np.abs(a.to_dense() - ref)) <= 1e-13 * np.sum(np.abs(ref))
+        out = transfer.apply(a, mu)
+        assert grid.norm_l1(out - DensityGrid(ref @ mu.values)) <= 1e-13 * grid.norm_l1(out)
+        assert abs(grid.mass(out) - grid.mass(mu)) <= 1e-12
+        v = grid.project_zero_mass(mu)
+        assert abs(grid.mass(transfer.apply(a, v))) <= 1e-12
 
 
 class TestKernelForcing:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -191,7 +193,7 @@ class TestSchedules:
         for eps in (0.0, 0.01):
             for n, t in enumerate(maps):
                 expected = transfer.build_deterministic(t if eps == 0.0 else kick_map(kick, eps, t), N)
-                assert np.array_equal(sys_.operator(n, eps).entries, expected.entries)
+                assert np.array_equal(sys_.operator(n, eps).to_dense(), expected.to_dense())
 
 
 class TestStrongBound:
@@ -204,3 +206,23 @@ class TestStrongBound:
         lam1, b = lasota_yorke_constants(2.0 - 1e-9, 0.0, 0.1)
         bound = b / (1 - lam1) + 1 + 0.5
         assert max(grid.norm_w11(mu) for mu in fam.densities) <= bound
+
+
+class TestOperatorMemory:
+    def test_no_dense_array(self):
+        # a deterministic, a kicked and a noisy operator are built and applied in under N^2 / 4 doubles
+        n = 1024
+        x = np.arange(n) / n
+        det = DeterministicEntry(CircleMap(2, sin_coeffs=(0.0, 0.05)), KickField(sin_coeffs=(0.0, 0.15)), "det")
+        q = NoiseDensity.bump(0.5, 0.08, 0.3, n)
+        noisy = NoisyEntry(DriftMap(CircleMap(2), dot=np.sin(2 * np.pi * x)), q, "noisy")
+        sys_ = SequenceSystem(periodic_schedule([det, noisy]), (0, 1), eps=0.0, n_points=n)
+        f = DensityGrid(1.0 + 0.5 * np.cos(2 * np.pi * x))
+        tracemalloc.start()
+        try:
+            for n_index, eps in ((0, 0.0), (0, 0.01), (1, 0.01)):
+                transfer.apply(sys_.operator(n_index, eps), f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 4

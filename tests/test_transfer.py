@@ -117,12 +117,29 @@ class TestKickOperator:
         t, kick, eps = system
         one_pass = transfer.build_deterministic(kick_map(kick, eps, t), N)
         factored = transfer.compose_matrices(transfer.build_kick(kick, eps, N), transfer.build_deterministic(t, N))
-        assert np.max(np.abs(one_pass.entries.sum(axis=0) - 1.0)) <= 1e-12
+        assert np.max(np.abs(one_pass.to_dense().sum(axis=0) - 1.0)) <= 1e-12
         rng = np.random.default_rng(seed)
         for _ in range(5):
             f = random_density(rng)
             d = transfer.apply(one_pass, f) - transfer.apply(factored, f)
             assert grid.norm_l1(d) <= 1e-6
+
+
+class TestMatrixFree:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(system=kicked_systems(), seed=st.integers(0, 2**32 - 1))
+    def test_apply_matches_dense(self, system, seed):
+        # A f = K(S f) + (c . f) 1 equals the dense matrix, keeps mass and the zero-mass subspace
+        t, kick, eps = system
+        a = transfer.build_deterministic(kick_map(kick, eps, t), N)
+        dense = a.to_dense()
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            f = random_density(rng, smooth=False)
+            out = transfer.apply(a, f)
+            assert np.max(np.abs(out.values - dense @ f.values)) <= 1e-12 * np.max(np.abs(f.values))
+            assert abs(grid.mass(out) - grid.mass(f)) <= 1e-12 * grid.norm_l1(f)
+            assert abs(grid.mass(transfer.apply(a, grid.project_zero_mass(f)))) <= 1e-12 * grid.norm_l1(f)
 
 
 class TestDOperator:
@@ -145,7 +162,7 @@ class TestDOperator:
 
 class TestApply:
     def test_identity_kind(self):
-        ident = transfer.TransferMatrix(np.eye(N))
+        ident = transfer.TransferMatrix.from_stencil(np.arange(N), np.arange(N), np.ones(N), N)
         f = random_density(np.random.default_rng(8))
         assert np.all(transfer.apply(ident, f).values == f.values)
 

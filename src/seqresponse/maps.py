@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegreeMismatch, KickTooLarge, NoConvergence, NotExpanding
+from .grid import wrap
 
 PROBE_POINTS = 8192
 BRANCH_RESIDUAL_TOL = 1e-13
@@ -40,19 +41,35 @@ class TrigPoly:
         self.a[: a.shape[0]] = a
         self.b[: b.shape[0]] = b
         self.b[0] = 0.0
-        self._k = 2.0 * np.pi * np.arange(k)
+        w = 2.0 * np.pi * np.arange(k)
+        # (frequency, coefficient, trig function) per nonzero harmonic k >= 1, cosines first.
+        cos_k = [(w[j], self.a[j]) for j in range(1, k) if self.a[j] != 0.0]
+        sin_k = [(w[j], self.b[j]) for j in range(1, k) if self.b[j] != 0.0]
+        self._terms = [(f, c, np.cos) for f, c in cos_k] + [(f, c, np.sin) for f, c in sin_k]
+        self._terms_d1 = [(f, -f * c, np.sin) for f, c in cos_k] + [(f, f * c, np.cos) for f, c in sin_k]
+        self._terms_d2 = [(f, -(f**2) * c, np.cos) for f, c in cos_k] + [(f, -(f**2) * c, np.sin) for f, c in sin_k]
+
+    @staticmethod
+    def _sum(x, const: float, terms):
+        """const + sum of c * trig(f x) over terms, one trig call per nonzero harmonic."""
+        x = np.asarray(x, dtype=float)
+        out = np.full(x.shape, const)
+        th = np.empty(x.shape)
+        for f, c, trig in terms:
+            np.multiply(x, f, out=th)
+            trig(th, out=th)
+            th *= c
+            out += th
+        return out[()]
 
     def __call__(self, x):
-        th = np.multiply.outer(np.asarray(x, dtype=float), self._k)
-        return np.cos(th) @ self.a + np.sin(th) @ self.b
+        return self._sum(x, self.a[0], self._terms)
 
     def d1(self, x):
-        th = np.multiply.outer(np.asarray(x, dtype=float), self._k)
-        return -np.sin(th) @ (self._k * self.a) + np.cos(th) @ (self._k * self.b)
+        return self._sum(x, 0.0, self._terms_d1)
 
     def d2(self, x):
-        th = np.multiply.outer(np.asarray(x, dtype=float), self._k)
-        return -np.cos(th) @ (self._k**2 * self.a) - np.sin(th) @ (self._k**2 * self.b)
+        return self._sum(x, 0.0, self._terms_d2)
 
 
 class CircleMap:
@@ -70,7 +87,7 @@ class CircleMap:
         return self.degree * np.asarray(x, dtype=float) + self.p(x)
 
     def eval(self, x):
-        return self.lift(x) % 1.0
+        return wrap(self.lift(x))
 
     def eval_d1(self, x):
         return self.degree + self.p.d1(x)
@@ -102,7 +119,7 @@ class CircleMap:
         refinement to residual <= 1e-13.
         """
         scalar = np.isscalar(x) or np.asarray(x).ndim == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float)) % 1.0
+        x = wrap(np.atleast_1d(np.asarray(x, dtype=float)))
         ell0 = float(self.lift(0.0))
         m0 = np.ceil(ell0 - x - 1e-14)
         out = np.empty((self.degree, x.shape[0]))
@@ -208,7 +225,7 @@ class KickedMap:
         return self.kick.h(self.eps, self.base.lift(x))
 
     def eval(self, x):
-        return self.lift(x) % 1.0
+        return wrap(self.lift(x))
 
     def eval_d1(self, x):
         u = self.base.lift(x)
@@ -231,8 +248,8 @@ class KickedMap:
 
     def inverse_branches(self, x):
         scalar = np.isscalar(x) or np.asarray(x).ndim == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float)) % 1.0
-        w = self.kick.h_inverse(self.eps, x) % 1.0
+        x = wrap(np.atleast_1d(np.asarray(x, dtype=float)))
+        w = wrap(self.kick.h_inverse(self.eps, x))
         out = self.base.inverse_branches(w)
         return out[:, 0] if scalar else out
 

@@ -23,6 +23,11 @@ from .maps import CircleMap
 from .transfer import TransferMatrix
 
 MC_BLOCK_SIZE = 1 << 16
+# The elementwise work of a Monte Carlo step runs on slices of a block this
+# long: their temporaries (64 KiB each) stay in cache and are reused from the
+# heap instead of being faulted in fresh.  Every sample is computed alone, so
+# the results do not depend on it.
+MC_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -98,7 +103,7 @@ class DriftMap:
         self.dot = dot
 
     def base_values(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float) % 1.0
+        x = gridmod.wrap(np.asarray(x, dtype=float))
         if isinstance(self.base, CircleMap):
             return self.base.eval(x)
         if callable(self.base):
@@ -116,7 +121,7 @@ class DriftMap:
         return gridmod.interpolate_values(np.asarray(self.dot, dtype=float), x)
 
     def eval(self, x, eps: float) -> np.ndarray:
-        return (self.base_values(x) + eps * self.dot_values(x)) % 1.0
+        return gridmod.wrap(self.base_values(x) + eps * self.dot_values(x))
 
 
 def build_kernel(f: DriftMap, eps: float, q: NoiseDensity, n_points: int) -> TransferMatrix:
@@ -161,10 +166,9 @@ class Histogram:
         return self.bin_left.shape[0]
 
     def write_csv(self, path) -> None:
+        rows = zip(self.bin_left.tolist(), self.density.tolist())
         with open(path, "w") as fh:
-            fh.write("bin_left,density\n")
-            for b, d in zip(self.bin_left, self.density):
-                fh.write(f"{b:.17g},{d:.17g}\n")
+            fh.write("bin_left,density\n" + "".join(f"{b:.17g},{d:.17g}\n" for b, d in rows))
 
 
 def _inverse_cdf_table(q: NoiseDensity) -> np.ndarray:
@@ -174,13 +178,34 @@ def _inverse_cdf_table(q: NoiseDensity) -> np.ndarray:
     return cdf
 
 
-def _sample_noise(q: NoiseDensity, cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF sampling: binary search on the table + linear interpolation."""
-    n = q.n_points
-    i = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, n - 1)
-    seg = cdf[i + 1] - cdf[i]
-    frac = np.where(seg > 0.0, (u - cdf[i]) / np.where(seg > 0.0, seg, 1.0), 0.0)
-    return (i + frac) / n
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Guide table of the inverse CDF (Chen & Asau 1974; Devroye 1986, III.2.4).
+
+    With M the least power of two >= 2N, entry j is the last segment i
+    with cdf[i] <= j / M, clipped to N - 1; entry M serves u = 1.  M is a
+    power of two so that j = floor(u M) is exact and j / M <= u holds.
+    """
+    n = cdf.shape[0] - 1
+    m = 1 << (2 * n - 1).bit_length()
+    return np.minimum(np.searchsorted(cdf, np.arange(m + 1) / m, side="right") - 1, n - 1)
+
+
+def _sample_noise(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF sampling of u in [0, 1]: guide-table start, linear search, linear interpolation.
+
+    The segment index is the last i <= N - 1 with cdf[i] <= u, exactly the
+    binary search searchsorted(cdf, u, side="right") - 1 clipped to N - 1.
+    """
+    n = cdf.shape[0] - 1
+    i = guide[(u * (guide.shape[0] - 1)).astype(np.int64)]
+    # cdf[i + 1] with the last knot raised to inf, so the search stops at N - 1.
+    upper = np.append(cdf[1:-1], np.inf)
+    moving = np.flatnonzero(upper[i] <= u)
+    while moving.size:
+        i[moving] += 1
+        moving = moving[upper[i[moving]] <= u[moving]]
+    seg = np.diff(cdf)
+    return (i + (u - cdf[i]) / np.where(seg > 0.0, seg, 1.0)[i]) / n
 
 
 def simulate_marginal(
@@ -194,7 +219,7 @@ def simulate_marginal(
 ) -> Histogram:
     """Monte Carlo marginal of X_{n_steps} for X_{k+1} = f_k^eps(X_k) + xi_k mod 1.
 
-    X_0 is uniform; xi_k ~ q via the tabulated inverse CDF.  Samples are
+    X_0 is uniform; xi_k ~ q via the guide-table inverse CDF.  Samples are
     processed in fixed-size blocks with a counter-based Philox stream
     keyed by (seed, block), so the result is reproducible and
     independent of any block-level parallelism.
@@ -206,6 +231,7 @@ def simulate_marginal(
     else:
         drift_at = lambda n: f_schedule
     cdf = _inverse_cdf_table(q)
+    guide = _guide_table(cdf)
     counts = np.zeros(n_bins, dtype=np.int64)
     n_blocks = (n_samples + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
     for b in range(n_blocks):
@@ -213,8 +239,10 @@ def simulate_marginal(
         rng = np.random.Generator(np.random.Philox(key=(seed, b)))
         x = rng.uniform(0.0, 1.0, size)
         for step in range(n_steps):
-            xi = _sample_noise(q, cdf, rng.uniform(0.0, 1.0, size))
-            x = (drift_at(step).eval(x, eps) + xi) % 1.0
+            drift, u = drift_at(step), rng.uniform(0.0, 1.0, size)
+            for lo in range(0, size, MC_CHUNK):
+                c = slice(lo, lo + MC_CHUNK)
+                x[c] = gridmod.wrap(drift.eval(x[c], eps) + _sample_noise(cdf, guide, u[c]))
         counts += np.bincount(np.minimum((x * n_bins).astype(np.int64), n_bins - 1), minlength=n_bins)
     density = counts * (n_bins / n_samples)
     return Histogram(bin_left=np.arange(n_bins) / n_bins, density=density)

@@ -117,7 +117,7 @@ def build_kick(kick: KickField, eps: float, n_points: int) -> TransferMatrix:
     """Diffeomorphism operator (L_h u)(x_i) = u(h^{-1}(x_i)) / h'(h^{-1}(x_i))."""
     kick.check_diffeo(eps)
     x = np.arange(n_points) / n_points
-    u = kick.h_inverse(eps, x) % 1.0
+    u = gridmod.wrap(kick.h_inverse(eps, x))
     return _assemble(u[None, :], 1.0 / kick.h_d1(eps, u)[None, :])
 
 

@@ -1,9 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seqresponse import maps
 from seqresponse.errors import DegreeMismatch, KickTooLarge, NotExpanding
-from seqresponse.maps import CircleMap, KickField, c2_distance, kick_map
+from seqresponse.maps import CircleMap, KickField, TrigPoly, c2_distance, kick_map
+
+
+def outer_product_trigpoly(p, x, order):
+    """Value (order 0) or derivative of p by the outer-product formula over every harmonic k = 0..K."""
+    k = 2.0 * np.pi * np.arange(p.a.shape[0])
+    th = np.multiply.outer(np.asarray(x, dtype=float), k)
+    if order == 0:
+        return np.cos(th) @ p.a + np.sin(th) @ p.b
+    if order == 1:
+        return -np.sin(th) @ (k * p.a) + np.cos(th) @ (k * p.b)
+    return -np.cos(th) @ (k**2 * p.a) - np.sin(th) @ (k**2 * p.b)
+
+
+# Coefficient vectors over k = 0..16, about half of the entries zero.
+sparse_coeffs = st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), min_size=1, max_size=maps.MAX_COEFF_INDEX + 1)
 
 
 def doubling():
@@ -27,6 +44,31 @@ class TestEval:
     def test_perturbed_derivative(self):
         t = perturbed_doubling(0.1)
         assert t.eval_d1(0.0) == pytest.approx(2 + 0.2 * np.pi, abs=1e-14)
+
+
+class TestTrigPoly:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        a=sparse_coeffs,
+        b=sparse_coeffs,
+        x=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=50),
+    )
+    @example(a=[0.0], b=[0.0, 0.05], x=[-0.25, 0.0, 0.3, 1.75])  # the reference map's p: one sin
+    def test_matches_outer_product(self, a, b, x):
+        # summing only the nonzero harmonics agrees with the full outer product, also off [0, 1)
+        p = TrigPoly(a, b)
+        x = np.array(x)
+        for order, method in enumerate((p, p.d1, p.d2)):
+            ref = outer_product_trigpoly(p, x, order)
+            # round-off scale: sum over k of |a_k| + |b_k| times (2 pi k)^order
+            scale = 1.0 + np.sum((np.abs(p.a) + np.abs(p.b)) * (2.0 * np.pi * np.arange(p.a.shape[0])) ** order)
+            assert np.max(np.abs(method(x) - ref)) <= 1e-12 * scale
+
+    def test_scalar_in_scalar_out(self):
+        p = TrigPoly([0.5, 0.0, 0.1], [0.0, 0.2])
+        assert np.ndim(p(0.3)) == np.ndim(p.d1(0.3)) == np.ndim(p.d2(0.3)) == 0
+        assert p(0.3) == pytest.approx(float(outer_product_trigpoly(p, 0.3, 0)), abs=1e-15)
+        assert TrigPoly()(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
 
 
 class TestConstants:

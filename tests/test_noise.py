@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -38,6 +40,55 @@ def dense_kernel(drift, eps, q):
     shifts = (X[:, None] - drift.eval(X, eps)[None, :]) % 1.0
     a = grid.interpolate_values(q.density.values, shifts.ravel()).reshape(N, N) / N
     return a + (1.0 - a.sum(axis=0))[None, :] / N
+
+
+def searchsorted_sample_noise(cdf, u):
+    """Reference inverse-CDF sampler: binary search on the table + linear interpolation."""
+    n = cdf.shape[0] - 1
+    i = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, n - 1)
+    seg = cdf[i + 1] - cdf[i]
+    frac = np.where(seg > 0.0, (u - cdf[i]) / np.where(seg > 0.0, seg, 1.0), 0.0)
+    return (i + frac) / n
+
+
+def reference_simulate(f_schedule, eps, q, n_steps, n_samples, seed, n_bins):
+    """The Monte Carlo loop as first written: whole blocks, binary-search noise, float % 1.0."""
+    drift_at = f_schedule if callable(f_schedule) else (lambda n: f_schedule)
+    cdf = noise._inverse_cdf_table(q)
+    counts = np.zeros(n_bins, dtype=np.int64)
+    for b in range((n_samples + noise.MC_BLOCK_SIZE - 1) // noise.MC_BLOCK_SIZE):
+        size = min(noise.MC_BLOCK_SIZE, n_samples - b * noise.MC_BLOCK_SIZE)
+        rng = np.random.Generator(np.random.Philox(key=(seed, b)))
+        x = rng.uniform(0.0, 1.0, size)
+        for step in range(n_steps):
+            xi = searchsorted_sample_noise(cdf, rng.uniform(0.0, 1.0, size))
+            x = (drift_at(step).eval(x, eps) + xi) % 1.0
+        counts += np.bincount(np.minimum((x * n_bins).astype(np.int64), n_bins - 1), minlength=n_bins)
+    return counts * (n_bins / n_samples)
+
+
+def reference_write_histogram(path, hist):
+    """The histogram CSV writer as first written: one write per row of numpy scalars."""
+    with open(path, "w") as fh:
+        fh.write("bin_left,density\n")
+        for b, d in zip(hist.bin_left, hist.density):
+            fh.write(f"{b:.17g},{d:.17g}\n")
+
+
+def zero_width_noise(n, tail=False):
+    """A noise density with alpha = 0, so the CDF has flat segments.
+
+    It vanishes on (1/3, 2/3), or with `tail` on (0.3, 0.45) and [0.9, 1),
+    where the last knots of the CDF round to 1 or just above it.
+    """
+    x = np.arange(n) / n
+    if tail:
+        samples = np.where(((x > 0.3) & (x < 0.45)) | (x >= 0.9), 0.0, 1.0 + 0.5 * np.sin(2 * np.pi * x))
+    else:
+        samples = np.maximum(np.cos(2 * np.pi * x) + 0.5, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return NoiseDensity.from_samples(samples)
 
 
 def smooth_samples(rng, scale):
@@ -196,7 +247,68 @@ class TestKernelForcing:
         assert abs(grid.mass(g)) <= 1e-12
 
 
+class TestSampleNoise:
+    @pytest.mark.parametrize("which", ["bump", "zero-width", "zero-width-n100", "zero-tail-n64", "zero-tail", "uniform"])
+    def test_matches_binary_search(self, bump_q, which):
+        # the guide-table sampler returns the bits of the binary-search sampler, on random
+        # uniforms, on every cdf knot and guide boundary, their neighbours, and u = 0 and 1
+        q = {
+            "bump": bump_q,
+            "zero-width": zero_width_noise(N),
+            "zero-width-n100": zero_width_noise(100),  # 2N = 200 is not a power of two
+            "zero-tail-n64": zero_width_noise(64, tail=True),  # cdf ends 1, 1, 1: u = 1 meets a flat segment
+            "zero-tail": zero_width_noise(N, tail=True),  # cdf ends 1 + 2**-52, 1
+            "uniform": NoiseDensity.uniform(N),
+        }[which]
+        cdf = noise._inverse_cdf_table(q)
+        guide = noise._guide_table(cdf)
+        if which.startswith("zero"):
+            assert q.alpha == 0.0 and np.any(np.diff(cdf) == 0.0)
+        m = guide.shape[0] - 1
+        knots = np.concatenate([cdf, np.arange(m + 1) / m])
+        u = np.concatenate([
+            np.random.default_rng(0).uniform(0.0, 1.0, 10**5),
+            knots,
+            np.nextafter(knots, -np.inf)[1:],
+            np.nextafter(knots, np.inf)[:-1],
+            [0.0, 1.0],
+        ])
+        u = np.clip(u, 0.0, 1.0)
+        got = noise._sample_noise(cdf, guide, u)
+        assert np.array_equal(got.view(np.int64), searchsorted_sample_noise(cdf, u).view(np.int64))
+
+
 class TestSimulateMarginal:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_matches_reference_loop(self, bump_q, seed, steps):
+        drift = DriftMap(base=CircleMap(2, sin_coeffs=(0.0, 0.05)), dot=np.sin(4 * np.pi * X))
+        hist = noise.simulate_marginal(drift, 0.02, bump_q, steps, 10**4 + 123, seed=seed, n_bins=64)
+        ref = reference_simulate(drift, 0.02, bump_q, steps, 10**4 + 123, seed, 64)
+        assert np.array_equal(hist.density, ref)
+
+    def test_matches_reference_loop_periodic_schedule(self):
+        # two blocks (the last partial), a callable periodic schedule, a noise with flat CDF segments
+        drifts = [
+            DriftMap(base=CircleMap(2, sin_coeffs=(0.0, 0.05)), dot=np.sin(4 * np.pi * X)),
+            DriftMap(base=CircleMap(3, cos_coeffs=(0.0, 0.02), sin_coeffs=(0.0, 0.0, 0.01))),
+        ]
+        schedule = lambda n: drifts[n % 2]
+        q = zero_width_noise(N)
+        samples = noise.MC_BLOCK_SIZE + 123
+        hist = noise.simulate_marginal(schedule, 0.01, q, 3, samples, seed=5, n_bins=32)
+        assert np.array_equal(hist.density, reference_simulate(schedule, 0.01, q, 3, samples, 5, 32))
+
+    def test_csv_bytes_match_row_writer(self, tmp_path):
+        rng = np.random.default_rng(3)
+        density = rng.normal(size=64) * 10.0 ** rng.integers(-300, 300, size=64)
+        density[:7] = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 2 / 3]
+        hist = noise.Histogram(bin_left=np.arange(64) / 64, density=density)
+        hist.write_csv(tmp_path / "new.csv")
+        reference_write_histogram(tmp_path / "old.csv", hist)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
     def test_uniform_noise_uniformizes(self):
         q = NoiseDensity.uniform(N)
         hist = noise.simulate_marginal(identity_drift(), 0.0, q, 1, 10**5, seed=1, n_bins=32)

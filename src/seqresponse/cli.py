@@ -21,15 +21,15 @@ import numpy as np
 from . import __version__, constants, grid, noise, response, sequence, transfer
 from .config import (
     ExperimentConfig,
-    _as_float,
-    _as_int,
-    _get,
     build_drift,
-    build_kick,
     build_map,
     build_noise,
     build_system,
     load_config,
+    read_memory,
+    read_seed,
+    read_simulate,
+    read_tail,
 )
 from .errors import (
     ConfigError,
@@ -41,6 +41,7 @@ from .errors import (
     NotConverged,
     NotExpanding,
     TailNotSmall,
+    WindowExceeded,
 )
 from .grid import DensityGrid
 
@@ -91,26 +92,7 @@ def _emit_gnuplot(cfg: ExperimentConfig, csv_files: list, title: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _seed_density(cfg: ExperimentConfig, section: str, zero_mass: bool) -> DensityGrid:
-    csv = _get(cfg.raw, section, "seed_csv", None)
-    if csv is not None:
-        return grid.read_density_csv(csv)
-    k = _as_int(_get(cfg.raw, section, "harmonic", "1"), f"{section}.harmonic")
-    x = np.arange(cfg.n_points) / cfg.n_points
-    wave = np.cos(2 * np.pi * k * x)
-    return DensityGrid(wave if zero_mass else 1.0 + 0.5 * wave)
-
-
-def _tail_constants(cfg: ExperimentConfig) -> tuple[float, float]:
-    c = _get(cfg.raw, "experiment", "tail_c", None)
-    rate = _get(cfg.raw, "experiment", "tail_rate", None)
-    if (c is None) != (rate is None):
-        raise ConfigError("experiment.tail_c and experiment.tail_rate must be set together")
-    if c is not None:
-        c, rate = _as_float(c, "experiment.tail_c"), _as_float(rate, "experiment.tail_rate")
-        if not (c > 0.0 and 0.0 < rate < 1.0):
-            raise ConfigError(f"need experiment.tail_c > 0 and 0 < tail_rate < 1, got {c}, {rate}")
-        return c, rate
+def _certified_tail(cfg: ExperimentConfig) -> tuple[float, float]:
     if cfg.mode == "noisy":
         return constants.doeblin_certificate(build_noise(cfg))
     cert = constants.certify(build_map(cfg), cfg.n_points)
@@ -152,7 +134,7 @@ def cmd_equivariant(cfg: ExperimentConfig, emit_gnuplot: bool, t0: float, two_se
     files, records = _family_records(cfg, fam, "mu")
     report = {"burn_in": fam.burn_in, "residual": fam.convergence_residual, "family": records}
     if two_seed:
-        alt = _seed_density(cfg, "equivariant", zero_mass=False)
+        alt = read_seed(cfg, "equivariant", zero_mass=False)
         fam_b = sequence.pullback_equivariant(sys_, cfg.burn_in, alt, tol=cfg.pullback_tol)
         gap = max(grid.norm_l1(a - b) for a, b in zip(fam.densities, fam_b.densities))
         report["two_seed_l1_gap"] = gap
@@ -165,10 +147,9 @@ def cmd_equivariant(cfg: ExperimentConfig, emit_gnuplot: bool, t0: float, two_se
 
 
 def cmd_memory(cfg: ExperimentConfig, emit_gnuplot: bool, t0: float) -> int:
+    k_max, start = read_memory(cfg)
     sys_ = build_system(cfg)
-    v = grid.project_zero_mass(_seed_density(cfg, "memory", zero_mass=True))
-    k_max = _as_int(_get(cfg.raw, "memory", "k_max", "12"), "memory.k_max")
-    start = _as_int(_get(cfg.raw, "memory", "start", str(cfg.window[0])), "memory.start")
+    v = grid.project_zero_mass(read_seed(cfg, "memory", zero_mass=True))
     md = sequence.memory_decay(sys_, v, start, k_max)
     out_csv = os.path.join(cfg.output_dir, "decay.csv")
     with open(out_csv, "w") as fh:
@@ -184,19 +165,12 @@ def cmd_memory(cfg: ExperimentConfig, emit_gnuplot: bool, t0: float) -> int:
 
 
 def cmd_respond(cfg: ExperimentConfig, emit_gnuplot: bool, t0: float) -> int:
+    tail_constants, tail_tol = read_tail(cfg)
     sys_ = build_system(cfg)
     seed = DensityGrid.constant(1.0, cfg.n_points)
     fam = sequence.pullback_equivariant(sys_, cfg.burn_in, seed, tol=cfg.pullback_tol)
     g = response.forcing(sys_, fam)
-    tail_tol = _get(cfg.raw, "experiment", "tail_tol", None)
-    rep = response.neumann_response(
-        sys_,
-        fam,
-        g,
-        cfg.truncation,
-        _tail_constants(cfg),
-        tol=_as_float(tail_tol, "experiment.tail_tol") if tail_tol is not None else None,
-    )
+    rep = response.neumann_response(sys_, fam, g, cfg.truncation, tail_constants or _certified_tail(cfg), tol=tail_tol)
     files = []
     for n in range(rep.n_lo, rep.n_hi + 1):
         path = os.path.join(cfg.output_dir, f"eta_{n:04d}.csv")
@@ -229,18 +203,9 @@ def cmd_respond(cfg: ExperimentConfig, emit_gnuplot: bool, t0: float) -> int:
 
 
 def cmd_simulate(cfg: ExperimentConfig, emit_gnuplot: bool, t0: float) -> int:
-    if cfg.mode != "noisy":
-        raise ConfigError("simulate requires experiment.mode = noisy")
+    steps, samples, bins, eps = read_simulate(cfg)
     drift = build_drift(cfg, build_map(cfg))
     q = build_noise(cfg)
-    steps = _as_int(_get(cfg.raw, "simulate", "steps", "5"), "simulate.steps")
-    samples = _as_int(_get(cfg.raw, "simulate", "samples", "100000"), "simulate.samples")
-    bins = _as_int(_get(cfg.raw, "simulate", "bins", "64"), "simulate.bins")
-    eps = _as_float(_get(cfg.raw, "simulate", "eps", "0.0"), "simulate.eps")
-    if samples < 10**4:
-        raise ConfigError(f"simulate.samples must be >= 1e4, got {samples}")
-    if bins < 1 or cfg.n_points % bins != 0:
-        raise ConfigError(f"simulate.bins must divide experiment.n = {cfg.n_points}, got {bins}")
     hist = noise.simulate_marginal(drift, eps, q, steps, samples, seed=cfg.seed, n_bins=bins)
     out_csv = os.path.join(cfg.output_dir, "histogram.csv")
     hist.write_csv(out_csv)
@@ -287,7 +252,7 @@ def main(argv=None) -> int:
         if args.command == "respond":
             return cmd_respond(cfg, args.emit_gnuplot, t0)
         return cmd_simulate(cfg, args.emit_gnuplot, t0)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, WindowExceeded) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NotExpanding, KickTooLarge, DegreeMismatch, DimensionMismatch, ValueError) as exc:

@@ -171,6 +171,59 @@ def load_config(path: str) -> ExperimentConfig:
     )
 
 
+def read_seed(cfg: ExperimentConfig, section: str, zero_mass: bool) -> gridmod.DensityGrid:
+    """`section.seed_csv` if set, else cos(2 pi k x) with k = `section.harmonic`, plus 1 unless zero_mass."""
+    csv = _get(cfg.raw, section, "seed_csv", None)
+    if csv is not None:
+        return gridmod.read_density_csv(csv)
+    k = _as_int(_get(cfg.raw, section, "harmonic", "1"), f"{section}.harmonic")
+    x = np.arange(cfg.n_points) / cfg.n_points
+    wave = np.cos(2 * np.pi * k * x)
+    return gridmod.DensityGrid(wave if zero_mass else 1.0 + 0.5 * wave)
+
+
+def read_tail(cfg: ExperimentConfig) -> tuple[tuple[float, float] | None, float | None]:
+    """((tail_c, tail_rate) or None when neither is set, tail_tol or None) from [experiment]."""
+    c = _get(cfg.raw, "experiment", "tail_c", None)
+    rate = _get(cfg.raw, "experiment", "tail_rate", None)
+    if (c is None) != (rate is None):
+        raise ConfigError("experiment.tail_c and experiment.tail_rate must be set together")
+    constants = None
+    if c is not None:
+        c, rate = _as_float(c, "experiment.tail_c"), _as_float(rate, "experiment.tail_rate")
+        if not (c > 0.0 and 0.0 < rate < 1.0):
+            raise ConfigError(f"need experiment.tail_c > 0 and 0 < tail_rate < 1, got {c}, {rate}")
+        constants = (c, rate)
+    tol = _get(cfg.raw, "experiment", "tail_tol", None)
+    return constants, (_as_float(tol, "experiment.tail_tol") if tol is not None else None)
+
+
+def read_memory(cfg: ExperimentConfig) -> tuple[int, int]:
+    """(k_max, start) from [memory]; start defaults to the window's low end."""
+    k_max = _as_int(_get(cfg.raw, "memory", "k_max", "12"), "memory.k_max")
+    if k_max < 1:
+        raise ConfigError(f"memory.k_max must be >= 1, got {k_max}")
+    start = _as_int(_get(cfg.raw, "memory", "start", str(cfg.window[0])), "memory.start")
+    return k_max, start
+
+
+def read_simulate(cfg: ExperimentConfig) -> tuple[int, int, int, float]:
+    """(steps, samples, bins, eps) from [simulate], for a noisy experiment."""
+    if cfg.mode != "noisy":
+        raise ConfigError("simulate requires experiment.mode = noisy")
+    steps = _as_int(_get(cfg.raw, "simulate", "steps", "5"), "simulate.steps")
+    samples = _as_int(_get(cfg.raw, "simulate", "samples", "100000"), "simulate.samples")
+    bins = _as_int(_get(cfg.raw, "simulate", "bins", "64"), "simulate.bins")
+    eps = _as_float(_get(cfg.raw, "simulate", "eps", "0.0"), "simulate.eps")
+    if steps < 0:
+        raise ConfigError(f"simulate.steps must be >= 0, got {steps}")
+    if samples < 10**4:
+        raise ConfigError(f"simulate.samples must be >= 1e4, got {samples}")
+    if bins < 1 or cfg.n_points % bins != 0:
+        raise ConfigError(f"simulate.bins must divide experiment.n = {cfg.n_points}, got {bins}")
+    return steps, samples, bins, eps
+
+
 def build_map(cfg: ExperimentConfig, section: str = "reference_map") -> CircleMap:
     degree = _as_int(_require(cfg.raw, section, "degree"), f"{section}.degree")
     coeffs = _get(cfg.raw, section, "coeffs", "")

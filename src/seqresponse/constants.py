@@ -19,7 +19,7 @@ from . import grid as gridmod
 from . import transfer
 from .errors import MNotFound
 from .grid import DensityGrid
-from .maps import CircleMap, c2_distance
+from .maps import CircleMap
 from .noise import NoiseDensity
 
 M_SEARCH_LIMIT = 10**4
@@ -44,16 +44,13 @@ def lasota_yorke_constants(lambda0: float, M2: float, delta_star: float) -> tupl
     return lam1, b
 
 
-def c_t0(lambda0: float, M0: float, M2: float, degree: int, delta_star: float = 0.0) -> float:
+def c_t0(lambda0: float, M0: float, M2: float, degree: int) -> float:
     """Mixed-norm W^{1,1} -> L^1 continuity constant, proof-backed form.
 
-    delta_star only gates admissibility (it must stay below lambda0 - 1);
-    the constant itself absorbs the worst case delta = lambda0 - 1.
+    It absorbs the worst admissible radius delta = lambda0 - 1.
     """
     if lambda0 <= 1.0:
         raise ValueError("lambda0 must exceed 1")
-    if not 0.0 <= delta_star < lambda0 - 1.0:
-        raise ValueError("delta_star must lie in [0, lambda0 - 1)")
     a = M0 + lambda0 - 1.0
     return degree * (2.0 * a / lambda0**2 + a * (M2 / lambda0**3 + 1.0 / lambda0))
 
@@ -131,36 +128,6 @@ def choose_M(
         if np.all(pushes.l1(m) <= threshold * pushes.w11):
             return m
     raise MNotFound(f"no M <= {M_SEARCH_LIMIT} passes the weak contraction check")
-
-
-@dataclass(frozen=True)
-class DisplacementBounds:
-    """Appendix-style displacement bounds for two nearby maps plus the probe."""
-
-    branch_disp: float
-    weight_disp: float
-    comp_disp_factor: float
-    measured_branch_disp: float
-
-
-def displacement_bounds(t0: CircleMap, t1) -> DisplacementBounds:
-    """Theoretical displacement bounds delta/lambda0, (M2/lambda0^3 + 1/lambda0) delta,
-    2 (M0+delta) delta / lambda0, with the branch bound checked against a
-    512-point measurement.
-    """
-    delta = c2_distance(t0, t1)
-    lam0, m0, m2 = t0.constants()
-    branch = delta / lam0
-    weight = (m2 / lam0**3 + 1.0 / lam0) * delta
-    comp = 2.0 * (m0 + delta) * delta / lam0
-    x = np.arange(512) / 512
-    h0 = t0.inverse_branches(x)
-    h1 = t1.inverse_branches(x)
-    d = np.abs(h0 - h1)
-    measured = float(np.max(np.minimum(d, 1.0 - d)))
-    if measured > branch + 1e-12:
-        raise AssertionError(f"measured branch displacement {measured:.3g} exceeds bound {branch:.3g}")
-    return DisplacementBounds(branch, weight, comp, measured)
 
 
 @dataclass(frozen=True)

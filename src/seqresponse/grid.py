@@ -92,9 +92,9 @@ def norm_l1(f: DensityGrid) -> float:
 
 def derivative(f: DensityGrid) -> DensityGrid:
     """4th-order centered finite difference on the periodic grid."""
-    v = f.values
     n = f.n_points
-    d = n * (-np.roll(v, -2) + 8.0 * np.roll(v, -1) - 8.0 * np.roll(v, 1) + np.roll(v, 2)) / 12.0
+    p = np.concatenate([f.values[-2:], f.values, f.values[:2]])  # p[i + 2] = v[i]
+    d = n * (-p[4:] + 8.0 * p[3:-1] - 8.0 * p[1:-3] + p[:-4]) / 12.0
     return DensityGrid(d)
 
 
@@ -176,17 +176,6 @@ def interpolate_values(values: np.ndarray, x) -> np.ndarray:
     out = padded[i0] * w[0]
     for k in (1, 2, 3):
         out += padded[k:][i0] * w[k]
-    return out
-
-
-def interpolate(f: DensityGrid, x):
-    """Evaluate f off-grid by the 4-point periodic cubic.
-
-    Accepts a scalar or an array; returns the matching shape.
-    """
-    out = interpolate_values(f.values, x)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(out[0])
     return out
 
 

@@ -3,7 +3,8 @@
 Maps are stored as lifts l(x) = d*x + p(x) with p a trigonometric
 polynomial, so all derivatives are exact and the C^3 norms are finite by
 construction.  A kick h_eps(x) = x + eps*X(x) post-composed with a map
-yields a KickedMap exposing the same evaluation interface.
+yields a KickedMap with the lift, first derivative and inverse branches
+that operator assembly reads.
 """
 
 from __future__ import annotations
@@ -148,15 +149,10 @@ class CircleMap:
 
 @dataclass(frozen=True)
 class KickField:
-    """Vector field X on the circle defining the kick h_eps(x) = x + eps*X(x).
-
-    An optional remainder schedule r(eps, x) -> array may model the
-    higher-order part of the kick family; it defaults to zero.
-    """
+    """Vector field X on the circle defining the kick h_eps(x) = x + eps*X(x)."""
 
     cos_coeffs: tuple = ()
     sin_coeffs: tuple = ()
-    remainder: object = None
     _poly: TrigPoly = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -168,36 +164,17 @@ class KickField:
     def sup_d1(self) -> float:
         return float(np.max(np.abs(self._poly.d1(_PROBE))))
 
-    def _remainder(self, eps: float, x):
-        if self.remainder is None:
-            return np.zeros_like(np.asarray(x, dtype=float))
-        return np.asarray(self.remainder(eps, x), dtype=float)
-
     def check_diffeo(self, eps: float) -> None:
         if abs(eps) * self.sup_d1() >= 0.5:
             raise KickTooLarge(f"eps*||X'||_inf = {abs(eps) * self.sup_d1():.3g} >= 0.5")
 
     def h(self, eps: float, x):
-        """Kick lift H(u) = u + eps*X(u) + r(eps, u); commutes with integer shifts."""
+        """Kick lift H(u) = u + eps*X(u); commutes with integer shifts."""
         x = np.asarray(x, dtype=float)
-        return x + eps * self._poly(x) + self._remainder(eps, x)
+        return x + eps * self._poly(x)
 
     def h_d1(self, eps: float, x):
-        d = 1.0 + eps * self._poly.d1(x)
-        if self.remainder is not None:
-            # Remainder derivative by a small central difference; exact
-            # kicks (the default) never reach this path.
-            hstep = 1e-6
-            d = d + (self._remainder(eps, np.asarray(x) + hstep) - self._remainder(eps, np.asarray(x) - hstep)) / (2 * hstep)
-        return d
-
-    def h_d2(self, eps: float, x):
-        d = eps * self._poly.d2(x)
-        if self.remainder is not None:
-            hstep = 1e-5
-            xx = np.asarray(x, dtype=float)
-            d = d + (self._remainder(eps, xx + hstep) - 2 * self._remainder(eps, xx) + self._remainder(eps, xx - hstep)) / hstep**2
-        return d
+        return 1.0 + eps * self._poly.d1(x)
 
     def h_inverse(self, eps: float, y):
         """Solve h(u) = y by Newton to residual <= 1e-13."""
@@ -212,7 +189,7 @@ class KickField:
 
 
 class KickedMap:
-    """Composed map T_eps = h_eps o T with the CircleMap evaluation interface."""
+    """Composed map T_eps = h_eps o T: the lift, first derivative and inverse branches of CircleMap."""
 
     def __init__(self, kick: KickField, eps: float, base: CircleMap):
         kick.check_diffeo(eps)
@@ -231,31 +208,12 @@ class KickedMap:
         u = self.base.lift(x)
         return self.kick.h_d1(self.eps, u) * self.base.eval_d1(x)
 
-    def eval_d2(self, x):
-        u = self.base.lift(x)
-        d1 = self.base.eval_d1(x)
-        return self.kick.h_d2(self.eps, u) * d1**2 + self.kick.h_d1(self.eps, u) * self.base.eval_d2(x)
-
-    def constants(self) -> tuple[float, float, float]:
-        d1 = np.abs(self.eval_d1(_PROBE))
-        lam0 = float(np.min(d1))
-        if lam0 <= 1.0:
-            raise NotExpanding("kicked map is not uniformly expanding")
-        m0 = float(np.max(d1))
-        if m0 > lam0:
-            lam0 -= LAMBDA0_SAFETY
-        return lam0, m0, float(np.max(np.abs(self.eval_d2(_PROBE))))
-
     def inverse_branches(self, x):
         scalar = np.isscalar(x) or np.asarray(x).ndim == 0
         x = wrap(np.atleast_1d(np.asarray(x, dtype=float)))
         w = wrap(self.kick.h_inverse(self.eps, x))
         out = self.base.inverse_branches(w)
         return out[:, 0] if scalar else out
-
-
-def kick_map(kick: KickField, eps: float, base: CircleMap) -> KickedMap:
-    return KickedMap(kick, eps, base)
 
 
 def c2_distance(t1, t2) -> float:

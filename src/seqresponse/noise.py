@@ -58,11 +58,8 @@ class NoiseDensity:
         return self.density.n_points
 
     @classmethod
-    def from_samples(cls, samples, normalize: bool = True) -> "NoiseDensity":
-        g = DensityGrid(samples)
-        if normalize:
-            g = gridmod.normalize(g)
-        return cls(g)
+    def from_samples(cls, samples) -> "NoiseDensity":
+        return cls(gridmod.normalize(DensityGrid(samples)))
 
     @classmethod
     def uniform(cls, n_points: int) -> "NoiseDensity":
@@ -82,11 +79,6 @@ class NoiseDensity:
         raw = np.exp(kappa * (np.cos(2.0 * np.pi * (x - center)) - 1.0))
         raw /= np.sum(raw) / n_points
         return cls(DensityGrid(floor + (1.0 - floor) * raw))
-
-
-def doeblin_alpha(q: NoiseDensity) -> float:
-    """Minorization constant: min grid sample of q."""
-    return q.alpha
 
 
 class DriftMap:
@@ -161,10 +153,6 @@ class Histogram:
     bin_left: np.ndarray
     density: np.ndarray
 
-    @property
-    def n_bins(self) -> int:
-        return self.bin_left.shape[0]
-
     def write_csv(self, path) -> None:
         rows = zip(self.bin_left.tolist(), self.density.tolist())
         with open(path, "w") as fh:
@@ -173,7 +161,7 @@ class Histogram:
 
 def _inverse_cdf_table(q: NoiseDensity) -> np.ndarray:
     """Cumulative midpoint sums of q at the node edges; F[0]=0, F[N]=1."""
-    cdf = np.concatenate([[0.0], np.cumsum(q.density.values)]) / q.n_points
+    cdf = np.minimum(np.concatenate([[0.0], np.cumsum(q.density.values)]) / q.n_points, 1.0)
     cdf[-1] = 1.0
     return cdf
 

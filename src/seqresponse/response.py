@@ -160,6 +160,8 @@ class DifferenceQuotients:
 
     def quotient(self, eps: float, n: int) -> DensityGrid:
         qs = self.quotients[eps]
+        if not self.n_lo <= n < self.n_lo + len(qs):
+            raise WindowExceeded(f"quotient index {n} outside [{self.n_lo}, {self.n_lo + len(qs) - 1}]")
         return qs[n - self.n_lo]
 
 
@@ -169,14 +171,9 @@ def finite_difference_response(
     burn_in: int,
     seed_density: DensityGrid,
     base_family: EquivariantFamily | None = None,
-    symmetric: bool = False,
     tol: float = seqmod.DEFAULT_PULLBACK_TOL,
 ) -> DifferenceQuotients:
-    """Difference quotients (mu^eps - mu^0) / eps with a shared pullback setup.
-
-    With symmetric=True the centered quotient (mu^eps - mu^{-eps}) / 2 eps
-    is returned instead, which cancels the second-order term.
-    """
+    """Difference quotients (mu^eps - mu^0) / eps with a shared pullback setup."""
     eps_list = tuple(float(e) for e in eps_list)
     if any(e == 0.0 for e in eps_list):
         raise ValueError("eps = 0 is not a valid difference quotient")
@@ -185,12 +182,7 @@ def finite_difference_response(
     quotients = {}
     for eps in eps_list:
         fam_p = seqmod.pullback_equivariant(sys, burn_in, seed_density, tol=tol, eps=eps)
-        if symmetric:
-            fam_m = seqmod.pullback_equivariant(sys, burn_in, seed_density, tol=tol, eps=-eps)
-            qs = [(p - m) * (0.5 / eps) for p, m in zip(fam_p.densities, fam_m.densities)]
-        else:
-            qs = [(p - b) * (1.0 / eps) for p, b in zip(fam_p.densities, base_family.densities)]
-        quotients[eps] = tuple(qs)
+        quotients[eps] = tuple((p - b) * (1.0 / eps) for p, b in zip(fam_p.densities, base_family.densities))
     return DifferenceQuotients(n_lo=base_family.n_lo, eps_list=eps_list, quotients=quotients)
 
 

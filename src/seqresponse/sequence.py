@@ -24,7 +24,7 @@ from . import noise as noisemod
 from . import transfer
 from .errors import NotConverged, WindowExceeded
 from .grid import DensityGrid
-from .maps import CircleMap, KickField, c2_distance, kick_map
+from .maps import CircleMap, KickedMap, KickField, c2_distance
 from .noise import DriftMap, NoiseDensity
 from .transfer import TransferMatrix
 
@@ -137,7 +137,7 @@ class SequenceSystem:
             return self._cache[cache_key]
         if isinstance(entry, DeterministicEntry):
             self._admissibility(entry)
-            t = entry.map if eps == 0.0 else kick_map(entry.kick, eps, entry.map)
+            t = entry.map if eps == 0.0 else KickedMap(entry.kick, eps, entry.map)
             mat = transfer.build_deterministic(t, self.n_points)
         else:
             mat = noisemod.build_kernel(entry.drift, eps, entry.noise, self.n_points)

@@ -165,6 +165,10 @@ class TestExitCodes:
             pytest.param(BASE_DET, "tail_c = 1.0", "tail_c = 0", "respond", id="tail_c-0"),
             pytest.param(BASE_DET, "tail_rate = 0.5\n", "", "respond", id="tail_c-alone"),
             pytest.param(BASE_DET, "tail_c = 1.0\n", "", "respond", id="tail_rate-alone"),
+            pytest.param(BASE_DET, "window = 0, 12", "window = 0, 5", "respond", id="window-below-truncation"),
+            pytest.param(BASE_DET, "[schedule]", "[memory]\nk_max = -1\n\n[schedule]", "memory", id="k_max-negative"),
+            pytest.param(BASE_DET, "[schedule]", "[memory]\nk_max = 0\n\n[schedule]", "memory", id="k_max-0"),
+            pytest.param(BASE_NOISY, "steps = 3", "steps = -1", "simulate", id="steps-negative"),
         ],
     )
     def test_bad_value_is_1(self, tmp_path, capsys, base, old, new, command):

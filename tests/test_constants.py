@@ -57,10 +57,6 @@ class TestCT0:
         with pytest.raises(ValueError):
             constants.c_t0(1.0, 2.0, 0.0, 2)
 
-    def test_rejects_bad_delta(self):
-        with pytest.raises(ValueError):
-            constants.c_t0(2.0, 2.0, 0.0, 2, delta_star=1.5)
-
     def test_mixed_norm_bound(self):
         # ||(L0 - L1) f||_L1 <= C(T0) delta ||f||_W11
         delta = 0.01
@@ -139,20 +135,6 @@ class TestProbePushes:
         for lam1, b in ((0.05, 1e8), (0.1, 1e2), (0.5, 1e3), (0.1, 1e4)):
             assert constants.choose_M(t0, lam1, b, N, pushes) == per_call_choose_M(t0, lam1, b, N)
         assert constants.choose_M(t0, 0.05, 1e8, N, pushes) == 12  # the closed form alone gives 7
-
-
-class TestDisplacementBounds:
-    def test_measured_below_bound(self):
-        t0 = CircleMap(2)
-        t1 = CircleMap(2, sin_coeffs=(0.0, 0.002))
-        db = constants.displacement_bounds(t0, t1)
-        assert db.measured_branch_disp <= db.branch_disp + 1e-12
-        assert db.weight_disp > 0 and db.comp_disp_factor > 0
-
-    def test_identical_maps(self):
-        db = constants.displacement_bounds(CircleMap(2), CircleMap(2))
-        assert db.branch_disp == 0.0
-        assert db.measured_branch_disp <= 1e-12
 
 
 @pytest.fixture(scope="module")

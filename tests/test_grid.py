@@ -85,6 +85,12 @@ class TestDerivative:
         exact = -4 * np.pi * np.sin(4 * np.pi * np.arange(256) / 256)
         assert np.max(np.abs(grid.derivative(f).values - exact)) <= 1e-5
 
+    @pytest.mark.parametrize("n", [16, 256, 1024, 2048])
+    def test_bits_match_roll_formula(self, n):
+        v = np.random.default_rng(n).normal(size=n) * 10.0 ** np.random.default_rng(n + 1).integers(-5, 5, size=n)
+        ref = n * (-np.roll(v, -2) + 8.0 * np.roll(v, -1) - 8.0 * np.roll(v, 1) + np.roll(v, 2)) / 12.0
+        assert np.array_equal(grid.derivative(DensityGrid(v)).values.view(np.int64), ref.view(np.int64))
+
 
 class TestNormW11:
     def test_constant(self):
@@ -106,17 +112,17 @@ class TestNormW11:
 
 class TestInterpolate:
     def test_constant(self):
-        assert grid.interpolate(DensityGrid.constant(1.0, 64), 0.123) == pytest.approx(1.0, abs=1e-14)
+        assert grid.interpolate_values(np.ones(64), 0.123)[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_node_values_exact(self):
         rng = np.random.default_rng(0)
         f = DensityGrid(rng.normal(size=64))
         for i in (0, 5, 63):
-            assert grid.interpolate(f, i / 64) == pytest.approx(f.values[i], abs=1e-13)
+            assert grid.interpolate_values(f.values, i / 64)[0] == pytest.approx(f.values[i], abs=1e-13)
 
     def test_sine_off_grid(self):
         f = DensityGrid.from_function(lambda x: np.sin(2 * np.pi * x), 256)
-        assert grid.interpolate(f, 0.1) == pytest.approx(np.sin(0.2 * np.pi), abs=1e-6)
+        assert grid.interpolate_values(f.values, 0.1)[0] == pytest.approx(np.sin(0.2 * np.pi), abs=1e-6)
 
     def test_linear_between_nodes(self):
         n = 64
@@ -125,8 +131,8 @@ class TestInterpolate:
         vals = np.zeros(n)
         vals[10:14] = 2.0 * np.arange(4) + 1.0
         g = DensityGrid(vals)
-        assert grid.interpolate(g, 11.5 / n) == pytest.approx(2.0 * 1.5 + 1.0, abs=1e-12)
-        assert grid.interpolate(f, 0.777) == pytest.approx(3.0, abs=1e-13)
+        assert grid.interpolate_values(g.values, 11.5 / n)[0] == pytest.approx(2.0 * 1.5 + 1.0, abs=1e-12)
+        assert grid.interpolate_values(f.values, 0.777)[0] == pytest.approx(3.0, abs=1e-13)
 
 
 class TestWrap:
@@ -207,7 +213,7 @@ class TestHighDegreeAccuracy:
     def test_interpolate_n1024(self, k):
         f = DensityGrid.from_function(lambda x: np.sin(2 * np.pi * k * x), 1024)
         xq = np.random.default_rng(5).uniform(0, 1, 2000)
-        assert np.max(np.abs(grid.interpolate(f, xq) - np.sin(2 * np.pi * k * xq))) <= 1e-6
+        assert np.max(np.abs(grid.interpolate_values(f.values, xq) - np.sin(2 * np.pi * k * xq))) <= 1e-6
 
 
 class TestValidation:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from seqresponse import maps
 from seqresponse.errors import DegreeMismatch, KickTooLarge, NotExpanding
-from seqresponse.maps import CircleMap, KickField, TrigPoly, c2_distance, kick_map
+from seqresponse.maps import CircleMap, KickedMap, KickField, TrigPoly, c2_distance
 
 
 def outer_product_trigpoly(p, x, order):
@@ -158,18 +158,18 @@ class TestKick:
     def test_eps_zero_is_identity(self):
         x = np.linspace(0, 1, 101)[:-1]
         k = KickField(sin_coeffs=(0.0, 1.0))
-        tk = kick_map(k, 0.0, doubling())
+        tk = KickedMap(k, 0.0, doubling())
         assert np.max(np.abs(tk.eval(x) - doubling().eval(x))) <= 1e-15
 
     def test_constant_field_is_rotation(self):
         c = 0.37
-        tk = kick_map(KickField(cos_coeffs=(c,)), 0.01, doubling())
+        tk = KickedMap(KickField(cos_coeffs=(c,)), 0.01, doubling())
         x = np.linspace(0, 1, 64, endpoint=False)
         assert np.max(np.abs(tk.eval(x) - (2 * x + 0.01 * c) % 1.0)) <= 1e-14
 
     def test_branch_residual(self):
         k = KickField(sin_coeffs=(0.0, 0.8))
-        tk = kick_map(k, 0.05, perturbed_doubling(0.05))
+        tk = KickedMap(k, 0.05, perturbed_doubling(0.05))
         x = np.random.default_rng(2).uniform(0, 1, 100)
         b = tk.inverse_branches(x)
         res = (tk.eval(b) - x[None, :]) % 1.0
@@ -178,24 +178,4 @@ class TestKick:
     def test_too_large(self):
         k = KickField(sin_coeffs=(0.0, 1.0))  # ||X'|| = 2 pi
         with pytest.raises(KickTooLarge):
-            kick_map(k, 0.2, doubling())
-
-    def test_constants_continuity(self):
-        # kicked constants approach base constants linearly in eps
-        k = KickField(sin_coeffs=(0.0, 0.5))
-        base = np.array(doubling().constants())
-        gaps = []
-        for eps in (1e-2, 1e-3):
-            kicked = np.array(kick_map(k, eps, doubling()).constants())
-            gaps.append(np.max(np.abs(kicked - base)))
-        assert gaps[1] <= 0.2 * gaps[0]
-
-
-class TestRemainderSchedule:
-    def test_quadratic_remainder_shifts_kick(self):
-        r = lambda eps, x: eps**2 * np.sin(2 * np.pi * np.asarray(x))
-        k = KickField(cos_coeffs=(1.0,), remainder=r)
-        eps = 0.05
-        x = np.linspace(0, 1, 50, endpoint=False)
-        expected = x + eps * 1.0 + eps**2 * np.sin(2 * np.pi * x)
-        assert np.max(np.abs(k.h(eps, x) - expected)) <= 1e-14
+            KickedMap(k, 0.2, doubling())

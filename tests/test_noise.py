@@ -120,14 +120,14 @@ def noisy_systems(draw):
 class TestNoiseDensity:
     def test_uniform(self):
         q = NoiseDensity.uniform(N)
-        assert noise.doeblin_alpha(q) == 1.0
+        assert q.alpha == 1.0
 
     def test_cosine_floor(self):
         x = X
         raw = 1 + np.cos(2 * np.pi * x)
         raw /= np.sum(raw) / N
         q = NoiseDensity.from_samples(0.3 + 0.7 * raw)
-        assert noise.doeblin_alpha(q) == pytest.approx(0.3, abs=1e-9)
+        assert q.alpha == pytest.approx(0.3, abs=1e-9)
 
     def test_zero_sample_warns(self):
         samples = np.maximum(np.cos(2 * np.pi * X), 0.0)
@@ -169,7 +169,7 @@ class TestBuildKernel:
 
     def test_doeblin_contraction(self, bump_q):
         a = noise.build_kernel(DriftMap(base=CircleMap(2)), 0.0, bump_q, N)
-        alpha = noise.doeblin_alpha(bump_q)
+        alpha = bump_q.alpha
         rng = np.random.default_rng(3)
         for _ in range(100):
             v = grid.project_zero_mass(DensityGrid(rng.normal(size=N)))
@@ -178,7 +178,7 @@ class TestBuildKernel:
     def test_operator_split(self, bump_q):
         # A - alpha * (mass projector) acts nonnegatively on nonnegative f
         a = noise.build_kernel(DriftMap(base=CircleMap(2)), 0.0, bump_q, N)
-        alpha = noise.doeblin_alpha(bump_q)
+        alpha = bump_q.alpha
         rng = np.random.default_rng(4)
         for _ in range(20):
             f = DensityGrid(rng.uniform(0, 2, N))
@@ -257,7 +257,7 @@ class TestSampleNoise:
             "zero-width": zero_width_noise(N),
             "zero-width-n100": zero_width_noise(100),  # 2N = 200 is not a power of two
             "zero-tail-n64": zero_width_noise(64, tail=True),  # cdf ends 1, 1, 1: u = 1 meets a flat segment
-            "zero-tail": zero_width_noise(N, tail=True),  # cdf ends 1 + 2**-52, 1
+            "zero-tail": zero_width_noise(N, tail=True),  # raw sums end 1 + 2**-52, 1 + 2**-52, clamped to 1
             "uniform": NoiseDensity.uniform(N),
         }[which]
         cdf = noise._inverse_cdf_table(q)
@@ -276,6 +276,23 @@ class TestSampleNoise:
         u = np.clip(u, 0.0, 1.0)
         got = noise._sample_noise(cdf, guide, u)
         assert np.array_equal(got.view(np.int64), searchsorted_sample_noise(cdf, u).view(np.int64))
+
+
+class TestInverseCdfTable:
+    @pytest.mark.parametrize("n", [64, N])
+    def test_monotone_with_zero_tail(self, n):
+        # At N = 256 the raw cumulative sums of this density end 1 + 2**-52, 1 + 2**-52, 1.
+        cdf = noise._inverse_cdf_table(zero_width_noise(n, tail=True))
+        assert cdf[0] == 0.0 and cdf[-1] == 1.0
+        assert np.all(np.diff(cdf) >= 0.0)
+
+    @pytest.mark.parametrize("n", [N, 1024])
+    def test_bump_table_unclamped(self, n):
+        # The clamp leaves the bump noise of the reference configs bit for bit as it was.
+        q = NoiseDensity.bump(center=0.5, width=0.08, floor=0.3, n_points=n)
+        raw = np.concatenate([[0.0], np.cumsum(q.density.values)]) / n
+        raw[-1] = 1.0
+        assert np.array_equal(noise._inverse_cdf_table(q), raw)
 
 
 class TestSimulateMarginal:

@@ -2,8 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_noise import noisy_systems
+from test_transfer import kicked_systems
 
-from seqresponse import grid, noise, response, sequence
+from seqresponse import grid, noise, response, sequence, transfer
 from seqresponse.errors import TailNotSmall, WindowExceeded
 from seqresponse.grid import DensityGrid
 from seqresponse.maps import CircleMap, KickField
@@ -148,19 +152,16 @@ class TestFiniteDifference:
         assert gaps[1e-3] <= 1e-2
         assert gaps[1e-3] < gaps[1e-2]
 
-    def test_symmetric_beats_one_sided(self, doubling_setup):
-        sys_, fam, g = doubling_setup
-        rep = response.neumann_response(sys_, fam, g, 8, (1.0, 0.5))
-        eps = 1e-2
-        seed = DensityGrid.constant(1.0, N)
-        one = response.finite_difference_response(sys_, [eps], 60, seed, base_family=fam)
-        sym = response.finite_difference_response(
-            sys_, [eps], 60, seed, base_family=fam, symmetric=True
+    def test_quotient_outside_window(self, doubling_setup):
+        sys_, fam, _ = doubling_setup
+        fd = response.finite_difference_response(
+            sys_, [1e-2], 60, DensityGrid.constant(1.0, N), base_family=fam
         )
-        n = rep.n_hi
-        gap_one = grid.norm_l1(one.quotient(eps, n) - rep.eta(n))
-        gap_sym = grid.norm_l1(sym.quotient(eps, n) - rep.eta(n))
-        assert gap_sym < gap_one
+        assert fd.quotient(1e-2, fam.n_lo) is fd.quotients[1e-2][0]
+        assert fd.quotient(1e-2, fam.n_hi) is fd.quotients[1e-2][-1]
+        for n in (fam.n_lo - 1, fam.n_hi + 1):
+            with pytest.raises(WindowExceeded):
+                fd.quotient(1e-2, n)
 
     def test_rejects_zero_eps(self, doubling_setup):
         sys_, _, _ = doubling_setup
@@ -228,3 +229,34 @@ class TestPeriodicSchedule:
         g = response.forcing(sys_, fam)
         rep = response.neumann_response(sys_, fam, g, 8, (1.0, 0.6))
         assert response.resolvent_residual(sys_, rep, g) <= rep.tail_bound + 1e-7
+
+
+def dropped_term_l1(sys_, g, n, k_order):
+    """||L_{n-1} ... L_{n-K-1} g_{n-K-2}||_L1, the (K+1)-st series term that truncation at K drops."""
+    acc = g.density(n - k_order - 2)
+    for m in range(n - k_order - 1, n):
+        acc = transfer.apply(sys_.operator(m, 0.0), acc)
+    return grid.norm_l1(acc)
+
+
+class TestResolventIdentity:
+    """eta_n - L_{n-1} eta_{n-1} - g_{n-1} is minus the dropped term, so the residual is its norm."""
+
+    def check(self, entries, k_order):
+        sys_ = SequenceSystem(periodic_schedule(entries), (0, k_order + 4), eps=0.0, n_points=N)
+        fam = pullback_equivariant(sys_, 20, DensityGrid.constant(1.0, N), tol=np.inf)
+        g = response.forcing(sys_, fam)
+        rep = response.neumann_response(sys_, fam, g, k_order, (1.0, 0.5))
+        dropped = max(dropped_term_l1(sys_, g, n, k_order) for n in range(rep.n_lo + 1, rep.n_hi + 1))
+        scale = 1.0 + max(grid.norm_l1(eta) for eta in rep.etas)
+        assert abs(response.resolvent_residual(sys_, rep, g) - dropped) <= 1e-12 * scale
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(systems=st.lists(kicked_systems(), min_size=2, max_size=3), k_order=st.integers(1, 6))
+    def test_kicked(self, systems, k_order):
+        self.check([DeterministicEntry(t, kick, i) for i, (t, kick, _) in enumerate(systems)], k_order)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(systems=st.lists(noisy_systems(), min_size=2, max_size=3), k_order=st.integers(1, 6))
+    def test_noisy(self, systems, k_order):
+        self.check([NoisyEntry(drift, q, i) for i, (drift, q, _) in enumerate(systems)], k_order)

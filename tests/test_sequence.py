@@ -6,7 +6,7 @@ import pytest
 from seqresponse import grid, sequence, transfer
 from seqresponse.errors import NotConverged, WindowExceeded
 from seqresponse.grid import DensityGrid
-from seqresponse.maps import CircleMap, KickField, kick_map
+from seqresponse.maps import CircleMap, KickedMap, KickField
 from seqresponse.noise import DriftMap, NoiseDensity
 from seqresponse.sequence import (
     DeterministicEntry,
@@ -192,7 +192,7 @@ class TestSchedules:
         sys_ = SequenceSystem(periodic_schedule(entries), (0, 3), eps=0.0, n_points=N)
         for eps in (0.0, 0.01):
             for n, t in enumerate(maps):
-                expected = transfer.build_deterministic(t if eps == 0.0 else kick_map(kick, eps, t), N)
+                expected = transfer.build_deterministic(t if eps == 0.0 else KickedMap(kick, eps, t), N)
                 assert np.array_equal(sys_.operator(n, eps).to_dense(), expected.to_dense())
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from seqresponse import grid, transfer
 from seqresponse.errors import DimensionMismatch, NotExpanding
 from seqresponse.grid import DensityGrid
-from seqresponse.maps import CircleMap, KickField, kick_map
+from seqresponse.maps import CircleMap, KickedMap, KickField
 
 N = 256
 X = np.arange(N) / N
@@ -115,7 +115,7 @@ class TestKickOperator:
     def test_composition_order(self, system, seed):
         # L_{h o T} assembled in one pass equals L_h L_T on smooth densities
         t, kick, eps = system
-        one_pass = transfer.build_deterministic(kick_map(kick, eps, t), N)
+        one_pass = transfer.build_deterministic(KickedMap(kick, eps, t), N)
         factored = transfer.compose_matrices(transfer.build_kick(kick, eps, N), transfer.build_deterministic(t, N))
         assert np.max(np.abs(one_pass.to_dense().sum(axis=0) - 1.0)) <= 1e-12
         rng = np.random.default_rng(seed)
@@ -131,7 +131,7 @@ class TestMatrixFree:
     def test_apply_matches_dense(self, system, seed):
         # A f = K(S f) + (c . f) 1 equals the dense matrix, keeps mass and the zero-mass subspace
         t, kick, eps = system
-        a = transfer.build_deterministic(kick_map(kick, eps, t), N)
+        a = transfer.build_deterministic(KickedMap(kick, eps, t), N)
         dense = a.to_dense()
         rng = np.random.default_rng(seed)
         for _ in range(3):

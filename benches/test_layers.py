@@ -1,4 +1,4 @@
-"""Layer timings of the Monte Carlo sampler and the kernels it runs (pytest-benchmark).
+"""Layer timings (pytest-benchmark): the Monte Carlo sampler, operator pushes and the solver stages.
 
 Run from the root of a checkout; these tests time, they do not check, so
 they are kept off the default test paths:
@@ -6,18 +6,26 @@ they are kept off the default test paths:
     PYTHONPATH=src python -m pytest benches/test_layers.py --benchmark-json=layers.json
     python benches/record.py BENCH_<n>.json parent=parent.json change=layers.json
 
-The system is the noisy-1024 reference: N = 1024, drift
+The Monte Carlo system is the noisy-1024 reference: N = 1024, drift
 f(x) = 2x + 0.05 sin 2 pi x with fdot = sin 4 pi x sampled at the nodes,
-bump noise (center 0.5, width 0.08, floor 0.3).  The kernels run on one
+bump noise (center 0.5, width 0.08, floor 0.3).  Its kernels run on one
 Monte Carlo block of points.
+
+`transfer.push` is timed on blocks of 1, 2 and 8 densities for the
+deterministic operator of that drift map and for its noise kernel, at
+N = 256, 1024 and 2048.  The solver stages run once each on a
+det-256-session-like system: N = 256, window 0..300, burn-in 60, four
+degree-2 maps drawn per index, truncation K = 8.
 """
 
 import numpy as np
 import pytest
 
-from seqresponse import grid, noise
-from seqresponse.maps import CircleMap
+from seqresponse import grid, noise, response, sequence, transfer
+from seqresponse.grid import DensityGrid
+from seqresponse.maps import CircleMap, KickField
 from seqresponse.noise import DriftMap, NoiseDensity
+from seqresponse.sequence import DeterministicEntry, SequenceSystem, seeded_random_schedule
 
 N = 1024
 POINTS = noise.MC_BLOCK_SIZE
@@ -57,3 +65,63 @@ def test_interpolate_values(benchmark, system, uniforms):
 def test_sample_noise(benchmark, system, uniforms):
     cdf = noise._inverse_cdf_table(system[1])
     benchmark(noise._sample_noise, cdf, noise._guide_table(cdf), uniforms)
+
+
+PUSH_GRIDS = (256, 1024, 2048)
+PUSH_WIDTHS = (1, 2, 8)
+T = CircleMap(2, sin_coeffs=(0.0, 0.05))
+
+
+def push_operator(kind: str, n: int) -> transfer.TransferMatrix:
+    if kind == "deterministic":
+        return transfer.build_deterministic(T, n)
+    x = np.arange(n) / n
+    return noise.build_kernel(DriftMap(base=T, dot=np.sin(4 * np.pi * x)), 0.0, NoiseDensity.bump(0.5, 0.08, 0.3, n), n)
+
+
+@pytest.mark.parametrize("n", PUSH_GRIDS)
+@pytest.mark.parametrize("width", PUSH_WIDTHS)
+@pytest.mark.parametrize("kind", ["deterministic", "kernel"])
+def test_push(benchmark, kind, width, n):
+    a = push_operator(kind, n)
+    v = np.random.default_rng(width).random((width, n))
+    benchmark.extra_info.update(n_points=n, points=width * n, width=width)
+    benchmark(transfer.push, a, v[0] if width == 1 else v)
+
+
+@pytest.fixture(scope="module")
+def session():
+    """System, family and forcing of a det-256-session-like run, with every operator built."""
+    n = 256
+    kick = KickField(sin_coeffs=(0.0, 1 / (2 * np.pi)))
+    maps = [
+        T,
+        CircleMap(2, cos_coeffs=(0.0, 0.02), sin_coeffs=(0.0, 0.04, 0.01)),
+        CircleMap(2, sin_coeffs=(0.0, 0.04)),
+        CircleMap(2, cos_coeffs=(0.0, 0.0, 0.005), sin_coeffs=(0.0, 0.04)),
+    ]
+    entries = [DeterministicEntry(t, kick, i) for i, t in enumerate(maps)]
+    sys_ = SequenceSystem(seeded_random_schedule(entries, 7), (0, 300), eps=0.0, n_points=n)
+    fam = sequence.pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, n))
+    return sys_, fam, response.forcing(sys_, fam)
+
+
+@pytest.fixture
+def session_sizes(benchmark):
+    benchmark.extra_info.update(n_points=256, points=301 * 256)
+
+
+def test_pullback_equivariant(benchmark, session, session_sizes):
+    sys_, _, _ = session
+    benchmark(sequence.pullback_equivariant, sys_, 60, DensityGrid.constant(1.0, sys_.n_points))
+
+
+def test_neumann_response(benchmark, session, session_sizes):
+    sys_, fam, g = session
+    benchmark(response.neumann_response, sys_, fam, g, 8, (1.0, 0.5))
+
+
+def test_write_density_csv(benchmark, session, tmp_path):
+    mu = session[1].density(0)
+    benchmark.extra_info.update(n_points=mu.n_points, points=mu.n_points)
+    benchmark(grid.write_density_csv, tmp_path / "mu.csv", mu)

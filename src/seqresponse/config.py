@@ -172,10 +172,23 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def read_seed(cfg: ExperimentConfig, section: str, zero_mass: bool) -> gridmod.DensityGrid:
-    """`section.seed_csv` if set, else cos(2 pi k x) with k = `section.harmonic`, plus 1 unless zero_mass."""
+    """`section.seed_csv` if set, else cos(2 pi k x) with k = `section.harmonic`, plus 1 unless zero_mass.
+
+    A seed file must be a density file on the experiment's grid and,
+    unless zero_mass, have mass 1 within 1e-10.
+    """
     csv = _get(cfg.raw, section, "seed_csv", None)
     if csv is not None:
-        return gridmod.read_density_csv(csv)
+        where = f"{section}.seed_csv"
+        try:
+            seed = gridmod.read_density_csv(csv)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        if seed.n_points != cfg.n_points:
+            raise ConfigError(f"{where} has {seed.n_points} points, experiment.n is {cfg.n_points}")
+        if not (zero_mass or abs(gridmod.mass(seed) - 1.0) <= 1e-10):
+            raise ConfigError(f"{where} must have mass 1 within 1e-10, got {gridmod.mass(seed)!r}")
+        return seed
     k = _as_int(_get(cfg.raw, section, "harmonic", "1"), f"{section}.harmonic")
     x = np.arange(cfg.n_points) / cfg.n_points
     wave = np.cos(2 * np.pi * k * x)

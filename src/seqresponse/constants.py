@@ -18,7 +18,6 @@ import numpy as np
 from . import grid as gridmod
 from . import transfer
 from .errors import MNotFound
-from .grid import DensityGrid
 from .maps import CircleMap
 from .noise import NoiseDensity
 
@@ -83,21 +82,21 @@ def _probe_family(n_points: int) -> np.ndarray:
 class ProbePushes:
     """Per-probe norms of L0^m v over the probe family, each push made once.
 
-    The probes are pushed through one dense copy of L0 as far as the
-    largest m asked for so far; l1(m) then answers from the cache.
+    The probes are pushed through L0 as one block as far as the largest
+    m asked for so far; l1(m) then answers from the cache.
     """
 
     def __init__(self, l0: transfer.TransferMatrix):
-        probes = _probe_family(l0.n_points)
-        self.w11 = np.array([gridmod.norm_w11(DensityGrid(probes[:, i])) for i in range(probes.shape[1])])
-        self._l0 = l0.to_dense()
+        probes = np.ascontiguousarray(_probe_family(l0.n_points).T)  # one probe per row
+        self.w11 = gridmod.norm_w11_values(probes)
+        self._l0 = l0
         self._pushed = probes
         self._l1: list[np.ndarray] = []  # _l1[m - 1] holds ||L0^m v||_L1 per probe
 
     def l1(self, m: int) -> np.ndarray:
         while len(self._l1) < m:
-            self._pushed = self._l0 @ self._pushed
-            self._l1.append(np.abs(self._pushed).sum(axis=0) / self._l0.shape[0])
+            self._pushed = transfer.push(self._l0, self._pushed)
+            self._l1.append(gridmod.norm_l1_values(self._pushed))
         return self._l1[m - 1]
 
 

@@ -34,7 +34,7 @@ class DensityGrid:
         n = v.shape[0]
         if n < MIN_POINTS or n % 2 != 0:
             raise ValueError(f"need an even number of points >= {MIN_POINTS}, got {n}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("grid values must be finite")
         v = v.copy()
         v.setflags(write=False)
@@ -87,19 +87,33 @@ def mass(f: DensityGrid) -> float:
 
 
 def norm_l1(f: DensityGrid) -> float:
-    return float(np.sum(np.abs(f.values))) / f.n_points
+    return float(norm_l1_values(f.values))
 
 
 def derivative(f: DensityGrid) -> DensityGrid:
     """4th-order centered finite difference on the periodic grid."""
-    n = f.n_points
-    p = np.concatenate([f.values[-2:], f.values, f.values[:2]])  # p[i + 2] = v[i]
-    d = n * (-p[4:] + 8.0 * p[3:-1] - 8.0 * p[1:-3] + p[:-4]) / 12.0
-    return DensityGrid(d)
+    return DensityGrid(derivative_values(f.values))
 
 
 def norm_w11(f: DensityGrid) -> float:
-    return norm_l1(f) + norm_l1(derivative(f))
+    return float(norm_w11_values(f.values))
+
+
+def norm_l1_values(v: np.ndarray):
+    """L^1 norm of raw samples v, one per row of an (m, N) array."""
+    return np.abs(v).sum(axis=-1) / v.shape[-1]
+
+
+def derivative_values(v: np.ndarray) -> np.ndarray:
+    """`derivative` of raw samples v, shape (N,) or (m, N) with one density per row."""
+    n = v.shape[-1]
+    p = np.concatenate([v[..., -2:], v, v[..., :2]], axis=-1)  # p[..., i + 2] = v[..., i]
+    return n * (-p[..., 4:] + 8.0 * p[..., 3:-1] - 8.0 * p[..., 1:-3] + p[..., :-4]) / 12.0
+
+
+def norm_w11_values(v: np.ndarray):
+    """W^{1,1} norm of raw samples v, one per row of an (m, N) array."""
+    return norm_l1_values(v) + norm_l1_values(derivative_values(v))
 
 
 def wrap(x):
@@ -193,12 +207,21 @@ def normalize(f: DensityGrid) -> DensityGrid:
     return DensityGrid(v / m)
 
 
+_CSV_TEMPLATES: dict[int, str] = {}
+
+
+def _csv_template(n: int) -> str:
+    """The density file of an n-point grid with a %.17g slot for each value."""
+    if n not in _CSV_TEMPLATES:
+        _CSV_TEMPLATES[n] = "x,value\n" + "".join(f"{i / n:.17g},%.17g\n" for i in range(n))
+    return _CSV_TEMPLATES[n]
+
+
 def write_density_csv(path, f: DensityGrid) -> None:
     """Write the density file format: header x,value, rows x_i = i/N."""
-    n = f.n_points
-    rows = "".join(f"{i / n:.17g},{v:.17g}\n" for i, v in enumerate(f.values.tolist()))
+    text = _csv_template(f.n_points) % tuple(f.values.tolist())
     with open(path, "w") as fh:
-        fh.write("x,value\n" + rows)
+        fh.write(text)
 
 
 def read_density_csv(path) -> DensityGrid:
@@ -208,6 +231,6 @@ def read_density_csv(path) -> DensityGrid:
     v = np.atleast_1d(data["value"])
     n = x.shape[0]
     expected = np.arange(n) / n
-    if n < MIN_POINTS or np.max(np.abs(x - expected)) > 1e-12:
+    if n < MIN_POINTS or not np.max(np.abs(x - expected)) <= 1e-12:  # NaN fails too
         raise ValueError(f"{path}: x column is not the uniform grid i/N")
     return DensityGrid(v)

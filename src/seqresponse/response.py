@@ -111,7 +111,9 @@ def neumann_response(
     Reported indices are n in [n_lo + K + 1, n_hi] so every eta_n uses
     exactly K + 1 terms; each series is a backward accumulation
     acc <- L_m acc + g_m over m = n-K .. n-1 seeded with g_{n-K-1}.
-    The unperturbed operators (eps = 0) propagate the series.
+    One pass over m pushes the accumulators of every n that L_m serves,
+    at most K of them, as one block.  The unperturbed operators (eps = 0)
+    propagate the series.
     """
     if k_order < 1:
         raise ValueError("truncation order must be >= 1")
@@ -126,11 +128,14 @@ def neumann_response(
         needed = truncation_order(c, rate, g.sup_w11(), tol, 10**6)
         raise TailNotSmall(f"tail bound {tail:.3g} > tol {tol:.3g}; need K >= {needed}")
     etas = []
-    for n in range(report_lo, family.n_hi + 1):
-        acc = g.density(n - k_order - 1)
-        for m in range(n - k_order, n):
-            acc = transfer.apply(sys.operator(m, 0.0), acc) + g.density(m)
-        etas.append(acc)
+    acc = np.empty((0, sys.n_points))  # live accumulators, one row per reported n, oldest first
+    for m in range(report_lo - k_order, family.n_hi):
+        if m + k_order <= family.n_hi:
+            acc = np.vstack([acc, g.density(m - 1).values])  # eta_n starts from g_{n-K-1}, n = m + K
+        acc = transfer.push(sys.operator(m, 0.0), acc) + g.density(m).values
+        if m + 1 >= report_lo:
+            etas.append(DensityGrid(acc[0]))  # eta_{m+1} has taken its last step
+            acc = acc[1:]
     mass_defect = max(abs(gridmod.mass(e)) for e in etas)
     return ResponseReport(
         n_lo=report_lo,
@@ -145,8 +150,8 @@ def resolvent_residual(sys: SequenceSystem, report: ResponseReport, g: Forcing) 
     """max_n || eta_n - L_{n-1} eta_{n-1} - g_{n-1} ||_L1 over interior indices."""
     res = 0.0
     for n in range(report.n_lo + 1, report.n_hi + 1):
-        pushed = transfer.apply(sys.operator(n - 1, 0.0), report.eta(n - 1))
-        res = max(res, gridmod.norm_l1(report.eta(n) - pushed - g.density(n - 1)))
+        pushed = transfer.push(sys.operator(n - 1, 0.0), report.eta(n - 1).values)
+        res = max(res, float(gridmod.norm_l1_values(report.eta(n).values - pushed - g.density(n - 1).values)))
     return res
 
 
@@ -182,7 +187,9 @@ def finite_difference_response(
     quotients = {}
     for eps in eps_list:
         fam_p = seqmod.pullback_equivariant(sys, burn_in, seed_density, tol=tol, eps=eps)
-        quotients[eps] = tuple((p - b) * (1.0 / eps) for p, b in zip(fam_p.densities, base_family.densities))
+        quotients[eps] = tuple(
+            DensityGrid((p.values - b.values) * (1.0 / eps)) for p, b in zip(fam_p.densities, base_family.densities)
+        )
     return DifferenceQuotients(n_lo=base_family.n_lo, eps_list=eps_list, quotients=quotients)
 
 
@@ -210,7 +217,7 @@ def validate(report: ResponseReport, fd: DifferenceQuotients, tol: float) -> Val
     entries = []
     for eps in sorted(fd.eps_list, reverse=True):
         d = max(
-            gridmod.norm_l1(fd.quotient(eps, n) - report.eta(n))
+            float(gridmod.norm_l1_values(fd.quotient(eps, n).values - report.eta(n).values))
             for n in range(report.n_lo, report.n_hi + 1)
         )
         entries.append((eps, d))

@@ -2,17 +2,25 @@
 
 Each operator is stored matrix-free as A f = K(S f) + (c . f) 1:
 
-- S is a sparse stencil in COO form, (S f)[i] = sum over k with
-  rows[k] = i of entries[k] f[cols[k]], applied in O(nnz) by np.bincount;
+- S is a sparse stencil in one of two layouts.  Branch-formula operators
+  (deterministic and kicked maps) store a gather: cols and entries of
+  shape (k, N), one row per inverse branch and interpolation offset, and
+  (S f)[i] = sum over j of entries[j, i] f[cols[j, i]].  Noise kernels
+  store a scatter in COO form: (S f)[rows[j]] += entries[j] f[cols[j]],
+  one np.bincount per density;
 - K is an optional circular convolution (the noise kernels), stored as the
-  rfft spectrum of its kernel and applied in O(N log N);
+  rfft spectrum of its kernel and applied in O(N log N), by one rfft/irfft
+  along the last axis for a block of densities;
 - c is the rank-one mass correction c_j = (1 - column sum_j of K S) / N,
   which makes every column of A sum to exactly 1, so the discrete mass
   functional (1/N) sum f is preserved to round-off and the zero-mass
   subspace is exactly invariant, which the response series relies on.
 
-No N x N array is built except by `to_dense`, which the tests and the
-probe pushes of `constants.choose_M` use.
+`push(a, v)` applies A to raw samples, v of shape (N,) or (m, N) with
+one density per row; the solvers' loops call it.  `apply` is the checked
+edge that takes and returns a DensityGrid.  No N x N array is built
+except by `to_dense` and `compose_matrices`, which the tests use as
+references.
 """
 
 from __future__ import annotations
@@ -28,9 +36,15 @@ from .maps import CircleMap, KickedMap, KickField
 
 
 def _frozen(a, dtype) -> np.ndarray:
-    a = np.array(a, dtype=dtype).ravel()
+    a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
+
+
+# Float64 elements of the (m, k, N) block one gather multiplies and sums
+# (512 KiB); wider pushes run in slices of rows, so the block never grows
+# with the number of densities pushed.
+GATHER_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -38,18 +52,21 @@ class TransferMatrix:
     """Matrix-free realization of one transfer operator, A f = K(S f) + (c . f) 1.
 
     Build one with `from_stencil`, which checks the stencil against the
-    grid and derives the mass correction.
+    grid and derives the mass correction.  `rows` is None for a gather
+    stencil and holds the scatter targets otherwise.
     """
 
-    rows: np.ndarray
     cols: np.ndarray
     entries: np.ndarray
     correction: np.ndarray
+    rows: np.ndarray | None = None
     spectrum: np.ndarray | None = None  # rfft of the convolution kernel of K; None means K = identity
 
     def __post_init__(self):
-        for name, dtype in (("rows", np.int64), ("cols", np.int64), ("entries", float), ("correction", float)):
+        for name, dtype in (("cols", np.int64), ("entries", float), ("correction", float)):
             object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        if self.rows is not None:
+            object.__setattr__(self, "rows", _frozen(self.rows, np.int64))
         if self.spectrum is not None:
             object.__setattr__(self, "spectrum", _frozen(self.spectrum, complex))
 
@@ -57,32 +74,41 @@ class TransferMatrix:
     def from_stencil(cls, rows, cols, entries, n_points: int, kernel=None) -> "TransferMatrix":
         """Mass-corrected operator A = K S + 1 c^T from the stencil S and K's kernel.
 
+        rows None gives a gather: cols and entries of shape (k, N), row i
+        of S reading column i of both.  Otherwise rows, cols and entries
+        are a scatter of any one shape, flattened.
         K f is the circular convolution (K f)[i] = sum_m kernel[(i - m) % N] f[m].
         Every column of a circulant sums to sum(kernel), so the column sums
         of K S are those of S times sum(kernel).
         """
-        rows, cols, entries = np.ravel(rows), np.ravel(cols), np.ravel(entries)
-        if not rows.shape == cols.shape == entries.shape:
-            raise ValueError("stencil rows, cols and entries must have one length")
-        for index in (rows, cols):
+        cols, entries = np.asarray(cols), np.asarray(entries)
+        if rows is None:
+            if not (cols.ndim == 2 and cols.shape == entries.shape and cols.shape[1] == n_points):
+                raise ValueError(f"gather cols and entries must both have shape (k, {n_points})")
+        else:
+            rows, cols, entries = np.ravel(rows), np.ravel(cols), np.ravel(entries)
+            if not rows.shape == cols.shape == entries.shape:
+                raise ValueError("stencil rows, cols and entries must have one length")
+        for index in (cols,) if rows is None else (rows, cols):
             if index.size and not (0 <= index.min() and index.max() < n_points):
                 raise ValueError(f"stencil index outside the {n_points}-point grid")
-        col_sums = np.bincount(cols, entries, minlength=n_points)
+        col_sums = np.bincount(cols.ravel(), entries.ravel(), minlength=n_points)
         spectrum = None
         if kernel is not None:
             col_sums *= np.sum(kernel)
             spectrum = np.fft.rfft(kernel)
-        return cls(rows, cols, entries, (1.0 - col_sums) / n_points, spectrum)
+        return cls(cols, entries, (1.0 - col_sums) / n_points, rows, spectrum)
 
     @property
     def n_points(self) -> int:
         return self.correction.shape[0]
 
     def to_dense(self) -> np.ndarray:
-        """The N x N matrix of the operator, for tests and probe pushes."""
+        """The N x N matrix of the operator, a reference for the tests."""
         n = self.n_points
         a = np.zeros((n, n))
-        np.add.at(a, (self.rows, self.cols), self.entries)
+        rows = np.broadcast_to(np.arange(n), self.cols.shape) if self.rows is None else self.rows
+        np.add.at(a, (rows, self.cols), self.entries)
         if self.spectrum is not None:
             a = np.fft.irfft(self.spectrum[:, None] * np.fft.rfft(a, axis=0), n=n, axis=0)
         return a + self.correction[None, :]
@@ -91,15 +117,14 @@ class TransferMatrix:
 def _assemble(points: np.ndarray, weights: np.ndarray) -> TransferMatrix:
     """Mass-corrected operator with (Af)[i] = sum_b weights[b, i] f(points[b, i]).
 
-    f is read off-grid by the 6-point stencil.  The stencil lists all
-    (branch, offset, row) triples in branch-major order.
+    f is read off-grid by the 6-point stencil.  The gather has one row
+    per (branch, offset) pair, in branch-major order.
     """
     n_branches, n_points = points.shape
     idx, w = gridmod.interpolation_stencil6(n_points, points.ravel())
-    cols = idx.reshape(6, n_branches, n_points).swapaxes(0, 1)
-    entries = w.reshape(6, n_branches, n_points).swapaxes(0, 1) * weights[:, None, :]
-    rows = np.broadcast_to(np.arange(n_points), cols.shape)
-    return TransferMatrix.from_stencil(rows, cols, entries, n_points)
+    cols = idx.reshape(6, n_branches, n_points).swapaxes(0, 1).reshape(-1, n_points)
+    entries = (w.reshape(6, n_branches, n_points).swapaxes(0, 1) * weights[:, None, :]).reshape(-1, n_points)
+    return TransferMatrix.from_stencil(None, cols, entries, n_points)
 
 
 def build_deterministic(t: CircleMap | KickedMap, n_points: int) -> TransferMatrix:
@@ -128,20 +153,61 @@ def d_operator(kick: KickField, u: DensityGrid) -> DensityGrid:
 
 
 def compose_matrices(outer: TransferMatrix, inner: TransferMatrix) -> TransferMatrix:
-    """Dense product operator: inner acts first.  The one-pass kicked operator is tested against it."""
+    """Dense product operator: inner acts first.  The one-pass kicked operator is tested against it.
+
+    Column j of the product is outer pushed on column j of inner, which is
+    inner pushed on the unit vector e_j.
+    """
     if outer.n_points != inner.n_points:
         raise DimensionMismatch("matrix sizes differ")
-    product = outer.to_dense() @ inner.to_dense()
+    product = push(outer, push(inner, np.eye(outer.n_points))).T
     rows, cols = np.nonzero(product)
     return TransferMatrix.from_stencil(rows, cols, product[rows, cols], outer.n_points)
 
 
+def _gather(a: TransferMatrix, v: np.ndarray) -> np.ndarray:
+    """S v for a gather stencil, (entries * v[..., cols]).sum(-2), summed in stencil order.
+
+    Blocks of rows that would exceed GATHER_BUDGET run in slices.
+    """
+    step = max(1, GATHER_BUDGET // a.cols.size)
+    if v.ndim == 1 or v.shape[0] <= step:
+        s = v.take(a.cols, axis=-1)
+        s *= a.entries
+        return s.sum(axis=-2)
+    return np.concatenate([_gather(a, v[lo : lo + step]) for lo in range(0, v.shape[0], step)])
+
+
+def _scatter(a: TransferMatrix, v: np.ndarray) -> np.ndarray:
+    """S v for a scatter stencil and one density v, summed in stencil order."""
+    return np.bincount(a.rows, a.entries * v.take(a.cols), minlength=a.n_points)
+
+
+def push(a: TransferMatrix, v) -> np.ndarray:
+    """A applied to each row of v, shape (N,) or (m, N): K(S v) + (c . v) 1 in O(nnz) per row.
+
+    Every row of the result has the bits it would have if pushed alone:
+    the stencil sums run in stencil order and the mass correction is one
+    dot product per row.
+    """
+    v = np.asarray(v, dtype=float)
+    n = a.n_points
+    if v.ndim not in (1, 2) or v.shape[-1] != n:
+        raise DimensionMismatch(f"matrix is {n}, densities have shape {v.shape}")
+    if a.rows is None:
+        s = _gather(a, v)
+    else:
+        s = _scatter(a, v) if v.ndim == 1 else np.stack([_scatter(a, row) for row in v])
+        if a.spectrum is not None:
+            s = np.fft.irfft(a.spectrum * np.fft.rfft(s, axis=-1), n=n, axis=-1)
+    if v.ndim == 1:
+        return s + a.correction @ v
+    s += np.array([a.correction @ row for row in v])[:, None]
+    return s
+
+
 def apply(a: TransferMatrix, f: DensityGrid) -> DensityGrid:
-    """A f = K(S f) + (c . f) 1 in O(nnz), plus O(N log N) for a convolution."""
+    """A f for one density on the grid, checked at both ends."""
     if a.n_points != f.n_points:
         raise DimensionMismatch(f"matrix is {a.n_points}, grid is {f.n_points}")
-    v = f.values
-    s = np.bincount(a.rows, a.entries * v[a.cols], minlength=a.n_points)
-    if a.spectrum is not None:
-        s = np.fft.irfft(a.spectrum * np.fft.rfft(s), n=a.n_points)
-    return DensityGrid(s + a.correction @ v)
+    return DensityGrid(push(a, f.values))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from seqresponse import cli, config
+from seqresponse import cli, config, transfer
 from seqresponse.errors import ConfigError
 
 BASE_DET = """
@@ -190,6 +190,63 @@ class TestExitCodes:
         path, _ = write_config(tmp_path, base.replace(old, new))
         assert cli.main([command, path]) == 2
         assert "invalid system" in capsys.readouterr().err
+
+
+class TestSeedCsv:
+    """`[equivariant] seed_csv` must fit the experiment, or the run is a config error."""
+
+    def run(self, tmp_path, capsys, x, values):
+        seed = tmp_path / "seed.csv"
+        seed.write_text("x,value\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), values.tolist())))
+        path, out = write_config(tmp_path, BASE_DET, append=["[equivariant]", f"seed_csv = {seed}"])
+        code = cli.main(["equivariant", path, "--two-seed"])
+        return code, capsys.readouterr().err, out
+
+    def test_fitting_file_runs(self, tmp_path, capsys):
+        x = np.arange(256) / 256
+        code, _, out = self.run(tmp_path, capsys, x, 1.0 + 0.5 * np.sin(2 * np.pi * x))
+        assert code == 0
+        assert json.loads((out / "family.json").read_text())["two_seed_l1_gap"] <= 1e-8
+
+    def test_wrong_point_count_is_1(self, tmp_path, capsys):
+        code, err, _ = self.run(tmp_path, capsys, np.arange(64) / 64, np.ones(64))
+        assert code == 1
+        assert "config error" in err and "64 points" in err
+
+    def test_wrong_mass_is_1(self, tmp_path, capsys):
+        code, err, _ = self.run(tmp_path, capsys, np.arange(256) / 256, np.full(256, 2.0))
+        assert code == 1
+        assert "config error" in err and "mass 1" in err
+
+    def test_non_uniform_x_is_1(self, tmp_path, capsys):
+        x = np.arange(256) / 256
+        x[7] += 1e-3
+        code, err, _ = self.run(tmp_path, capsys, x, np.ones(256))
+        assert code == 1
+        assert "config error" in err and "uniform grid" in err
+
+
+class TestNoDenseMatrix:
+    """The commands run matrix-free: no transfer operator is ever made dense."""
+
+    @pytest.mark.parametrize(
+        "base, command",
+        [
+            (BASE_DET, "certify"),
+            (BASE_DET, "respond"),
+            (BASE_DET.replace("tail_c = 1.0\n", "").replace("tail_rate = 0.5\n", ""), "respond"),  # runs certify
+            (BASE_NOISY, "respond"),
+        ],
+        ids=["certify", "respond", "respond-certified-tail", "respond-noisy"],
+    )
+    def test_runs_with_to_dense_disabled(self, tmp_path, monkeypatch, base, command):
+        def refuse(self):
+            raise AssertionError("to_dense called outside the tests")
+
+        monkeypatch.setattr(transfer.TransferMatrix, "to_dense", refuse)
+        path, out = write_config(tmp_path, base)
+        assert cli.main([command, path]) == 0
+        assert (out / "manifest.json").exists()
 
 
 class TestCertify:

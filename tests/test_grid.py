@@ -249,10 +249,10 @@ class TestCsv:
         rng = np.random.default_rng(n)
         v = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
         v[:8] = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1 / 3]
-        f = DensityGrid(v)
-        grid.write_density_csv(tmp_path / "new.csv", f)
-        reference_write_density_csv(tmp_path / "old.csv", f)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        for f in (DensityGrid(v), DensityGrid(v[::-1])):  # the second write reuses the cached template
+            grid.write_density_csv(tmp_path / "new.csv", f)
+            reference_write_density_csv(tmp_path / "old.csv", f)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_rejects_nonuniform(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -261,4 +261,10 @@ class TestCsv:
             for i in range(64):
                 fh.write(f"{i / 64 + (1e-6 if i == 3 else 0)},{1.0}\n")
         with pytest.raises(ValueError):
+            grid.read_density_csv(path)
+
+    def test_rejects_nan_x(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,value\n" + "".join(f"{'nan' if i == 3 else i / 64},1.0\n" for i in range(64)))
+        with pytest.raises(ValueError, match="uniform grid"):
             grid.read_density_csv(path)

@@ -135,6 +135,38 @@ class TestNeumannSeries:
             response.neumann_response(sys_, fam, g, 0, (1.0, 0.7))
 
 
+def double_loop_response(sys_, g, n_lo, n_hi, k_order):
+    """The series as first written: for each n, K single applies from g_{n-K-1}."""
+    etas = []
+    for n in range(n_lo, n_hi + 1):
+        acc = g.density(n - k_order - 1)
+        for m in range(n - k_order, n):
+            acc = transfer.apply(sys_.operator(m, 0.0), acc) + g.density(m)
+        etas.append(acc)
+    return etas
+
+
+def two_map_setup(window=(0, 14)):
+    t0, t1 = CircleMap(2, sin_coeffs=(0.0, 0.05)), CircleMap(3, cos_coeffs=(0.0, 0.02))
+    sched = periodic_schedule([DeterministicEntry(t0, KICK, "a"), DeterministicEntry(t1, KICK, "b")])
+    sys_ = SequenceSystem(sched, window, eps=0.0, n_points=N)
+    fam = pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, N))
+    return sys_, fam, response.forcing(sys_, fam)
+
+
+class TestBatchedSeries:
+    @pytest.mark.parametrize("k_order", [1, 3, 8, 11])
+    @pytest.mark.parametrize("setup", ["two_map", "bump"])
+    def test_matches_double_loop(self, bump_setup, setup, k_order):
+        # one block push per operator index gives the window x K single applies
+        sys_, fam, g = two_map_setup() if setup == "two_map" else bump_setup
+        rep = response.neumann_response(sys_, fam, g, k_order, (1.0, 0.5))
+        ref = double_loop_response(sys_, g, rep.n_lo, rep.n_hi, k_order)
+        assert rep.n_lo == fam.n_lo + k_order + 1 and len(rep.etas) == len(ref)
+        for eta, want in zip(rep.etas, ref):
+            assert grid.norm_l1(eta - want) <= 1e-13 * grid.norm_l1(want)
+
+
 class TestFiniteDifference:
     def test_quotient_converges_to_series(self, doubling_setup):
         sys_, fam, g = doubling_setup

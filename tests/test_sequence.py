@@ -64,6 +64,42 @@ class TestCompose:
             compose(doubling_system((0, 5)), 2, 10, DensityGrid.constant(1.0, N))
 
 
+def unbatched_sweep(sys_, burn_in, seed, eps):
+    """The pullback as first written: one sweep per burn-in, one apply per step."""
+    n_lo, n_hi = sys_.window
+    mu, out = seed, []
+    for m in range(n_lo - burn_in, n_hi + 1):
+        if m >= n_lo:
+            out.append(mu)
+        if m <= n_hi - 1 or m < n_lo:
+            mu = transfer.apply(sys_.operator(m, eps), mu)
+    return out
+
+
+def two_map_system(window=(0, 9)):
+    kick = KickField(sin_coeffs=(0.0, 1 / (2 * np.pi)))
+    entries = [
+        DeterministicEntry(CircleMap(2, sin_coeffs=(0.0, 0.05)), kick, "a"),
+        DeterministicEntry(CircleMap(3, cos_coeffs=(0.0, 0.02)), kick, "b"),
+    ]
+    return SequenceSystem(periodic_schedule(entries), window, eps=0.0, n_points=N)
+
+
+class TestBatchedSweep:
+    @pytest.mark.parametrize("burn_in", [1, 2, 7, 60])
+    @pytest.mark.parametrize("make, eps", [(two_map_system, 0.0), (two_map_system, 3e-3), (bump_system, 1e-2)])
+    def test_bits_match_unbatched_sweeps(self, make, eps, burn_in):
+        # the width-2 block gives the densities and residual of two separate sweeps, bit for bit
+        sys_ = make()
+        seed = DensityGrid(1 + 0.5 * np.cos(2 * np.pi * X))
+        fam = pullback_equivariant(sys_, burn_in, seed, tol=np.inf, eps=eps)
+        full = unbatched_sweep(sys_, burn_in, seed, eps)
+        half = unbatched_sweep(sys_, max(1, burn_in // 2), seed, eps)
+        assert len(fam.densities) == len(full)
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(fam.densities, full))
+        assert fam.convergence_residual == max(grid.norm_w11(a - b) for a, b in zip(full, half))
+
+
 class TestPullback:
     def test_constant_doubling_uniform(self):
         sys_ = doubling_system()

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from seqresponse import grid, transfer
+from test_noise import noisy_systems
+
+from seqresponse import grid, noise, transfer
 from seqresponse.errors import DimensionMismatch, NotExpanding
 from seqresponse.grid import DensityGrid
 from seqresponse.maps import CircleMap, KickedMap, KickField
@@ -140,6 +142,55 @@ class TestMatrixFree:
             assert np.max(np.abs(out.values - dense @ f.values)) <= 1e-12 * np.max(np.abs(f.values))
             assert abs(grid.mass(out) - grid.mass(f)) <= 1e-12 * grid.norm_l1(f)
             assert abs(grid.mass(transfer.apply(a, grid.project_zero_mass(f)))) <= 1e-12 * grid.norm_l1(f)
+
+
+@st.composite
+def operators(draw):
+    """An admissible operator: a map of degree 2-3, kicked or not, or a bump-noise kernel."""
+    if draw(st.booleans()):
+        t, kick, eps = draw(kicked_systems())
+        return transfer.build_deterministic(KickedMap(kick, eps, t) if eps != 0.0 and draw(st.booleans()) else t, N)
+    drift, q, _ = draw(noisy_systems())
+    return noise.build_kernel(drift, draw(st.floats(-0.05, 0.05)), q, N)
+
+
+class TestPush:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(a=operators(), m=st.sampled_from([1, 2, 7]), seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_apply_and_dense(self, a, m, seed):
+        # each row of a block push is that density pushed alone, the dense matvec, and keeps its mass
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=(m, N))
+        v[1::2] -= v[1::2].mean(axis=1, keepdims=True)  # odd rows have zero mass
+        out = transfer.push(a, v)
+        assert out.shape == (m, N)
+        dense = a.to_dense()
+        for r in range(m):
+            alone = transfer.apply(a, DensityGrid(v[r])).values
+            assert np.array_equal(out[r], transfer.push(a, v[r]))
+            assert np.sum(np.abs(out[r] - alone)) <= 1e-13 * np.sum(np.abs(alone))
+            ref = dense @ v[r]
+            assert np.sum(np.abs(out[r] - ref)) <= 1e-13 * np.sum(np.abs(ref))
+            scale = np.sum(np.abs(v[r]))
+            assert abs(np.sum(out[r]) - np.sum(v[r])) <= 1e-12 * scale
+            if r % 2:
+                assert abs(np.sum(out[r])) <= 1e-12 * scale
+
+    def test_wide_block_runs_in_slices(self, doubling_matrix):
+        # more rows than one gather holds: the slices give the rows' own bits
+        m = transfer.GATHER_BUDGET // doubling_matrix.cols.size * 2 + 3
+        v = np.random.default_rng(11).normal(size=(m, N))
+        out = transfer.push(doubling_matrix, v)
+        assert all(np.array_equal(out[r], transfer.push(doubling_matrix, v[r])) for r in range(m))
+
+    @pytest.mark.parametrize("shape", [(N + 2,), (3, N // 2), (2, 2, N)])
+    def test_shape_mismatch(self, doubling_matrix, shape):
+        with pytest.raises(DimensionMismatch):
+            transfer.push(doubling_matrix, np.ones(shape))
+
+    def test_deterministic_stencil_is_a_gather(self, doubling_matrix):
+        assert doubling_matrix.rows is None
+        assert doubling_matrix.cols.shape == doubling_matrix.entries.shape == (12, N)
 
 
 class TestDOperator:

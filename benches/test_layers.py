@@ -13,17 +13,20 @@ Monte Carlo block of points.
 
 `transfer.push` is timed on blocks of 1, 2 and 8 densities for the
 deterministic operator of that drift map and for its noise kernel, at
-N = 256, 1024 and 2048.  The solver stages run once each on a
-det-256-session-like system: N = 256, window 0..300, burn-in 60, four
-degree-2 maps drawn per index, truncation K = 8.
+N = 256, 1024 and 2048.  Operator assembly is timed at the same sizes:
+`build_deterministic` for that map, plain and kicked by the det-2048 kick
+(X(x) = sin(2 pi x) / (2 pi), eps = 1e-2), and `build_kernel` for its
+noise kernel; `certify` of that map runs at N = 256.  The solver stages
+run once each on a det-256-session-like system: N = 256, window 0..300,
+burn-in 60, four degree-2 maps drawn per index, truncation K = 8.
 """
 
 import numpy as np
 import pytest
 
-from seqresponse import grid, noise, response, sequence, transfer
+from seqresponse import constants, grid, noise, response, sequence, transfer
 from seqresponse.grid import DensityGrid
-from seqresponse.maps import CircleMap, KickField
+from seqresponse.maps import CircleMap, KickedMap, KickField
 from seqresponse.noise import DriftMap, NoiseDensity
 from seqresponse.sequence import DeterministicEntry, SequenceSystem, seeded_random_schedule
 
@@ -72,11 +75,16 @@ PUSH_WIDTHS = (1, 2, 8)
 T = CircleMap(2, sin_coeffs=(0.0, 0.05))
 
 
+def kernel_args(n: int) -> tuple:
+    """Arguments of `noise.build_kernel` for the noisy-1024 reference system at N = n."""
+    x = np.arange(n) / n
+    return DriftMap(base=T, dot=np.sin(4 * np.pi * x)), 0.0, NoiseDensity.bump(0.5, 0.08, 0.3, n), n
+
+
 def push_operator(kind: str, n: int) -> transfer.TransferMatrix:
     if kind == "deterministic":
         return transfer.build_deterministic(T, n)
-    x = np.arange(n) / n
-    return noise.build_kernel(DriftMap(base=T, dot=np.sin(4 * np.pi * x)), 0.0, NoiseDensity.bump(0.5, 0.08, 0.3, n), n)
+    return noise.build_kernel(*kernel_args(n))
 
 
 @pytest.mark.parametrize("n", PUSH_GRIDS)
@@ -87,6 +95,25 @@ def test_push(benchmark, kind, width, n):
     v = np.random.default_rng(width).random((width, n))
     benchmark.extra_info.update(n_points=n, points=width * n, width=width)
     benchmark(transfer.push, a, v[0] if width == 1 else v)
+
+
+@pytest.mark.parametrize("n", PUSH_GRIDS)
+@pytest.mark.parametrize("kind", ["plain", "kicked"])
+def test_build_deterministic(benchmark, kind, n):
+    t = T if kind == "plain" else KickedMap(KickField(sin_coeffs=(0.0, 1 / (2 * np.pi))), 1e-2, T)
+    benchmark.extra_info.update(n_points=n, points=n)
+    benchmark(transfer.build_deterministic, t, n)
+
+
+@pytest.mark.parametrize("n", PUSH_GRIDS)
+def test_build_kernel(benchmark, n):
+    benchmark.extra_info.update(n_points=n, points=n)
+    benchmark(noise.build_kernel, *kernel_args(n))
+
+
+def test_certify(benchmark):
+    benchmark.extra_info.update(n_points=256, points=256)
+    benchmark(constants.certify, T, 256)
 
 
 @pytest.fixture(scope="module")

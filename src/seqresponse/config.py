@@ -181,11 +181,9 @@ def read_seed(cfg: ExperimentConfig, section: str, zero_mass: bool) -> gridmod.D
     if csv is not None:
         where = f"{section}.seed_csv"
         try:
-            seed = gridmod.read_density_csv(csv)
+            seed = gridmod.read_density_csv(csv, cfg.n_points)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
-        if seed.n_points != cfg.n_points:
-            raise ConfigError(f"{where} has {seed.n_points} points, experiment.n is {cfg.n_points}")
         if not (zero_mass or abs(gridmod.mass(seed) - 1.0) <= 1e-10):
             raise ConfigError(f"{where} must have mass 1 within 1e-10, got {gridmod.mass(seed)!r}")
         return seed
@@ -256,7 +254,10 @@ def build_noise(cfg: ExperimentConfig) -> NoiseDensity:
     if preset is None and csv is None:
         raise ConfigError("missing field noise.preset (or noise.csv)")
     if csv is not None:
-        return NoiseDensity(gridmod.read_density_csv(csv))
+        try:
+            return NoiseDensity(gridmod.read_density_csv(csv, cfg.n_points))
+        except ValueError as exc:
+            raise ConfigError(f"noise.csv: {exc}") from None
     if preset == "uniform":
         return NoiseDensity.uniform(cfg.n_points)
     if preset.startswith("bump:"):

@@ -64,17 +64,16 @@ def c_t0_alt(lambda0: float, M0: float, M2: float, degree: int) -> float:
 
 
 def _probe_family(n_points: int) -> np.ndarray:
-    """Zero-mass probe densities: 20 low harmonics + 30 random smooth combos."""
+    """Zero-mass probe densities: 20 low harmonics + 30 random smooth combos of the first 8."""
     x = np.arange(n_points) / n_points
-    cols = []
-    for k in range(1, 11):
-        cols.append(np.cos(2 * np.pi * k * x))
-        cols.append(np.sin(2 * np.pi * k * x))
+    cos = [np.cos(2 * np.pi * k * x) for k in range(1, 11)]
+    sin = [np.sin(2 * np.pi * k * x) for k in range(1, 11)]
+    cols = [h for pair in zip(cos, sin) for h in pair]
     rng = np.random.default_rng(20250824)
     for _ in range(30):
         v = np.zeros(n_points)
-        for k in range(1, 9):
-            v += rng.normal() * np.cos(2 * np.pi * k * x) + rng.normal() * np.sin(2 * np.pi * k * x)
+        for k in range(8):
+            v += rng.normal() * cos[k] + rng.normal() * sin[k]
         cols.append(v)
     return np.array(cols).T  # (N, 50)
 

@@ -224,8 +224,8 @@ def write_density_csv(path, f: DensityGrid) -> None:
         fh.write(text)
 
 
-def read_density_csv(path) -> DensityGrid:
-    """Read a density CSV, rejecting non-uniform x spacing."""
+def read_density_csv(path, n_points: int | None = None) -> DensityGrid:
+    """Read a density CSV, rejecting non-uniform x spacing and, if given, a point count other than n_points."""
     data = np.genfromtxt(path, delimiter=",", names=True)
     x = np.atleast_1d(data["x"])
     v = np.atleast_1d(data["value"])
@@ -233,4 +233,6 @@ def read_density_csv(path) -> DensityGrid:
     expected = np.arange(n) / n
     if n < MIN_POINTS or not np.max(np.abs(x - expected)) <= 1e-12:  # NaN fails too
         raise ValueError(f"{path}: x column is not the uniform grid i/N")
+    if n_points is not None and n != n_points:
+        raise ValueError(f"{path} has {n} points, expected {n_points}")
     return DensityGrid(v)

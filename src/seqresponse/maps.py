@@ -5,6 +5,9 @@ polynomial, so all derivatives are exact and the C^3 norms are finite by
 construction.  A kick h_eps(x) = x + eps*X(x) post-composed with a map
 yields a KickedMap with the lift, first derivative and inverse branches
 that operator assembly reads.
+
+Inverse branches of plain and kicked maps alike come from one
+safeguarded Newton solver, which solves all d branches as one array.
 """
 
 from __future__ import annotations
@@ -113,38 +116,34 @@ class CircleMap:
         return lam0, m0, float(np.max(np.abs(self.eval_d2(_PROBE))))
 
     def inverse_branches(self, x) -> np.ndarray:
-        """All d preimages of x, ordered increasingly.
+        """All d preimages of x, ordered increasingly, by safeguarded Newton.
 
-        Returns shape (d,) for scalar x, (d, len(x)) for array x.  Each
-        branch solves l(y) = x + m by bisection bracketing plus Newton
-        refinement to residual <= 1e-13.
+        Returns shape (d,) for scalar x, (d, len(x)) for array x.  Branch j
+        solves l(y) = x + m0 + j from the linear guess; a Newton step that
+        leaves the point's bracket, tightened by the sign of the residual,
+        bisects it instead (rtsafe, Numerical Recipes 9.4).  Reads only
+        lift, eval_d1 and degree.  Stops at residual <= 1e-13.
         """
-        scalar = np.isscalar(x) or np.asarray(x).ndim == 0
+        scalar = np.ndim(x) == 0
         x = wrap(np.atleast_1d(np.asarray(x, dtype=float)))
         ell0 = float(self.lift(0.0))
-        m0 = np.ceil(ell0 - x - 1e-14)
-        out = np.empty((self.degree, x.shape[0]))
-        for j in range(self.degree):
-            out[j] = self._solve_lift(x + m0 + j)
-        return out[:, 0] if scalar else out
-
-    def _solve_lift(self, target: np.ndarray) -> np.ndarray:
-        lo = np.zeros_like(target)
-        hi = np.ones_like(target)
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            below = self.lift(mid) < target
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        y = 0.5 * (lo + hi)
+        target = x + np.ceil(ell0 - x - 1e-14) + np.arange(self.degree)[:, None]
+        y = np.clip((target - ell0) / self.degree, 0.0, 1.0)
+        lo, hi = np.zeros_like(y), np.ones_like(y)
         for _ in range(64):
             res = self.lift(y) - target
             if np.max(np.abs(res)) <= BRANCH_RESIDUAL_TOL:
                 break
-            y = np.clip(y - res / self.eval_d1(y), 0.0, 1.0)
+            below = res < 0.0
+            np.copyto(lo, y, where=below)
+            np.copyto(hi, y, where=~below)
+            step = y - res / self.eval_d1(y)
+            # inclusive, so a converged point whose step rounds onto the bracket end stays put
+            y = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
         else:
-            raise NoConvergence("Newton refinement of inverse branch did not converge")
-        return np.where(y >= 1.0, 0.0, y)
+            raise NoConvergence("safeguarded Newton solve of inverse branches did not converge")
+        y[y >= 1.0] = 0.0
+        return y[:, 0] if scalar else y
 
 
 @dataclass(frozen=True)
@@ -208,12 +207,7 @@ class KickedMap:
         u = self.base.lift(x)
         return self.kick.h_d1(self.eps, u) * self.base.eval_d1(x)
 
-    def inverse_branches(self, x):
-        scalar = np.isscalar(x) or np.asarray(x).ndim == 0
-        x = wrap(np.atleast_1d(np.asarray(x, dtype=float)))
-        w = wrap(self.kick.h_inverse(self.eps, x))
-        out = self.base.inverse_branches(w)
-        return out[:, 0] if scalar else out
+    inverse_branches = CircleMap.inverse_branches  # the same solver on the lift h_eps o l
 
 
 def c2_distance(t1, t2) -> float:

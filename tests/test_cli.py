@@ -226,6 +226,41 @@ class TestSeedCsv:
         assert "config error" in err and "uniform grid" in err
 
 
+class TestNoiseCsv:
+    """`[noise] csv` must fit the experiment, or the run is a config error."""
+
+    def write(self, tmp_path, x, values):
+        noise = tmp_path / "noise.csv"
+        noise.write_text("x,value\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), values.tolist())))
+        path, _ = write_config(tmp_path, BASE_NOISY.replace("preset = bump:0.5,0.08,0.3", f"csv = {noise}"))
+        return path
+
+    def run(self, tmp_path, capsys, x, values):
+        code = cli.main(["respond", self.write(tmp_path, x, values)])
+        return code, capsys.readouterr().err
+
+    def test_fitting_file_is_read(self, tmp_path):
+        x = np.arange(256) / 256
+        q = config.build_noise(config.load_config(self.write(tmp_path, x, 1.0 + 0.5 * np.cos(2 * np.pi * x))))
+        assert q.n_points == 256 and q.alpha == pytest.approx(0.5)
+
+    def test_wrong_point_count_is_1(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, np.arange(64) / 64, np.ones(64))
+        assert code == 1
+        assert "config error" in err and "64 points" in err
+
+    def test_negative_samples_is_1(self, tmp_path, capsys):
+        x = np.arange(256) / 256
+        code, err = self.run(tmp_path, capsys, x, 1.0 + 2.0 * np.cos(2 * np.pi * x))
+        assert code == 1
+        assert "config error" in err and "negative samples" in err
+
+    def test_non_uniform_x_is_1(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, np.arange(256) / 256 + 0.5 / 256, np.ones(256))
+        assert code == 1
+        assert "config error" in err and "uniform grid" in err
+
+
 class TestNoDenseMatrix:
     """The commands run matrix-free: no transfer operator is ever made dense."""
 

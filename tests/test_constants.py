@@ -113,6 +113,29 @@ def per_call_choose_M(t0, lambda1, b, n_points, pushes=None):
     raise MNotFound("no M passes")
 
 
+def loop_probe_family(n_points):
+    """The probe family with every harmonic evaluated afresh per probe: the reference for _probe_family."""
+    x = np.arange(n_points) / n_points
+    cols = []
+    for k in range(1, 11):
+        cols.append(np.cos(2 * np.pi * k * x))
+        cols.append(np.sin(2 * np.pi * k * x))
+    rng = np.random.default_rng(20250824)
+    for _ in range(30):
+        v = np.zeros(n_points)
+        for k in range(1, 9):
+            v += rng.normal() * np.cos(2 * np.pi * k * x) + rng.normal() * np.sin(2 * np.pi * k * x)
+        cols.append(v)
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("n_points", [16, 256, 1024])
+def test_probe_family_bits_match_loop(n_points):
+    probes = constants._probe_family(n_points)
+    assert probes.shape == (n_points, 50)
+    assert np.array_equal(probes.view(np.int64), loop_probe_family(n_points).view(np.int64))
+
+
 class TestProbePushes:
     @pytest.mark.parametrize(
         "t0",

@@ -242,6 +242,13 @@ class TestCsv:
         grid.write_density_csv(path, f)
         g = grid.read_density_csv(path)
         assert np.max(np.abs(g.values - f.values)) <= 1e-15
+        assert grid.read_density_csv(path, 64).n_points == 64
+
+    def test_rejects_other_point_count(self, tmp_path):
+        path = tmp_path / "density.csv"
+        grid.write_density_csv(path, DensityGrid.constant(1.0, 64))
+        with pytest.raises(ValueError, match="has 64 points, expected 256"):
+            grid.read_density_csv(path, 256)
 
     @pytest.mark.parametrize("n", [16, 256])
     def test_bytes_match_row_writer(self, tmp_path, n):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from seqresponse import maps
-from seqresponse.errors import DegreeMismatch, KickTooLarge, NotExpanding
+from seqresponse import maps, transfer
+from seqresponse.errors import DegreeMismatch, KickTooLarge, NoConvergence, NotExpanding
 from seqresponse.maps import CircleMap, KickedMap, KickField, TrigPoly, c2_distance
 
 
@@ -133,6 +133,96 @@ class TestInverseBranches:
         bp = tp.inverse_branches(np.linspace(0, 1, 33)[:-1])
         sp = np.sum(1.0 / tp.eval_d1(bp), axis=0)
         assert np.all(sp > 0) and np.all(sp <= 2 / lam0)
+
+
+def bisection_branches(t, x):
+    """Inverse branches by 40 bisection steps then Newton, per branch: the reference for the solver."""
+    x = maps.wrap(np.atleast_1d(np.asarray(x, dtype=float)))
+    ell0 = float(t.lift(0.0))
+    m0 = np.ceil(ell0 - x - 1e-14)
+    out = np.empty((t.degree, x.shape[0]))
+    for j in range(t.degree):
+        target = x + m0 + j
+        lo, hi = np.zeros_like(target), np.ones_like(target)
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            below = t.lift(mid) < target
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        y = 0.5 * (lo + hi)
+        for _ in range(64):
+            res = t.lift(y) - target
+            if np.max(np.abs(res)) <= maps.BRANCH_RESIDUAL_TOL:
+                break
+            y = np.clip(y - res / t.eval_d1(y), 0.0, 1.0)
+        out[j] = np.where(y >= 1.0, 0.0, y)
+    return out
+
+
+def circle_distance(a, b):
+    d = np.abs(a - b) % 1.0
+    return np.minimum(d, 1.0 - d)
+
+
+small_coeffs = st.lists(st.floats(-0.04, 0.04), min_size=2, max_size=4)  # k <= 3
+kick_coeffs = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4)
+# 1 - 2**-53 is the largest double below 1; 5e-324 is the smallest subnormal.
+EDGE_POINTS = [0.0, -0.0, 1.0 - 2.0**-53, 5e-324]
+
+
+@st.composite
+def admissible_maps(draw):
+    """Degree-2 or -3 maps with small trig parts, half of them kicked by |eps| <= 0.05."""
+    try:
+        t = CircleMap(draw(st.sampled_from([2, 3])), draw(small_coeffs), draw(small_coeffs))
+    except NotExpanding:
+        assume(False)
+    if draw(st.booleans()):
+        kick = KickField(draw(kick_coeffs), draw(kick_coeffs))
+        eps = draw(st.floats(-0.05, 0.05))
+        assume(abs(eps) * kick.sup_d1() < 0.5)
+        t = KickedMap(kick, eps, t)
+    return t
+
+
+class TestSafeguardedNewton:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        t=admissible_maps(),
+        n=st.sampled_from([16, 64, 257]),
+        x=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20),
+    )
+    def test_branches_match_bisection(self, t, n, x):
+        x = np.concatenate([np.arange(n) / n, x, EDGE_POINTS])
+        b = t.inverse_branches(x)
+        assert b.shape == (t.degree, x.shape[0])
+        assert np.all((0.0 <= b) & (b < 1.0))
+        assert np.all(np.diff(b, axis=0) > 0.0)
+        assert np.max(circle_distance(t.eval(b), x[None, :])) <= maps.BRANCH_RESIDUAL_TOL
+        lam0 = np.min(t.eval_d1(maps._PROBE))
+        assert np.max(circle_distance(b, bisection_branches(t, x))) <= 2 * maps.BRANCH_RESIDUAL_TOL / lam0
+
+    @pytest.mark.parametrize("t", [perturbed_doubling(0.1), CircleMap(3, cos_coeffs=(0.0, 0.05))])
+    def test_shapes(self, t):
+        assert t.inverse_branches(0.3).shape == (t.degree,)
+        assert t.inverse_branches(np.float64(0.3)).shape == (t.degree,)
+        assert t.inverse_branches([0.3]).shape == (t.degree, 1)
+        assert t.inverse_branches(np.linspace(0, 1, 7)).shape == (t.degree, 7)
+
+    def test_nan_raises(self):
+        with pytest.raises(NoConvergence):
+            perturbed_doubling(0.1).inverse_branches(np.nan)
+
+    @pytest.mark.parametrize("eps, limit", [(0.0, 12), (1e-2, 30)])  # the bisection solver took 88 and 95
+    def test_trig_evaluations_per_assembly(self, monkeypatch, eps, limit):
+        # det-2048's reference map T(x) = 2x + 0.05 sin 2 pi x and kick X(x) = sin(2 pi x) / (2 pi)
+        t = CircleMap(2, sin_coeffs=(0.0, 0.05))
+        if eps:
+            t = KickedMap(KickField(sin_coeffs=(0.0, 1 / (2 * np.pi))), eps, t)
+        calls = []
+        plain_sum = TrigPoly._sum
+        monkeypatch.setattr(TrigPoly, "_sum", staticmethod(lambda *a: calls.append(1) or plain_sum(*a)))
+        transfer.build_deterministic(t, 2048)
+        assert len(calls) <= limit
 
 
 class TestC2Distance:

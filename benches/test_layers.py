@@ -17,8 +17,10 @@ N = 256, 1024 and 2048.  Operator assembly is timed at the same sizes:
 `build_deterministic` for that map, plain and kicked by the det-2048 kick
 (X(x) = sin(2 pi x) / (2 pi), eps = 1e-2), and `build_kernel` for its
 noise kernel; `certify` of that map runs at N = 256.  The solver stages
-run once each on a det-256-session-like system: N = 256, window 0..300,
-burn-in 60, four degree-2 maps drawn per index, truncation K = 8.
+(the pullback, `forcing`, the Neumann series, the eps = 1e-3 difference
+quotients, `validate` and `resolvent_residual`) run on a
+det-256-session-like system: N = 256, window 0..300, burn-in 60, four
+degree-2 maps drawn per index, truncation K = 8.
 """
 
 import numpy as np
@@ -128,8 +130,8 @@ def session():
         CircleMap(2, cos_coeffs=(0.0, 0.0, 0.005), sin_coeffs=(0.0, 0.04)),
     ]
     entries = [DeterministicEntry(t, kick, i) for i, t in enumerate(maps)]
-    sys_ = SequenceSystem(seeded_random_schedule(entries, 7), (0, 300), eps=0.0, n_points=n)
-    fam = sequence.pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, n))
+    sys_ = SequenceSystem(seeded_random_schedule(entries, 7), (0, 300), n_points=n)
+    fam, _ = sequence.pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, n))
     return sys_, fam, response.forcing(sys_, fam)
 
 
@@ -148,7 +150,38 @@ def test_neumann_response(benchmark, session, session_sizes):
     benchmark(response.neumann_response, sys_, fam, g, 8, (1.0, 0.5))
 
 
+@pytest.fixture(scope="module")
+def session_response(session):
+    """Response series and eps = 1e-3 difference quotients of the session system."""
+    sys_, fam, g = session
+    etas, _ = response.neumann_response(sys_, fam, g, 8, (1.0, 0.5))
+    seed = DensityGrid.constant(1.0, sys_.n_points)
+    return etas, response.finite_difference_response(sys_, [1e-3], 60, seed, base_family=fam)
+
+
+def test_forcing(benchmark, session, session_sizes):
+    sys_, fam, _ = session
+    benchmark(response.forcing, sys_, fam)
+
+
+def test_finite_difference_response(benchmark, session, session_response, session_sizes):
+    # session_response has built the eps = 1e-3 operators, so only the sweep and the quotients are timed
+    sys_, fam, _ = session
+    seed = DensityGrid.constant(1.0, sys_.n_points)
+    benchmark(response.finite_difference_response, sys_, [1e-3], 60, seed, base_family=fam)
+
+
+def test_validate(benchmark, session_response, session_sizes):
+    etas, fd = session_response
+    benchmark(response.validate, etas, fd, 1e-2)
+
+
+def test_resolvent_residual(benchmark, session, session_response, session_sizes):
+    sys_, _, g = session
+    benchmark(response.resolvent_residual, sys_, session_response[0], g)
+
+
 def test_write_density_csv(benchmark, session, tmp_path):
-    mu = session[1].density(0)
-    benchmark.extra_info.update(n_points=mu.n_points, points=mu.n_points)
+    mu = session[1][0]
+    benchmark.extra_info.update(n_points=mu.shape[0], points=mu.shape[0])
     benchmark(grid.write_density_csv, tmp_path / "mu.csv", mu)

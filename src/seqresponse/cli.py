@@ -108,36 +108,29 @@ def cmd_certify(cfg: ExperimentConfig, emit_gnuplot: bool, t0: float) -> int:
     return EXIT_OK if cert.all_verified else EXIT_TOLERANCE
 
 
-def _family_records(cfg: ExperimentConfig, fam, prefix: str):
+def _family_records(cfg: ExperimentConfig, fam: sequence.Window, residual: float, prefix: str):
     files, records = [], []
-    for n in range(fam.n_lo, fam.n_hi + 1):
+    masses = (fam.values.sum(axis=-1) / cfg.n_points).tolist()
+    norms = grid.norm_w11_values(fam.values).tolist()
+    for n, mass, w11 in zip(range(fam.n_lo, fam.n_hi + 1), masses, norms):
         name = f"{prefix}_{n:04d}.csv"
         path = os.path.join(cfg.output_dir, name)
-        grid.write_density_csv(path, fam.density(n))
+        grid.write_density_csv(path, fam[n])
         files.append(path)
-        records.append(
-            {
-                "n": n,
-                "file": name,
-                "mass": grid.mass(fam.density(n)),
-                "w11_norm": grid.norm_w11(fam.density(n)),
-                "residual": fam.convergence_residual,
-            }
-        )
+        records.append({"n": n, "file": name, "mass": mass, "w11_norm": w11, "residual": residual})
     return files, records
 
 
 def cmd_equivariant(cfg: ExperimentConfig, emit_gnuplot: bool, t0: float, two_seed: bool) -> int:
     sys_ = build_system(cfg)
     seed = DensityGrid.constant(1.0, cfg.n_points)
-    fam = sequence.pullback_equivariant(sys_, cfg.burn_in, seed, tol=cfg.pullback_tol)
-    files, records = _family_records(cfg, fam, "mu")
-    report = {"burn_in": fam.burn_in, "residual": fam.convergence_residual, "family": records}
+    fam, residual = sequence.pullback_equivariant(sys_, cfg.burn_in, seed, tol=cfg.pullback_tol)
+    files, records = _family_records(cfg, fam, residual, "mu")
+    report = {"burn_in": cfg.burn_in, "residual": residual, "family": records}
     if two_seed:
         alt = read_seed(cfg, "equivariant", zero_mass=False)
-        fam_b = sequence.pullback_equivariant(sys_, cfg.burn_in, alt, tol=cfg.pullback_tol)
-        gap = max(grid.norm_l1(a - b) for a, b in zip(fam.densities, fam_b.densities))
-        report["two_seed_l1_gap"] = gap
+        fam_b, _ = sequence.pullback_equivariant(sys_, cfg.burn_in, alt, tol=cfg.pullback_tol)
+        report["two_seed_l1_gap"] = float(np.max(grid.norm_l1_values(fam.values - fam_b.values)))
     out = os.path.join(cfg.output_dir, "family.json")
     _write_json(out, report)
     if emit_gnuplot:
@@ -168,19 +161,21 @@ def cmd_respond(cfg: ExperimentConfig, emit_gnuplot: bool, t0: float) -> int:
     tail_constants, tail_tol = read_tail(cfg)
     sys_ = build_system(cfg)
     seed = DensityGrid.constant(1.0, cfg.n_points)
-    fam = sequence.pullback_equivariant(sys_, cfg.burn_in, seed, tol=cfg.pullback_tol)
+    fam, _ = sequence.pullback_equivariant(sys_, cfg.burn_in, seed, tol=cfg.pullback_tol)
     g = response.forcing(sys_, fam)
-    rep = response.neumann_response(sys_, fam, g, cfg.truncation, tail_constants or _certified_tail(cfg), tol=tail_tol)
+    etas, tail = response.neumann_response(
+        sys_, fam, g, cfg.truncation, tail_constants or _certified_tail(cfg), tol=tail_tol
+    )
     files = []
-    for n in range(rep.n_lo, rep.n_hi + 1):
+    for n in range(etas.n_lo, etas.n_hi + 1):
         path = os.path.join(cfg.output_dir, f"eta_{n:04d}.csv")
-        grid.write_density_csv(path, rep.eta(n))
+        grid.write_density_csv(path, etas[n])
         files.append(path)
     report = {
-        "truncation_order": rep.truncation_order,
-        "tail_bound": rep.tail_bound,
-        "max_mass_defect": rep.max_mass_defect,
-        "resolvent_residual": response.resolvent_residual(sys_, rep, g),
+        "truncation_order": cfg.truncation,
+        "tail_bound": tail,
+        "max_mass_defect": float(np.max(np.abs(etas.values.sum(axis=-1)))) / cfg.n_points,
+        "resolvent_residual": response.resolvent_residual(sys_, etas, g),
     }
     out_json = os.path.join(cfg.output_dir, "response.json")
     code = EXIT_OK
@@ -188,7 +183,7 @@ def cmd_respond(cfg: ExperimentConfig, emit_gnuplot: bool, t0: float) -> int:
         fd = response.finite_difference_response(
             sys_, cfg.eps_list, cfg.burn_in, seed, base_family=fam, tol=cfg.pullback_tol
         )
-        summary = response.validate(rep, fd, tol=cfg.tolerance)
+        summary = response.validate(etas, fd, tol=cfg.tolerance)
         with open(os.path.join(cfg.output_dir, "validation.json"), "w") as fh:
             fh.write(summary.to_json() + "\n")
         files.append(os.path.join(cfg.output_dir, "validation.json"))

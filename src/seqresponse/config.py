@@ -36,7 +36,7 @@ import numpy as np
 
 from . import grid as gridmod
 from .errors import ConfigError
-from .maps import CircleMap, KickField
+from .maps import MAX_COEFF_INDEX, CircleMap, KickField
 from .noise import DriftMap, NoiseDensity
 from .sequence import (
     DeterministicEntry,
@@ -110,8 +110,8 @@ def parse_coeff_triples(text: str, where: str) -> tuple[tuple, tuple]:
         if len(parts) != 3:
             raise ConfigError(f"{where}: expected k:a:b triple, got {item!r}")
         k = _as_int(parts[0], where)
-        if k < 0:
-            raise ConfigError(f"{where}: harmonic index must be >= 0")
+        if not 0 <= k <= MAX_COEFF_INDEX:
+            raise ConfigError(f"{where}: harmonic index must be in [0, {MAX_COEFF_INDEX}], got {k}")
         cos[k] = _as_float(parts[1], where)
         sin[k] = _as_float(parts[2], where)
     if not cos:
@@ -265,7 +265,10 @@ def build_noise(cfg: ExperimentConfig) -> NoiseDensity:
         if len(parts) != 3:
             raise ConfigError("noise.preset bump wants bump:center,width,floor")
         c, w, f = (_as_float(p, "noise.preset") for p in parts)
-        return NoiseDensity.bump(c, w, f, cfg.n_points)
+        try:
+            return NoiseDensity.bump(c, w, f, cfg.n_points)
+        except ValueError as exc:
+            raise ConfigError(f"noise.preset: {exc}") from None
     raise ConfigError(f"unknown noise preset {preset!r}")
 
 
@@ -288,7 +291,7 @@ def _entry_for_map(cfg: ExperimentConfig, section: str, key: str):
     return NoisyEntry(drift=build_drift(cfg, t), noise=build_noise(cfg), key=key)
 
 
-def build_system(cfg: ExperimentConfig, eps: float = 0.0) -> SequenceSystem:
+def build_system(cfg: ExperimentConfig) -> SequenceSystem:
     kind = _get(cfg.raw, "schedule", "kind", "constant")
     if kind not in SCHEDULE_KINDS:
         raise ConfigError(f"schedule.kind must be one of {SCHEDULE_KINDS}, got {kind!r}")
@@ -304,4 +307,4 @@ def build_system(cfg: ExperimentConfig, eps: float = 0.0) -> SequenceSystem:
         else:
             sched_seed = _as_int(_get(cfg.raw, "schedule", "seed", str(cfg.seed)), "schedule.seed")
             schedule = seeded_random_schedule(entries, sched_seed)
-    return SequenceSystem(schedule, cfg.window, eps=eps, n_points=cfg.n_points)
+    return SequenceSystem(schedule, cfg.window, n_points=cfg.n_points)

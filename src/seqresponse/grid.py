@@ -217,9 +217,9 @@ def _csv_template(n: int) -> str:
     return _CSV_TEMPLATES[n]
 
 
-def write_density_csv(path, f: DensityGrid) -> None:
-    """Write the density file format: header x,value, rows x_i = i/N."""
-    text = _csv_template(f.n_points) % tuple(f.values.tolist())
+def write_density_csv(path, values: np.ndarray) -> None:
+    """Write the density file format of raw samples: header x,value, rows x_i = i/N."""
+    text = _csv_template(values.shape[0]) % tuple(values.tolist())
     with open(path, "w") as fh:
         fh.write(text)
 

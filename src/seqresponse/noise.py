@@ -74,8 +74,11 @@ class NoiseDensity:
         """
         if not 0.0 <= floor < 1.0:
             raise ValueError("floor must be in [0, 1)")
+        scale = (2.0 * np.pi * width) ** 2
+        if not (width > 0.0 and 0.0 < scale < np.inf):  # NaN fails too
+            raise ValueError(f"width must be positive and finite with a nonzero square, got {width}")
         x = np.arange(n_points) / n_points
-        kappa = 1.0 / (2.0 * np.pi * width) ** 2
+        kappa = 1.0 / scale
         raw = np.exp(kappa * (np.cos(2.0 * np.pi * (x - center)) - 1.0))
         raw /= np.sum(raw) / n_points
         return cls(DensityGrid(floor + (1.0 - floor) * raw))
@@ -130,7 +133,7 @@ def build_kernel(f: DriftMap, eps: float, q: NoiseDensity, n_points: int) -> Tra
     return TransferMatrix.from_stencil(-idx % n_points, cols, w, n_points, kernel=q.density.values / n_points)
 
 
-def kernel_forcing(f: DriftMap, a: TransferMatrix, mu: DensityGrid) -> DensityGrid:
+def kernel_forcing(f: DriftMap, a: TransferMatrix, mu: np.ndarray) -> np.ndarray:
     """Derivative of the kernel operator along the drift perturbation.
 
     g = -(A (fdot mu))', with A the eps = 0 kernel of build_kernel and '
@@ -140,10 +143,10 @@ def kernel_forcing(f: DriftMap, a: TransferMatrix, mu: DensityGrid) -> DensityGr
     constant mass correction.  So g is the integral of
     mu(x) * (-q'(y - f0(x))) * fdot(x) dx with q' the grid derivative of q,
     the discretization bias that the difference quotients share.
-    The result has zero mass to round-off.
+    mu and g are raw samples of one density; g has zero mass to round-off.
     """
-    weighted = DensityGrid(mu.values * f.dot_values(mu.nodes))
-    return gridmod.derivative(transfer.apply(a, weighted)) * -1.0
+    n = mu.shape[-1]
+    return gridmod.derivative_values(transfer.push(a, mu * f.dot_values(np.arange(n) / n))) * -1.0
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
 """First-order linear response of the equivariant family.
 
-The response density at index n is the truncated causal series
+The forcing (g_n), the response (eta_n) and the difference quotients
+are sequence-space elements on a finite window, each one
+`sequence.Window` block with a row per index.  The response density at
+index n is the truncated causal series
 
     eta_n ~= g_{n-1} + sum_{k=1..K} L_{n-1} ... L_{n-k} g_{n-k-1},
 
@@ -26,68 +29,24 @@ from . import sequence as seqmod
 from . import transfer
 from .errors import TailNotSmall, WindowExceeded
 from .grid import DensityGrid
-from .sequence import DeterministicEntry, EquivariantFamily, SequenceSystem
+from .sequence import DeterministicEntry, SequenceSystem, Window
 
 
-@dataclass(frozen=True)
-class Forcing:
-    """Forcing densities g_n for n in [n_lo, n_hi]; every g_n has zero mass."""
-
-    n_lo: int
-    densities: tuple
-
-    @property
-    def n_hi(self) -> int:
-        return self.n_lo + len(self.densities) - 1
-
-    def density(self, n: int) -> DensityGrid:
-        if not self.n_lo <= n <= self.n_hi:
-            raise WindowExceeded(f"forcing index {n} outside [{self.n_lo}, {self.n_hi}]")
-        return self.densities[n - self.n_lo]
-
-    def sup_w11(self) -> float:
-        return max(gridmod.norm_w11(g) for g in self.densities)
-
-
-def forcing(sys: SequenceSystem, family: EquivariantFamily) -> Forcing:
-    """Derivative of the perturbed operator along the reference family.
+def forcing(sys: SequenceSystem, mu: Window) -> Window:
+    """Derivative of the perturbed operator along the reference family; every g_n has zero mass.
 
     Deterministic entries: g_n = D mu_{n+1} with D u = -(X u)'.  Noisy
     entries: g_n = -(A_n (fdot mu_n))' from the cached eps = 0 kernel A_n.
     """
-    out = []
-    for n in range(family.n_lo, family.n_hi + 1):
+    out = np.empty_like(mu.values)
+    for n in range(mu.n_lo, mu.n_hi + 1):
         entry = sys.entry(n)
         if isinstance(entry, DeterministicEntry):
-            if n + 1 <= family.n_hi:
-                mu_next = family.density(n + 1)
-            else:
-                mu_next = transfer.apply(sys.operator(n, 0.0), family.density(n))
-            g = transfer.d_operator(entry.kick, mu_next)
+            mu_next = mu[n + 1] if n < mu.n_hi else transfer.push(sys.operator(n), mu[n])
+            out[n - mu.n_lo] = transfer.d_operator(entry.kick, mu_next)
         else:
-            g = noisemod.kernel_forcing(entry.drift, sys.operator(n, 0.0), family.density(n))
-        out.append(g)
-    return Forcing(n_lo=family.n_lo, densities=tuple(out))
-
-
-@dataclass(frozen=True)
-class ResponseReport:
-    """Truncated response series with its certified tail bound."""
-
-    n_lo: int
-    etas: tuple
-    truncation_order: int
-    tail_bound: float
-    max_mass_defect: float
-
-    @property
-    def n_hi(self) -> int:
-        return self.n_lo + len(self.etas) - 1
-
-    def eta(self, n: int) -> DensityGrid:
-        if not self.n_lo <= n <= self.n_hi:
-            raise WindowExceeded(f"response index {n} outside [{self.n_lo}, {self.n_hi}]")
-        return self.etas[n - self.n_lo]
+            out[n - mu.n_lo] = noisemod.kernel_forcing(entry.drift, sys.operator(n), mu[n])
+    return Window(mu.n_lo, out)
 
 
 def truncation_order(c: float, rate: float, sup_g: float, tol: float, max_depth: int) -> int:
@@ -100,13 +59,13 @@ def truncation_order(c: float, rate: float, sup_g: float, tol: float, max_depth:
 
 def neumann_response(
     sys: SequenceSystem,
-    family: EquivariantFamily,
-    g: Forcing,
+    family: Window,
+    g: Window,
     k_order: int,
     tail_constants: tuple[float, float],
     tol: float | None = None,
-) -> ResponseReport:
-    """Truncated Neumann series at every index the window depth allows.
+) -> tuple[Window, float]:
+    """Truncated Neumann series at every index the window depth allows, and its certified tail bound.
 
     Reported indices are n in [n_lo + K + 1, n_hi] so every eta_n uses
     exactly K + 1 terms; each series is a backward accumulation
@@ -123,51 +82,29 @@ def neumann_response(
         raise WindowExceeded(
             f"window [{family.n_lo}, {family.n_hi}] too shallow for truncation order {k_order}"
         )
-    tail = c * rate**k_order * g.sup_w11() / (1.0 - rate)
+    sup_g = float(np.max(gridmod.norm_w11_values(g.values)))
+    tail = c * rate**k_order * sup_g / (1.0 - rate)
     if tol is not None and tail > tol:
-        needed = truncation_order(c, rate, g.sup_w11(), tol, 10**6)
+        needed = truncation_order(c, rate, sup_g, tol, 10**6)
         raise TailNotSmall(f"tail bound {tail:.3g} > tol {tol:.3g}; need K >= {needed}")
-    etas = []
+    etas = np.empty((family.n_hi - report_lo + 1, sys.n_points))
     acc = np.empty((0, sys.n_points))  # live accumulators, one row per reported n, oldest first
     for m in range(report_lo - k_order, family.n_hi):
         if m + k_order <= family.n_hi:
-            acc = np.vstack([acc, g.density(m - 1).values])  # eta_n starts from g_{n-K-1}, n = m + K
-        acc = transfer.push(sys.operator(m, 0.0), acc) + g.density(m).values
+            acc = np.vstack([acc, g[m - 1]])  # eta_n starts from g_{n-K-1}, n = m + K
+        acc = transfer.push(sys.operator(m), acc) + g[m]
         if m + 1 >= report_lo:
-            etas.append(DensityGrid(acc[0]))  # eta_{m+1} has taken its last step
+            etas[m + 1 - report_lo] = acc[0]  # eta_{m+1} has taken its last step
             acc = acc[1:]
-    mass_defect = max(abs(gridmod.mass(e)) for e in etas)
-    return ResponseReport(
-        n_lo=report_lo,
-        etas=tuple(etas),
-        truncation_order=k_order,
-        tail_bound=tail,
-        max_mass_defect=mass_defect,
-    )
+    return Window(report_lo, etas), tail
 
 
-def resolvent_residual(sys: SequenceSystem, report: ResponseReport, g: Forcing) -> float:
+def resolvent_residual(sys: SequenceSystem, etas: Window, g: Window) -> float:
     """max_n || eta_n - L_{n-1} eta_{n-1} - g_{n-1} ||_L1 over interior indices."""
-    res = 0.0
-    for n in range(report.n_lo + 1, report.n_hi + 1):
-        pushed = transfer.push(sys.operator(n - 1, 0.0), report.eta(n - 1).values)
-        res = max(res, float(gridmod.norm_l1_values(report.eta(n).values - pushed - g.density(n - 1).values)))
-    return res
-
-
-@dataclass(frozen=True)
-class DifferenceQuotients:
-    """Per-eps finite-difference response families h_n^eps."""
-
-    n_lo: int
-    eps_list: tuple
-    quotients: dict  # eps -> tuple of DensityGrid
-
-    def quotient(self, eps: float, n: int) -> DensityGrid:
-        qs = self.quotients[eps]
-        if not self.n_lo <= n < self.n_lo + len(qs):
-            raise WindowExceeded(f"quotient index {n} outside [{self.n_lo}, {self.n_lo + len(qs) - 1}]")
-        return qs[n - self.n_lo]
+    gaps = np.empty((etas.n_hi - etas.n_lo, sys.n_points))
+    for n in range(etas.n_lo + 1, etas.n_hi + 1):
+        gaps[n - etas.n_lo - 1] = etas[n] - transfer.push(sys.operator(n - 1), etas[n - 1]) - g[n - 1]
+    return float(np.max(gridmod.norm_l1_values(gaps), initial=0.0))
 
 
 def finite_difference_response(
@@ -175,22 +112,20 @@ def finite_difference_response(
     eps_list,
     burn_in: int,
     seed_density: DensityGrid,
-    base_family: EquivariantFamily | None = None,
+    base_family: Window | None = None,
     tol: float = seqmod.DEFAULT_PULLBACK_TOL,
-) -> DifferenceQuotients:
-    """Difference quotients (mu^eps - mu^0) / eps with a shared pullback setup."""
+) -> dict[float, Window]:
+    """Difference quotients (mu^eps - mu^0) / eps per eps, with a shared pullback setup."""
     eps_list = tuple(float(e) for e in eps_list)
     if any(e == 0.0 for e in eps_list):
         raise ValueError("eps = 0 is not a valid difference quotient")
     if base_family is None:
-        base_family = seqmod.pullback_equivariant(sys, burn_in, seed_density, tol=tol, eps=0.0)
+        base_family, _ = seqmod.pullback_equivariant(sys, burn_in, seed_density, tol=tol)
     quotients = {}
     for eps in eps_list:
-        fam_p = seqmod.pullback_equivariant(sys, burn_in, seed_density, tol=tol, eps=eps)
-        quotients[eps] = tuple(
-            DensityGrid((p.values - b.values) * (1.0 / eps)) for p, b in zip(fam_p.densities, base_family.densities)
-        )
-    return DifferenceQuotients(n_lo=base_family.n_lo, eps_list=eps_list, quotients=quotients)
+        fam_p, _ = seqmod.pullback_equivariant(sys, burn_in, seed_density, tol=tol, eps=eps)
+        quotients[eps] = Window(base_family.n_lo, (fam_p.values - base_family.values) * (1.0 / eps))
+    return quotients
 
 
 @dataclass(frozen=True)
@@ -212,15 +147,12 @@ class ValidationSummary:
         )
 
 
-def validate(report: ResponseReport, fd: DifferenceQuotients, tol: float) -> ValidationSummary:
+def validate(etas: Window, fd: dict[float, Window], tol: float) -> ValidationSummary:
     """Passes iff D(eps) decreases along shrinking eps and D(min eps) <= tol."""
     entries = []
-    for eps in sorted(fd.eps_list, reverse=True):
-        d = max(
-            float(gridmod.norm_l1_values(fd.quotient(eps, n).values - report.eta(n).values))
-            for n in range(report.n_lo, report.n_hi + 1)
-        )
-        entries.append((eps, d))
+    for eps in sorted(fd, reverse=True):
+        gaps = fd[eps].rows(etas.n_lo, etas.n_hi) - etas.values
+        entries.append((eps, float(np.max(gridmod.norm_l1_values(gaps)))))
     ds = [d for _, d in entries]
     floor = 1e-6  # discretization floor: below it, ordering is noise
     decreasing = all(b <= a or max(a, b) <= floor for a, b in zip(ds, ds[1:]))

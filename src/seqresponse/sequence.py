@@ -2,9 +2,12 @@
 
 A schedule assigns to each time index a system element: a deterministic
 expanding map with its kick field, or a drift map with its noise
-density.  Equivariant families are produced by the pullback sweep: push
-an arbitrary probability seed forward from burn_in steps before the
-window and record the densities inside it.
+density.  A sequence-space element (mu_n, g_n or eta_n) restricted to
+a finite window [n_lo, n_hi] is one `Window`: a read-only (m, N) block
+whose row n - n_lo holds the density at index n.  Equivariant families
+are produced by the pullback sweep: push an arbitrary probability seed
+forward from burn_in steps before the window and record the densities
+inside it, one row per index.
 
 Composition convention: compose(sys, j, k, f) applies the operators at
 indices j, j+1, ..., j+k-1 in increasing time order (index j acts
@@ -79,6 +82,41 @@ def seeded_random_schedule(entries, seed: int):
     return schedule
 
 
+@dataclass(frozen=True, eq=False)
+class Window:
+    """A sequence-space element on [n_lo, n_hi]: row n - n_lo of `values` is the density at index n.
+
+    `values` is one read-only (m, N) float array, checked finite here
+    once; w[n] is its row at index n and raises WindowExceeded outside
+    the window.
+    """
+
+    n_lo: int
+    values: np.ndarray
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=float).view()
+        if v.ndim != 2:
+            raise ValueError(f"a window holds an (m, N) block, got shape {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValueError("window values must be finite")
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
+
+    @property
+    def n_hi(self) -> int:
+        return self.n_lo + self.values.shape[0] - 1
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """The rows of indices lo .. hi as one (hi - lo + 1, N) view."""
+        if not self.n_lo <= lo <= hi <= self.n_hi:
+            raise WindowExceeded(f"indices [{lo}, {hi}] outside window [{self.n_lo}, {self.n_hi}]")
+        return self.values[lo - self.n_lo : hi - self.n_lo + 1]
+
+    def __getitem__(self, n: int) -> np.ndarray:
+        return self.rows(n, n)[0]
+
+
 class SequenceSystem:
     """Schedule of operators on a finite window with matrix caching.
 
@@ -91,7 +129,6 @@ class SequenceSystem:
         self,
         schedule,
         window: tuple[int, int],
-        eps: float,
         n_points: int,
         reference: CircleMap | None = None,
         delta_star: float | None = None,
@@ -101,7 +138,6 @@ class SequenceSystem:
             raise ValueError("empty window")
         self.schedule = schedule
         self.window = (int(window[0]), int(window[1]))
-        self.eps = float(eps)
         self.n_points = int(n_points)
         self.reference = reference
         self.delta_star = delta_star
@@ -125,7 +161,7 @@ class SequenceSystem:
                 raise ValueError(msg)
             warnings.warn(msg, stacklevel=3)
 
-    def operator(self, n: int, eps: float | None = None) -> TransferMatrix:
+    def operator(self, n: int, eps: float = 0.0) -> TransferMatrix:
         """Transfer matrix at index n and perturbation strength eps, cached per (entry, eps).
 
         Deterministic entries realize L_n^eps = L_{h_eps o T_n}, the
@@ -133,7 +169,6 @@ class SequenceSystem:
         from its inverse branches.  It equals L_{h_eps} L_{T_n}, which the
         tests use as the reference.
         """
-        eps = self.eps if eps is None else float(eps)
         entry = self.entry(n)
         cache_key = (entry, eps)
         if cache_key in self._cache:
@@ -148,26 +183,7 @@ class SequenceSystem:
         return mat
 
 
-@dataclass(frozen=True)
-class EquivariantFamily:
-    """Probability densities mu_n, n in [n_lo, n_hi], from the pullback sweep."""
-
-    n_lo: int
-    densities: tuple
-    burn_in: int
-    convergence_residual: float
-
-    @property
-    def n_hi(self) -> int:
-        return self.n_lo + len(self.densities) - 1
-
-    def density(self, n: int) -> DensityGrid:
-        if not self.n_lo <= n <= self.n_hi:
-            raise WindowExceeded(f"index {n} outside family window [{self.n_lo}, {self.n_hi}]")
-        return self.densities[n - self.n_lo]
-
-
-def compose(sys: SequenceSystem, j: int, k: int, f: DensityGrid, eps: float | None = None) -> DensityGrid:
+def compose(sys: SequenceSystem, j: int, k: int, f: DensityGrid, eps: float = 0.0) -> DensityGrid:
     """Apply the k operators at indices j .. j+k-1 in time order."""
     if k < 0:
         raise ValueError("negative composition length")
@@ -179,10 +195,8 @@ def compose(sys: SequenceSystem, j: int, k: int, f: DensityGrid, eps: float | No
     return DensityGrid(v)
 
 
-def _sweep(
-    sys: SequenceSystem, burn_in: int, seed_density: DensityGrid, eps: float | None
-) -> tuple[list[DensityGrid], float]:
-    """Pullback densities at n_lo .. n_hi from burn_in steps back, and their residual.
+def _sweep(sys: SequenceSystem, burn_in: int, seed_density: DensityGrid, eps: float) -> tuple[np.ndarray, float]:
+    """Pullback densities at n_lo .. n_hi, one per row, from burn_in steps back, and their residual.
 
     The half sweep from max(1, burn_in // 2) steps back shares every
     operator with the full one from its start on, so both are pushed as
@@ -198,9 +212,10 @@ def _sweep(
     block = np.stack([full, seed_density.values])
     for m in range(n_lo - half, n_lo):
         block = transfer.push(sys.operator(m, eps), block)
-    out, gaps, residual = [], [], 0.0
+    out = np.empty((n_hi - n_lo + 1, sys.n_points))
+    gaps, residual = [], 0.0
     for m in range(n_lo, n_hi + 1):
-        out.append(DensityGrid(block[0]))
+        out[m - n_lo] = block[0]
         gaps.append(block[0] - block[1])
         if len(gaps) * sys.n_points >= RESIDUAL_BUDGET or m == n_hi:
             residual = max(residual, float(np.max(gridmod.norm_w11_values(np.array(gaps)))))
@@ -215,9 +230,9 @@ def pullback_equivariant(
     burn_in: int,
     seed_density: DensityGrid,
     tol: float = DEFAULT_PULLBACK_TOL,
-    eps: float | None = None,
-) -> EquivariantFamily:
-    """Equivariant family by the pullback construction.
+    eps: float = 0.0,
+) -> tuple[Window, float]:
+    """Equivariant family (mu_n) on the system's window by the pullback construction, and its residual.
 
     mu_n is the burn_in-fold pushforward of the seed started at
     n - burn_in; one sweep of length window + burn_in covers all n.
@@ -230,9 +245,7 @@ def pullback_equivariant(
     full, residual = _sweep(sys, burn_in, seed_density, eps)
     if residual > tol:
         raise NotConverged(f"pullback residual {residual:.3g} > tol {tol:.3g}; increase burn_in")
-    return EquivariantFamily(
-        n_lo=sys.window[0], densities=tuple(full), burn_in=burn_in, convergence_residual=residual
-    )
+    return Window(sys.window[0], full), residual
 
 
 @dataclass(frozen=True)
@@ -243,7 +256,7 @@ class MemoryDecay:
     fitted_rate: float
 
 
-def memory_decay(sys: SequenceSystem, v: DensityGrid, j: int, k_max: int, eps: float | None = None) -> MemoryDecay:
+def memory_decay(sys: SequenceSystem, v: DensityGrid, j: int, k_max: int, eps: float = 0.0) -> MemoryDecay:
     """Push a zero-mass density and record norms for k = 1..k_max.
 
     The exponential rate is least-squares fitted from log W^{1,1} norm

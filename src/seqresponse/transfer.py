@@ -146,10 +146,10 @@ def build_kick(kick: KickField, eps: float, n_points: int) -> TransferMatrix:
     return _assemble(u[None, :], 1.0 / kick.h_d1(eps, u)[None, :])
 
 
-def d_operator(kick: KickField, u: DensityGrid) -> DensityGrid:
-    """First-order perturbation operator Du = -(Xu)'."""
-    x_samples = kick.x_field(u.nodes)
-    return gridmod.derivative(DensityGrid(x_samples * u.values)) * -1.0
+def d_operator(kick: KickField, u: np.ndarray) -> np.ndarray:
+    """First-order perturbation operator Du = -(Xu)' on the raw samples u of one density."""
+    n = u.shape[-1]
+    return gridmod.derivative_values(kick.x_field(np.arange(n) / n) * u) * -1.0
 
 
 def compose_matrices(outer: TransferMatrix, inner: TransferMatrix) -> TransferMatrix:

@@ -60,11 +60,11 @@ def cert():
 @pytest.fixture(scope="module")
 def doubling_response():
     entry = DeterministicEntry(map=CircleMap(2), kick=KICK, key="T0")
-    sys_ = SequenceSystem(constant_schedule(entry), (0, 12), eps=0.0, n_points=N)
-    fam = sequence.pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, N))
+    sys_ = SequenceSystem(constant_schedule(entry), (0, 12), n_points=N)
+    fam, _ = sequence.pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, N))
     g = response.forcing(sys_, fam)
-    rep = response.neumann_response(sys_, fam, g, 8, (1.0, 0.5))
-    return sys_, fam, g, rep
+    etas, _ = response.neumann_response(sys_, fam, g, 8, (1.0, 0.5))
+    return sys_, fam, g, etas
 
 
 def test_criterion_1_harmonic_exactness(doubling_matrix):
@@ -94,13 +94,13 @@ def test_criterion_3_deterministic_memory_loss(cert):
     t0, t1 = CircleMap(2), CircleMap(2, sin_coeffs=(0.0, amp))
     sched = periodic_schedule([DeterministicEntry(t0, KICK, "a"), DeterministicEntry(t1, KICK, "b")])
     sys_ = SequenceSystem(
-        sched, (0, 30), eps=0.0, n_points=N, reference=t0, delta_star=cert.delta_star, certified=True
+        sched, (0, 30), n_points=N, reference=t0, delta_star=cert.delta_star, certified=True
     )
     v = smooth_density(np.random.default_rng(101), zero_mass=True)
     md = sequence.memory_decay(sys_, v, 0, 20)
     rate_ok = md.fitted_rate <= cert.elom_rate
 
-    raw = SequenceSystem(constant_schedule(DeterministicEntry(t0, KICK, "c")), (0, 10), eps=0.0, n_points=N)
+    raw = SequenceSystem(constant_schedule(DeterministicEntry(t0, KICK, "c")), (0, 10), n_points=N)
     seed = grid.project_zero_mass(
         DensityGrid(sum(np.cos(2 * np.pi * k * X) + np.sin(2 * np.pi * k * X) for k in range(1, 9)))
     )
@@ -136,36 +136,30 @@ def test_criterion_5_equivariant_uniqueness(bump_q):
     det = SequenceSystem(
         constant_schedule(DeterministicEntry(CircleMap(2, sin_coeffs=(0.0, PERTURB_AMP_02)), KICK, "d")),
         (0, 10),
-        eps=0.0,
         n_points=N,
     )
     noisy = SequenceSystem(
         constant_schedule(NoisyEntry(DriftMap(base=CircleMap(2), dot=np.sin(4 * np.pi * X)), bump_q, "n")),
         (0, 10),
-        eps=0.0,
         n_points=N,
     )
     seeds = (DensityGrid.constant(1.0, N), DensityGrid(1 + 0.9 * np.cos(2 * np.pi * X)))
     worst = 0.0
     for sys_ in (det, noisy):
-        fams = [sequence.pullback_equivariant(sys_, 60, s) for s in seeds]
-        worst = max(
-            worst, max(grid.norm_l1(a - b) for a, b in zip(fams[0].densities, fams[1].densities))
-        )
+        fams = [sequence.pullback_equivariant(sys_, 60, s)[0] for s in seeds]
+        worst = max(worst, float(np.max(grid.norm_l1_values(fams[0].values - fams[1].values))))
     report(5, f"equivariant family unique across seeds (L1 gap {worst:.2e} <= 1e-8)", worst <= 1e-8)
 
 
 def test_criterion_6_closed_form_response(doubling_response):
-    sys_, fam, g, rep = doubling_response
-    expected = DensityGrid(-np.cos(2 * np.pi * X))
-    series_err = max(grid.norm_l1(rep.eta(n) - expected) for n in range(rep.n_lo, rep.n_hi + 1))
+    sys_, fam, g, etas = doubling_response
+    expected = -np.cos(2 * np.pi * X)
+    series_err = float(np.max(grid.norm_l1_values(etas.values - expected)))
     fd = response.finite_difference_response(
         sys_, [1e-2, 1e-3], 60, DensityGrid.constant(1.0, N), base_family=fam
     )
     gaps = {
-        eps: max(
-            grid.norm_l1(fd.quotient(eps, n) - rep.eta(n)) for n in range(rep.n_lo, rep.n_hi + 1)
-        )
+        eps: float(np.max(grid.norm_l1_values(fd[eps].rows(etas.n_lo, etas.n_hi) - etas.values)))
         for eps in (1e-2, 1e-3)
     }
     ok = series_err <= 1e-5 and gaps[1e-3] <= 1e-2 and gaps[1e-3] < gaps[1e-2]
@@ -181,19 +175,19 @@ def test_criterion_7_nonautonomous_response():
     t0 = CircleMap(2)
     t1 = CircleMap(2, sin_coeffs=(0.0, PERTURB_AMP_02))
     sched = periodic_schedule([DeterministicEntry(t0, KICK, "a"), DeterministicEntry(t1, KICK, "b")])
-    sys_ = SequenceSystem(sched, (0, 12), eps=0.0, n_points=N)
-    fam = sequence.pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, N))
+    sys_ = SequenceSystem(sched, (0, 12), n_points=N)
+    fam, _ = sequence.pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, N))
     g = response.forcing(sys_, fam)
-    rep = response.neumann_response(sys_, fam, g, 8, (1.0, 0.6))
-    res = response.resolvent_residual(sys_, rep, g)
+    etas, tail = response.neumann_response(sys_, fam, g, 8, (1.0, 0.6))
+    res = response.resolvent_residual(sys_, etas, g)
     fd = response.finite_difference_response(
         sys_, [1e-2, 3e-3, 1e-3], 60, DensityGrid.constant(1.0, N), base_family=fam
     )
-    summary = response.validate(rep, fd, tol=2e-2)
-    ok = res <= rep.tail_bound + 1e-7 and summary.passed
+    summary = response.validate(etas, fd, tol=2e-2)
+    ok = res <= tail + 1e-7 and summary.passed
     report(
         7,
-        f"period-2 response (resolvent residual {res:.2e} <= tail {rep.tail_bound:.2e} + 1e-7, "
+        f"period-2 response (resolvent residual {res:.2e} <= tail {tail:.2e} + 1e-7, "
         "validate passes with decreasing D)",
         ok,
     )
@@ -202,23 +196,21 @@ def test_criterion_7_nonautonomous_response():
 def test_criterion_8_noisy_response(bump_q):
     drift = DriftMap(base=CircleMap(2), dot=np.sin(2 * np.pi * X))
     entry = NoisyEntry(drift, bump_q, "nz")
-    sys_ = SequenceSystem(constant_schedule(entry), (0, 12), eps=0.0, n_points=N)
-    fam = sequence.pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, N))
+    sys_ = SequenceSystem(constant_schedule(entry), (0, 12), n_points=N)
+    fam, _ = sequence.pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, N))
     g = response.forcing(sys_, fam)
     eps = 1e-4
     quot_gap = 0.0
     for n in range(fam.n_lo, fam.n_hi + 1):
-        mu = fam.density(n)
-        l_eps = sys_.operator(n, eps)
-        l_0 = sys_.operator(n, 0.0)
-        quot = (transfer.apply(l_eps, mu) - transfer.apply(l_0, mu)) * (1.0 / eps)
-        quot_gap = max(quot_gap, grid.norm_l1(quot - g.density(n)))
+        mu = fam[n]
+        quot = (transfer.push(sys_.operator(n, eps), mu) - transfer.push(sys_.operator(n, 0.0), mu)) * (1.0 / eps)
+        quot_gap = max(quot_gap, float(grid.norm_l1_values(quot - g[n])))
     c, rate = constants.doeblin_certificate(bump_q)
-    rep = response.neumann_response(sys_, fam, g, 8, (c, rate))
+    etas, _ = response.neumann_response(sys_, fam, g, 8, (c, rate))
     fd = response.finite_difference_response(
         sys_, [1e-2, 3e-3, 1e-3], 60, DensityGrid.constant(1.0, N), base_family=fam
     )
-    summary = response.validate(rep, fd, tol=1e-2)
+    summary = response.validate(etas, fd, tol=1e-2)
     ok = quot_gap <= 5e-3 and summary.passed
     report(
         8,

@@ -169,6 +169,12 @@ class TestExitCodes:
             pytest.param(BASE_DET, "[schedule]", "[memory]\nk_max = -1\n\n[schedule]", "memory", id="k_max-negative"),
             pytest.param(BASE_DET, "[schedule]", "[memory]\nk_max = 0\n\n[schedule]", "memory", id="k_max-0"),
             pytest.param(BASE_NOISY, "steps = 3", "steps = -1", "simulate", id="steps-negative"),
+            pytest.param(BASE_DET, "degree = 2", "degree = 2\ncoeffs = 17:0.0:0.001", "certify", id="index-17"),
+            pytest.param(BASE_DET, "coeffs = 1:0.0:", "coeffs = 17:0.0:", "respond", id="kick-index-17"),
+            pytest.param(BASE_NOISY, "bump:0.5,0.08,0.3", "bump:0.5,0.08,1.0", "simulate", id="floor-1"),
+            pytest.param(BASE_NOISY, "bump:0.5,0.08,0.3", "bump:0.5,0.08,-0.1", "respond", id="floor-negative"),
+            pytest.param(BASE_NOISY, "bump:0.5,0.08,0.3", "bump:0.5,0,0.3", "respond", id="width-0"),
+            pytest.param(BASE_NOISY, "bump:0.5,0.08,0.3", "bump:nan,0.08,0.3", "simulate", id="center-nan"),
         ],
     )
     def test_bad_value_is_1(self, tmp_path, capsys, base, old, new, command):
@@ -181,8 +187,6 @@ class TestExitCodes:
         "base, old, new, command",
         [
             pytest.param(BASE_DET, "degree = 2", "degree = 1", "certify", id="degree-1"),
-            pytest.param(BASE_DET, "degree = 2", "degree = 2\ncoeffs = 17:0.0:0.001", "certify", id="index-17"),
-            pytest.param(BASE_NOISY, "bump:0.5,0.08,0.3", "bump:0.5,0.08,1.0", "simulate", id="floor-1"),
         ],
     )
     def test_invalid_system_is_2(self, tmp_path, capsys, base, old, new, command):

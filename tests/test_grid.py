@@ -239,14 +239,14 @@ class TestCsv:
     def test_roundtrip(self, tmp_path):
         f = DensityGrid.from_function(lambda x: 1 + 0.3 * np.sin(2 * np.pi * x), 64)
         path = tmp_path / "density.csv"
-        grid.write_density_csv(path, f)
+        grid.write_density_csv(path, f.values)
         g = grid.read_density_csv(path)
         assert np.max(np.abs(g.values - f.values)) <= 1e-15
         assert grid.read_density_csv(path, 64).n_points == 64
 
     def test_rejects_other_point_count(self, tmp_path):
         path = tmp_path / "density.csv"
-        grid.write_density_csv(path, DensityGrid.constant(1.0, 64))
+        grid.write_density_csv(path, np.ones(64))
         with pytest.raises(ValueError, match="has 64 points, expected 256"):
             grid.read_density_csv(path, 256)
 
@@ -257,7 +257,7 @@ class TestCsv:
         v = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
         v[:8] = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1 / 3]
         for f in (DensityGrid(v), DensityGrid(v[::-1])):  # the second write reuses the cached template
-            grid.write_density_csv(tmp_path / "new.csv", f)
+            grid.write_density_csv(tmp_path / "new.csv", f.values)
             reference_write_density_csv(tmp_path / "old.csv", f)
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 

@@ -25,7 +25,7 @@ def identity_drift(dot=None):
 
 
 def forcing(drift, q, mu):
-    return noise.kernel_forcing(drift, noise.build_kernel(drift, 0.0, q, N), mu)
+    return DensityGrid(noise.kernel_forcing(drift, noise.build_kernel(drift, 0.0, q, N), mu.values))
 
 
 def q_prime_quadrature(drift, q, mu):
@@ -138,6 +138,17 @@ class TestNoiseDensity:
         with pytest.raises(ValueError):
             NoiseDensity(DensityGrid.constant(2.0, N))
 
+    @pytest.mark.parametrize("width", [0.0, -0.08, np.nan, np.inf, 1e-170])
+    def test_bump_rejects_bad_width(self, width):
+        # 1e-170 is positive, but its (2 pi width)^2 underflows to 0
+        with pytest.raises(ValueError, match="width"):
+            NoiseDensity.bump(0.5, width, 0.3, N)
+
+    @pytest.mark.parametrize("floor", [-0.1, 1.0, 1.5, np.nan])
+    def test_bump_rejects_bad_floor(self, floor):
+        with pytest.raises(ValueError, match="floor"):
+            NoiseDensity.bump(0.5, 0.08, floor, N)
+
 
 class TestBuildKernel:
     def test_uniform_noise_projects(self, bump_q):
@@ -233,7 +244,7 @@ class TestKernelForcing:
         l_eps = noise.build_kernel(drift, eps, bump_q, N)
         l_0 = noise.build_kernel(drift, 0.0, bump_q, N)
         quot = (transfer.apply(l_eps, mu) - transfer.apply(l_0, mu)) * (1.0 / eps)
-        g = noise.kernel_forcing(drift, l_0, mu)
+        g = DensityGrid(noise.kernel_forcing(drift, l_0, mu.values))
         assert grid.norm_l1(quot - g) <= 5e-3
 
     @settings(max_examples=40, deadline=None, derandomize=True)

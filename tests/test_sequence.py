@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqresponse import grid, sequence, transfer
 from seqresponse.errors import NotConverged, WindowExceeded
@@ -12,6 +14,7 @@ from seqresponse.sequence import (
     DeterministicEntry,
     NoisyEntry,
     SequenceSystem,
+    Window,
     compose,
     constant_schedule,
     memory_decay,
@@ -24,20 +27,20 @@ N = 256
 X = np.arange(N) / N
 
 
-def doubling_system(window=(0, 10), eps=0.0):
+def doubling_system(window=(0, 10)):
     entry = DeterministicEntry(map=CircleMap(2), kick=KickField(sin_coeffs=(0.0, 1 / (2 * np.pi))), key="T0")
-    return SequenceSystem(constant_schedule(entry), window, eps=eps, n_points=N)
+    return SequenceSystem(constant_schedule(entry), window, n_points=N)
 
 
 def noisy_uniform_system(window=(0, 6)):
     entry = NoisyEntry(drift=DriftMap(base=CircleMap(2)), noise=NoiseDensity.uniform(N), key="unif")
-    return SequenceSystem(constant_schedule(entry), window, eps=0.0, n_points=N)
+    return SequenceSystem(constant_schedule(entry), window, n_points=N)
 
 
 def bump_system(window=(0, 10), floor=0.3):
     q = NoiseDensity.bump(0.5, 0.08, floor, N)
     entry = NoisyEntry(drift=DriftMap(base=CircleMap(2), dot=np.sin(2 * np.pi * X)), noise=q, key="bump")
-    return SequenceSystem(constant_schedule(entry), window, eps=0.0, n_points=N)
+    return SequenceSystem(constant_schedule(entry), window, n_points=N)
 
 
 class TestCompose:
@@ -64,6 +67,43 @@ class TestCompose:
             compose(doubling_system((0, 5)), 2, 10, DensityGrid.constant(1.0, N))
 
 
+class TestWindow:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n_lo=st.integers(-10**6, 10**6), m=st.integers(1, 12), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_index_reads_its_row(self, n_lo, m, n, seed):
+        values = np.random.default_rng(seed).normal(size=(m, n))
+        w = Window(n_lo, values)
+        assert w.n_hi == n_lo + m - 1
+        for k in range(n_lo, w.n_hi + 1):
+            assert np.array_equal(w[k], values[k - n_lo])
+            with pytest.raises(ValueError):
+                w[k][0] = 1.0
+        for k in (n_lo - 1, w.n_hi + 1):
+            with pytest.raises(WindowExceeded):
+                w[k]
+        assert np.array_equal(w.rows(n_lo, w.n_hi), values)
+        with pytest.raises(WindowExceeded):
+            w.rows(n_lo, w.n_hi + 1)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        m=st.integers(1, 6),
+        n=st.integers(1, 20),
+        where=st.tuples(st.integers(0, 5), st.integers(0, 19)),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    )
+    def test_rejects_non_finite(self, m, n, where, bad):
+        values = np.ones((m, n))
+        values[where[0] % m, where[1] % n] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Window(0, values)
+
+    @pytest.mark.parametrize("shape", [(), (8,), (2, 3, 4)])
+    def test_rejects_non_2d(self, shape):
+        with pytest.raises(ValueError, match="block"):
+            Window(0, np.ones(shape))
+
+
 def unbatched_sweep(sys_, burn_in, seed, eps):
     """The pullback as first written: one sweep per burn-in, one apply per step."""
     n_lo, n_hi = sys_.window
@@ -82,7 +122,7 @@ def two_map_system(window=(0, 9)):
         DeterministicEntry(CircleMap(2, sin_coeffs=(0.0, 0.05)), kick, "a"),
         DeterministicEntry(CircleMap(3, cos_coeffs=(0.0, 0.02)), kick, "b"),
     ]
-    return SequenceSystem(periodic_schedule(entries), window, eps=0.0, n_points=N)
+    return SequenceSystem(periodic_schedule(entries), window, n_points=N)
 
 
 class TestBatchedSweep:
@@ -92,50 +132,48 @@ class TestBatchedSweep:
         # the width-2 block gives the densities and residual of two separate sweeps, bit for bit
         sys_ = make()
         seed = DensityGrid(1 + 0.5 * np.cos(2 * np.pi * X))
-        fam = pullback_equivariant(sys_, burn_in, seed, tol=np.inf, eps=eps)
+        fam, residual = pullback_equivariant(sys_, burn_in, seed, tol=np.inf, eps=eps)
         full = unbatched_sweep(sys_, burn_in, seed, eps)
         half = unbatched_sweep(sys_, max(1, burn_in // 2), seed, eps)
-        assert len(fam.densities) == len(full)
-        assert all(np.array_equal(a.values, b.values) for a, b in zip(fam.densities, full))
-        assert fam.convergence_residual == max(grid.norm_w11(a - b) for a, b in zip(full, half))
+        assert (fam.n_lo, fam.n_hi) == sys_.window
+        assert np.array_equal(fam.values, np.array([mu.values for mu in full]))
+        assert residual == max(grid.norm_w11(a - b) for a, b in zip(full, half))
 
 
 class TestPullback:
     def test_constant_doubling_uniform(self):
         sys_ = doubling_system()
         seed = DensityGrid(1 + 0.5 * np.cos(2 * np.pi * X))
-        fam = pullback_equivariant(sys_, 60, seed)
-        assert fam.convergence_residual <= 1e-9
+        fam, residual = pullback_equivariant(sys_, 60, seed)
+        assert residual <= 1e-9
         for n in range(fam.n_lo, fam.n_hi + 1):
-            assert np.max(np.abs(fam.density(n).values - 1.0)) <= 1e-8
+            assert np.max(np.abs(fam[n] - 1.0)) <= 1e-8
 
     def test_uniform_noise_one_step(self):
-        fam = pullback_equivariant(noisy_uniform_system(), 5, DensityGrid(1 + 0.9 * np.cos(2 * np.pi * X)))
+        fam, _ = pullback_equivariant(noisy_uniform_system(), 5, DensityGrid(1 + 0.9 * np.cos(2 * np.pi * X)))
         for n in range(fam.n_lo, fam.n_hi + 1):
-            assert np.max(np.abs(fam.density(n).values - 1.0)) <= 1e-12
+            assert np.max(np.abs(fam[n] - 1.0)) <= 1e-12
 
     def test_two_seed_uniqueness(self):
         sys_ = bump_system()
-        fam_a = pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, N))
-        fam_b = pullback_equivariant(sys_, 60, DensityGrid(1 + 0.9 * np.cos(2 * np.pi * X)))
-        gap = max(
-            grid.norm_l1(a - b) for a, b in zip(fam_a.densities, fam_b.densities)
-        )
+        fam_a, res_a = pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, N))
+        fam_b, res_b = pullback_equivariant(sys_, 60, DensityGrid(1 + 0.9 * np.cos(2 * np.pi * X)))
+        gap = max(grid.norm_l1(DensityGrid(a - b)) for a, b in zip(fam_a.values, fam_b.values))
         assert gap <= 1e-8
-        assert gap <= 10 * max(fam_a.convergence_residual, fam_b.convergence_residual) + 1e-12
+        assert gap <= 10 * max(res_a, res_b) + 1e-12
 
     def test_equivariance_residual(self):
         sys_ = bump_system()
-        fam = pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, N))
+        fam, _ = pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, N))
         for n in range(fam.n_lo, fam.n_hi):
-            pushed = transfer.apply(sys_.operator(n), fam.density(n))
-            assert grid.norm_l1(fam.density(n + 1) - pushed) <= 1e-9
+            pushed = transfer.apply(sys_.operator(n), DensityGrid(fam[n]))
+            assert grid.norm_l1(DensityGrid(fam[n + 1]) - pushed) <= 1e-9
 
     def test_probability_densities(self):
-        fam = pullback_equivariant(bump_system(), 60, DensityGrid.constant(1.0, N))
-        for mu in fam.densities:
-            assert abs(grid.mass(mu) - 1.0) <= 1e-10
-            assert np.min(mu.values) >= -1e-12
+        fam, _ = pullback_equivariant(bump_system(), 60, DensityGrid.constant(1.0, N))
+        for mu in fam.values:
+            assert abs(grid.mass(DensityGrid(mu)) - 1.0) <= 1e-10
+            assert np.min(mu) >= -1e-12
 
     def test_not_converged(self):
         # two burn-in steps of a 0.7-contraction cannot reach 1e-12
@@ -178,7 +216,7 @@ class TestMemoryDecay:
         sched = periodic_schedule(
             [DeterministicEntry(t0, kick, "a"), DeterministicEntry(t1, kick, "b")]
         )
-        sys_ = SequenceSystem(sched, (0, 30), eps=0.0, n_points=N)
+        sys_ = SequenceSystem(sched, (0, 30), n_points=N)
         v = DensityGrid(np.cos(2 * np.pi * X) + 0.5 * np.sin(4 * np.pi * X))
         md = memory_decay(sys_, v, 0, 20)
         assert 0.0 <= md.fitted_rate < 1.0
@@ -201,7 +239,7 @@ class TestSchedules:
         far = CircleMap(2, sin_coeffs=(0.0, 0.05))
         entry = DeterministicEntry(far, KickField(), "far")
         sys_ = SequenceSystem(
-            constant_schedule(entry), (0, 3), eps=0.0, n_points=N,
+            constant_schedule(entry), (0, 3), n_points=N,
             reference=CircleMap(2), delta_star=0.1, certified=True,
         )
         with pytest.raises(ValueError):
@@ -211,7 +249,7 @@ class TestSchedules:
         far = CircleMap(2, sin_coeffs=(0.0, 0.05))
         entry = DeterministicEntry(far, KickField(), "far")
         sys_ = SequenceSystem(
-            constant_schedule(entry), (0, 3), eps=0.0, n_points=N,
+            constant_schedule(entry), (0, 3), n_points=N,
             reference=CircleMap(2), delta_star=0.1, certified=False,
         )
         with pytest.warns(UserWarning):
@@ -225,7 +263,7 @@ class TestSchedules:
         kick = KickField(sin_coeffs=(0.0, 0.1))
         maps = (CircleMap(2), CircleMap(2, sin_coeffs=(0.0, 0.05)))
         entries = [DeterministicEntry(t, kick, "T") for t in maps]
-        sys_ = SequenceSystem(periodic_schedule(entries), (0, 3), eps=0.0, n_points=N)
+        sys_ = SequenceSystem(periodic_schedule(entries), (0, 3), n_points=N)
         for eps in (0.0, 0.01):
             for n, t in enumerate(maps):
                 expected = transfer.build_deterministic(t if eps == 0.0 else KickedMap(kick, eps, t), N)
@@ -238,10 +276,10 @@ class TestStrongBound:
         from seqresponse.constants import lasota_yorke_constants
 
         sys_ = doubling_system()
-        fam = pullback_equivariant(sys_, 60, DensityGrid(1 + 0.9 * np.cos(2 * np.pi * X)))
+        fam, _ = pullback_equivariant(sys_, 60, DensityGrid(1 + 0.9 * np.cos(2 * np.pi * X)))
         lam1, b = lasota_yorke_constants(2.0 - 1e-9, 0.0, 0.1)
         bound = b / (1 - lam1) + 1 + 0.5
-        assert max(grid.norm_w11(mu) for mu in fam.densities) <= bound
+        assert max(grid.norm_w11(DensityGrid(mu)) for mu in fam.values) <= bound
 
 
 class TestOperatorMemory:
@@ -252,7 +290,7 @@ class TestOperatorMemory:
         det = DeterministicEntry(CircleMap(2, sin_coeffs=(0.0, 0.05)), KickField(sin_coeffs=(0.0, 0.15)), "det")
         q = NoiseDensity.bump(0.5, 0.08, 0.3, n)
         noisy = NoisyEntry(DriftMap(CircleMap(2), dot=np.sin(2 * np.pi * x)), q, "noisy")
-        sys_ = SequenceSystem(periodic_schedule([det, noisy]), (0, 1), eps=0.0, n_points=n)
+        sys_ = SequenceSystem(periodic_schedule([det, noisy]), (0, 1), n_points=n)
         f = DensityGrid(1.0 + 0.5 * np.cos(2 * np.pi * x))
         tracemalloc.start()
         try:

@@ -195,20 +195,20 @@ class TestPush:
 
 class TestDOperator:
     def test_constant_everything(self):
-        g = transfer.d_operator(KickField(cos_coeffs=(0.5,)), DensityGrid.constant(1.0, N))
-        assert np.max(np.abs(g.values)) == 0.0
+        g = transfer.d_operator(KickField(cos_coeffs=(0.5,)), np.ones(N))
+        assert np.max(np.abs(g)) == 0.0
 
     def test_du_is_minus_xprime_on_uniform(self):
-        g = transfer.d_operator(KickField(sin_coeffs=(0.0, 1.0)), DensityGrid.constant(1.0, N))
+        g = transfer.d_operator(KickField(sin_coeffs=(0.0, 1.0)), np.ones(N))
         expected = -2 * np.pi * np.cos(2 * np.pi * X)
-        assert np.max(np.abs(g.values - expected)) <= 1e-5
+        assert np.max(np.abs(g - expected)) <= 1e-5
 
     def test_zero_mass(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             u = random_density(rng)
             kick = KickField(cos_coeffs=rng.normal(size=4) * 0.1, sin_coeffs=rng.normal(size=4) * 0.1)
-            assert abs(grid.mass(transfer.d_operator(kick, u))) <= 1e-12
+            assert abs(grid.mass(DensityGrid(transfer.d_operator(kick, u.values)))) <= 1e-12
 
 
 class TestApply:

@@ -146,15 +146,15 @@ def test_pullback_equivariant(benchmark, session, session_sizes):
 
 
 def test_neumann_response(benchmark, session, session_sizes):
-    sys_, fam, g = session
-    benchmark(response.neumann_response, sys_, fam, g, 8, (1.0, 0.5))
+    sys_, _, g = session
+    benchmark(response.neumann_response, sys_, g, 8, (1.0, 0.5))
 
 
 @pytest.fixture(scope="module")
 def session_response(session):
     """Response series and eps = 1e-3 difference quotients of the session system."""
     sys_, fam, g = session
-    etas, _ = response.neumann_response(sys_, fam, g, 8, (1.0, 0.5))
+    etas, _ = response.neumann_response(sys_, g, 8, (1.0, 0.5))
     seed = DensityGrid.constant(1.0, sys_.n_points)
     return etas, response.finite_difference_response(sys_, [1e-3], 60, seed, base_family=fam)
 

@@ -108,29 +108,31 @@ def cmd_certify(cfg: ExperimentConfig, emit_gnuplot: bool, t0: float) -> int:
     return EXIT_OK if cert.all_verified else EXIT_TOLERANCE
 
 
-def _family_records(cfg: ExperimentConfig, fam: sequence.Window, residual: float, prefix: str):
-    files, records = [], []
-    masses = (fam.values.sum(axis=-1) / cfg.n_points).tolist()
-    norms = grid.norm_w11_values(fam.values).tolist()
-    for n, mass, w11 in zip(range(fam.n_lo, fam.n_hi + 1), masses, norms):
-        name = f"{prefix}_{n:04d}.csv"
-        path = os.path.join(cfg.output_dir, name)
-        grid.write_density_csv(path, fam[n])
+def _write_window(cfg: ExperimentConfig, w: sequence.Window, prefix: str) -> list:
+    """One density file <prefix>_<n>.csv per row of w; returns their paths in index order."""
+    files = []
+    for n in range(w.n_lo, w.n_hi + 1):
+        path = os.path.join(cfg.output_dir, f"{prefix}_{n:04d}.csv")
+        grid.write_density_csv(path, w[n])
         files.append(path)
-        records.append({"n": n, "file": name, "mass": mass, "w11_norm": w11, "residual": residual})
-    return files, records
+    return files
 
 
 def cmd_equivariant(cfg: ExperimentConfig, emit_gnuplot: bool, t0: float, two_seed: bool) -> int:
     sys_ = build_system(cfg)
     seed = DensityGrid.constant(1.0, cfg.n_points)
     fam, residual = sequence.pullback_equivariant(sys_, cfg.burn_in, seed, tol=cfg.pullback_tol)
-    files, records = _family_records(cfg, fam, residual, "mu")
+    files = _write_window(cfg, fam, "mu")
+    stats = zip(range(fam.n_lo, fam.n_hi + 1), files, grid.mass(fam.values).tolist(), grid.norm_w11(fam.values).tolist())
+    records = [
+        {"n": n, "file": os.path.basename(path), "mass": mass, "w11_norm": w11, "residual": residual}
+        for n, path, mass, w11 in stats
+    ]
     report = {"burn_in": cfg.burn_in, "residual": residual, "family": records}
     if two_seed:
         alt = read_seed(cfg, "equivariant", zero_mass=False)
         fam_b, _ = sequence.pullback_equivariant(sys_, cfg.burn_in, alt, tol=cfg.pullback_tol)
-        report["two_seed_l1_gap"] = float(np.max(grid.norm_l1_values(fam.values - fam_b.values)))
+        report["two_seed_l1_gap"] = float(np.max(grid.norm_l1(fam.values - fam_b.values)))
     out = os.path.join(cfg.output_dir, "family.json")
     _write_json(out, report)
     if emit_gnuplot:
@@ -164,17 +166,13 @@ def cmd_respond(cfg: ExperimentConfig, emit_gnuplot: bool, t0: float) -> int:
     fam, _ = sequence.pullback_equivariant(sys_, cfg.burn_in, seed, tol=cfg.pullback_tol)
     g = response.forcing(sys_, fam)
     etas, tail = response.neumann_response(
-        sys_, fam, g, cfg.truncation, tail_constants or _certified_tail(cfg), tol=tail_tol
+        sys_, g, cfg.truncation, tail_constants or _certified_tail(cfg), tol=tail_tol
     )
-    files = []
-    for n in range(etas.n_lo, etas.n_hi + 1):
-        path = os.path.join(cfg.output_dir, f"eta_{n:04d}.csv")
-        grid.write_density_csv(path, etas[n])
-        files.append(path)
+    files = _write_window(cfg, etas, "eta")
     report = {
         "truncation_order": cfg.truncation,
         "tail_bound": tail,
-        "max_mass_defect": float(np.max(np.abs(etas.values.sum(axis=-1)))) / cfg.n_points,
+        "max_mass_defect": float(np.max(np.abs(grid.mass(etas.values)))),
         "resolvent_residual": response.resolvent_residual(sys_, etas, g),
     }
     out_json = os.path.join(cfg.output_dir, "response.json")

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import grid as gridmod
 from .errors import ConfigError
-from .maps import MAX_COEFF_INDEX, CircleMap, KickField
+from .maps import MAX_COEFF_INDEX, CircleMap, KickField, TrigPoly
 from .noise import DriftMap, NoiseDensity
 from .sequence import (
     DeterministicEntry,
@@ -98,6 +98,13 @@ def _as_float(value, where):
         raise ConfigError(f"{where} must be a number, got {value!r}") from None
 
 
+def _as_tolerance(value, where):
+    tol = _as_float(value, where)
+    if not 0.0 < tol < np.inf:  # NaN fails too
+        raise ConfigError(f"{where} must be finite and > 0, got {tol!r}")
+    return tol
+
+
 def parse_coeff_triples(text: str, where: str) -> tuple[tuple, tuple]:
     """`k:a:b` triples -> (cos_coeffs, sin_coeffs), dense up to max k."""
     cos: dict = {}
@@ -124,8 +131,11 @@ def parse_coeff_triples(text: str, where: str) -> tuple[tuple, tuple]:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)  # a % in a value is literal
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     mode = _require(parser, "experiment", "mode")
@@ -147,8 +157,8 @@ def load_config(path: str) -> ExperimentConfig:
     eps_list = tuple(
         _as_float(e, "experiment.eps") for e in eps_text.split(",") if e.strip()
     )
-    if 0.0 in eps_list:
-        raise ConfigError("experiment.eps entries must be nonzero")
+    if not all(e != 0.0 and np.isfinite(e) for e in eps_list):
+        raise ConfigError(f"experiment.eps entries must be finite and nonzero, got {eps_list}")
     burn_in = _as_int(_get(parser, "experiment", "burn_in", "60"), "experiment.burn_in")
     truncation = _as_int(_get(parser, "experiment", "truncation", "8"), "experiment.truncation")
     if burn_in < 1 or truncation < 1:
@@ -163,8 +173,8 @@ def load_config(path: str) -> ExperimentConfig:
         seed=_as_int(_get(parser, "experiment", "seed", "0"), "experiment.seed"),
         output_dir=_get(parser, "experiment", "output_dir", "out"),
         truncation=truncation,
-        tolerance=_as_float(_get(parser, "experiment", "tolerance", "1e-2"), "experiment.tolerance"),
-        pullback_tol=_as_float(
+        tolerance=_as_tolerance(_get(parser, "experiment", "tolerance", "1e-2"), "experiment.tolerance"),
+        pullback_tol=_as_tolerance(
             _get(parser, "experiment", "pullback_tol", "1e-8"), "experiment.pullback_tol"
         ),
         raw=parser,
@@ -175,7 +185,8 @@ def read_seed(cfg: ExperimentConfig, section: str, zero_mass: bool) -> gridmod.D
     """`section.seed_csv` if set, else cos(2 pi k x) with k = `section.harmonic`, plus 1 unless zero_mass.
 
     A seed file must be a density file on the experiment's grid and,
-    unless zero_mass, have mass 1 within 1e-10.
+    unless zero_mass, have mass 1 within 1e-10.  A harmonic that is a
+    multiple of n samples to the constant 1, so it is rejected.
     """
     csv = _get(cfg.raw, section, "seed_csv", None)
     if csv is not None:
@@ -184,10 +195,13 @@ def read_seed(cfg: ExperimentConfig, section: str, zero_mass: bool) -> gridmod.D
             seed = gridmod.read_density_csv(csv, cfg.n_points)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
-        if not (zero_mass or abs(gridmod.mass(seed) - 1.0) <= 1e-10):
-            raise ConfigError(f"{where} must have mass 1 within 1e-10, got {gridmod.mass(seed)!r}")
+        mass = float(gridmod.mass(seed.values))
+        if not (zero_mass or abs(mass - 1.0) <= 1e-10):
+            raise ConfigError(f"{where} must have mass 1 within 1e-10, got {mass!r}")
         return seed
     k = _as_int(_get(cfg.raw, section, "harmonic", "1"), f"{section}.harmonic")
+    if k % cfg.n_points == 0:
+        raise ConfigError(f"{section}.harmonic must not be a multiple of experiment.n = {cfg.n_points}, got {k}")
     x = np.arange(cfg.n_points) / cfg.n_points
     wave = np.cos(2 * np.pi * k * x)
     return gridmod.DensityGrid(wave if zero_mass else 1.0 + 0.5 * wave)
@@ -206,7 +220,7 @@ def read_tail(cfg: ExperimentConfig) -> tuple[tuple[float, float] | None, float 
             raise ConfigError(f"need experiment.tail_c > 0 and 0 < tail_rate < 1, got {c}, {rate}")
         constants = (c, rate)
     tol = _get(cfg.raw, "experiment", "tail_tol", None)
-    return constants, (_as_float(tol, "experiment.tail_tol") if tol is not None else None)
+    return constants, (_as_tolerance(tol, "experiment.tail_tol") if tol is not None else None)
 
 
 def read_memory(cfg: ExperimentConfig) -> tuple[int, int]:
@@ -230,6 +244,8 @@ def read_simulate(cfg: ExperimentConfig) -> tuple[int, int, int, float]:
         raise ConfigError(f"simulate.steps must be >= 0, got {steps}")
     if samples < 10**4:
         raise ConfigError(f"simulate.samples must be >= 1e4, got {samples}")
+    if not np.isfinite(eps):
+        raise ConfigError(f"simulate.eps must be finite, got {eps!r}")
     if bins < 1 or cfg.n_points % bins != 0:
         raise ConfigError(f"simulate.bins must divide experiment.n = {cfg.n_points}, got {bins}")
     return steps, samples, bins, eps
@@ -277,11 +293,7 @@ def build_drift(cfg: ExperimentConfig, base: CircleMap) -> DriftMap:
     cos, sin = parse_coeff_triples(dot_text, "drift.dot")
     if not cos:
         return DriftMap(base=base)
-    x = np.arange(cfg.n_points) / cfg.n_points
-    dot = np.full(cfg.n_points, cos[0])
-    for k in range(1, len(cos)):
-        dot = dot + cos[k] * np.cos(2 * np.pi * k * x) + sin[k] * np.sin(2 * np.pi * k * x)
-    return DriftMap(base=base, dot=dot)
+    return DriftMap(base=base, dot=TrigPoly(cos, sin)(np.arange(cfg.n_points) / cfg.n_points))
 
 
 def _entry_for_map(cfg: ExperimentConfig, section: str, key: str):

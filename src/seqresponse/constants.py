@@ -87,7 +87,7 @@ class ProbePushes:
 
     def __init__(self, l0: transfer.TransferMatrix):
         probes = np.ascontiguousarray(_probe_family(l0.n_points).T)  # one probe per row
-        self.w11 = gridmod.norm_w11_values(probes)
+        self.w11 = gridmod.norm_w11(probes)
         self._l0 = l0
         self._pushed = probes
         self._l1: list[np.ndarray] = []  # _l1[m - 1] holds ||L0^m v||_L1 per probe
@@ -95,23 +95,17 @@ class ProbePushes:
     def l1(self, m: int) -> np.ndarray:
         while len(self._l1) < m:
             self._pushed = transfer.push(self._l0, self._pushed)
-            self._l1.append(gridmod.norm_l1_values(self._pushed))
+            self._l1.append(gridmod.norm_l1(self._pushed))
         return self._l1[m - 1]
 
 
-def choose_M(
-    t0: CircleMap,
-    lambda1: float,
-    b: float,
-    n_points: int,
-    pushes: ProbePushes | None = None,
-) -> int:
+def choose_M(lambda1: float, b: float, pushes: ProbePushes) -> int:
     """Smallest block length M passing both contraction conditions.
 
     Closed form gives the lambda1^M threshold; the weak condition
     ||L0^M v||_L1 <= (1-lambda1)/(10 B) ||v||_W11 is then verified on
     the probe family, continuing the search upward on failure.  `pushes`
-    shares the probe pushes of L0 = L_{t0} between calls.
+    holds the probe pushes of L0, shared between calls.
     """
     if not 0.0 < lambda1 < 1.0:
         raise MNotFound(f"lambda1 = {lambda1} admits no finite M")
@@ -119,8 +113,6 @@ def choose_M(
     m_closed = max(1, int(np.ceil(np.log(target) / np.log(lambda1))))
     if m_closed > M_SEARCH_LIMIT:
         raise MNotFound(f"closed-form threshold already exceeds {M_SEARCH_LIMIT}")
-    if pushes is None:
-        pushes = ProbePushes(transfer.build_deterministic(t0, n_points))
     threshold = (1.0 - lambda1) / (10.0 * b) if b > 0 else np.inf
     for m in range(m_closed, M_SEARCH_LIMIT + 1):
         if np.all(pushes.l1(m) <= threshold * pushes.w11):
@@ -187,7 +179,7 @@ def certify(t0: CircleMap, n_points: int) -> Certificate:
 
     def chain(delta):
         lam1, b = lasota_yorke_constants(lam0, m2, delta)
-        m = choose_M(t0, lam1, b, n_points, pushes)
+        m = choose_M(lam1, b, pushes)
         return lam1, b, m
 
     def feasible(delta):

@@ -13,16 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch
-
 MIN_POINTS = 16
 
 
 @dataclass(frozen=True)
 class DensityGrid:
-    """Samples of a 1-periodic real function at x_i = i/N.
+    """Checked samples of a 1-periodic real function at x_i = i/N.
 
-    Instances are immutable; every operation returns a new grid.
+    `values` is a read-only copy: 1-d, finite, an even number of points
+    >= MIN_POINTS.  The grid formulas below take the raw samples.
     """
 
     values: np.ndarray = field()
@@ -44,76 +43,31 @@ class DensityGrid:
     def n_points(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def nodes(self) -> np.ndarray:
-        n = self.n_points
-        return np.arange(n) / n
-
-    @classmethod
-    def from_function(cls, func, n_points: int) -> "DensityGrid":
-        x = np.arange(n_points) / n_points
-        return cls(np.asarray(func(x), dtype=float))
-
     @classmethod
     def constant(cls, value: float, n_points: int) -> "DensityGrid":
         return cls(np.full(n_points, float(value)))
 
-    def __add__(self, other):
-        if isinstance(other, DensityGrid):
-            _check_same_size(self, other)
-            return DensityGrid(self.values + other.values)
-        return DensityGrid(self.values + float(other))
 
-    def __sub__(self, other):
-        if isinstance(other, DensityGrid):
-            _check_same_size(self, other)
-            return DensityGrid(self.values - other.values)
-        return DensityGrid(self.values - float(other))
-
-    def __mul__(self, scalar: float):
-        return DensityGrid(self.values * float(scalar))
-
-    __rmul__ = __mul__
+def mass(v: np.ndarray):
+    """Total mass by midpoint quadrature of raw samples v, shape (N,) or (m, N) with one density per row."""
+    return v.sum(axis=-1) / v.shape[-1]
 
 
-def _check_same_size(f: DensityGrid, g: DensityGrid) -> None:
-    if f.n_points != g.n_points:
-        raise DimensionMismatch(f"grid sizes differ: {f.n_points} vs {g.n_points}")
-
-
-def mass(f: DensityGrid) -> float:
-    """Total mass, midpoint quadrature on the uniform periodic grid."""
-    return float(np.sum(f.values)) / f.n_points
-
-
-def norm_l1(f: DensityGrid) -> float:
-    return float(norm_l1_values(f.values))
-
-
-def derivative(f: DensityGrid) -> DensityGrid:
-    """4th-order centered finite difference on the periodic grid."""
-    return DensityGrid(derivative_values(f.values))
-
-
-def norm_w11(f: DensityGrid) -> float:
-    return float(norm_w11_values(f.values))
-
-
-def norm_l1_values(v: np.ndarray):
-    """L^1 norm of raw samples v, one per row of an (m, N) array."""
+def norm_l1(v: np.ndarray):
+    """L^1 norm of raw samples v, shape (N,) or (m, N) with one density per row."""
     return np.abs(v).sum(axis=-1) / v.shape[-1]
 
 
-def derivative_values(v: np.ndarray) -> np.ndarray:
-    """`derivative` of raw samples v, shape (N,) or (m, N) with one density per row."""
+def derivative(v: np.ndarray) -> np.ndarray:
+    """4th-order centered finite difference of raw samples v, shape (N,) or (m, N) with one density per row."""
     n = v.shape[-1]
     p = np.concatenate([v[..., -2:], v, v[..., :2]], axis=-1)  # p[..., i + 2] = v[..., i]
     return n * (-p[..., 4:] + 8.0 * p[..., 3:-1] - 8.0 * p[..., 1:-3] + p[..., :-4]) / 12.0
 
 
-def norm_w11_values(v: np.ndarray):
-    """W^{1,1} norm of raw samples v, one per row of an (m, N) array."""
-    return norm_l1_values(v) + norm_l1_values(derivative_values(v))
+def norm_w11(v: np.ndarray):
+    """W^{1,1} norm of raw samples v, shape (N,) or (m, N) with one density per row."""
+    return norm_l1(v) + norm_l1(derivative(v))
 
 
 def wrap(x):
@@ -195,16 +149,7 @@ def interpolate_values(values: np.ndarray, x) -> np.ndarray:
 
 def project_zero_mass(f: DensityGrid) -> DensityGrid:
     """Remove the mean so the result lies in the zero-mass subspace."""
-    return DensityGrid(f.values - mass(f))
-
-
-def normalize(f: DensityGrid) -> DensityGrid:
-    """Clip tiny negative undershoot and rescale to unit mass."""
-    v = np.maximum(f.values, 0.0)
-    m = np.sum(v) / f.n_points
-    if m <= 0.0:
-        raise ValueError("cannot normalize a nonpositive density")
-    return DensityGrid(v / m)
+    return DensityGrid(f.values - mass(f.values))
 
 
 _CSV_TEMPLATES: dict[int, str] = {}

@@ -44,7 +44,7 @@ class NoiseDensity:
 
     def __post_init__(self):
         v = self.density.values
-        m = float(np.sum(v)) / v.shape[0]
+        m = float(gridmod.mass(v))
         if abs(m - 1.0) > 1e-10:
             raise ValueError(f"noise density mass is {m}, expected 1 within 1e-10")
         if np.min(v) < 0.0:
@@ -56,10 +56,6 @@ class NoiseDensity:
     @property
     def n_points(self) -> int:
         return self.density.n_points
-
-    @classmethod
-    def from_samples(cls, samples) -> "NoiseDensity":
-        return cls(gridmod.normalize(DensityGrid(samples)))
 
     @classmethod
     def uniform(cls, n_points: int) -> "NoiseDensity":
@@ -80,7 +76,7 @@ class NoiseDensity:
         x = np.arange(n_points) / n_points
         kappa = 1.0 / scale
         raw = np.exp(kappa * (np.cos(2.0 * np.pi * (x - center)) - 1.0))
-        raw /= np.sum(raw) / n_points
+        raw /= gridmod.mass(raw)
         return cls(DensityGrid(floor + (1.0 - floor) * raw))
 
 
@@ -146,7 +142,7 @@ def kernel_forcing(f: DriftMap, a: TransferMatrix, mu: np.ndarray) -> np.ndarray
     mu and g are raw samples of one density; g has zero mass to round-off.
     """
     n = mu.shape[-1]
-    return gridmod.derivative_values(transfer.push(a, mu * f.dot_values(np.arange(n) / n))) * -1.0
+    return gridmod.derivative(transfer.push(a, mu * f.dot_values(np.arange(n) / n))) * -1.0
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ def forcing(sys: SequenceSystem, mu: Window) -> Window:
     """
     out = np.empty_like(mu.values)
     for n in range(mu.n_lo, mu.n_hi + 1):
-        entry = sys.entry(n)
+        entry = sys.schedule(n)
         if isinstance(entry, DeterministicEntry):
             mu_next = mu[n + 1] if n < mu.n_hi else transfer.push(sys.operator(n), mu[n])
             out[n - mu.n_lo] = transfer.d_operator(entry.kick, mu_next)
@@ -59,7 +59,6 @@ def truncation_order(c: float, rate: float, sup_g: float, tol: float, max_depth:
 
 def neumann_response(
     sys: SequenceSystem,
-    family: Window,
     g: Window,
     k_order: int,
     tail_constants: tuple[float, float],
@@ -67,8 +66,9 @@ def neumann_response(
 ) -> tuple[Window, float]:
     """Truncated Neumann series at every index the window depth allows, and its certified tail bound.
 
-    Reported indices are n in [n_lo + K + 1, n_hi] so every eta_n uses
-    exactly K + 1 terms; each series is a backward accumulation
+    Reported indices are n in [n_lo + K + 1, n_hi], with g's window
+    [n_lo, n_hi], so every eta_n uses exactly K + 1 terms; each series
+    is a backward accumulation
     acc <- L_m acc + g_m over m = n-K .. n-1 seeded with g_{n-K-1}.
     One pass over m pushes the accumulators of every n that L_m serves,
     at most K of them, as one block.  The unperturbed operators (eps = 0)
@@ -77,20 +77,18 @@ def neumann_response(
     if k_order < 1:
         raise ValueError("truncation order must be >= 1")
     c, rate = tail_constants
-    report_lo = family.n_lo + k_order + 1
-    if report_lo > family.n_hi:
-        raise WindowExceeded(
-            f"window [{family.n_lo}, {family.n_hi}] too shallow for truncation order {k_order}"
-        )
-    sup_g = float(np.max(gridmod.norm_w11_values(g.values)))
+    report_lo = g.n_lo + k_order + 1
+    if report_lo > g.n_hi:
+        raise WindowExceeded(f"window [{g.n_lo}, {g.n_hi}] too shallow for truncation order {k_order}")
+    sup_g = float(np.max(gridmod.norm_w11(g.values)))
     tail = c * rate**k_order * sup_g / (1.0 - rate)
     if tol is not None and tail > tol:
         needed = truncation_order(c, rate, sup_g, tol, 10**6)
         raise TailNotSmall(f"tail bound {tail:.3g} > tol {tol:.3g}; need K >= {needed}")
-    etas = np.empty((family.n_hi - report_lo + 1, sys.n_points))
+    etas = np.empty((g.n_hi - report_lo + 1, sys.n_points))
     acc = np.empty((0, sys.n_points))  # live accumulators, one row per reported n, oldest first
-    for m in range(report_lo - k_order, family.n_hi):
-        if m + k_order <= family.n_hi:
+    for m in range(report_lo - k_order, g.n_hi):
+        if m + k_order <= g.n_hi:
             acc = np.vstack([acc, g[m - 1]])  # eta_n starts from g_{n-K-1}, n = m + K
         acc = transfer.push(sys.operator(m), acc) + g[m]
         if m + 1 >= report_lo:
@@ -104,7 +102,7 @@ def resolvent_residual(sys: SequenceSystem, etas: Window, g: Window) -> float:
     gaps = np.empty((etas.n_hi - etas.n_lo, sys.n_points))
     for n in range(etas.n_lo + 1, etas.n_hi + 1):
         gaps[n - etas.n_lo - 1] = etas[n] - transfer.push(sys.operator(n - 1), etas[n - 1]) - g[n - 1]
-    return float(np.max(gridmod.norm_l1_values(gaps), initial=0.0))
+    return float(np.max(gridmod.norm_l1(gaps), initial=0.0))
 
 
 def finite_difference_response(
@@ -112,15 +110,13 @@ def finite_difference_response(
     eps_list,
     burn_in: int,
     seed_density: DensityGrid,
-    base_family: Window | None = None,
+    base_family: Window,
     tol: float = seqmod.DEFAULT_PULLBACK_TOL,
 ) -> dict[float, Window]:
-    """Difference quotients (mu^eps - mu^0) / eps per eps, with a shared pullback setup."""
+    """Difference quotients (mu^eps - mu^0) / eps per eps against the unperturbed family mu^0."""
     eps_list = tuple(float(e) for e in eps_list)
     if any(e == 0.0 for e in eps_list):
         raise ValueError("eps = 0 is not a valid difference quotient")
-    if base_family is None:
-        base_family, _ = seqmod.pullback_equivariant(sys, burn_in, seed_density, tol=tol)
     quotients = {}
     for eps in eps_list:
         fam_p, _ = seqmod.pullback_equivariant(sys, burn_in, seed_density, tol=tol, eps=eps)
@@ -152,7 +148,7 @@ def validate(etas: Window, fd: dict[float, Window], tol: float) -> ValidationSum
     entries = []
     for eps in sorted(fd, reverse=True):
         gaps = fd[eps].rows(etas.n_lo, etas.n_hi) - etas.values
-        entries.append((eps, float(np.max(gridmod.norm_l1_values(gaps)))))
+        entries.append((eps, float(np.max(gridmod.norm_l1(gaps)))))
     ds = [d for _, d in entries]
     floor = 1e-6  # discretization floor: below it, ordering is noise
     decreasing = all(b <= a or max(a, b) <= floor for a, b in zip(ds, ds[1:]))

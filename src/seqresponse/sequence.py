@@ -145,9 +145,6 @@ class SequenceSystem:
         self._cache: dict = {}
         self._checked: set = set()
 
-    def entry(self, n: int):
-        return self.schedule(n)
-
     def _admissibility(self, entry: DeterministicEntry) -> None:
         if self.reference is None or self.delta_star is None:
             return
@@ -169,7 +166,7 @@ class SequenceSystem:
         from its inverse branches.  It equals L_{h_eps} L_{T_n}, which the
         tests use as the reference.
         """
-        entry = self.entry(n)
+        entry = self.schedule(n)
         cache_key = (entry, eps)
         if cache_key in self._cache:
             return self._cache[cache_key]
@@ -183,15 +180,15 @@ class SequenceSystem:
         return mat
 
 
-def compose(sys: SequenceSystem, j: int, k: int, f: DensityGrid, eps: float = 0.0) -> DensityGrid:
-    """Apply the k operators at indices j .. j+k-1 in time order."""
+def compose(sys: SequenceSystem, j: int, k: int, f: DensityGrid) -> DensityGrid:
+    """Apply the k unperturbed operators at indices j .. j+k-1 in time order."""
     if k < 0:
         raise ValueError("negative composition length")
     if k > 0 and not (sys.window[0] <= j and j + k - 1 <= sys.window[1]):
         raise WindowExceeded(f"[{j}, {j + k - 1}] outside window {sys.window}")
     v = f.values
     for m in range(j, j + k):
-        v = transfer.push(sys.operator(m, eps), v)
+        v = transfer.push(sys.operator(m), v)
     return DensityGrid(v)
 
 
@@ -218,7 +215,7 @@ def _sweep(sys: SequenceSystem, burn_in: int, seed_density: DensityGrid, eps: fl
         out[m - n_lo] = block[0]
         gaps.append(block[0] - block[1])
         if len(gaps) * sys.n_points >= RESIDUAL_BUDGET or m == n_hi:
-            residual = max(residual, float(np.max(gridmod.norm_w11_values(np.array(gaps)))))
+            residual = max(residual, float(np.max(gridmod.norm_w11(np.array(gaps)))))
             gaps.clear()
         if m < n_hi:
             block = transfer.push(sys.operator(m, eps), block)
@@ -240,7 +237,7 @@ def pullback_equivariant(
     """
     if burn_in < 1:
         raise ValueError("burn_in must be >= 1")
-    if abs(gridmod.mass(seed_density) - 1.0) > 1e-10:
+    if abs(gridmod.mass(seed_density.values) - 1.0) > 1e-10:
         raise ValueError("seed must be a probability density")
     full, residual = _sweep(sys, burn_in, seed_density, eps)
     if residual > tol:
@@ -256,20 +253,20 @@ class MemoryDecay:
     fitted_rate: float
 
 
-def memory_decay(sys: SequenceSystem, v: DensityGrid, j: int, k_max: int, eps: float = 0.0) -> MemoryDecay:
+def memory_decay(sys: SequenceSystem, v: DensityGrid, j: int, k_max: int) -> MemoryDecay:
     """Push a zero-mass density and record norms for k = 1..k_max.
 
     The exponential rate is least-squares fitted from log W^{1,1} norm
     vs k over the last half of the range; steps where the norm has
     collapsed to round-off are excluded from the fit.
     """
-    if abs(gridmod.mass(v)) > 1e-12:
+    if abs(gridmod.mass(v.values)) > 1e-12:
         raise ValueError("seed must have zero mass")
     records = np.zeros((k_max, 3))
     f = v
     for k in range(1, k_max + 1):
-        f = transfer.apply(sys.operator(j + k - 1, eps), f)
-        records[k - 1] = (k, gridmod.norm_w11(f), gridmod.norm_l1(f))
+        f = transfer.apply(sys.operator(j + k - 1), f)
+        records[k - 1] = (k, gridmod.norm_w11(f.values), gridmod.norm_l1(f.values))
     tail = records[k_max // 2 :]
     ok = tail[:, 1] > 1e-14
     if np.count_nonzero(ok) >= 2:

@@ -149,7 +149,7 @@ def build_kick(kick: KickField, eps: float, n_points: int) -> TransferMatrix:
 def d_operator(kick: KickField, u: np.ndarray) -> np.ndarray:
     """First-order perturbation operator Du = -(Xu)' on the raw samples u of one density."""
     n = u.shape[-1]
-    return gridmod.derivative_values(kick.x_field(np.arange(n) / n) * u) * -1.0
+    return gridmod.derivative(kick.x_field(np.arange(n) / n) * u) * -1.0
 
 
 def compose_matrices(outer: TransferMatrix, inner: TransferMatrix) -> TransferMatrix:

@@ -98,6 +98,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="k:a:b"):
             config.parse_coeff_triples("1:0.5", "t")
 
+    def test_percent_is_literal(self, tmp_path):
+        path, out = write_config(tmp_path, BASE_DET.replace("output_dir = {out}", "output_dir = {out}/100%"))
+        assert config.load_config(path).output_dir == f"{out}/100%"
+
     def test_roundtrip_system(self, tmp_path):
         path, _ = write_config(tmp_path, BASE_DET)
         cfg = config.load_config(path)
@@ -175,12 +179,48 @@ class TestExitCodes:
             pytest.param(BASE_NOISY, "bump:0.5,0.08,0.3", "bump:0.5,0.08,-0.1", "respond", id="floor-negative"),
             pytest.param(BASE_NOISY, "bump:0.5,0.08,0.3", "bump:0.5,0,0.3", "respond", id="width-0"),
             pytest.param(BASE_NOISY, "bump:0.5,0.08,0.3", "bump:nan,0.08,0.3", "simulate", id="center-nan"),
+            pytest.param(BASE_DET, "n = 256", "n = 256\nn = 256", "respond", id="duplicate-key"),
+            pytest.param(BASE_DET, "[schedule]", "[kick]\ncoeffs = 1:0.0:0.1\n\n[schedule]", "respond", id="duplicate-section"),
+            pytest.param(BASE_DET, "[experiment]\n", "", "respond", id="no-section-header"),
+            pytest.param(BASE_DET, "tolerance = 2e-2", "tolerance = 2%", "respond", id="percent-literal"),
+            pytest.param(BASE_DET, "tolerance = 2e-2", "tolerance = nan", "respond", id="tolerance-nan"),
+            pytest.param(BASE_DET, "tolerance = 2e-2", "tolerance = inf", "respond", id="tolerance-inf"),
+            pytest.param(BASE_DET, "tolerance = 2e-2", "tolerance = -inf", "respond", id="tolerance--inf"),
+            pytest.param(BASE_DET, "tolerance = 2e-2", "tolerance = 0", "respond", id="tolerance-0"),
+            pytest.param(BASE_DET, "burn_in = 60", "burn_in = 60\npullback_tol = nan", "respond", id="pullback_tol-nan"),
+            pytest.param(BASE_DET, "burn_in = 60", "burn_in = 60\npullback_tol = inf", "equivariant", id="pullback_tol-inf"),
+            pytest.param(BASE_DET, "burn_in = 60", "burn_in = 60\npullback_tol = -1e-8", "equivariant", id="pullback_tol-negative"),
+            pytest.param(BASE_DET, "tail_rate = 0.5", "tail_rate = 0.5\ntail_tol = nan", "respond", id="tail_tol-nan"),
+            pytest.param(BASE_DET, "tail_rate = 0.5", "tail_rate = 0.5\ntail_tol = inf", "respond", id="tail_tol-inf"),
+            pytest.param(BASE_DET, "eps = 1e-2, 1e-3", "eps = 1e-2, nan", "respond", id="eps-nan"),
+            pytest.param(BASE_DET, "eps = 1e-2, 1e-3", "eps = inf, 1e-3", "respond", id="eps-inf"),
+            pytest.param(BASE_DET, "eps = 1e-2, 1e-3", "eps = 1e-2, -inf", "respond", id="eps--inf"),
+            pytest.param(BASE_NOISY, "eps = 0.02", "eps = nan", "simulate", id="simulate-eps-nan"),
+            pytest.param(BASE_NOISY, "eps = 0.02", "eps = inf", "simulate", id="simulate-eps-inf"),
+            pytest.param(
+                BASE_DET, "[schedule]", "[equivariant]\nharmonic = 0\n\n[schedule]", "equivariant --two-seed",
+                id="equivariant-harmonic-0",
+            ),
+            pytest.param(
+                BASE_DET, "[schedule]", "[equivariant]\nharmonic = 256\n\n[schedule]", "equivariant --two-seed",
+                id="equivariant-harmonic-n",
+            ),
+            pytest.param(BASE_DET, "[schedule]", "[memory]\nharmonic = 0\n\n[schedule]", "memory", id="memory-harmonic-0"),
+            pytest.param(BASE_DET, "[schedule]", "[memory]\nharmonic = -512\n\n[schedule]", "memory", id="memory-harmonic--2n"),
         ],
     )
     def test_bad_value_is_1(self, tmp_path, capsys, base, old, new, command):
         assert old in base
         path, _ = write_config(tmp_path, base.replace(old, new))
-        assert cli.main([command, path]) == 1
+        name, *flags = command.split()
+        assert cli.main([name, path, *flags]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_not_utf8_is_1(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, BASE_DET)
+        with open(path, "ab") as fh:
+            fh.write("; r\u00e9sum\u00e9\n".encode("latin-1"))
+        assert cli.main(["respond", path]) == 1
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(

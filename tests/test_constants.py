@@ -20,7 +20,7 @@ def smooth_w11_family(rng, count=50, n=N):
         v = np.zeros(n)
         for k in range(1, 7):
             v += rng.normal() * np.cos(2 * np.pi * k * x) + rng.normal() * np.sin(2 * np.pi * k * x)
-        out.append(DensityGrid(v))
+        out.append(v)
     return out
 
 
@@ -42,7 +42,7 @@ class TestLasotaYorke:
         mat = transfer.build_deterministic(CircleMap(2), N)
         rng = np.random.default_rng(0)
         for f in smooth_w11_family(rng, 30):
-            lhs = grid.norm_w11(transfer.apply(mat, f))
+            lhs = grid.norm_w11(transfer.push(mat, f))
             assert lhs <= lam1 * grid.norm_w11(f) + 5.0 * grid.norm_l1(f)
 
 
@@ -68,8 +68,12 @@ class TestCT0:
         l1 = transfer.build_deterministic(t1, N)
         rng = np.random.default_rng(1)
         for f in smooth_w11_family(rng, 50):
-            gap = grid.norm_l1(transfer.apply(l0, f) - transfer.apply(l1, f))
+            gap = grid.norm_l1(transfer.push(l0, f) - transfer.push(l1, f))
             assert gap <= ct0 * delta * grid.norm_w11(f)
+
+
+def doubling_pushes():
+    return constants.ProbePushes(transfer.build_deterministic(CircleMap(2), N))
 
 
 class TestChooseM:
@@ -77,21 +81,21 @@ class TestChooseM:
         lam1, b = constants.lasota_yorke_constants(2.0, 0.0, 0.5)
         # (2/3)^M <= 1 / (10 (B/(1-lam1) + 1)) = 0.06 forces M = 7,
         # and the doubling matrix passes the weak check there
-        assert constants.choose_M(CircleMap(2), lam1, b, N) == 7
+        assert constants.choose_M(lam1, b, doubling_pushes()) == 7
 
     def test_closed_form_is_lower_bound(self):
         lam1, b = constants.lasota_yorke_constants(2.0, 0.0, 0.5)
         target = 1.0 / (10.0 * (b / (1.0 - lam1) + 1.0))
-        m = constants.choose_M(CircleMap(2), lam1, b, N)
+        m = constants.choose_M(lam1, b, doubling_pushes())
         assert lam1**m <= target < lam1 ** (m - 1)
 
     def test_rejects_noncontracting(self):
         with pytest.raises(MNotFound):
-            constants.choose_M(CircleMap(2), 1.0, 0.1, N)
+            constants.choose_M(1.0, 0.1, doubling_pushes())
 
 
-def per_call_choose_M(t0, lambda1, b, n_points, pushes=None):
-    """Reference: the search without shared pushes (`pushes` is ignored); every call pushes from m = 1."""
+def per_call_choose_M(t0, lambda1, b, n_points):
+    """Reference: the search for L0 = L_{t0} without shared pushes; every call pushes from m = 1."""
     if not 0.0 < lambda1 < 1.0:
         raise MNotFound(f"lambda1 = {lambda1} admits no finite M")
     target = 1.0 / (10.0 * (b / (1.0 - lambda1) + 1.0))
@@ -100,7 +104,7 @@ def per_call_choose_M(t0, lambda1, b, n_points, pushes=None):
         raise MNotFound("closed-form threshold too large")
     l0 = transfer.build_deterministic(t0, n_points).to_dense()
     probes = constants._probe_family(n_points)
-    w11 = np.array([grid.norm_w11(DensityGrid(probes[:, i])) for i in range(probes.shape[1])])
+    w11 = np.array([grid.norm_w11(probes[:, i].copy()) for i in range(probes.shape[1])])
     threshold = (1.0 - lambda1) / (10.0 * b) if b > 0 else np.inf
     pushed = probes.copy()
     for m in range(1, constants.M_SEARCH_LIMIT + 1):
@@ -148,7 +152,7 @@ class TestProbePushes:
     )
     def test_certificate_matches_per_call_search(self, monkeypatch, t0):
         shared = constants.certify(t0, N).to_json()
-        monkeypatch.setattr(constants, "choose_M", per_call_choose_M)
+        monkeypatch.setattr(constants, "choose_M", lambda lam1, b, pushes: per_call_choose_M(t0, lam1, b, N))
         assert shared == constants.certify(t0, N).to_json()
 
     def test_shared_pushes_match_per_call_search(self):
@@ -156,8 +160,8 @@ class TestProbePushes:
         t0 = CircleMap(2, sin_coeffs=(0.0, 0.05))
         pushes = constants.ProbePushes(transfer.build_deterministic(t0, N))
         for lam1, b in ((0.05, 1e8), (0.1, 1e2), (0.5, 1e3), (0.1, 1e4)):
-            assert constants.choose_M(t0, lam1, b, N, pushes) == per_call_choose_M(t0, lam1, b, N)
-        assert constants.choose_M(t0, 0.05, 1e8, N, pushes) == 12  # the closed form alone gives 7
+            assert constants.choose_M(lam1, b, pushes) == per_call_choose_M(t0, lam1, b, N)
+        assert constants.choose_M(0.05, 1e8, pushes) == 12  # the closed form alone gives 7
 
 
 @pytest.fixture(scope="module")
@@ -204,10 +208,10 @@ class TestCertify:
         mat = transfer.build_deterministic(CircleMap(2), N)
         rng = np.random.default_rng(2)
         for f in smooth_w11_family(rng, 10):
-            v = grid.project_zero_mass(f)
+            v = f - grid.mass(f)
             w0 = grid.norm_w11(v)
             for k in range(1, 15):
-                v = transfer.apply(mat, v)
+                v = transfer.push(mat, v)
                 assert grid.norm_w11(v) <= cert.elom_C * cert.elom_rate**k * w0 + 1e-12
 
     def test_tampered_certificate_fails(self, cert):
@@ -233,6 +237,6 @@ class TestDoeblin:
     def test_rejects_vanishing(self):
         samples = np.maximum(np.cos(2 * np.pi * X), 0.0)
         with pytest.warns(UserWarning):
-            q = NoiseDensity.from_samples(samples)
+            q = NoiseDensity(DensityGrid(samples / grid.mass(samples)))
         with pytest.raises(ValueError):
             constants.doeblin_certificate(q)

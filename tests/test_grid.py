@@ -40,74 +40,104 @@ def bits(a):
     return np.asarray(a, dtype=float).reshape(-1).view(np.int64)
 
 
-def harmonic(k, n=256, phase=0.0):
-    x = np.arange(n) / n
-    return DensityGrid(np.cos(2 * np.pi * k * x + phase))
+def samples(func, n):
+    """func sampled at the nodes i/n."""
+    return func(np.arange(n) / n)
+
+
+def harmonic(k, n=256):
+    return samples(lambda x: np.cos(2 * np.pi * k * x), n)
 
 
 class TestMass:
     def test_constant(self):
-        assert grid.mass(DensityGrid.constant(1.0, 64)) == 1.0
+        assert grid.mass(np.ones(64)) == 1.0
 
     def test_zero_mean_harmonic(self):
-        f = DensityGrid.from_function(lambda x: np.cos(2 * np.pi * x), 64)
-        assert abs(grid.mass(f)) <= 1e-14
+        assert abs(grid.mass(harmonic(1, 64))) <= 1e-14
 
     def test_shifted_harmonic(self):
-        f = DensityGrid.from_function(lambda x: 1 + 0.5 * np.sin(2 * np.pi * x), 128)
-        assert abs(grid.mass(f) - 1.0) <= 1e-14
+        assert abs(grid.mass(samples(lambda x: 1 + 0.5 * np.sin(2 * np.pi * x), 128)) - 1.0) <= 1e-14
 
 
 class TestNormL1:
     def test_constant(self):
-        assert grid.norm_l1(DensityGrid.constant(1.0, 64)) == 1.0
+        assert grid.norm_l1(np.ones(64)) == 1.0
 
     def test_cosine(self):
         # integral of |cos(2 pi x)| over one period is 2/pi
         assert grid.norm_l1(harmonic(1)) == pytest.approx(2 / np.pi, abs=1e-4)
 
     def test_zero(self):
-        assert grid.norm_l1(DensityGrid.constant(0.0, 64)) == 0.0
+        assert grid.norm_l1(np.zeros(64)) == 0.0
 
 
 class TestDerivative:
     def test_constant_is_exactly_zero(self):
-        d = grid.derivative(DensityGrid.constant(1.0, 64))
-        assert np.all(d.values == 0.0)
+        assert np.all(grid.derivative(np.ones(64)) == 0.0)
 
     def test_sine(self):
-        f = DensityGrid.from_function(lambda x: np.sin(2 * np.pi * x), 256)
-        exact = 2 * np.pi * np.cos(2 * np.pi * np.arange(256) / 256)
-        assert np.max(np.abs(grid.derivative(f).values - exact)) <= 1e-6
+        exact = 2 * np.pi * harmonic(1)
+        assert np.max(np.abs(grid.derivative(samples(lambda x: np.sin(2 * np.pi * x), 256)) - exact)) <= 1e-6
 
     def test_cos_4pi(self):
-        f = DensityGrid.from_function(lambda x: np.cos(4 * np.pi * x), 256)
-        exact = -4 * np.pi * np.sin(4 * np.pi * np.arange(256) / 256)
-        assert np.max(np.abs(grid.derivative(f).values - exact)) <= 1e-5
+        exact = -4 * np.pi * samples(lambda x: np.sin(4 * np.pi * x), 256)
+        assert np.max(np.abs(grid.derivative(harmonic(2)) - exact)) <= 1e-5
 
     @pytest.mark.parametrize("n", [16, 256, 1024, 2048])
     def test_bits_match_roll_formula(self, n):
         v = np.random.default_rng(n).normal(size=n) * 10.0 ** np.random.default_rng(n + 1).integers(-5, 5, size=n)
         ref = n * (-np.roll(v, -2) + 8.0 * np.roll(v, -1) - 8.0 * np.roll(v, 1) + np.roll(v, 2)) / 12.0
-        assert np.array_equal(grid.derivative(DensityGrid(v)).values.view(np.int64), ref.view(np.int64))
+        assert np.array_equal(grid.derivative(v).view(np.int64), ref.view(np.int64))
 
 
 class TestNormW11:
     def test_constant(self):
-        assert grid.norm_w11(DensityGrid.constant(1.0, 64)) == 1.0
+        assert grid.norm_w11(np.ones(64)) == 1.0
 
     def test_cosine(self):
         # |cos| integrates to 2/pi, |derivative| = 2 pi |sin| integrates to 4
         assert grid.norm_w11(harmonic(1)) == pytest.approx(2 / np.pi + 4.0, abs=1e-3)
 
     def test_zero(self):
-        assert grid.norm_w11(DensityGrid.constant(0.0, 64)) == 0.0
+        assert grid.norm_w11(np.zeros(64)) == 0.0
 
     def test_l1_below_w11(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            f = DensityGrid(rng.normal(size=128))
-            assert grid.norm_l1(f) <= grid.norm_w11(f) + 1e-15
+        v = np.random.default_rng(7).normal(size=(20, 128))
+        assert np.all(grid.norm_l1(v) <= grid.norm_w11(v) + 1e-15)
+
+
+# Finite floats with the edge cases of the grid formulas mixed in: signed zeros,
+# subnormals and the smallest normal.  |x| <= 1e300 keeps every sum finite.
+FORMULA_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1074 * 3, -(2.0**-1030), 2.2250738585072014e-308, 1e300, -1e300]
+formula_floats = st.one_of(st.sampled_from(FORMULA_EDGES), st.floats(-1e300, 1e300, allow_nan=False))
+
+
+def _wide_block():
+    """A dense (12, 512) block of magnitudes from the subnormal range to 1e300, both signs."""
+    rng = np.random.default_rng(2026)
+    v = rng.normal(size=(12, 512)) * 10.0 ** rng.integers(-330, 299, size=(12, 512))
+    v[:, :len(FORMULA_EDGES)] = FORMULA_EDGES
+    return v
+
+
+class TestOneFormulaPerBlock:
+    """mass, norm_l1, norm_w11 and derivative of an (m, N) block give each row the bits it gets alone."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        block=st.tuples(st.integers(1, 12), st.integers(8, 256).map(lambda h: 2 * h)).flatmap(
+            lambda shape: arrays(float, shape, elements=formula_floats)
+        )
+    )
+    @example(block=_wide_block())
+    @example(block=np.zeros((1, 16)))
+    def test_rows_match_single_densities(self, block):
+        for formula in (grid.mass, grid.norm_l1, grid.norm_w11, grid.derivative):
+            together = formula(block)
+            assert together.shape == block.shape[: together.ndim]
+            for i, row in enumerate(block):
+                assert np.array_equal(bits(together[i]), bits(formula(row.copy())))
 
 
 class TestInterpolate:
@@ -121,8 +151,8 @@ class TestInterpolate:
             assert grid.interpolate_values(f.values, i / 64)[0] == pytest.approx(f.values[i], abs=1e-13)
 
     def test_sine_off_grid(self):
-        f = DensityGrid.from_function(lambda x: np.sin(2 * np.pi * x), 256)
-        assert grid.interpolate_values(f.values, 0.1)[0] == pytest.approx(np.sin(0.2 * np.pi), abs=1e-6)
+        v = samples(lambda x: np.sin(2 * np.pi * x), 256)
+        assert grid.interpolate_values(v, 0.1)[0] == pytest.approx(np.sin(0.2 * np.pi), abs=1e-6)
 
     def test_linear_between_nodes(self):
         n = 64
@@ -180,9 +210,8 @@ class TestProjectZeroMass:
         assert np.max(np.abs(p.values)) <= 1e-15
 
     def test_removes_mean(self):
-        f = DensityGrid.from_function(lambda x: 1 + np.cos(2 * np.pi * x), 64)
-        p = grid.project_zero_mass(f)
-        assert np.max(np.abs(p.values - harmonic(1, 64).values)) <= 1e-14
+        p = grid.project_zero_mass(DensityGrid(1 + harmonic(1, 64)))
+        assert np.max(np.abs(p.values - harmonic(1, 64))) <= 1e-14
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
@@ -193,7 +222,7 @@ class TestProjectZeroMass:
         rng = np.random.default_rng(11)
         for _ in range(20):
             f = DensityGrid(rng.normal(size=256) * 10)
-            assert abs(grid.mass(grid.project_zero_mass(f))) <= 1e-13
+            assert abs(grid.mass(grid.project_zero_mass(f).values)) <= 1e-13
 
 
 class TestHighDegreeAccuracy:
@@ -205,15 +234,14 @@ class TestHighDegreeAccuracy:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_derivative_n1024(self, k):
-        f = DensityGrid.from_function(lambda x: np.sin(2 * np.pi * k * x), 1024)
-        exact = 2 * np.pi * k * np.cos(2 * np.pi * k * np.arange(1024) / 1024)
-        assert np.max(np.abs(grid.derivative(f).values - exact)) <= 1e-5
+        v = samples(lambda x: np.sin(2 * np.pi * k * x), 1024)
+        assert np.max(np.abs(grid.derivative(v) - 2 * np.pi * k * harmonic(k, 1024))) <= 1e-5
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_interpolate_n1024(self, k):
-        f = DensityGrid.from_function(lambda x: np.sin(2 * np.pi * k * x), 1024)
+        v = samples(lambda x: np.sin(2 * np.pi * k * x), 1024)
         xq = np.random.default_rng(5).uniform(0, 1, 2000)
-        assert np.max(np.abs(grid.interpolate_values(f.values, xq) - np.sin(2 * np.pi * k * xq))) <= 1e-6
+        assert np.max(np.abs(grid.interpolate_values(v, xq) - np.sin(2 * np.pi * k * xq))) <= 1e-6
 
 
 class TestValidation:
@@ -237,11 +265,11 @@ class TestValidation:
 
 class TestCsv:
     def test_roundtrip(self, tmp_path):
-        f = DensityGrid.from_function(lambda x: 1 + 0.3 * np.sin(2 * np.pi * x), 64)
+        v = samples(lambda x: 1 + 0.3 * np.sin(2 * np.pi * x), 64)
         path = tmp_path / "density.csv"
-        grid.write_density_csv(path, f.values)
+        grid.write_density_csv(path, v)
         g = grid.read_density_csv(path)
-        assert np.max(np.abs(g.values - f.values)) <= 1e-15
+        assert np.max(np.abs(g.values - v)) <= 1e-15
         assert grid.read_density_csv(path, 64).n_points == 64
 
     def test_rejects_other_point_count(self, tmp_path):

@@ -67,7 +67,7 @@ class TestForcing:
     def test_zero_mass(self, bump_setup):
         _, _, g = bump_setup
         for n in range(g.n_lo, g.n_hi + 1):
-            assert abs(grid.mass(DensityGrid(g[n]))) <= 1e-9
+            assert abs(grid.mass(g[n])) <= 1e-9
 
     def test_window_exceeded(self, doubling_setup):
         _, fam, g = doubling_setup
@@ -99,58 +99,58 @@ class TestNeumannSeries:
         # L annihilates the first harmonic, so the series collapses to
         # its bare term: eta = -cos(2 pi x)
         sys_, fam, g = doubling_setup
-        etas, _ = response.neumann_response(sys_, fam, g, 8, (1.0, 0.5))
+        etas, _ = response.neumann_response(sys_, g, 8, (1.0, 0.5))
         expected = -np.cos(2 * np.pi * X)
         for n in range(etas.n_lo, etas.n_hi + 1):
             assert np.max(np.abs(etas[n] - expected)) <= 1e-5
 
     def test_mass_defect(self, doubling_setup):
         sys_, fam, g = doubling_setup
-        etas, _ = response.neumann_response(sys_, fam, g, 6, (1.0, 0.5))
-        assert max(abs(grid.mass(DensityGrid(eta))) for eta in etas.values) <= 1e-9
+        etas, _ = response.neumann_response(sys_, g, 6, (1.0, 0.5))
+        assert max(abs(grid.mass(eta)) for eta in etas.values) <= 1e-9
 
     def test_tail_bound(self, bump_setup):
         sys_, fam, g = bump_setup
-        _, tail = response.neumann_response(sys_, fam, g, 6, (2.0, 0.7))
-        sup_g = max(grid.norm_w11(DensityGrid(row)) for row in g.values)
+        _, tail = response.neumann_response(sys_, g, 6, (2.0, 0.7))
+        sup_g = max(grid.norm_w11(row) for row in g.values)
         assert tail == 2.0 * 0.7**6 * sup_g / (1.0 - 0.7)
 
     def test_resolvent_identity(self, bump_setup):
         sys_, fam, g = bump_setup
-        etas, tail = response.neumann_response(sys_, fam, g, 6, (1.0, 0.7))
+        etas, tail = response.neumann_response(sys_, g, 6, (1.0, 0.7))
         assert response.resolvent_residual(sys_, etas, g) <= tail + 1e-7
 
     def test_series_cauchy_in_depth(self, bump_setup):
         # deepening the truncation moves eta by at most the tail bound
         sys_, fam, g = bump_setup
-        etas_a, tail_a = response.neumann_response(sys_, fam, g, 5, (1.0, 0.7))
-        etas_b, _ = response.neumann_response(sys_, fam, g, 9, (1.0, 0.7))
+        etas_a, tail_a = response.neumann_response(sys_, g, 5, (1.0, 0.7))
+        etas_b, _ = response.neumann_response(sys_, g, 9, (1.0, 0.7))
         n = etas_b.n_hi
-        assert grid.norm_l1(DensityGrid(etas_a[n] - etas_b[n])) <= tail_a + 1e-9
+        assert grid.norm_l1(etas_a[n] - etas_b[n]) <= tail_a + 1e-9
 
     def test_tail_not_small(self, bump_setup):
         sys_, fam, g = bump_setup
         with pytest.raises(TailNotSmall):
-            response.neumann_response(sys_, fam, g, 2, (1.0, 0.9), tol=1e-10)
+            response.neumann_response(sys_, g, 2, (1.0, 0.9), tol=1e-10)
 
     def test_shallow_window(self, bump_setup):
         sys_, fam, g = bump_setup
         with pytest.raises(WindowExceeded):
-            response.neumann_response(sys_, fam, g, len(fam.values), (1.0, 0.7))
+            response.neumann_response(sys_, g, len(fam.values), (1.0, 0.7))
 
     def test_bad_order(self, bump_setup):
         sys_, fam, g = bump_setup
         with pytest.raises(ValueError):
-            response.neumann_response(sys_, fam, g, 0, (1.0, 0.7))
+            response.neumann_response(sys_, g, 0, (1.0, 0.7))
 
 
 def double_loop_response(sys_, g, n_lo, n_hi, k_order):
-    """The series as first written: for each n, K single applies from g_{n-K-1}."""
+    """The series as first written: for each n, K single pushes from g_{n-K-1}."""
     etas = []
     for n in range(n_lo, n_hi + 1):
-        acc = DensityGrid(g[n - k_order - 1])
+        acc = g[n - k_order - 1]
         for m in range(n - k_order, n):
-            acc = transfer.apply(sys_.operator(m, 0.0), acc) + DensityGrid(g[m])
+            acc = transfer.push(sys_.operator(m, 0.0), acc) + g[m]
         etas.append(acc)
     return etas
 
@@ -169,11 +169,11 @@ class TestBatchedSeries:
     def test_matches_double_loop(self, bump_setup, setup, k_order):
         # one block push per operator index gives the window x K single applies
         sys_, fam, g = two_map_setup() if setup == "two_map" else bump_setup
-        etas, _ = response.neumann_response(sys_, fam, g, k_order, (1.0, 0.5))
+        etas, _ = response.neumann_response(sys_, g, k_order, (1.0, 0.5))
         ref = double_loop_response(sys_, g, etas.n_lo, etas.n_hi, k_order)
         assert etas.n_lo == fam.n_lo + k_order + 1 and etas.n_hi == fam.n_hi and len(etas.values) == len(ref)
         for eta, want in zip(etas.values, ref):
-            assert grid.norm_l1(DensityGrid(eta) - want) <= 1e-13 * grid.norm_l1(want)
+            assert grid.norm_l1(eta - want) <= 1e-13 * grid.norm_l1(want)
 
 
 def mixed_setup(window=(0, 9)):
@@ -188,29 +188,28 @@ def mixed_setup(window=(0, 9)):
 
 
 def reference_forcing(sys_, fam):
-    """The forcing as first written: D mu_{n+1} = -(X mu_{n+1})' or -(A_n (fdot mu_n))', one DensityGrid per index."""
+    """The forcing as first written: D mu_{n+1} = -(X mu_{n+1})' or -(A_n (fdot mu_n))', one density per index."""
     out = []
     for n in range(fam.n_lo, fam.n_hi + 1):
-        entry, mu = sys_.entry(n), DensityGrid(fam[n])
+        entry, mu = sys_.schedule(n), fam[n]
         if isinstance(entry, DeterministicEntry):
-            mu_next = DensityGrid(fam[n + 1]) if n < fam.n_hi else transfer.apply(sys_.operator(n, 0.0), mu)
-            out.append(grid.derivative(DensityGrid(entry.kick.x_field(mu.nodes) * mu_next.values)) * -1.0)
+            mu_next = fam[n + 1] if n < fam.n_hi else transfer.push(sys_.operator(n, 0.0), mu)
+            out.append(grid.derivative(entry.kick.x_field(X) * mu_next) * -1.0)
         else:
-            weighted = DensityGrid(mu.values * entry.drift.dot_values(mu.nodes))
-            out.append(grid.derivative(transfer.apply(sys_.operator(n, 0.0), weighted)) * -1.0)
+            out.append(grid.derivative(transfer.push(sys_.operator(n, 0.0), mu * entry.drift.dot_values(X))) * -1.0)
     return out
 
 
 def reference_quotients(sys_, eps, fam):
-    """Difference quotients as first written: one DensityGrid per index."""
+    """Difference quotients as first written: one density per index."""
     fam_p, _ = pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, N), eps=eps)
-    return [DensityGrid((p - b) * (1.0 / eps)) for p, b in zip(fam_p.values, fam.values)]
+    return [(p - b) * (1.0 / eps) for p, b in zip(fam_p.values, fam.values)]
 
 
 def reference_validate_entries(etas, fd):
     """(eps, D) as first written: the largest of one L1 norm per index."""
     return tuple(
-        (eps, max(float(grid.norm_l1_values(fd[eps][n] - etas[n])) for n in range(etas.n_lo, etas.n_hi + 1)))
+        (eps, max(float(grid.norm_l1(fd[eps][n] - etas[n])) for n in range(etas.n_lo, etas.n_hi + 1)))
         for eps in sorted(fd, reverse=True)
     )
 
@@ -220,7 +219,7 @@ def reference_resolvent_residual(sys_, etas, g):
     res = 0.0
     for n in range(etas.n_lo + 1, etas.n_hi + 1):
         pushed = transfer.push(sys_.operator(n - 1, 0.0), etas[n - 1])
-        res = max(res, float(grid.norm_l1_values(etas[n] - pushed - g[n - 1])))
+        res = max(res, float(grid.norm_l1(etas[n] - pushed - g[n - 1])))
     return res
 
 
@@ -234,7 +233,7 @@ class TestBlockStages:
     def test_forcing(self, setup):
         sys_, fam, g = setup
         assert (g.n_lo, g.n_hi) == (fam.n_lo, fam.n_hi)
-        assert np.array_equal(g.values, np.array([r.values for r in reference_forcing(sys_, fam)]))
+        assert np.array_equal(g.values, np.array(reference_forcing(sys_, fam)))
 
     def test_quotients_and_validate(self, setup):
         sys_, fam, g = setup
@@ -243,18 +242,18 @@ class TestBlockStages:
         assert list(fd) == list(eps_list)
         for eps in eps_list:
             assert (fd[eps].n_lo, fd[eps].n_hi) == (fam.n_lo, fam.n_hi)
-            assert np.array_equal(fd[eps].values, np.array([r.values for r in reference_quotients(sys_, eps, fam)]))
-        etas, _ = response.neumann_response(sys_, fam, g, 3, (1.0, 0.5))
+            assert np.array_equal(fd[eps].values, np.array(reference_quotients(sys_, eps, fam)))
+        etas, _ = response.neumann_response(sys_, g, 3, (1.0, 0.5))
         assert response.validate(etas, fd, tol=1.0).entries == reference_validate_entries(etas, fd)
 
     def test_resolvent_residual(self, setup):
         sys_, fam, g = setup
-        etas, _ = response.neumann_response(sys_, fam, g, 3, (1.0, 0.5))
+        etas, _ = response.neumann_response(sys_, g, 3, (1.0, 0.5))
         assert response.resolvent_residual(sys_, etas, g) == reference_resolvent_residual(sys_, etas, g)
 
     def test_validate_outside_quotient_window(self, setup):
         sys_, fam, g = setup
-        etas, _ = response.neumann_response(sys_, fam, g, 3, (1.0, 0.5))
+        etas, _ = response.neumann_response(sys_, g, 3, (1.0, 0.5))
         fd = {1e-2: Window(etas.n_lo + 1, np.zeros((len(etas.values), N)))}
         with pytest.raises(WindowExceeded):
             response.validate(etas, fd, tol=1.0)
@@ -263,13 +262,13 @@ class TestBlockStages:
 class TestFiniteDifference:
     def test_quotient_converges_to_series(self, doubling_setup):
         sys_, fam, g = doubling_setup
-        etas, _ = response.neumann_response(sys_, fam, g, 8, (1.0, 0.5))
+        etas, _ = response.neumann_response(sys_, g, 8, (1.0, 0.5))
         fd = response.finite_difference_response(
             sys_, [1e-2, 1e-3], 60, DensityGrid.constant(1.0, N), base_family=fam
         )
         gaps = {
             eps: max(
-                grid.norm_l1(DensityGrid(fd[eps][n] - etas[n]))
+                grid.norm_l1(fd[eps][n] - etas[n])
                 for n in range(etas.n_lo, etas.n_hi + 1)
             )
             for eps in fd
@@ -291,18 +290,18 @@ class TestFiniteDifference:
                 q[n]
 
     def test_rejects_zero_eps(self, doubling_setup):
-        sys_, _, _ = doubling_setup
+        sys_, fam, _ = doubling_setup
         with pytest.raises(ValueError):
-            response.finite_difference_response(sys_, [0.0], 60, DensityGrid.constant(1.0, N))
+            response.finite_difference_response(sys_, [0.0], 60, DensityGrid.constant(1.0, N), base_family=fam)
 
     def test_noisy_quotient(self, bump_setup):
         sys_, fam, g = bump_setup
-        etas, _ = response.neumann_response(sys_, fam, g, 8, (1.0, 0.7))
+        etas, _ = response.neumann_response(sys_, g, 8, (1.0, 0.7))
         fd = response.finite_difference_response(
             sys_, [1e-4], 60, DensityGrid.constant(1.0, N), base_family=fam
         )
         gap = max(
-            grid.norm_l1(DensityGrid(fd[1e-4][n] - etas[n]))
+            grid.norm_l1(fd[1e-4][n] - etas[n])
             for n in range(etas.n_lo, etas.n_hi + 1)
         )
         assert gap <= 5e-3
@@ -311,7 +310,7 @@ class TestFiniteDifference:
 class TestValidate:
     def test_passes(self, bump_setup):
         sys_, fam, g = bump_setup
-        etas, _ = response.neumann_response(sys_, fam, g, 8, (1.0, 0.7))
+        etas, _ = response.neumann_response(sys_, g, 8, (1.0, 0.7))
         fd = response.finite_difference_response(
             sys_, [1e-2, 3e-3, 1e-3], 60, DensityGrid.constant(1.0, N), base_family=fam
         )
@@ -326,7 +325,7 @@ class TestValidate:
 
     def test_fails_on_absurd_tol(self, bump_setup):
         sys_, fam, g = bump_setup
-        etas, _ = response.neumann_response(sys_, fam, g, 8, (1.0, 0.7))
+        etas, _ = response.neumann_response(sys_, g, 8, (1.0, 0.7))
         fd = response.finite_difference_response(
             sys_, [1e-2, 1e-3], 60, DensityGrid.constant(1.0, N), base_family=fam
         )
@@ -334,7 +333,7 @@ class TestValidate:
 
     def test_json(self, bump_setup):
         sys_, fam, g = bump_setup
-        etas, _ = response.neumann_response(sys_, fam, g, 6, (1.0, 0.7))
+        etas, _ = response.neumann_response(sys_, g, 6, (1.0, 0.7))
         fd = response.finite_difference_response(
             sys_, [1e-3], 60, DensityGrid.constant(1.0, N), base_family=fam
         )
@@ -354,15 +353,15 @@ class TestPeriodicSchedule:
         sys_ = SequenceSystem(sched, (0, 12), n_points=N)
         fam, _ = pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, N))
         g = response.forcing(sys_, fam)
-        etas, tail = response.neumann_response(sys_, fam, g, 8, (1.0, 0.6))
+        etas, tail = response.neumann_response(sys_, g, 8, (1.0, 0.6))
         assert response.resolvent_residual(sys_, etas, g) <= tail + 1e-7
 
 
 def dropped_term_l1(sys_, g, n, k_order):
     """||L_{n-1} ... L_{n-K-1} g_{n-K-2}||_L1, the (K+1)-st series term that truncation at K drops."""
-    acc = DensityGrid(g[n - k_order - 2])
+    acc = g[n - k_order - 2]
     for m in range(n - k_order - 1, n):
-        acc = transfer.apply(sys_.operator(m, 0.0), acc)
+        acc = transfer.push(sys_.operator(m, 0.0), acc)
     return grid.norm_l1(acc)
 
 
@@ -373,9 +372,9 @@ class TestResolventIdentity:
         sys_ = SequenceSystem(periodic_schedule(entries), (0, k_order + 4), n_points=N)
         fam, _ = pullback_equivariant(sys_, 20, DensityGrid.constant(1.0, N), tol=np.inf)
         g = response.forcing(sys_, fam)
-        etas, _ = response.neumann_response(sys_, fam, g, k_order, (1.0, 0.5))
+        etas, _ = response.neumann_response(sys_, g, k_order, (1.0, 0.5))
         dropped = max(dropped_term_l1(sys_, g, n, k_order) for n in range(etas.n_lo + 1, etas.n_hi + 1))
-        scale = 1.0 + max(grid.norm_l1(DensityGrid(eta)) for eta in etas.values)
+        scale = 1.0 + max(grid.norm_l1(eta) for eta in etas.values)
         assert abs(response.resolvent_residual(sys_, etas, g) - dropped) <= 1e-12 * scale
 
     @settings(max_examples=30, deadline=None, derandomize=True)

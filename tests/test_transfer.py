@@ -25,8 +25,8 @@ def random_density(rng, n=N, smooth=True):
         x = np.arange(n) / n
         for k in range(1, 9):
             v += 0.1 * rng.normal() * np.cos(2 * np.pi * k * x) + 0.1 * rng.normal() * np.sin(2 * np.pi * k * x)
-        return DensityGrid(v)
-    return DensityGrid(rng.normal(size=n))
+        return v
+    return rng.normal(size=n)
 
 
 def _trig_coeffs(bound):
@@ -53,40 +53,38 @@ class TestDeterministic:
         assert np.max(np.abs(out.values - 1.0)) <= 1e-12
 
     def test_harmonic_annihilation(self, doubling_matrix):
-        f = DensityGrid(1 + np.cos(2 * np.pi * X))
-        out = transfer.apply(doubling_matrix, f)
-        assert grid.norm_l1(out - DensityGrid.constant(1.0, N)) <= 1e-8
+        out = transfer.push(doubling_matrix, 1 + np.cos(2 * np.pi * X))
+        assert grid.norm_l1(out - 1.0) <= 1e-8
 
     def test_frequency_halving(self, doubling_matrix):
-        f = DensityGrid(1 + np.cos(4 * np.pi * X))
-        out = transfer.apply(doubling_matrix, f)
-        assert grid.norm_l1(out - DensityGrid(1 + np.cos(2 * np.pi * X))) <= 1e-8
+        out = transfer.push(doubling_matrix, 1 + np.cos(4 * np.pi * X))
+        assert grid.norm_l1(out - (1 + np.cos(2 * np.pi * X))) <= 1e-8
 
     def test_mass_preservation_random(self, doubling_matrix):
         rng = np.random.default_rng(0)
         for _ in range(100):
             f = random_density(rng, smooth=False)
-            out = transfer.apply(doubling_matrix, f)
+            out = transfer.push(doubling_matrix, f)
             assert abs(grid.mass(out) - grid.mass(f)) <= 1e-9 * max(grid.norm_l1(f), 1.0)
 
     def test_positivity(self, doubling_matrix):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            f = DensityGrid(np.abs(random_density(rng).values))
-            assert np.min(transfer.apply(doubling_matrix, f).values) >= -1e-6
+            f = np.abs(random_density(rng))
+            assert np.min(transfer.push(doubling_matrix, f)) >= -1e-6
 
     def test_weak_nonexpansion(self, doubling_matrix):
         rng = np.random.default_rng(2)
         for _ in range(50):
             f = random_density(rng)
-            assert grid.norm_l1(transfer.apply(doubling_matrix, f)) <= grid.norm_l1(f) + 1e-6
+            assert grid.norm_l1(transfer.push(doubling_matrix, f)) <= grid.norm_l1(f) + 1e-6
 
     def test_lasota_yorke(self, doubling_matrix):
         # doubling map: ||Lf||_W11 <= 0.5 ||f||_W11 + 10 ||f||_L1
         rng = np.random.default_rng(3)
         for _ in range(100):
             f = random_density(rng)
-            lhs = grid.norm_w11(transfer.apply(doubling_matrix, f))
+            lhs = grid.norm_w11(transfer.push(doubling_matrix, f))
             assert lhs <= 0.5 * grid.norm_w11(f) + 10.0 * grid.norm_l1(f)
 
 
@@ -95,21 +93,20 @@ class TestKickOperator:
         lk = transfer.build_kick(KickField(sin_coeffs=(0.0, 1.0)), 0.0, N)
         rng = np.random.default_rng(4)
         f = random_density(rng)
-        assert grid.norm_l1(transfer.apply(lk, f) - f) <= 1e-12
+        assert grid.norm_l1(transfer.push(lk, f) - f) <= 1e-12
 
     def test_constant_field_rotation(self):
         c, eps = 1.0, 0.013
         lk = transfer.build_kick(KickField(cos_coeffs=(c,)), eps, N)
-        f = DensityGrid(np.sin(2 * np.pi * X))
-        expected = DensityGrid(np.sin(2 * np.pi * (X - eps * c)))
-        assert np.max(np.abs(transfer.apply(lk, f).values - expected.values)) <= 1e-7
+        expected = np.sin(2 * np.pi * (X - eps * c))
+        assert np.max(np.abs(transfer.push(lk, np.sin(2 * np.pi * X)) - expected)) <= 1e-7
 
     def test_mass_preserved(self):
         lk = transfer.build_kick(KickField(sin_coeffs=(0.0, 0.7)), 0.05, N)
         rng = np.random.default_rng(5)
         for _ in range(30):
             f = random_density(rng, smooth=False)
-            assert abs(grid.mass(transfer.apply(lk, f)) - grid.mass(f)) <= 1e-10
+            assert abs(grid.mass(transfer.push(lk, f)) - grid.mass(f)) <= 1e-10
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(system=kicked_systems(), seed=st.integers(0, 2**32 - 1))
@@ -123,7 +120,7 @@ class TestKickOperator:
         rng = np.random.default_rng(seed)
         for _ in range(5):
             f = random_density(rng)
-            d = transfer.apply(one_pass, f) - transfer.apply(factored, f)
+            d = transfer.push(one_pass, f) - transfer.push(factored, f)
             assert grid.norm_l1(d) <= 1e-6
 
 
@@ -138,10 +135,10 @@ class TestMatrixFree:
         rng = np.random.default_rng(seed)
         for _ in range(3):
             f = random_density(rng, smooth=False)
-            out = transfer.apply(a, f)
-            assert np.max(np.abs(out.values - dense @ f.values)) <= 1e-12 * np.max(np.abs(f.values))
+            out = transfer.push(a, f)
+            assert np.max(np.abs(out - dense @ f)) <= 1e-12 * np.max(np.abs(f))
             assert abs(grid.mass(out) - grid.mass(f)) <= 1e-12 * grid.norm_l1(f)
-            assert abs(grid.mass(transfer.apply(a, grid.project_zero_mass(f)))) <= 1e-12 * grid.norm_l1(f)
+            assert abs(grid.mass(transfer.push(a, f - grid.mass(f)))) <= 1e-12 * grid.norm_l1(f)
 
 
 @st.composite
@@ -208,13 +205,13 @@ class TestDOperator:
         for _ in range(20):
             u = random_density(rng)
             kick = KickField(cos_coeffs=rng.normal(size=4) * 0.1, sin_coeffs=rng.normal(size=4) * 0.1)
-            assert abs(grid.mass(DensityGrid(transfer.d_operator(kick, u.values)))) <= 1e-12
+            assert abs(grid.mass(transfer.d_operator(kick, u))) <= 1e-12
 
 
 class TestApply:
     def test_identity_kind(self):
         ident = transfer.TransferMatrix.from_stencil(np.arange(N), np.arange(N), np.ones(N), N)
-        f = random_density(np.random.default_rng(8))
+        f = DensityGrid(random_density(np.random.default_rng(8)))
         assert np.all(transfer.apply(ident, f).values == f.values)
 
     def test_zero(self, doubling_matrix):
@@ -224,9 +221,9 @@ class TestApply:
     def test_linearity(self, doubling_matrix):
         rng = np.random.default_rng(9)
         f, g = random_density(rng), random_density(rng)
-        lhs = transfer.apply(doubling_matrix, f + g)
-        rhs = transfer.apply(doubling_matrix, f) + transfer.apply(doubling_matrix, g)
-        assert np.max(np.abs(lhs.values - rhs.values)) <= 1e-12
+        lhs = transfer.apply(doubling_matrix, DensityGrid(f + g)).values
+        rhs = transfer.apply(doubling_matrix, DensityGrid(f)).values + transfer.apply(doubling_matrix, DensityGrid(g)).values
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_dimension_mismatch(self, doubling_matrix):
         with pytest.raises(DimensionMismatch):

@@ -56,7 +56,7 @@ def uniforms():
 def test_simulate_marginal(benchmark, system):
     drift, q = system
     benchmark.extra_info["points"] = 3 * 10**6  # samples times steps
-    benchmark.pedantic(noise.simulate_marginal, (drift, 0.02, q, 3, 10**6, 1, 64), rounds=5, warmup_rounds=1)
+    benchmark.pedantic(noise.simulate_marginal, (lambda k: drift, 0.02, q, 3, 10**6, 1, 64), rounds=5, warmup_rounds=1)
 
 
 def test_trigpoly(benchmark, system, uniforms):
@@ -129,7 +129,7 @@ def session():
         CircleMap(2, sin_coeffs=(0.0, 0.04)),
         CircleMap(2, cos_coeffs=(0.0, 0.0, 0.005), sin_coeffs=(0.0, 0.04)),
     ]
-    entries = [DeterministicEntry(t, kick, i) for i, t in enumerate(maps)]
+    entries = [DeterministicEntry(t, kick) for t in maps]
     sys_ = SequenceSystem(seeded_random_schedule(entries, 7), (0, 300), n_points=n)
     fam, _ = sequence.pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, n))
     return sys_, fam, response.forcing(sys_, fam)

@@ -98,6 +98,13 @@ def _as_float(value, where):
         raise ConfigError(f"{where} must be a number, got {value!r}") from None
 
 
+def _as_seed(value, where):
+    seed = _as_int(value, where)
+    if not 0 <= seed < 2**63:
+        raise ConfigError(f"{where} must be an integer in [0, 2**63), got {seed}")
+    return seed
+
+
 def _as_tolerance(value, where):
     tol = _as_float(value, where)
     if not 0.0 < tol < np.inf:  # NaN fails too
@@ -170,7 +177,7 @@ def load_config(path: str) -> ExperimentConfig:
         window=window,
         burn_in=burn_in,
         eps_list=eps_list,
-        seed=_as_int(_get(parser, "experiment", "seed", "0"), "experiment.seed"),
+        seed=_as_seed(_get(parser, "experiment", "seed", "0"), "experiment.seed"),
         output_dir=_get(parser, "experiment", "output_dir", "out"),
         truncation=truncation,
         tolerance=_as_tolerance(_get(parser, "experiment", "tolerance", "1e-2"), "experiment.tolerance"),
@@ -296,11 +303,11 @@ def build_drift(cfg: ExperimentConfig, base: CircleMap) -> DriftMap:
     return DriftMap(base=base, dot=TrigPoly(cos, sin)(np.arange(cfg.n_points) / cfg.n_points))
 
 
-def _entry_for_map(cfg: ExperimentConfig, section: str, key: str):
+def _entry_for_map(cfg: ExperimentConfig, section: str):
     t = build_map(cfg, section)
     if cfg.mode == "deterministic":
-        return DeterministicEntry(map=t, kick=build_kick(cfg), key=key)
-    return NoisyEntry(drift=build_drift(cfg, t), noise=build_noise(cfg), key=key)
+        return DeterministicEntry(map=t, kick=build_kick(cfg))
+    return NoisyEntry(drift=build_drift(cfg, t), noise=build_noise(cfg))
 
 
 def build_system(cfg: ExperimentConfig) -> SequenceSystem:
@@ -308,15 +315,15 @@ def build_system(cfg: ExperimentConfig) -> SequenceSystem:
     if kind not in SCHEDULE_KINDS:
         raise ConfigError(f"schedule.kind must be one of {SCHEDULE_KINDS}, got {kind!r}")
     if kind == "constant":
-        schedule = constant_schedule(_entry_for_map(cfg, "reference_map", "reference_map"))
+        schedule = constant_schedule(_entry_for_map(cfg, "reference_map"))
     else:
         names = [s.strip() for s in _require(cfg.raw, "schedule", "maps").split(",") if s.strip()]
         if not names:
             raise ConfigError("schedule.maps must list at least one map section")
-        entries = [_entry_for_map(cfg, name, name) for name in names]
+        entries = [_entry_for_map(cfg, name) for name in names]
         if kind == "periodic":
             schedule = periodic_schedule(entries)
         else:
-            sched_seed = _as_int(_get(cfg.raw, "schedule", "seed", str(cfg.seed)), "schedule.seed")
+            sched_seed = _as_seed(_get(cfg.raw, "schedule", "seed", str(cfg.seed)), "schedule.seed")
             schedule = seeded_random_schedule(entries, sched_seed)
     return SequenceSystem(schedule, cfg.window, n_points=cfg.n_points)

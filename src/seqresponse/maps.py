@@ -200,9 +200,6 @@ class KickedMap:
     def lift(self, x):
         return self.kick.h(self.eps, self.base.lift(x))
 
-    def eval(self, x):
-        return wrap(self.lift(x))
-
     def eval_d1(self, x):
         u = self.base.lift(x)
         return self.kick.h_d1(self.eps, u) * self.base.eval_d1(x)

@@ -83,32 +83,22 @@ class NoiseDensity:
 class DriftMap:
     """Drift f_eps = f0 + eps * fdot (mod 1) of the random system.
 
-    `base` is a CircleMap, a callable, or an array of N node samples
-    (merely measurable drifts: sampled bases are evaluated by nearest
-    node).  `dot` is a callable or an array of node samples interpolated
-    cubically.  The remainder term of the eps-family is fixed at zero.
+    `base` is the CircleMap f0.  `dot` holds fdot's N node samples, read
+    off-grid by the 4-point cubic, or is None for fdot = 0.  The
+    remainder term of the eps-family is fixed at zero.
     """
 
-    def __init__(self, base, dot=None):
+    def __init__(self, base: CircleMap, dot=None):
         self.base = base
         self.dot = dot
 
     def base_values(self, x) -> np.ndarray:
-        x = gridmod.wrap(np.asarray(x, dtype=float))
-        if isinstance(self.base, CircleMap):
-            return self.base.eval(x)
-        if callable(self.base):
-            return np.asarray(self.base(x), dtype=float)
-        samples = np.asarray(self.base, dtype=float)
-        n = samples.shape[0]
-        return samples[np.rint(x * n).astype(np.int64) % n]
+        return self.base.eval(gridmod.wrap(np.asarray(x, dtype=float)))
 
     def dot_values(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.dot is None:
             return np.zeros_like(x)
-        if callable(self.dot):
-            return np.asarray(self.dot(x), dtype=float)
         return gridmod.interpolate_values(np.asarray(self.dot, dtype=float), x)
 
     def eval(self, x, eps: float) -> np.ndarray:
@@ -143,19 +133,6 @@ def kernel_forcing(f: DriftMap, a: TransferMatrix, mu: np.ndarray) -> np.ndarray
     """
     n = mu.shape[-1]
     return gridmod.derivative(transfer.push(a, mu * f.dot_values(np.arange(n) / n))) * -1.0
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """Density-normalized histogram on uniform bins of [0, 1)."""
-
-    bin_left: np.ndarray
-    density: np.ndarray
-
-    def write_csv(self, path) -> None:
-        rows = zip(self.bin_left.tolist(), self.density.tolist())
-        with open(path, "w") as fh:
-            fh.write("bin_left,density\n" + "".join(f"{b:.17g},{d:.17g}\n" for b, d in rows))
 
 
 def _inverse_cdf_table(q: NoiseDensity) -> np.ndarray:
@@ -196,27 +173,25 @@ def _sample_noise(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarr
 
 
 def simulate_marginal(
-    f_schedule,
+    drift_at,
     eps: float,
     q: NoiseDensity,
     n_steps: int,
     n_samples: int,
     seed: int,
     n_bins: int,
-) -> Histogram:
-    """Monte Carlo marginal of X_{n_steps} for X_{k+1} = f_k^eps(X_k) + xi_k mod 1.
+) -> np.ndarray:
+    """Monte Carlo marginal of X_{n_steps} for X_{k+1} = f_k^eps(X_k) + xi_k mod 1, as a histogram.
 
-    X_0 is uniform; xi_k ~ q via the guide-table inverse CDF.  Samples are
+    drift_at(k) is the DriftMap f_k of step k.  X_0 is uniform; xi_k ~ q
+    via the guide-table inverse CDF.  Returns the density of each of the
+    n_bins uniform bins [i / n_bins, (i + 1) / n_bins).  Samples are
     processed in fixed-size blocks with a counter-based Philox stream
     keyed by (seed, block), so the result is reproducible and
     independent of any block-level parallelism.
     """
     if n_samples < 10**4:
         raise ValueError("need at least 1e4 samples")
-    if callable(f_schedule):
-        drift_at = f_schedule
-    else:
-        drift_at = lambda n: f_schedule
     cdf = _inverse_cdf_table(q)
     guide = _guide_table(cdf)
     counts = np.zeros(n_bins, dtype=np.int64)
@@ -231,13 +206,12 @@ def simulate_marginal(
                 c = slice(lo, lo + MC_CHUNK)
                 x[c] = gridmod.wrap(drift.eval(x[c], eps) + _sample_noise(cdf, guide, u[c]))
         counts += np.bincount(np.minimum((x * n_bins).astype(np.int64), n_bins - 1), minlength=n_bins)
-    density = counts * (n_bins / n_samples)
-    return Histogram(bin_left=np.arange(n_bins) / n_bins, density=density)
+    return counts * (n_bins / n_samples)
 
 
-def bin_density(f: DensityGrid, n_bins: int) -> np.ndarray:
-    """Average a grid density over uniform bins, for histogram comparison."""
-    n = f.n_points
+def bin_density(f: np.ndarray, n_bins: int) -> np.ndarray:
+    """Average the raw samples of a grid density over uniform bins, for histogram comparison."""
+    n = f.shape[0]
     if n % n_bins != 0:
         raise DimensionMismatch("grid size must be a multiple of n_bins")
-    return f.values.reshape(n_bins, n // n_bins).mean(axis=1)
+    return f.reshape(n_bins, n // n_bins).mean(axis=1)

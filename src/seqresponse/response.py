@@ -18,9 +18,6 @@ are diagnostics only.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import grid as gridmod
@@ -124,27 +121,12 @@ def finite_difference_response(
     return quotients
 
 
-@dataclass(frozen=True)
-class ValidationSummary:
-    """Per-eps L1 discrepancy between difference quotients and the series."""
+def validate(etas: Window, fd: dict[float, Window], tol: float) -> tuple[list, bool]:
+    """Per-eps L1 discrepancies D(eps) between the quotients and the series, and whether they pass.
 
-    entries: tuple  # (eps, discrepancy) sorted by decreasing eps
-    tol: float
-    passed: bool
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "tol": self.tol,
-                "pass": self.passed,
-                "entries": [{"eps": e, "D": d} for e, d in self.entries],
-            },
-            indent=2,
-        )
-
-
-def validate(etas: Window, fd: dict[float, Window], tol: float) -> ValidationSummary:
-    """Passes iff D(eps) decreases along shrinking eps and D(min eps) <= tol."""
+    The entries are (eps, D) pairs by decreasing eps.  They pass iff
+    D(eps) decreases along shrinking eps and D(min eps) <= tol.
+    """
     entries = []
     for eps in sorted(fd, reverse=True):
         gaps = fd[eps].rows(etas.n_lo, etas.n_hi) - etas.values
@@ -152,5 +134,4 @@ def validate(etas: Window, fd: dict[float, Window], tol: float) -> ValidationSum
     ds = [d for _, d in entries]
     floor = 1e-6  # discretization floor: below it, ordering is noise
     decreasing = all(b <= a or max(a, b) <= floor for a, b in zip(ds, ds[1:]))
-    passed = decreasing and ds[-1] <= tol
-    return ValidationSummary(entries=tuple(entries), tol=tol, passed=passed)
+    return entries, decreasing and ds[-1] <= tol

@@ -9,8 +9,8 @@ are produced by the pullback sweep: push an arbitrary probability seed
 forward from burn_in steps before the window and record the densities
 inside it, one row per index.
 
-Composition convention: compose(sys, j, k, f) applies the operators at
-indices j, j+1, ..., j+k-1 in increasing time order (index j acts
+Time-order convention: a composition of the operators at indices j,
+j+1, ..., j+k-1 applies them in increasing time order (index j acts
 first).  The uniqueness recursion Delta_n = L_{n-1} Delta_{n-1} forces
 this time-ordered semantics and it is used consistently everywhere.
 """
@@ -42,12 +42,11 @@ class DeterministicEntry:
     """One scheduled deterministic step: expanding map + kick direction.
 
     Entries hash by identity, so operator caches never share a slot
-    between two entries; `key` is only a label.
+    between two entries.
     """
 
     map: CircleMap
     kick: KickField
-    key: object
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +55,6 @@ class NoisyEntry:
 
     drift: DriftMap
     noise: NoiseDensity
-    key: object
 
 
 def constant_schedule(entry):
@@ -180,18 +178,6 @@ class SequenceSystem:
         return mat
 
 
-def compose(sys: SequenceSystem, j: int, k: int, f: DensityGrid) -> DensityGrid:
-    """Apply the k unperturbed operators at indices j .. j+k-1 in time order."""
-    if k < 0:
-        raise ValueError("negative composition length")
-    if k > 0 and not (sys.window[0] <= j and j + k - 1 <= sys.window[1]):
-        raise WindowExceeded(f"[{j}, {j + k - 1}] outside window {sys.window}")
-    v = f.values
-    for m in range(j, j + k):
-        v = transfer.push(sys.operator(m), v)
-    return DensityGrid(v)
-
-
 def _sweep(sys: SequenceSystem, burn_in: int, seed_density: DensityGrid, eps: float) -> tuple[np.ndarray, float]:
     """Pullback densities at n_lo .. n_hi, one per row, from burn_in steps back, and their residual.
 
@@ -245,20 +231,14 @@ def pullback_equivariant(
     return Window(sys.window[0], full), residual
 
 
-@dataclass(frozen=True)
-class MemoryDecay:
-    """Norm track of a zero-mass seed under the sequential composition."""
+def memory_decay(sys: SequenceSystem, v: DensityGrid, j: int, k_max: int) -> tuple[np.ndarray, float]:
+    """Push a zero-mass density through the operators at j, j+1, ...; its norm records and fitted rate.
 
-    records: np.ndarray  # columns: k, w11_norm, l1_norm
-    fitted_rate: float
-
-
-def memory_decay(sys: SequenceSystem, v: DensityGrid, j: int, k_max: int) -> MemoryDecay:
-    """Push a zero-mass density and record norms for k = 1..k_max.
-
-    The exponential rate is least-squares fitted from log W^{1,1} norm
-    vs k over the last half of the range; steps where the norm has
-    collapsed to round-off are excluded from the fit.
+    Row k - 1 of the (k_max, 3) records is (k, W^{1,1} norm, L^1 norm)
+    after k steps, k = 1..k_max.  The exponential rate is least-squares
+    fitted from log W^{1,1} norm vs k over the last half of the range;
+    steps where the norm has collapsed to round-off are excluded from
+    the fit.
     """
     if abs(gridmod.mass(v.values)) > 1e-12:
         raise ValueError("seed must have zero mass")
@@ -274,4 +254,4 @@ def memory_decay(sys: SequenceSystem, v: DensityGrid, j: int, k_max: int) -> Mem
         rate = float(np.exp(slope))
     else:
         rate = 0.0
-    return MemoryDecay(records=records, fitted_rate=rate)
+    return records, rate

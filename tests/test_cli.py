@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from seqresponse import cli, config, transfer
+from seqresponse import cli, config, noise, transfer
 from seqresponse.errors import ConfigError
 
 BASE_DET = """
@@ -60,6 +60,21 @@ samples = 20000
 bins = 32
 eps = 0.02
 """
+
+
+# Two maps, neither the reference map, alternating from step 0.
+PERIODIC_NOISY = BASE_NOISY.replace("kind = constant", "kind = periodic\nmaps = map.a, map.b") + """
+[map.a]
+degree = 2
+coeffs = 1:0.0:0.05
+
+[map.b]
+degree = 3
+coeffs = 1:0.02:0.0, 2:0.0:0.01
+"""
+
+
+SEEDED_DET = BASE_DET.replace("kind = constant", "kind = seeded_random\nmaps = reference_map\nseed = 0")
 
 
 def write_config(tmp_path, text, name="exp.ini", **extra):
@@ -207,6 +222,12 @@ class TestExitCodes:
             ),
             pytest.param(BASE_DET, "[schedule]", "[memory]\nharmonic = 0\n\n[schedule]", "memory", id="memory-harmonic-0"),
             pytest.param(BASE_DET, "[schedule]", "[memory]\nharmonic = -512\n\n[schedule]", "memory", id="memory-harmonic--2n"),
+            pytest.param(BASE_NOISY, "seed = 11", f"seed = {2**70}", "simulate", id="seed-2**70"),
+            pytest.param(BASE_NOISY, "seed = 11", f"seed = {2**64 - 1}", "simulate", id="seed-2**64-1"),
+            pytest.param(BASE_NOISY, "seed = 11", "seed = -1", "simulate", id="seed--1"),
+            pytest.param(SEEDED_DET, "seed = 0", f"seed = {2**70}", "equivariant", id="schedule-seed-2**70"),
+            pytest.param(SEEDED_DET, "seed = 0", f"seed = {2**64 - 1}", "equivariant", id="schedule-seed-2**64-1"),
+            pytest.param(SEEDED_DET, "seed = 0", "seed = -1", "equivariant", id="schedule-seed--1"),
         ],
     )
     def test_bad_value_is_1(self, tmp_path, capsys, base, old, new, command):
@@ -385,8 +406,10 @@ class TestRespond:
         report = json.loads((out / "response.json").read_text())
         assert report["validation_pass"]
         assert report["max_mass_defect"] <= 1e-8
-        summary = json.loads((out / "validation.json").read_text())
+        text = (out / "validation.json").read_text()
+        summary = json.loads(text)
         assert summary["pass"]
+        assert list(summary) == ["tol", "pass", "entries"] and text == json.dumps(summary, indent=2) + "\n"
         assert (out / "plot.gp").exists()
 
     def test_zero_perturbation_zero_eta(self, tmp_path):
@@ -410,9 +433,28 @@ class TestSimulate:
         report = json.loads((out / "simulate.json").read_text())
         assert report["l1_vs_operator"] <= 0.1
 
+    def test_follows_the_schedule(self, tmp_path):
+        path, out = write_config(tmp_path, PERIODIC_NOISY.replace("samples = 20000", "samples = 100000"))
+        assert cli.main(["simulate", path]) == 0
+        sys_ = config.build_system(config.load_config(path))
+        drift_at = lambda k: sys_.schedule(k).drift
+        expected = noise.simulate_marginal(drift_at, 0.02, sys_.schedule(0).noise, 3, 100000, seed=11, n_bins=32)
+        assert np.array_equal(np.loadtxt(out / "histogram.csv", delimiter=",", skiprows=1)[:, 1], expected)
+        assert json.loads((out / "simulate.json").read_text())["l1_vs_operator"] <= 0.05
+
     def test_seed_determinism(self, tmp_path):
         path, out = write_config(tmp_path, BASE_NOISY)
         assert cli.main(["simulate", path]) == 0
         first = (out / "histogram.csv").read_bytes()
         assert cli.main(["simulate", path]) == 0
         assert (out / "histogram.csv").read_bytes() == first
+
+
+class TestUniformNoise:
+    def test_respond_and_simulate(self, tmp_path):
+        # uniform noise forgets the drift in one step: mu = 1, g = 0, and the quotients vanish to round-off
+        path, out = write_config(tmp_path, BASE_NOISY.replace("preset = bump:0.5,0.08,0.3", "preset = uniform"))
+        assert cli.main(["respond", path]) == 0
+        assert all(e["D"] <= 1e-13 for e in json.loads((out / "validation.json").read_text())["entries"])
+        assert cli.main(["simulate", path]) == 0
+        assert json.loads((out / "simulate.json").read_text())["l1_vs_operator"] <= 0.05

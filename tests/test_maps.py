@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from seqresponse import maps, transfer
+from seqresponse import grid, maps, transfer
 from seqresponse.errors import DegreeMismatch, KickTooLarge, NoConvergence, NotExpanding
 from seqresponse.maps import CircleMap, KickedMap, KickField, TrigPoly, c2_distance
 
@@ -197,7 +197,7 @@ class TestSafeguardedNewton:
         assert b.shape == (t.degree, x.shape[0])
         assert np.all((0.0 <= b) & (b < 1.0))
         assert np.all(np.diff(b, axis=0) > 0.0)
-        assert np.max(circle_distance(t.eval(b), x[None, :])) <= maps.BRANCH_RESIDUAL_TOL
+        assert np.max(circle_distance(grid.wrap(t.lift(b)), x[None, :])) <= maps.BRANCH_RESIDUAL_TOL
         lam0 = np.min(t.eval_d1(maps._PROBE))
         assert np.max(circle_distance(b, bisection_branches(t, x))) <= 2 * maps.BRANCH_RESIDUAL_TOL / lam0
 
@@ -249,20 +249,20 @@ class TestKick:
         x = np.linspace(0, 1, 101)[:-1]
         k = KickField(sin_coeffs=(0.0, 1.0))
         tk = KickedMap(k, 0.0, doubling())
-        assert np.max(np.abs(tk.eval(x) - doubling().eval(x))) <= 1e-15
+        assert np.max(np.abs(grid.wrap(tk.lift(x)) - doubling().eval(x))) <= 1e-15
 
     def test_constant_field_is_rotation(self):
         c = 0.37
         tk = KickedMap(KickField(cos_coeffs=(c,)), 0.01, doubling())
         x = np.linspace(0, 1, 64, endpoint=False)
-        assert np.max(np.abs(tk.eval(x) - (2 * x + 0.01 * c) % 1.0)) <= 1e-14
+        assert np.max(np.abs(grid.wrap(tk.lift(x)) - (2 * x + 0.01 * c) % 1.0)) <= 1e-14
 
     def test_branch_residual(self):
         k = KickField(sin_coeffs=(0.0, 0.8))
         tk = KickedMap(k, 0.05, perturbed_doubling(0.05))
         x = np.random.default_rng(2).uniform(0, 1, 100)
         b = tk.inverse_branches(x)
-        res = (tk.eval(b) - x[None, :]) % 1.0
+        res = (grid.wrap(tk.lift(b)) - x[None, :]) % 1.0
         assert np.max(np.minimum(res, 1 - res)) <= 1e-12
 
     def test_too_large(self):

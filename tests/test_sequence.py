@@ -15,7 +15,6 @@ from seqresponse.sequence import (
     NoisyEntry,
     SequenceSystem,
     Window,
-    compose,
     constant_schedule,
     memory_decay,
     periodic_schedule,
@@ -28,43 +27,19 @@ X = np.arange(N) / N
 
 
 def doubling_system(window=(0, 10)):
-    entry = DeterministicEntry(map=CircleMap(2), kick=KickField(sin_coeffs=(0.0, 1 / (2 * np.pi))), key="T0")
+    entry = DeterministicEntry(map=CircleMap(2), kick=KickField(sin_coeffs=(0.0, 1 / (2 * np.pi))))
     return SequenceSystem(constant_schedule(entry), window, n_points=N)
 
 
 def noisy_uniform_system(window=(0, 6)):
-    entry = NoisyEntry(drift=DriftMap(base=CircleMap(2)), noise=NoiseDensity.uniform(N), key="unif")
+    entry = NoisyEntry(drift=DriftMap(base=CircleMap(2)), noise=NoiseDensity.uniform(N))
     return SequenceSystem(constant_schedule(entry), window, n_points=N)
 
 
 def bump_system(window=(0, 10), floor=0.3):
     q = NoiseDensity.bump(0.5, 0.08, floor, N)
-    entry = NoisyEntry(drift=DriftMap(base=CircleMap(2), dot=np.sin(2 * np.pi * X)), noise=q, key="bump")
+    entry = NoisyEntry(drift=DriftMap(base=CircleMap(2), dot=np.sin(2 * np.pi * X)), noise=q)
     return SequenceSystem(constant_schedule(entry), window, n_points=N)
-
-
-class TestCompose:
-    def test_empty(self):
-        sys_ = doubling_system()
-        f = DensityGrid(1 + 0.5 * np.sin(2 * np.pi * X))
-        assert np.array_equal(compose(sys_, 3, 0, f).values, f.values)
-
-    def test_harmonic_annihilation(self):
-        sys_ = doubling_system()
-        f = DensityGrid(1 + np.cos(2 * np.pi * X))
-        out = compose(sys_, 0, 1, f)
-        assert grid.norm_l1(out.values - 1.0) <= 1e-8
-
-    def test_mass_through_long_composition(self):
-        sys_ = doubling_system(window=(0, 50))
-        rng = np.random.default_rng(0)
-        f = DensityGrid(rng.uniform(0.5, 1.5, N))
-        out = compose(sys_, 0, 50, f)
-        assert abs(grid.mass(out.values) - grid.mass(f.values)) <= 1e-8
-
-    def test_window_exceeded(self):
-        with pytest.raises(WindowExceeded):
-            compose(doubling_system((0, 5)), 2, 10, DensityGrid.constant(1.0, N))
 
 
 class TestWindow:
@@ -119,8 +94,8 @@ def unbatched_sweep(sys_, burn_in, seed, eps):
 def two_map_system(window=(0, 9)):
     kick = KickField(sin_coeffs=(0.0, 1 / (2 * np.pi)))
     entries = [
-        DeterministicEntry(CircleMap(2, sin_coeffs=(0.0, 0.05)), kick, "a"),
-        DeterministicEntry(CircleMap(3, cos_coeffs=(0.0, 0.02)), kick, "b"),
+        DeterministicEntry(CircleMap(2, sin_coeffs=(0.0, 0.05)), kick),
+        DeterministicEntry(CircleMap(3, cos_coeffs=(0.0, 0.02)), kick),
     ]
     return SequenceSystem(periodic_schedule(entries), window, n_points=N)
 
@@ -188,21 +163,21 @@ class TestPullback:
 
 class TestMemoryDecay:
     def test_first_harmonic_dies_immediately(self):
-        md = memory_decay(doubling_system(), DensityGrid(np.cos(2 * np.pi * X)), 0, 5)
-        assert md.records[0, 1] <= 1e-8  # W11 norm at k=1
+        records, _ = memory_decay(doubling_system(), DensityGrid(np.cos(2 * np.pi * X)), 0, 5)
+        assert records[0, 1] <= 1e-8  # W11 norm at k=1
 
     def test_degree_four_dies_in_three(self):
-        md = memory_decay(doubling_system(window=(0, 20)), DensityGrid(np.cos(8 * np.pi * X)), 0, 6)
+        records, _ = memory_decay(doubling_system(window=(0, 20)), DensityGrid(np.cos(8 * np.pi * X)), 0, 6)
         # cos 8pix -> cos 4pix -> cos 2pix -> 0
-        assert md.records[2, 1] <= 1e-7
+        assert records[2, 1] <= 1e-7
 
     def test_doeblin_rate(self):
         sys_ = bump_system()
         v = grid.project_zero_mass(DensityGrid(np.random.default_rng(1).normal(size=N)))
-        md = memory_decay(sys_, v, 0, 8)
+        records, _ = memory_decay(sys_, v, 0, 8)
         alpha = 0.3
         l1_0 = grid.norm_l1(v.values)
-        for k, _, l1 in md.records:
+        for k, _, l1 in records:
             assert l1 <= (1 - alpha) ** k * l1_0 * (1 + 1e-6)
 
     def test_nonzero_mass_rejected(self):
@@ -214,30 +189,30 @@ class TestMemoryDecay:
         t1 = CircleMap(2, sin_coeffs=(0.0, 0.02 / (1 + 2 * np.pi + 4 * np.pi**2)))
         kick = KickField(sin_coeffs=(0.0, 1 / (2 * np.pi)))
         sched = periodic_schedule(
-            [DeterministicEntry(t0, kick, "a"), DeterministicEntry(t1, kick, "b")]
+            [DeterministicEntry(t0, kick), DeterministicEntry(t1, kick)]
         )
         sys_ = SequenceSystem(sched, (0, 30), n_points=N)
         v = DensityGrid(np.cos(2 * np.pi * X) + 0.5 * np.sin(4 * np.pi * X))
-        md = memory_decay(sys_, v, 0, 20)
-        assert 0.0 <= md.fitted_rate < 1.0
+        _, fitted_rate = memory_decay(sys_, v, 0, 20)
+        assert 0.0 <= fitted_rate < 1.0
 
 
 class TestSchedules:
     def test_seeded_random_deterministic(self):
         entries = [
-            DeterministicEntry(CircleMap(2), KickField(), "a"),
-            DeterministicEntry(CircleMap(3), KickField(), "b"),
+            DeterministicEntry(CircleMap(2), KickField()),
+            DeterministicEntry(CircleMap(3), KickField()),
         ]
         s1 = seeded_random_schedule(entries, seed=9)
         s2 = seeded_random_schedule(entries, seed=9)
-        picks1 = [s1(n).key for n in range(20)]
-        picks2 = [s2(n).key for n in range(20)]
-        assert picks1 == picks2
-        assert len(set(picks1)) == 2
+        picks1 = [s1(n) for n in range(20)]
+        picks2 = [s2(n) for n in range(20)]
+        assert all(a is b for a, b in zip(picks1, picks2))
+        assert {id(p) for p in picks1} == {id(e) for e in entries}
 
     def test_certified_mode_rejects_far_map(self):
         far = CircleMap(2, sin_coeffs=(0.0, 0.05))
-        entry = DeterministicEntry(far, KickField(), "far")
+        entry = DeterministicEntry(far, KickField())
         sys_ = SequenceSystem(
             constant_schedule(entry), (0, 3), n_points=N,
             reference=CircleMap(2), delta_star=0.1, certified=True,
@@ -247,7 +222,7 @@ class TestSchedules:
 
     def test_uncertified_mode_warns(self):
         far = CircleMap(2, sin_coeffs=(0.0, 0.05))
-        entry = DeterministicEntry(far, KickField(), "far")
+        entry = DeterministicEntry(far, KickField())
         sys_ = SequenceSystem(
             constant_schedule(entry), (0, 3), n_points=N,
             reference=CircleMap(2), delta_star=0.1, certified=False,
@@ -262,7 +237,7 @@ class TestSchedules:
     def test_entries_sharing_a_key_get_their_own_operators(self):
         kick = KickField(sin_coeffs=(0.0, 0.1))
         maps = (CircleMap(2), CircleMap(2, sin_coeffs=(0.0, 0.05)))
-        entries = [DeterministicEntry(t, kick, "T") for t in maps]
+        entries = [DeterministicEntry(t, kick) for t in maps]
         sys_ = SequenceSystem(periodic_schedule(entries), (0, 3), n_points=N)
         for eps in (0.0, 0.01):
             for n, t in enumerate(maps):
@@ -287,9 +262,9 @@ class TestOperatorMemory:
         # a deterministic, a kicked and a noisy operator are built and applied in under N^2 / 4 doubles
         n = 1024
         x = np.arange(n) / n
-        det = DeterministicEntry(CircleMap(2, sin_coeffs=(0.0, 0.05)), KickField(sin_coeffs=(0.0, 0.15)), "det")
+        det = DeterministicEntry(CircleMap(2, sin_coeffs=(0.0, 0.05)), KickField(sin_coeffs=(0.0, 0.15)))
         q = NoiseDensity.bump(0.5, 0.08, 0.3, n)
-        noisy = NoisyEntry(DriftMap(CircleMap(2), dot=np.sin(2 * np.pi * x)), q, "noisy")
+        noisy = NoisyEntry(DriftMap(CircleMap(2), dot=np.sin(2 * np.pi * x)), q)
         sys_ = SequenceSystem(periodic_schedule([det, noisy]), (0, 1), n_points=n)
         f = DensityGrid(1.0 + 0.5 * np.cos(2 * np.pi * x))
         tracemalloc.start()

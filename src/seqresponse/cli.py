@@ -4,7 +4,8 @@ Each command reads one experiment config file, runs the pipeline, and
 writes CSV data plus JSON reports into the configured output directory.
 Every run also writes a manifest with the config hash, package and
 library versions, and wall time.  Exit codes: 0 ok, 1 config error,
-2 invalid system, 3 non-convergence, 4 tolerance failure.
+2 invalid system, 3 non-convergence, 4 tolerance failure; a failed run
+exits with the `exit_code` of its `errors` class.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from . import __version__, constants, grid, noise, response, sequence, transfer
 from .config import (
     ExperimentConfig,
     build_map,
-    build_noise,
     build_system,
     load_config,
     read_memory,
@@ -30,25 +30,18 @@ from .config import (
     read_simulate,
     read_tail,
 )
-from .errors import (
-    ConfigError,
-    DegreeMismatch,
-    DimensionMismatch,
-    KickTooLarge,
-    MNotFound,
-    NoConvergence,
-    NotConverged,
-    NotExpanding,
-    TailNotSmall,
-    WindowExceeded,
-)
+from .errors import ConfigError, SeqResponseError, TailNotSmall
 from .grid import DensityGrid
 
 EXIT_OK = 0
-EXIT_CONFIG = 1
-EXIT_INVALID = 2
-EXIT_NO_CONVERGENCE = 3
-EXIT_TOLERANCE = 4
+EXIT_TOLERANCE = TailNotSmall.exit_code  # a failed validation or certificate exits like an over-tolerance tail
+# The title of each command's plot.gp; a command without one writes no plot.
+PLOT_TITLES = {
+    "equivariant": "equivariant family",
+    "memory": "loss of memory",
+    "respond": "response",
+    "simulate": "simulated marginal",
+}
 
 
 def _config_digest(path: str) -> str:
@@ -91,20 +84,12 @@ def _emit_gnuplot(cfg: ExperimentConfig, csv_files: list, title: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _certified_tail(cfg: ExperimentConfig) -> tuple[float, float]:
-    if cfg.mode == "noisy":
-        return constants.doeblin_certificate(build_noise(cfg))
-    cert = constants.certify(build_map(cfg), cfg.n_points)
-    return cert.elom_C, cert.elom_rate
-
-
-def cmd_certify(cfg: ExperimentConfig, emit_gnuplot: bool, t0: float) -> int:
+def cmd_certify(cfg: ExperimentConfig) -> tuple[int, list]:
     cert = constants.certify(build_map(cfg), cfg.n_points)
     out = os.path.join(cfg.output_dir, "certificate.json")
     with open(out, "w") as fh:
         fh.write(cert.to_json() + "\n")
-    _write_manifest(cfg, "certify", [out], t0)
-    return EXIT_OK if cert.all_verified else EXIT_TOLERANCE
+    return (EXIT_OK if cert.all_verified else EXIT_TOLERANCE), [out]
 
 
 def _write_window(cfg: ExperimentConfig, w: sequence.Window, prefix: str) -> list:
@@ -117,7 +102,7 @@ def _write_window(cfg: ExperimentConfig, w: sequence.Window, prefix: str) -> lis
     return files
 
 
-def cmd_equivariant(cfg: ExperimentConfig, emit_gnuplot: bool, t0: float, two_seed: bool) -> int:
+def cmd_equivariant(cfg: ExperimentConfig, two_seed: bool) -> tuple[int, list]:
     sys_ = build_system(cfg)
     seed = DensityGrid.constant(1.0, cfg.n_points)
     fam, residual = sequence.pullback_equivariant(sys_, cfg.burn_in, seed, tol=cfg.pullback_tol)
@@ -134,13 +119,10 @@ def cmd_equivariant(cfg: ExperimentConfig, emit_gnuplot: bool, t0: float, two_se
         report["two_seed_l1_gap"] = float(np.max(grid.norm_l1(fam.values - fam_b.values)))
     out = os.path.join(cfg.output_dir, "family.json")
     _write_json(out, report)
-    if emit_gnuplot:
-        _emit_gnuplot(cfg, files, "equivariant family")
-    _write_manifest(cfg, "equivariant", files + [out], t0)
-    return EXIT_OK
+    return EXIT_OK, files + [out]
 
 
-def cmd_memory(cfg: ExperimentConfig, emit_gnuplot: bool, t0: float) -> int:
+def cmd_memory(cfg: ExperimentConfig) -> tuple[int, list]:
     k_max, start = read_memory(cfg)
     sys_ = build_system(cfg)
     v = grid.project_zero_mass(read_seed(cfg, "memory", zero_mass=True))
@@ -152,21 +134,21 @@ def cmd_memory(cfg: ExperimentConfig, emit_gnuplot: bool, t0: float) -> int:
             fh.write(f"{int(k)},{float(w11)!r},{float(l1)!r}\n")
     out_json = os.path.join(cfg.output_dir, "memory.json")
     _write_json(out_json, {"fitted_rate": fitted_rate, "k_max": k_max, "start": start})
-    if emit_gnuplot:
-        _emit_gnuplot(cfg, [out_csv], "loss of memory")
-    _write_manifest(cfg, "memory", [out_csv, out_json], t0)
-    return EXIT_OK
+    return EXIT_OK, [out_csv, out_json]
 
 
-def cmd_respond(cfg: ExperimentConfig, emit_gnuplot: bool, t0: float) -> int:
+def cmd_respond(cfg: ExperimentConfig) -> tuple[int, list]:
     tail_constants, tail_tol = read_tail(cfg)
     sys_ = build_system(cfg)
     seed = DensityGrid.constant(1.0, cfg.n_points)
     fam, _ = sequence.pullback_equivariant(sys_, cfg.burn_in, seed, tol=cfg.pullback_tol)
     g = response.forcing(sys_, fam)
-    etas, tail = response.neumann_response(
-        sys_, g, cfg.truncation, tail_constants or _certified_tail(cfg), tol=tail_tol
-    )
+    if tail_constants is None and cfg.mode == "noisy":
+        tail_constants = constants.doeblin_certificate(sys_.schedule(0).noise)
+    elif tail_constants is None:
+        cert = constants.certify(build_map(cfg), cfg.n_points)
+        tail_constants = cert.elom_C, cert.elom_rate
+    etas, tail = response.neumann_response(sys_, g, cfg.truncation, tail_constants, tol=tail_tol)
     files = _write_window(cfg, etas, "eta")
     report = {
         "truncation_order": cfg.truncation,
@@ -190,10 +172,7 @@ def cmd_respond(cfg: ExperimentConfig, emit_gnuplot: bool, t0: float) -> int:
         if not passed:
             code = EXIT_TOLERANCE
     _write_json(out_json, report)
-    if emit_gnuplot:
-        _emit_gnuplot(cfg, [f for f in files if f.endswith(".csv")], "response")
-    _write_manifest(cfg, "respond", files + [out_json], t0)
-    return code
+    return code, files + [out_json]
 
 
 def _write_histogram(path: str, density: np.ndarray) -> None:
@@ -203,11 +182,11 @@ def _write_histogram(path: str, density: np.ndarray) -> None:
         fh.write("bin_left,density\n" + "".join(f"{b:.17g},{d:.17g}\n" for b, d in rows))
 
 
-def cmd_simulate(cfg: ExperimentConfig, emit_gnuplot: bool, t0: float) -> int:
+def cmd_simulate(cfg: ExperimentConfig) -> tuple[int, list]:
     steps, samples, bins, eps = read_simulate(cfg)
     sys_ = build_system(cfg)
     drift_at = lambda k: sys_.schedule(k).drift
-    q = sys_.schedule(0).noise  # every scheduled entry carries the configured noise
+    q = sys_.schedule(0).noise  # every scheduled entry shares the one configured noise
     density = noise.simulate_marginal(drift_at, eps, q, steps, samples, seed=cfg.seed, n_bins=bins)
     out_csv = os.path.join(cfg.output_dir, "histogram.csv")
     _write_histogram(out_csv, density)
@@ -220,10 +199,7 @@ def cmd_simulate(cfg: ExperimentConfig, emit_gnuplot: bool, t0: float) -> int:
         out_json,
         {"steps": steps, "samples": samples, "bins": bins, "eps": eps, "seed": cfg.seed, "l1_vs_operator": l1},
     )
-    if emit_gnuplot:
-        _emit_gnuplot(cfg, [out_csv], "simulated marginal")
-    _write_manifest(cfg, "simulate", [out_csv, out_json], t0)
-    return EXIT_OK
+    return EXIT_OK, [out_csv, out_json]
 
 
 def main(argv=None) -> int:
@@ -243,27 +219,18 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         os.makedirs(cfg.output_dir, exist_ok=True)
-        if args.command == "certify":
-            return cmd_certify(cfg, args.emit_gnuplot, t0)
-        if args.command == "equivariant":
-            return cmd_equivariant(cfg, args.emit_gnuplot, t0, args.two_seed)
-        if args.command == "memory":
-            return cmd_memory(cfg, args.emit_gnuplot, t0)
-        if args.command == "respond":
-            return cmd_respond(cfg, args.emit_gnuplot, t0)
-        return cmd_simulate(cfg, args.emit_gnuplot, t0)
-    except (ConfigError, OSError, WindowExceeded) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (NotExpanding, KickTooLarge, DegreeMismatch, DimensionMismatch, ValueError) as exc:
-        print(f"invalid system: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (NotConverged, NoConvergence, MNotFound) as exc:
-        print(f"did not converge: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except TailNotSmall as exc:
-        print(f"tolerance failure: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
+        command = globals()[f"cmd_{args.command}"]  # looked up per run, so a patched module attribute is called
+        code, outputs = command(cfg, args.two_seed) if args.command == "equivariant" else command(cfg)
+        if args.emit_gnuplot and args.command in PLOT_TITLES:
+            _emit_gnuplot(cfg, [f for f in outputs if f.endswith(".csv")], PLOT_TITLES[args.command])
+        _write_manifest(cfg, args.command, outputs, t0)
+        return code
+    except SeqResponseError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
+        print(f"{ConfigError.label}: {exc}", file=sys.stderr)
+        return ConfigError.exit_code
 
 
 if __name__ == "__main__":

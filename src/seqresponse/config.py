@@ -126,8 +126,9 @@ def parse_coeff_triples(text: str, where: str) -> tuple[tuple, tuple]:
         k = _as_int(parts[0], where)
         if not 0 <= k <= MAX_COEFF_INDEX:
             raise ConfigError(f"{where}: harmonic index must be in [0, {MAX_COEFF_INDEX}], got {k}")
-        cos[k] = _as_float(parts[1], where)
-        sin[k] = _as_float(parts[2], where)
+        cos[k], sin[k] = _as_float(parts[1], where), _as_float(parts[2], where)
+        if not (np.isfinite(cos[k]) and np.isfinite(sin[k])):
+            raise ConfigError(f"{where}: coefficients must be finite, got {item!r}")
     if not cos:
         return (), ()
     kmax = max(cos)
@@ -223,8 +224,8 @@ def read_tail(cfg: ExperimentConfig) -> tuple[tuple[float, float] | None, float 
     constants = None
     if c is not None:
         c, rate = _as_float(c, "experiment.tail_c"), _as_float(rate, "experiment.tail_rate")
-        if not (c > 0.0 and 0.0 < rate < 1.0):
-            raise ConfigError(f"need experiment.tail_c > 0 and 0 < tail_rate < 1, got {c}, {rate}")
+        if not (0.0 < c < np.inf and 0.0 < rate < 1.0):
+            raise ConfigError(f"need finite experiment.tail_c > 0 and 0 < tail_rate < 1, got {c}, {rate}")
         constants = (c, rate)
     tol = _get(cfg.raw, "experiment", "tail_tol", None)
     return constants, (_as_tolerance(tol, "experiment.tail_tol") if tol is not None else None)
@@ -303,11 +304,13 @@ def build_drift(cfg: ExperimentConfig, base: CircleMap) -> DriftMap:
     return DriftMap(base=base, dot=TrigPoly(cos, sin)(np.arange(cfg.n_points) / cfg.n_points))
 
 
-def _entry_for_map(cfg: ExperimentConfig, section: str):
-    t = build_map(cfg, section)
+def _entries(cfg: ExperimentConfig, sections: list) -> list:
+    """One schedule entry per map section; the entries of a noisy experiment share one noise density."""
     if cfg.mode == "deterministic":
-        return DeterministicEntry(map=t, kick=build_kick(cfg))
-    return NoisyEntry(drift=build_drift(cfg, t), noise=build_noise(cfg))
+        return [DeterministicEntry(map=build_map(cfg, s), kick=build_kick(cfg)) for s in sections]
+    drifts = [build_drift(cfg, build_map(cfg, s)) for s in sections]
+    q = build_noise(cfg)
+    return [NoisyEntry(drift=d, noise=q) for d in drifts]
 
 
 def build_system(cfg: ExperimentConfig) -> SequenceSystem:
@@ -315,12 +318,12 @@ def build_system(cfg: ExperimentConfig) -> SequenceSystem:
     if kind not in SCHEDULE_KINDS:
         raise ConfigError(f"schedule.kind must be one of {SCHEDULE_KINDS}, got {kind!r}")
     if kind == "constant":
-        schedule = constant_schedule(_entry_for_map(cfg, "reference_map"))
+        schedule = constant_schedule(_entries(cfg, ["reference_map"])[0])
     else:
         names = [s.strip() for s in _require(cfg.raw, "schedule", "maps").split(",") if s.strip()]
         if not names:
             raise ConfigError("schedule.maps must list at least one map section")
-        entries = [_entry_for_map(cfg, name) for name in names]
+        entries = _entries(cfg, names)
         if kind == "periodic":
             schedule = periodic_schedule(entries)
         else:

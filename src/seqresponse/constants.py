@@ -17,7 +17,7 @@ import numpy as np
 
 from . import grid as gridmod
 from . import transfer
-from .errors import MNotFound
+from .errors import InvalidSystem, NotConverged
 from .maps import CircleMap
 from .noise import NoiseDensity
 
@@ -108,16 +108,16 @@ def choose_M(lambda1: float, b: float, pushes: ProbePushes) -> int:
     holds the probe pushes of L0, shared between calls.
     """
     if not 0.0 < lambda1 < 1.0:
-        raise MNotFound(f"lambda1 = {lambda1} admits no finite M")
+        raise NotConverged(f"lambda1 = {lambda1} admits no finite M")
     target = 1.0 / (10.0 * (b / (1.0 - lambda1) + 1.0))
     m_closed = max(1, int(np.ceil(np.log(target) / np.log(lambda1))))
     if m_closed > M_SEARCH_LIMIT:
-        raise MNotFound(f"closed-form threshold already exceeds {M_SEARCH_LIMIT}")
+        raise NotConverged(f"closed-form threshold already exceeds {M_SEARCH_LIMIT}")
     threshold = (1.0 - lambda1) / (10.0 * b) if b > 0 else np.inf
     for m in range(m_closed, M_SEARCH_LIMIT + 1):
         if np.all(pushes.l1(m) <= threshold * pushes.w11):
             return m
-    raise MNotFound(f"no M <= {M_SEARCH_LIMIT} passes the weak contraction check")
+    raise NotConverged(f"no M <= {M_SEARCH_LIMIT} passes the weak contraction check")
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,7 @@ def certify(t0: CircleMap, n_points: int) -> Certificate:
     def feasible(delta):
         try:
             lam1, b, m = chain(delta)
-        except MNotFound:
+        except NotConverged:
             return False
         rhs = 7.0 * (1.0 - lam1) ** 2 / (10.0 * m * b * (1.0 / (1.0 - lam1) + b))
         return ct0 * delta <= rhs
@@ -206,7 +206,7 @@ def certify(t0: CircleMap, n_points: int) -> Certificate:
         # smallness condition vacuous in that limit.
         lo = DELTA_BISECT_TOL
         if not feasible(lo):
-            raise MNotFound("no positive delta_star satisfies the smallness condition")
+            raise NotConverged("no positive delta_star satisfies the smallness condition")
     delta_star = lo
     lam1, b, m = chain(delta_star)
     return Certificate(
@@ -227,7 +227,11 @@ def certify(t0: CircleMap, n_points: int) -> Certificate:
 
 
 def doeblin_certificate(q: NoiseDensity) -> tuple[float, float]:
-    """(C, rate) for a Doeblin schedule: C = 1, rate = 1 - alpha."""
-    if q.alpha <= 0.0:
-        raise ValueError("Doeblin certificate needs a uniformly positive noise density")
+    """(C, rate) for a Doeblin schedule: C = 1, rate = 1 - alpha.
+
+    A floor alpha so small that 1 - alpha rounds to 1 certifies no
+    contraction, so it is rejected like alpha = 0.
+    """
+    if not 1.0 - q.alpha < 1.0:
+        raise InvalidSystem("Doeblin certificate needs a uniformly positive noise density")
     return 1.0, 1.0 - q.alpha

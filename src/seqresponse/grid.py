@@ -170,8 +170,11 @@ def write_density_csv(path, values: np.ndarray) -> None:
 
 
 def read_density_csv(path, n_points: int | None = None) -> DensityGrid:
-    """Read a density CSV, rejecting non-uniform x spacing and, if given, a point count other than n_points."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
+    """Read a density CSV; an empty file, non-uniform x or a point count other than a given n_points is a ValueError."""
+    try:
+        data = np.genfromtxt(path, delimiter=",", names=True)
+    except IndexError:  # numpy's failure on a file without a single line
+        raise ValueError(f"{path} is empty") from None
     x = np.atleast_1d(data["x"])
     v = np.atleast_1d(data["value"])
     n = x.shape[0]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegreeMismatch, KickTooLarge, NoConvergence, NotExpanding
+from .errors import InvalidSystem, NotConverged
 from .grid import wrap
 
 PROBE_POINTS = 8192
@@ -81,11 +81,11 @@ class CircleMap:
 
     def __init__(self, degree: int, cos_coeffs=(), sin_coeffs=()):
         if degree < 2:
-            raise ValueError("covering degree must be >= 2")
+            raise InvalidSystem("covering degree must be >= 2")
         self.degree = int(degree)
         self.p = TrigPoly(cos_coeffs, sin_coeffs)
         if np.min(self.degree + self.p.d1(_PROBE)) <= 1.0:
-            raise NotExpanding("probed min of lift derivative is <= 1")
+            raise InvalidSystem("probed min of lift derivative is <= 1")
 
     def lift(self, x):
         return self.degree * np.asarray(x, dtype=float) + self.p(x)
@@ -109,7 +109,7 @@ class CircleMap:
         d1 = np.abs(self.eval_d1(_PROBE))
         lam0 = float(np.min(d1))
         if lam0 <= 1.0:
-            raise NotExpanding("probed min of lift derivative is <= 1")
+            raise InvalidSystem("probed min of lift derivative is <= 1")
         m0 = float(np.max(d1))
         if m0 > lam0:
             lam0 -= LAMBDA0_SAFETY
@@ -141,7 +141,7 @@ class CircleMap:
             # inclusive, so a converged point whose step rounds onto the bracket end stays put
             y = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
         else:
-            raise NoConvergence("safeguarded Newton solve of inverse branches did not converge")
+            raise NotConverged("safeguarded Newton solve of inverse branches did not converge")
         y[y >= 1.0] = 0.0
         return y[:, 0] if scalar else y
 
@@ -165,7 +165,7 @@ class KickField:
 
     def check_diffeo(self, eps: float) -> None:
         if abs(eps) * self.sup_d1() >= 0.5:
-            raise KickTooLarge(f"eps*||X'||_inf = {abs(eps) * self.sup_d1():.3g} >= 0.5")
+            raise InvalidSystem(f"eps*||X'||_inf = {abs(eps) * self.sup_d1():.3g} >= 0.5")
 
     def h(self, eps: float, x):
         """Kick lift H(u) = u + eps*X(u); commutes with integer shifts."""
@@ -184,7 +184,7 @@ class KickField:
             if np.max(np.abs(res)) <= BRANCH_RESIDUAL_TOL:
                 return u
             u = u - res / self.h_d1(eps, u)
-        raise NoConvergence("Newton inversion of kick did not converge")
+        raise NotConverged("Newton inversion of kick did not converge")
 
 
 class KickedMap:
@@ -210,7 +210,7 @@ class KickedMap:
 def c2_distance(t1, t2) -> float:
     """Probed C^2 sup distance of the lifts (degrees equal, so periodic)."""
     if t1.degree != t2.degree:
-        raise DegreeMismatch(f"degrees differ: {t1.degree} vs {t2.degree}")
+        raise InvalidSystem(f"degrees differ: {t1.degree} vs {t2.degree}")
     d0 = np.max(np.abs(t1.lift(_PROBE) - t2.lift(_PROBE)))
     d1 = np.max(np.abs(t1.eval_d1(_PROBE) - t2.eval_d1(_PROBE)))
     d2 = np.max(np.abs(t1.eval_d2(_PROBE) - t2.eval_d2(_PROBE)))

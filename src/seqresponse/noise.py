@@ -17,7 +17,7 @@ import numpy as np
 
 from . import grid as gridmod
 from . import transfer
-from .errors import DimensionMismatch
+from .errors import InvalidSystem
 from .grid import DensityGrid
 from .maps import CircleMap
 from .transfer import TransferMatrix
@@ -213,5 +213,5 @@ def bin_density(f: np.ndarray, n_bins: int) -> np.ndarray:
     """Average the raw samples of a grid density over uniform bins, for histogram comparison."""
     n = f.shape[0]
     if n % n_bins != 0:
-        raise DimensionMismatch("grid size must be a multiple of n_bins")
+        raise InvalidSystem("grid size must be a multiple of n_bins")
     return f.reshape(n_bins, n // n_bins).mean(axis=1)

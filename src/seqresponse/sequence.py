@@ -25,7 +25,7 @@ import numpy as np
 from . import grid as gridmod
 from . import noise as noisemod
 from . import transfer
-from .errors import NotConverged, WindowExceeded
+from .errors import InvalidSystem, NotConverged, WindowExceeded
 from .grid import DensityGrid
 from .maps import CircleMap, KickedMap, KickField, c2_distance
 from .noise import DriftMap, NoiseDensity
@@ -97,7 +97,7 @@ class Window:
         if v.ndim != 2:
             raise ValueError(f"a window holds an (m, N) block, got shape {v.shape}")
         if not np.isfinite(v).all():
-            raise ValueError("window values must be finite")
+            raise InvalidSystem("window values must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -153,7 +153,7 @@ class SequenceSystem:
         if dist > self.delta_star:
             msg = f"scheduled map is outside the certified ball: C2 distance {dist:.4g} > delta_star {self.delta_star:.4g}"
             if self.certified:
-                raise ValueError(msg)
+                raise InvalidSystem(msg)
             warnings.warn(msg, stacklevel=3)
 
     def operator(self, n: int, eps: float = 0.0) -> TransferMatrix:

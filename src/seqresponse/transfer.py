@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as gridmod
-from .errors import DimensionMismatch
+from .errors import InvalidSystem
 from .grid import DensityGrid
 from .maps import CircleMap, KickedMap, KickField
 
@@ -159,7 +159,7 @@ def compose_matrices(outer: TransferMatrix, inner: TransferMatrix) -> TransferMa
     inner pushed on the unit vector e_j.
     """
     if outer.n_points != inner.n_points:
-        raise DimensionMismatch("matrix sizes differ")
+        raise InvalidSystem("matrix sizes differ")
     product = push(outer, push(inner, np.eye(outer.n_points))).T
     rows, cols = np.nonzero(product)
     return TransferMatrix.from_stencil(rows, cols, product[rows, cols], outer.n_points)
@@ -193,7 +193,7 @@ def push(a: TransferMatrix, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     n = a.n_points
     if v.ndim not in (1, 2) or v.shape[-1] != n:
-        raise DimensionMismatch(f"matrix is {n}, densities have shape {v.shape}")
+        raise InvalidSystem(f"matrix is {n}, densities have shape {v.shape}")
     if a.rows is None:
         s = _gather(a, v)
     else:
@@ -209,5 +209,5 @@ def push(a: TransferMatrix, v) -> np.ndarray:
 def apply(a: TransferMatrix, f: DensityGrid) -> DensityGrid:
     """A f for one density on the grid, checked at both ends."""
     if a.n_points != f.n_points:
-        raise DimensionMismatch(f"matrix is {a.n_points}, grid is {f.n_points}")
+        raise InvalidSystem(f"matrix is {a.n_points}, grid is {f.n_points}")
     return DensityGrid(push(a, f.values))

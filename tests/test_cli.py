@@ -1,9 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from seqresponse import cli, config, noise, transfer
+from seqresponse import cli, config, errors, noise, transfer
 from seqresponse.errors import ConfigError
 
 BASE_DET = """
@@ -74,6 +75,14 @@ coeffs = 1:0.02:0.0, 2:0.0:0.01
 """
 
 
+# Three maps: a third, map.c, after the two of PERIODIC_NOISY.
+PERIODIC_NOISY_3 = PERIODIC_NOISY.replace("maps = map.a, map.b", "maps = map.a, map.b, map.c") + """
+[map.c]
+degree = 2
+coeffs = 1:0.01:0.0
+"""
+
+
 SEEDED_DET = BASE_DET.replace("kind = constant", "kind = seeded_random\nmaps = reference_map\nseed = 0")
 
 
@@ -123,6 +132,19 @@ class TestConfigParsing:
         sys_ = config.build_system(cfg)
         assert sys_.n_points == 256
         assert sys_.window == (0, 12)
+
+    def test_noise_built_once(self, tmp_path, monkeypatch):
+        bumps = []
+        bump = noise.NoiseDensity.bump
+        monkeypatch.setattr(noise.NoiseDensity, "bump", lambda *a: bumps.append(a) or bump(*a))
+        path, _ = write_config(tmp_path, PERIODIC_NOISY_3.replace("eps = 1e-2, 1e-3", "eps ="))
+        sys_ = config.build_system(config.load_config(path))
+        entries = [sys_.schedule(k) for k in range(3)]
+        assert len({id(e.drift) for e in entries}) == 3
+        assert all(e.noise is entries[0].noise for e in entries)
+        # respond's Doeblin certificate reads the system's noise instead of building its own
+        assert cli.main(["respond", path]) == 0
+        assert len(bumps) == 2
 
 
 class TestExitCodes:
@@ -228,6 +250,15 @@ class TestExitCodes:
             pytest.param(SEEDED_DET, "seed = 0", f"seed = {2**70}", "equivariant", id="schedule-seed-2**70"),
             pytest.param(SEEDED_DET, "seed = 0", f"seed = {2**64 - 1}", "equivariant", id="schedule-seed-2**64-1"),
             pytest.param(SEEDED_DET, "seed = 0", "seed = -1", "equivariant", id="schedule-seed--1"),
+            pytest.param(BASE_DET, "degree = 2", "degree = 2\ncoeffs = 1:nan:0.0", "respond", id="map-coeff-nan"),
+            pytest.param(BASE_DET, "coeffs = 1:0.0:0.15915494309189535", "coeffs = 1:0.0:inf", "respond", id="kick-coeff-inf"),
+            pytest.param(BASE_NOISY, "dot = 2:0.0:1.0", "dot = 2:0.0:nan", "simulate", id="drift-coeff-nan"),
+            pytest.param(BASE_DET, "tail_c = 1.0", "tail_c = inf", "respond", id="tail_c-inf"),
+            pytest.param(BASE_NOISY, "preset = bump:0.5,0.08,0.3", f"csv = {os.devnull}", "respond", id="noise-csv-empty"),
+            pytest.param(
+                BASE_DET, "[schedule]", f"[equivariant]\nseed_csv = {os.devnull}\n\n[schedule]", "equivariant --two-seed",
+                id="seed-csv-empty",
+            ),
         ],
     )
     def test_bad_value_is_1(self, tmp_path, capsys, base, old, new, command):
@@ -248,6 +279,9 @@ class TestExitCodes:
         "base, old, new, command",
         [
             pytest.param(BASE_DET, "degree = 2", "degree = 1", "certify", id="degree-1"),
+            # the Doeblin floor 1e-220 rounds away in 1 - alpha; at width 0.001 it is 0
+            pytest.param(BASE_NOISY, "bump:0.5,0.08,0.3", "bump:0.5,0.01,0.0", "respond", id="floor-rounds-away"),
+            pytest.param(BASE_NOISY, "bump:0.5,0.08,0.3", "bump:0.5,0.001,0.0", "respond", id="floor-0"),
         ],
     )
     def test_invalid_system_is_2(self, tmp_path, capsys, base, old, new, command):
@@ -255,6 +289,17 @@ class TestExitCodes:
         path, _ = write_config(tmp_path, base.replace(old, new))
         assert cli.main([command, path]) == 2
         assert "invalid system" in capsys.readouterr().err
+
+
+def test_every_error_names_its_exit_code():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    found = list(subclasses(errors.SeqResponseError))
+    assert len(found) == 5
+    assert all(c.exit_code in {1, 2, 3, 4} and c.label for c in found)
 
 
 class TestSeedCsv:
@@ -360,6 +405,11 @@ class TestCertify:
         assert manifest["command"] == "certify"
         assert len(manifest["config_sha256"]) == 64
 
+    def test_writes_no_plot(self, tmp_path):
+        path, out = write_config(tmp_path, BASE_DET)
+        assert cli.main(["certify", path, "--emit-gnuplot"]) == 0
+        assert not (out / "plot.gp").exists()
+
 
 class TestEquivariant:
     def test_uniform_family(self, tmp_path):
@@ -395,6 +445,16 @@ class TestMemory:
         # Doeblin schedule: L1 norms decay at least like 0.69^k
         l1 = [float(r.split(",")[2]) for r in rows[1:]]
         assert l1[-1] <= 0.7**6 * l1[0] / 0.69 + 1e-9
+
+    def test_plot_script(self, tmp_path):
+        path, out = write_config(tmp_path, BASE_NOISY, append=["[memory]", "k_max = 6"])
+        assert cli.main(["memory", path, "--emit-gnuplot"]) == 0
+        assert (out / "plot.gp").read_text() == (
+            "set datafile separator ','\nset key outside\nset title 'loss of memory'\n"
+            "plot 'decay.csv' using 1:2 with lines title 'decay.csv'\n"
+        )
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == [str(out / "decay.csv"), str(out / "memory.json")]
 
 
 class TestRespond:

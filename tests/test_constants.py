@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from seqresponse import constants, grid, transfer
-from seqresponse.errors import MNotFound
+from seqresponse.errors import InvalidSystem, NotConverged
 from seqresponse.grid import DensityGrid
 from seqresponse.maps import CircleMap
 from seqresponse.noise import NoiseDensity
@@ -90,18 +90,18 @@ class TestChooseM:
         assert lam1**m <= target < lam1 ** (m - 1)
 
     def test_rejects_noncontracting(self):
-        with pytest.raises(MNotFound):
+        with pytest.raises(NotConverged, match="lambda1 = 1.0 admits no finite M"):
             constants.choose_M(1.0, 0.1, doubling_pushes())
 
 
 def per_call_choose_M(t0, lambda1, b, n_points):
     """Reference: the search for L0 = L_{t0} without shared pushes; every call pushes from m = 1."""
     if not 0.0 < lambda1 < 1.0:
-        raise MNotFound(f"lambda1 = {lambda1} admits no finite M")
+        raise NotConverged(f"lambda1 = {lambda1} admits no finite M")
     target = 1.0 / (10.0 * (b / (1.0 - lambda1) + 1.0))
     m_closed = max(1, int(np.ceil(np.log(target) / np.log(lambda1))))
     if m_closed > constants.M_SEARCH_LIMIT:
-        raise MNotFound("closed-form threshold too large")
+        raise NotConverged("closed-form threshold too large")
     l0 = transfer.build_deterministic(t0, n_points).to_dense()
     probes = constants._probe_family(n_points)
     w11 = np.array([grid.norm_w11(probes[:, i].copy()) for i in range(probes.shape[1])])
@@ -114,7 +114,7 @@ def per_call_choose_M(t0, lambda1, b, n_points):
         l1 = np.abs(pushed).sum(axis=0) / n_points
         if np.all(l1 <= threshold * w11):
             return m
-    raise MNotFound("no M passes")
+    raise NotConverged("no M passes")
 
 
 def loop_probe_family(n_points):
@@ -239,4 +239,10 @@ class TestDoeblin:
         with pytest.warns(UserWarning):
             q = NoiseDensity(DensityGrid(samples / grid.mass(samples)))
         with pytest.raises(ValueError):
+            constants.doeblin_certificate(q)
+
+    def test_rejects_floor_that_rounds_away(self):
+        q = NoiseDensity.bump(0.5, 0.01, 0.0, N)
+        assert 0.0 < q.alpha and 1.0 - q.alpha == 1.0
+        with pytest.raises(InvalidSystem, match="uniformly positive"):
             constants.doeblin_certificate(q)

@@ -298,6 +298,12 @@ class TestCsv:
         with pytest.raises(ValueError):
             grid.read_density_csv(path)
 
+    def test_rejects_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.warns(UserWarning, match="Empty input file"), pytest.raises(ValueError, match="is empty"):
+            grid.read_density_csv(path)
+
     def test_rejects_nan_x(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,value\n" + "".join(f"{'nan' if i == 3 else i / 64},1.0\n" for i in range(64)))

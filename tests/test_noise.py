@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from seqresponse import cli, grid, noise, transfer
-from seqresponse.errors import NotExpanding
+from seqresponse.errors import InvalidSystem
 from seqresponse.grid import DensityGrid
 from seqresponse.maps import CircleMap
 from seqresponse.noise import DriftMap, NoiseDensity
@@ -117,7 +117,7 @@ def noisy_systems(draw):
     coeffs = st.lists(st.floats(-0.04, 0.04), min_size=4, max_size=4)
     try:
         base = CircleMap(draw(st.integers(2, 3)), draw(coeffs), draw(coeffs))
-    except NotExpanding:
+    except InvalidSystem:
         assume(False)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     q = NoiseDensity.bump(

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from test_noise import noisy_systems
 
 from seqresponse import grid, noise, transfer
-from seqresponse.errors import DimensionMismatch, NotExpanding
+from seqresponse.errors import InvalidSystem
 from seqresponse.grid import DensityGrid
 from seqresponse.maps import CircleMap, KickedMap, KickField
 
@@ -39,7 +39,7 @@ def kicked_systems(draw):
     """Admissible (T, X, eps): T expanding of degree 2-3, eps * ||X'|| < 0.5."""
     try:
         t = CircleMap(draw(st.integers(2, 3)), draw(_trig_coeffs(0.04)), draw(_trig_coeffs(0.04)))
-    except NotExpanding:
+    except InvalidSystem:
         assume(False)
     kick = KickField(cos_coeffs=tuple(draw(_trig_coeffs(0.2))), sin_coeffs=tuple(draw(_trig_coeffs(0.2))))
     eps = draw(st.floats(-0.05, 0.05))
@@ -182,7 +182,7 @@ class TestPush:
 
     @pytest.mark.parametrize("shape", [(N + 2,), (3, N // 2), (2, 2, N)])
     def test_shape_mismatch(self, doubling_matrix, shape):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidSystem, match="densities have shape"):
             transfer.push(doubling_matrix, np.ones(shape))
 
     def test_deterministic_stencil_is_a_gather(self, doubling_matrix):
@@ -226,5 +226,5 @@ class TestApply:
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_dimension_mismatch(self, doubling_matrix):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidSystem, match="matrix is 256, grid is 128"):
             transfer.apply(doubling_matrix, DensityGrid.constant(1.0, 128))

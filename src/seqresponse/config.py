@@ -296,21 +296,22 @@ def build_noise(cfg: ExperimentConfig) -> NoiseDensity:
     raise ConfigError(f"unknown noise preset {preset!r}")
 
 
-def build_drift(cfg: ExperimentConfig, base: CircleMap) -> DriftMap:
-    dot_text = _get(cfg.raw, "drift", "dot", "")
-    cos, sin = parse_coeff_triples(dot_text, "drift.dot")
+def build_drift_dot(cfg: ExperimentConfig) -> np.ndarray | None:
+    """The N node samples of fdot from `[drift] dot`, or None for fdot = 0."""
+    cos, sin = parse_coeff_triples(_get(cfg.raw, "drift", "dot", ""), "drift.dot")
     if not cos:
-        return DriftMap(base=base)
-    return DriftMap(base=base, dot=TrigPoly(cos, sin)(np.arange(cfg.n_points) / cfg.n_points))
+        return None
+    return TrigPoly(cos, sin)(np.arange(cfg.n_points) / cfg.n_points)
 
 
 def _entries(cfg: ExperimentConfig, sections: list) -> list:
-    """One schedule entry per map section; the entries of a noisy experiment share one noise density."""
+    """One schedule entry per map section; the entries share one kick, or one fdot and noise density."""
+    maps = [build_map(cfg, s) for s in sections]
     if cfg.mode == "deterministic":
-        return [DeterministicEntry(map=build_map(cfg, s), kick=build_kick(cfg)) for s in sections]
-    drifts = [build_drift(cfg, build_map(cfg, s)) for s in sections]
-    q = build_noise(cfg)
-    return [NoisyEntry(drift=d, noise=q) for d in drifts]
+        kick = build_kick(cfg)
+        return [DeterministicEntry(map=m, kick=kick) for m in maps]
+    dot, q = build_drift_dot(cfg), build_noise(cfg)
+    return [NoisyEntry(drift=DriftMap(base=m, dot=dot), noise=q) for m in maps]
 
 
 def build_system(cfg: ExperimentConfig) -> SequenceSystem:

@@ -9,14 +9,13 @@ four nearest nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import warnings
 
 import numpy as np
 
 MIN_POINTS = 16
 
 
-@dataclass(frozen=True)
 class DensityGrid:
     """Checked samples of a 1-periodic real function at x_i = i/N.
 
@@ -24,10 +23,8 @@ class DensityGrid:
     >= MIN_POINTS.  The grid formulas below take the raw samples.
     """
 
-    values: np.ndarray = field()
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+    def __init__(self, values):
+        v = np.array(values, dtype=float)
         if v.ndim != 1:
             raise ValueError("grid values must be a 1-d array")
         n = v.shape[0]
@@ -35,9 +32,8 @@ class DensityGrid:
             raise ValueError(f"need an even number of points >= {MIN_POINTS}, got {n}")
         if not np.isfinite(v).all():
             raise ValueError("grid values must be finite")
-        v = v.copy()
         v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        self.values = v
 
     @property
     def n_points(self) -> int:
@@ -172,8 +168,10 @@ def write_density_csv(path, values: np.ndarray) -> None:
 def read_density_csv(path, n_points: int | None = None) -> DensityGrid:
     """Read a density CSV; an empty file, non-uniform x or a point count other than a given n_points is a ValueError."""
     try:
-        data = np.genfromtxt(path, delimiter=",", names=True)
-    except IndexError:  # numpy's failure on a file without a single line
+        with warnings.catch_warnings():  # the ValueError below is the one report of an empty file
+            warnings.filterwarnings("ignore", "genfromtxt: Empty input file", UserWarning)
+            data = np.genfromtxt(path, delimiter=",", names=True)
+    except IndexError:  # numpy's failure on a file without a single nonblank line
         raise ValueError(f"{path} is empty") from None
     x = np.atleast_1d(data["x"])
     v = np.atleast_1d(data["value"])

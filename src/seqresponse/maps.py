@@ -12,8 +12,6 @@ safeguarded Newton solver, which solves all d branches as one array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import InvalidSystem, NotConverged
@@ -146,22 +144,11 @@ class CircleMap:
         return y[:, 0] if scalar else y
 
 
-@dataclass(frozen=True)
-class KickField:
-    """Vector field X on the circle defining the kick h_eps(x) = x + eps*X(x)."""
-
-    cos_coeffs: tuple = ()
-    sin_coeffs: tuple = ()
-    _poly: TrigPoly = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_poly", TrigPoly(self.cos_coeffs, self.sin_coeffs))
-
-    def x_field(self, x):
-        return self._poly(x)
+class KickField(TrigPoly):
+    """Vector field X on the circle defining the kick h_eps(x) = x + eps*X(x); X(x) is kick(x)."""
 
     def sup_d1(self) -> float:
-        return float(np.max(np.abs(self._poly.d1(_PROBE))))
+        return float(np.max(np.abs(self.d1(_PROBE))))
 
     def check_diffeo(self, eps: float) -> None:
         if abs(eps) * self.sup_d1() >= 0.5:
@@ -170,15 +157,15 @@ class KickField:
     def h(self, eps: float, x):
         """Kick lift H(u) = u + eps*X(u); commutes with integer shifts."""
         x = np.asarray(x, dtype=float)
-        return x + eps * self._poly(x)
+        return x + eps * self(x)
 
     def h_d1(self, eps: float, x):
-        return 1.0 + eps * self._poly.d1(x)
+        return 1.0 + eps * self.d1(x)
 
     def h_inverse(self, eps: float, y):
         """Solve h(u) = y by Newton to residual <= 1e-13."""
         y = np.asarray(y, dtype=float)
-        u = y.copy() if hasattr(y, "copy") else np.asarray(y, dtype=float)
+        u = y.copy()
         for _ in range(64):
             res = self.h(eps, u) - y
             if np.max(np.abs(res)) <= BRANCH_RESIDUAL_TOL:

@@ -11,7 +11,6 @@ hence one-step L1 contraction by (1 - alpha) on zero-mass densities.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +29,6 @@ MC_BLOCK_SIZE = 1 << 16
 MC_CHUNK = 1 << 13
 
 
-@dataclass(frozen=True)
 class NoiseDensity:
     """Grid-sampled noise density q, normalized to unit mass.
 
@@ -39,17 +37,15 @@ class NoiseDensity:
     allowed with a warning.
     """
 
-    density: DensityGrid
-    alpha: float = field(init=False)
-
-    def __post_init__(self):
-        v = self.density.values
+    def __init__(self, density: DensityGrid):
+        v = density.values
         m = float(gridmod.mass(v))
         if abs(m - 1.0) > 1e-10:
             raise ValueError(f"noise density mass is {m}, expected 1 within 1e-10")
         if np.min(v) < 0.0:
             raise ValueError("noise density has negative samples")
-        object.__setattr__(self, "alpha", float(np.min(v)))
+        self.density = density
+        self.alpha = float(np.min(v))
         if self.alpha == 0.0:
             warnings.warn("noise density touches zero; Doeblin contraction unavailable", stacklevel=2)
 

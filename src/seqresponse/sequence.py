@@ -18,7 +18,6 @@ this time-ordered semantics and it is used consistently everywhere.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +36,6 @@ DEFAULT_PULLBACK_TOL = 1e-8
 RESIDUAL_BUDGET = 1 << 13
 
 
-@dataclass(frozen=True, eq=False)
 class DeterministicEntry:
     """One scheduled deterministic step: expanding map + kick direction.
 
@@ -45,16 +43,17 @@ class DeterministicEntry:
     between two entries.
     """
 
-    map: CircleMap
-    kick: KickField
+    def __init__(self, map: CircleMap, kick: KickField):
+        self.map = map
+        self.kick = kick
 
 
-@dataclass(frozen=True, eq=False)
 class NoisyEntry:
     """One scheduled noisy step: drift map + common noise density; hashes by identity."""
 
-    drift: DriftMap
-    noise: NoiseDensity
+    def __init__(self, drift: DriftMap, noise: NoiseDensity):
+        self.drift = drift
+        self.noise = noise
 
 
 def constant_schedule(entry):
@@ -80,7 +79,6 @@ def seeded_random_schedule(entries, seed: int):
     return schedule
 
 
-@dataclass(frozen=True, eq=False)
 class Window:
     """A sequence-space element on [n_lo, n_hi]: row n - n_lo of `values` is the density at index n.
 
@@ -89,17 +87,15 @@ class Window:
     the window.
     """
 
-    n_lo: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).view()
+    def __init__(self, n_lo: int, values):
+        v = np.asarray(values, dtype=float).view()
         if v.ndim != 2:
             raise ValueError(f"a window holds an (m, N) block, got shape {v.shape}")
         if not np.isfinite(v).all():
             raise InvalidSystem("window values must be finite")
         v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        self.n_lo = n_lo
+        self.values = v
 
     @property
     def n_hi(self) -> int:

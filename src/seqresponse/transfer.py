@@ -25,8 +25,6 @@ references.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import grid as gridmod
@@ -47,28 +45,22 @@ def _frozen(a, dtype) -> np.ndarray:
 GATHER_BUDGET = 1 << 16
 
 
-@dataclass(frozen=True)
 class TransferMatrix:
     """Matrix-free realization of one transfer operator, A f = K(S f) + (c . f) 1.
 
     Build one with `from_stencil`, which checks the stencil against the
     grid and derives the mass correction.  `rows` is None for a gather
-    stencil and holds the scatter targets otherwise.
+    stencil and holds the scatter targets otherwise.  `spectrum` is the
+    rfft of the convolution kernel of K, or None for K = identity.  The
+    arrays are stored as read-only copies.
     """
 
-    cols: np.ndarray
-    entries: np.ndarray
-    correction: np.ndarray
-    rows: np.ndarray | None = None
-    spectrum: np.ndarray | None = None  # rfft of the convolution kernel of K; None means K = identity
-
-    def __post_init__(self):
-        for name, dtype in (("cols", np.int64), ("entries", float), ("correction", float)):
-            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
-        if self.rows is not None:
-            object.__setattr__(self, "rows", _frozen(self.rows, np.int64))
-        if self.spectrum is not None:
-            object.__setattr__(self, "spectrum", _frozen(self.spectrum, complex))
+    def __init__(self, cols, entries, correction, rows=None, spectrum=None):
+        self.cols = _frozen(cols, np.int64)
+        self.entries = _frozen(entries, float)
+        self.correction = _frozen(correction, float)
+        self.rows = None if rows is None else _frozen(rows, np.int64)
+        self.spectrum = None if spectrum is None else _frozen(spectrum, complex)
 
     @classmethod
     def from_stencil(cls, rows, cols, entries, n_points: int, kernel=None) -> "TransferMatrix":
@@ -149,7 +141,7 @@ def build_kick(kick: KickField, eps: float, n_points: int) -> TransferMatrix:
 def d_operator(kick: KickField, u: np.ndarray) -> np.ndarray:
     """First-order perturbation operator Du = -(Xu)' on the raw samples u of one density."""
     n = u.shape[-1]
-    return gridmod.derivative(kick.x_field(np.arange(n) / n) * u) * -1.0
+    return gridmod.derivative(kick(np.arange(n) / n) * u) * -1.0
 
 
 def compose_matrices(outer: TransferMatrix, inner: TransferMatrix) -> TransferMatrix:

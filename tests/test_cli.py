@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,20 @@ class TestConfigParsing:
         assert cli.main(["respond", path]) == 0
         assert len(bumps) == 2
 
+    def test_entries_share_kick_and_drift_dot(self, tmp_path):
+        det = BASE_DET.replace("kind = constant", "kind = periodic\nmaps = map.a, map.b, map.c")
+        det += "".join(f"\n[map.{s}]\ndegree = 2\n" for s in "abc")
+        for name, text, shared in (
+            ("det.ini", det, lambda e: e.kick),
+            ("noisy.ini", PERIODIC_NOISY_3, lambda e: e.drift.dot),
+        ):
+            path, _ = write_config(tmp_path, text, name=name)
+            sys_ = config.build_system(config.load_config(path))
+            entries = [sys_.schedule(k) for k in range(3)]
+            assert len({id(e) for e in entries}) == 3
+            assert shared(entries[0]) is not None
+            assert all(shared(e) is shared(entries[0]) for e in entries)
+
 
 class TestExitCodes:
     def test_config_error_is_1(self, tmp_path):
@@ -255,18 +270,27 @@ class TestExitCodes:
             pytest.param(BASE_NOISY, "dot = 2:0.0:1.0", "dot = 2:0.0:nan", "simulate", id="drift-coeff-nan"),
             pytest.param(BASE_DET, "tail_c = 1.0", "tail_c = inf", "respond", id="tail_c-inf"),
             pytest.param(BASE_NOISY, "preset = bump:0.5,0.08,0.3", f"csv = {os.devnull}", "respond", id="noise-csv-empty"),
+            pytest.param(BASE_NOISY, "preset = bump:0.5,0.08,0.3", "csv = newline.csv", "respond", id="noise-csv-newline"),
             pytest.param(
                 BASE_DET, "[schedule]", f"[equivariant]\nseed_csv = {os.devnull}\n\n[schedule]", "equivariant --two-seed",
                 id="seed-csv-empty",
             ),
         ],
     )
-    def test_bad_value_is_1(self, tmp_path, capsys, base, old, new, command):
+    def test_bad_value_is_1(self, tmp_path, capsys, monkeypatch, base, old, new, command):
         assert old in base
         path, _ = write_config(tmp_path, base.replace(old, new))
+        (tmp_path / "newline.csv").write_text("\n")  # the noise-csv-newline row reads it
+        monkeypatch.chdir(tmp_path)
         name, *flags = command.split()
-        assert cli.main([name, path, *flags]) == 1
-        assert "config error" in capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main([name, path, *flags]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert not caught, [str(w.message) for w in caught]  # no warning is printed before the error
+        if "csv" in new:
+            assert err.count("\n") == 1, err
 
     def test_not_utf8_is_1(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, BASE_DET)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -262,6 +264,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             f.values[0] = 2.0
 
+    def test_copies_input(self):
+        v = np.ones(64)
+        f = DensityGrid(v)
+        v[0] = 2.0  # the caller's array stays writeable, and writing it leaves f alone
+        assert np.array_equal(f.values, np.ones(64))
+        assert not f.values.flags.writeable
+
 
 class TestCsv:
     def test_roundtrip(self, tmp_path):
@@ -300,9 +309,12 @@ class TestCsv:
 
     def test_rejects_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.warns(UserWarning, match="Empty input file"), pytest.raises(ValueError, match="is empty"):
-            grid.read_density_csv(path)
+        for text in ("", "\n"):
+            path.write_text(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # the ValueError is the only report
+                with pytest.raises(ValueError, match="is empty"):
+                    grid.read_density_csv(path)
 
     def test_rejects_nan_x(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -147,6 +147,11 @@ class TestNoiseDensity:
         with pytest.warns(UserWarning):
             unit_mass_noise(samples)
 
+    def test_zero_sample_warning_names_the_caller(self):
+        with pytest.warns(UserWarning, match="touches zero") as record:
+            unit_mass_noise(np.maximum(np.cos(2 * np.pi * X), 0.0))
+        assert record[0].filename == __file__
+
     def test_mass_enforced(self):
         with pytest.raises(ValueError):
             NoiseDensity(DensityGrid.constant(2.0, N))

@@ -194,7 +194,7 @@ def reference_forcing(sys_, fam):
         entry, mu = sys_.schedule(n), fam[n]
         if isinstance(entry, DeterministicEntry):
             mu_next = fam[n + 1] if n < fam.n_hi else transfer.push(sys_.operator(n, 0.0), mu)
-            out.append(grid.derivative(entry.kick.x_field(X) * mu_next) * -1.0)
+            out.append(grid.derivative(entry.kick(X) * mu_next) * -1.0)
         else:
             out.append(grid.derivative(transfer.push(sys_.operator(n, 0.0), mu * entry.drift.dot_values(X))) * -1.0)
     return out

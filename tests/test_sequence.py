@@ -73,6 +73,14 @@ class TestWindow:
         with pytest.raises(ValueError, match="finite"):
             Window(0, values)
 
+    def test_block_is_read_only_view(self):
+        values = np.ones((3, 16))
+        w = Window(0, values)
+        with pytest.raises(ValueError):
+            w.values[0, 0] = 2.0
+        values[0, 0] = 2.0  # the window is a read-only view of the caller's array, which keeps its flags
+        assert w[0][0] == 2.0
+
     @pytest.mark.parametrize("shape", [(), (8,), (2, 3, 4)])
     def test_rejects_non_2d(self, shape):
         with pytest.raises(ValueError, match="block"):
@@ -233,6 +241,13 @@ class TestSchedules:
     def test_matrix_cache_reused(self):
         sys_ = doubling_system()
         assert sys_.operator(0) is sys_.operator(7)
+
+    def test_equal_entries_are_distinct_keys(self):
+        t, kick = CircleMap(2), KickField(sin_coeffs=(0.0, 0.1))
+        q = NoiseDensity.uniform(N)
+        drift = DriftMap(base=t)
+        for a, b in ((DeterministicEntry(t, kick), DeterministicEntry(t, kick)), (NoisyEntry(drift, q), NoisyEntry(drift, q))):
+            assert a != b and len({a: 0, b: 1}) == 2
 
     def test_entries_sharing_a_key_get_their_own_operators(self):
         kick = KickField(sin_coeffs=(0.0, 0.1))

@@ -185,6 +185,18 @@ class TestPush:
         with pytest.raises(InvalidSystem, match="densities have shape"):
             transfer.push(doubling_matrix, np.ones(shape))
 
+    def test_arrays_are_read_only_copies(self, doubling_matrix):
+        q = noise.NoiseDensity.uniform(N)
+        kernel = noise.build_kernel(noise.DriftMap(base=CircleMap(2)), 0.0, q, N)
+        for a in (doubling_matrix, kernel):
+            for name in ("cols", "entries", "correction", "rows", "spectrum"):
+                array = getattr(a, name)
+                assert array is None or not array.flags.writeable, name
+        cols, entries, correction = np.zeros((1, N), dtype=np.int64), np.ones((1, N)), np.zeros(N)
+        a = transfer.TransferMatrix(cols, entries, correction)
+        entries[0, 0] = 2.0
+        assert a.entries[0, 0] == 1.0
+
     def test_deterministic_stencil_is_a_gather(self, doubling_matrix):
         assert doubling_matrix.rows is None
         assert doubling_matrix.cols.shape == doubling_matrix.entries.shape == (12, N)

@@ -29,9 +29,11 @@ from .config import (
     read_seed,
     read_simulate,
     read_tail,
+    schedule_sections,
 )
 from .errors import ConfigError, SeqResponseError, TailNotSmall
 from .grid import DensityGrid
+from .maps import CircleMap, c2_distance
 
 EXIT_OK = 0
 EXIT_TOLERANCE = TailNotSmall.exit_code  # a failed validation or certificate exits like an over-tolerance tail
@@ -137,20 +139,38 @@ def cmd_memory(cfg: ExperimentConfig) -> tuple[int, list]:
     return EXIT_OK, [out_csv, out_json]
 
 
+def _certified_ball(cfg: ExperimentConfig, reference: CircleMap, delta_star: float) -> dict:
+    """The scheduled maps against the admissible C^2 ball of radius delta_star around the reference map.
+
+    A map of another degree than the reference's has no C^2 distance to
+    it, so it is outside; max_c2_distance is None when every map is.
+    """
+    maps = {s: build_map(cfg, s) for s in schedule_sections(cfg)[1]}
+    dist = {s: c2_distance(t, reference) for s, t in maps.items() if t.degree == reference.degree}
+    return {
+        "delta_star": delta_star,
+        "max_c2_distance": max(dist.values(), default=None),
+        "maps_outside": [s for s in maps if dist.get(s, np.inf) > delta_star],
+    }
+
+
 def cmd_respond(cfg: ExperimentConfig) -> tuple[int, list]:
     tail_constants, tail_tol = read_tail(cfg)
     sys_ = build_system(cfg)
     seed = DensityGrid.constant(1.0, cfg.n_points)
     fam, _ = sequence.pullback_equivariant(sys_, cfg.burn_in, seed, tol=cfg.pullback_tol)
     g = response.forcing(sys_, fam)
+    report = {}
     if tail_constants is None and cfg.mode == "noisy":
         tail_constants = constants.doeblin_certificate(sys_.schedule(0).noise)
     elif tail_constants is None:
-        cert = constants.certify(build_map(cfg), cfg.n_points)
+        t0 = build_map(cfg)
+        cert = constants.certify(t0, cfg.n_points)
         tail_constants = cert.elom_C, cert.elom_rate
+        report["certified_ball"] = _certified_ball(cfg, t0, cert.delta_star)
     etas, tail = response.neumann_response(sys_, g, cfg.truncation, tail_constants, tol=tail_tol)
     files = _write_window(cfg, etas, "eta")
-    report = {
+    report |= {
         "truncation_order": cfg.truncation,
         "tail_bound": tail,
         "max_mass_defect": float(np.max(np.abs(grid.mass(etas.values)))),

@@ -143,7 +143,8 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         read = parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot parse config file {path}: {exc}") from None
+        message = " ".join(str(exc).splitlines())  # configparser's messages span lines; stderr gets one
+        raise ConfigError(f"cannot parse config file {path}: {message}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     mode = _require(parser, "experiment", "mode")
@@ -314,20 +315,27 @@ def _entries(cfg: ExperimentConfig, sections: list) -> list:
     return [NoisyEntry(drift=DriftMap(base=m, dot=dot), noise=q) for m in maps]
 
 
-def build_system(cfg: ExperimentConfig) -> SequenceSystem:
+def schedule_sections(cfg: ExperimentConfig) -> tuple[str, list]:
+    """(kind, map section names) from [schedule]; a constant schedule runs [reference_map]."""
     kind = _get(cfg.raw, "schedule", "kind", "constant")
     if kind not in SCHEDULE_KINDS:
         raise ConfigError(f"schedule.kind must be one of {SCHEDULE_KINDS}, got {kind!r}")
     if kind == "constant":
-        schedule = constant_schedule(_entries(cfg, ["reference_map"])[0])
+        return kind, ["reference_map"]
+    names = [s.strip() for s in _require(cfg.raw, "schedule", "maps").split(",") if s.strip()]
+    if not names:
+        raise ConfigError("schedule.maps must list at least one map section")
+    return kind, names
+
+
+def build_system(cfg: ExperimentConfig) -> SequenceSystem:
+    kind, sections = schedule_sections(cfg)
+    entries = _entries(cfg, sections)
+    if kind == "constant":
+        schedule = constant_schedule(entries[0])
+    elif kind == "periodic":
+        schedule = periodic_schedule(entries)
     else:
-        names = [s.strip() for s in _require(cfg.raw, "schedule", "maps").split(",") if s.strip()]
-        if not names:
-            raise ConfigError("schedule.maps must list at least one map section")
-        entries = _entries(cfg, names)
-        if kind == "periodic":
-            schedule = periodic_schedule(entries)
-        else:
-            sched_seed = _as_seed(_get(cfg.raw, "schedule", "seed", str(cfg.seed)), "schedule.seed")
-            schedule = seeded_random_schedule(entries, sched_seed)
+        sched_seed = _as_seed(_get(cfg.raw, "schedule", "seed", str(cfg.seed)), "schedule.seed")
+        schedule = seeded_random_schedule(entries, sched_seed)
     return SequenceSystem(schedule, cfg.window, n_points=cfg.n_points)

@@ -28,8 +28,7 @@ class InvalidSystem(SeqResponseError, ValueError):
 
     A map that does not expand or has covering degree < 2, kicks too
     large for h_eps to be a diffeomorphism, maps of unequal degree, grid
-    sizes that disagree, a noise density without a Doeblin floor, or a
-    scheduled map outside the certified ball.
+    sizes that disagree, or a noise density without a Doeblin floor.
     """
 
     exit_code, label = 2, "invalid system"

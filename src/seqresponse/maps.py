@@ -162,17 +162,6 @@ class KickField(TrigPoly):
     def h_d1(self, eps: float, x):
         return 1.0 + eps * self.d1(x)
 
-    def h_inverse(self, eps: float, y):
-        """Solve h(u) = y by Newton to residual <= 1e-13."""
-        y = np.asarray(y, dtype=float)
-        u = y.copy()
-        for _ in range(64):
-            res = self.h(eps, u) - y
-            if np.max(np.abs(res)) <= BRANCH_RESIDUAL_TOL:
-                return u
-            u = u - res / self.h_d1(eps, u)
-        raise NotConverged("Newton inversion of kick did not converge")
-
 
 class KickedMap:
     """Composed map T_eps = h_eps o T: the lift, first derivative and inverse branches of CircleMap."""

@@ -17,8 +17,6 @@ this time-ordered semantics and it is used consistently everywhere.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from . import grid as gridmod
@@ -26,7 +24,7 @@ from . import noise as noisemod
 from . import transfer
 from .errors import InvalidSystem, NotConverged, WindowExceeded
 from .grid import DensityGrid
-from .maps import CircleMap, KickedMap, KickField, c2_distance
+from .maps import CircleMap, KickedMap, KickField
 from .noise import DriftMap, NoiseDensity
 from .transfer import TransferMatrix
 
@@ -112,60 +110,29 @@ class Window:
 
 
 class SequenceSystem:
-    """Schedule of operators on a finite window with matrix caching.
+    """Schedule of operators on a finite window with matrix caching."""
 
-    If `reference` and `delta_star` are given, every scheduled
-    deterministic map is checked against the admissible C^2 ball; a
-    violation raises in certified mode and warns otherwise.
-    """
-
-    def __init__(
-        self,
-        schedule,
-        window: tuple[int, int],
-        n_points: int,
-        reference: CircleMap | None = None,
-        delta_star: float | None = None,
-        certified: bool = False,
-    ):
+    def __init__(self, schedule, window: tuple[int, int], n_points: int):
         if window[1] < window[0]:
             raise ValueError("empty window")
         self.schedule = schedule
         self.window = (int(window[0]), int(window[1]))
         self.n_points = int(n_points)
-        self.reference = reference
-        self.delta_star = delta_star
-        self.certified = certified
         self._cache: dict = {}
-        self._checked: set = set()
-
-    def _admissibility(self, entry: DeterministicEntry) -> None:
-        if self.reference is None or self.delta_star is None:
-            return
-        if entry in self._checked:
-            return
-        self._checked.add(entry)
-        dist = c2_distance(entry.map, self.reference)
-        if dist > self.delta_star:
-            msg = f"scheduled map is outside the certified ball: C2 distance {dist:.4g} > delta_star {self.delta_star:.4g}"
-            if self.certified:
-                raise InvalidSystem(msg)
-            warnings.warn(msg, stacklevel=3)
 
     def operator(self, n: int, eps: float = 0.0) -> TransferMatrix:
         """Transfer matrix at index n and perturbation strength eps, cached per (entry, eps).
 
         Deterministic entries realize L_n^eps = L_{h_eps o T_n}, the
         operator of the post-composition kicked map, assembled in one pass
-        from its inverse branches.  It equals L_{h_eps} L_{T_n}, which the
-        tests use as the reference.
+        from its inverse branches.  It equals L_{h_eps} L_{T_n}, the product
+        the tests compare it against.
         """
         entry = self.schedule(n)
         cache_key = (entry, eps)
         if cache_key in self._cache:
             return self._cache[cache_key]
         if isinstance(entry, DeterministicEntry):
-            self._admissibility(entry)
             t = entry.map if eps == 0.0 else KickedMap(entry.kick, eps, entry.map)
             mat = transfer.build_deterministic(t, self.n_points)
         else:

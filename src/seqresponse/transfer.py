@@ -130,12 +130,25 @@ def build_deterministic(t: CircleMap | KickedMap, n_points: int) -> TransferMatr
     return _assemble(branches, 1.0 / t.eval_d1(branches))  # lift derivative is positive for our maps
 
 
+class _Identity:
+    """The degree-1 lift x -> x: h_eps o identity is the kick alone."""
+
+    degree = 1
+
+    def lift(self, x):
+        return np.asarray(x, dtype=float)
+
+    def eval_d1(self, x):
+        return 1.0
+
+
 def build_kick(kick: KickField, eps: float, n_points: int) -> TransferMatrix:
-    """Diffeomorphism operator (L_h u)(x_i) = u(h^{-1}(x_i)) / h'(h^{-1}(x_i))."""
-    kick.check_diffeo(eps)
-    x = np.arange(n_points) / n_points
-    u = gridmod.wrap(kick.h_inverse(eps, x))
-    return _assemble(u[None, :], 1.0 / kick.h_d1(eps, u)[None, :])
+    """Diffeomorphism operator (L_h u)(x_i) = u(h^{-1}(x_i)) / h'(h^{-1}(x_i)).
+
+    It is the kicked operator of the identity lift, so h^{-1} comes from
+    the safeguarded inverse-branch solver.
+    """
+    return build_deterministic(KickedMap(kick, eps, _Identity()), n_points)
 
 
 def d_operator(kick: KickField, u: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 
 from seqresponse import constants, grid, noise, response, sequence, transfer
 from seqresponse.grid import DensityGrid
-from seqresponse.maps import CircleMap, KickField
+from seqresponse.maps import CircleMap, KickField, c2_distance
 from seqresponse.noise import DriftMap, NoiseDensity
 from seqresponse.sequence import (
     DeterministicEntry,
@@ -88,9 +88,8 @@ def test_criterion_3_deterministic_memory_loss(cert):
     amp = cert.delta_star * 0.5 / (1 + 2 * np.pi + 4 * np.pi**2)
     t0, t1 = CircleMap(2), CircleMap(2, sin_coeffs=(0.0, amp))
     sched = periodic_schedule([DeterministicEntry(t0, KICK), DeterministicEntry(t1, KICK)])
-    sys_ = SequenceSystem(
-        sched, (0, 30), n_points=N, reference=t0, delta_star=cert.delta_star, certified=True
-    )
+    assert c2_distance(t1, t0) <= cert.delta_star
+    sys_ = SequenceSystem(sched, (0, 30), n_points=N)
     v = DensityGrid(smooth_density(np.random.default_rng(101), zero_mass=True))
     _, fitted_rate = sequence.memory_decay(sys_, v, 0, 20)
     rate_ok = fitted_rate <= cert.elom_rate

@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from seqresponse import cli, config, errors, noise, transfer
+from seqresponse import cli, config, constants, errors, noise, transfer
 from seqresponse.errors import ConfigError
+from seqresponse.maps import CircleMap, c2_distance
 
 BASE_DET = """
 [experiment]
@@ -85,6 +86,18 @@ coeffs = 1:0.01:0.0
 
 
 SEEDED_DET = BASE_DET.replace("kind = constant", "kind = seeded_random\nmaps = reference_map\nseed = 0")
+
+
+# No tail constants and no eps list: respond certifies the reference map and runs no validation.
+CERTIFIED_DET = BASE_DET.replace("tail_c = 1.0\n", "").replace("tail_rate = 0.5\n", "").replace("eps = 1e-2, 1e-3", "eps =")
+FAR_MAPS = """
+[map.far]
+degree = 2
+coeffs = 1:0.0:0.05
+
+[map.cubic]
+degree = 3
+"""
 
 
 def write_config(tmp_path, text, name="exp.ini", **extra):
@@ -289,8 +302,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err
         assert not caught, [str(w.message) for w in caught]  # no warning is printed before the error
-        if "csv" in new:
-            assert err.count("\n") == 1, err
+        assert err.count("\n") == 1, err
 
     def test_not_utf8_is_1(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, BASE_DET)
@@ -490,6 +502,7 @@ class TestRespond:
         report = json.loads((out / "response.json").read_text())
         assert report["validation_pass"]
         assert report["max_mass_defect"] <= 1e-8
+        assert "certified_ball" not in report  # the tail constants are given, so nothing is certified
         text = (out / "validation.json").read_text()
         summary = json.loads(text)
         assert summary["pass"]
@@ -505,6 +518,26 @@ class TestRespond:
         assert cli.main(["respond", path]) == 0
         data = np.loadtxt(out / "eta_0010.csv", delimiter=",", skiprows=1)
         assert np.max(np.abs(data[:, 1])) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "maps, outside, max_c2",
+        [
+            (None, [], 0.0),
+            ("reference_map, map.far", ["map.far"], c2_distance(CircleMap(2, sin_coeffs=(0.0, 0.05)), CircleMap(2))),
+            ("reference_map, map.cubic", ["map.cubic"], 0.0),
+            ("map.cubic", ["map.cubic"], None),
+        ],
+        ids=["constant", "far-map", "other-degree", "only-other-degree"],
+    )
+    def test_certified_ball(self, tmp_path, maps, outside, max_c2):
+        text = CERTIFIED_DET
+        if maps is not None:
+            text = text.replace("kind = constant", f"kind = periodic\nmaps = {maps}") + FAR_MAPS
+        path, out = write_config(tmp_path, text)
+        assert cli.main(["respond", path]) == 0  # a map outside the ball changes no exit code
+        ball = json.loads((out / "response.json").read_text())["certified_ball"]
+        delta_star = constants.certify(CircleMap(2), 256).delta_star
+        assert ball == {"delta_star": delta_star, "max_c2_distance": max_c2, "maps_outside": outside}
 
 
 class TestSimulate:
@@ -540,5 +573,6 @@ class TestUniformNoise:
         path, out = write_config(tmp_path, BASE_NOISY.replace("preset = bump:0.5,0.08,0.3", "preset = uniform"))
         assert cli.main(["respond", path]) == 0
         assert all(e["D"] <= 1e-13 for e in json.loads((out / "validation.json").read_text())["entries"])
+        assert "certified_ball" not in json.loads((out / "response.json").read_text())  # noisy mode certifies by Doeblin
         assert cli.main(["simulate", path]) == 0
         assert json.loads((out / "simulate.json").read_text())["l1_vs_operator"] <= 0.05

@@ -218,26 +218,6 @@ class TestSchedules:
         assert all(a is b for a, b in zip(picks1, picks2))
         assert {id(p) for p in picks1} == {id(e) for e in entries}
 
-    def test_certified_mode_rejects_far_map(self):
-        far = CircleMap(2, sin_coeffs=(0.0, 0.05))
-        entry = DeterministicEntry(far, KickField())
-        sys_ = SequenceSystem(
-            constant_schedule(entry), (0, 3), n_points=N,
-            reference=CircleMap(2), delta_star=0.1, certified=True,
-        )
-        with pytest.raises(ValueError):
-            sys_.operator(0)
-
-    def test_uncertified_mode_warns(self):
-        far = CircleMap(2, sin_coeffs=(0.0, 0.05))
-        entry = DeterministicEntry(far, KickField())
-        sys_ = SequenceSystem(
-            constant_schedule(entry), (0, 3), n_points=N,
-            reference=CircleMap(2), delta_star=0.1, certified=False,
-        )
-        with pytest.warns(UserWarning):
-            sys_.operator(0)
-
     def test_matrix_cache_reused(self):
         sys_ = doubling_system()
         assert sys_.operator(0) is sys_.operator(7)

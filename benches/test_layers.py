@@ -1,4 +1,4 @@
-"""Layer timings (pytest-benchmark): the Monte Carlo sampler, operator pushes and the solver stages.
+"""Layer timings (pytest-benchmark): the Monte Carlo sampler, grid kernels, operator pushes and the solver stages.
 
 Run from the root of a checkout; these tests time, they do not check, so
 they are kept off the default test paths:
@@ -10,6 +10,11 @@ The Monte Carlo system is the noisy-1024 reference: N = 1024, drift
 f(x) = 2x + 0.05 sin 2 pi x with fdot = sin 4 pi x sampled at the nodes,
 bump noise (center 0.5, width 0.08, floor 0.3).  Its kernels run on one
 Monte Carlo block of points.
+
+The grid kernels are timed at N = 256, 1024 and 2048:
+`interpolation_stencil` at the N query points of that drift map's noise
+kernel, `interpolation_stencil6` at the 2N inverse-branch points of its
+deterministic operator, and `derivative` on one density.
 
 `transfer.push` is timed on blocks of 1, 2 and 8 densities for the
 deterministic operator of that drift map and for its noise kernel, at
@@ -105,6 +110,26 @@ def test_build_deterministic(benchmark, kind, n):
     t = T if kind == "plain" else KickedMap(KickField(sin_coeffs=(0.0, 1 / (2 * np.pi))), 1e-2, T)
     benchmark.extra_info.update(n_points=n, points=n)
     benchmark(transfer.build_deterministic, t, n)
+
+
+@pytest.mark.parametrize("n", PUSH_GRIDS)
+def test_interpolation_stencil(benchmark, n):
+    x = -T.eval(np.arange(n) / n)  # the query points of the eps = 0 noise kernel
+    benchmark.extra_info.update(n_points=n, points=x.size)
+    benchmark(grid.interpolation_stencil, n, x)
+
+
+@pytest.mark.parametrize("n", PUSH_GRIDS)
+def test_interpolation_stencil6(benchmark, n):
+    x = T.inverse_branches(np.arange(n) / n).ravel()  # the query points of the deterministic operator
+    benchmark.extra_info.update(n_points=n, points=x.size)
+    benchmark(grid.interpolation_stencil6, n, x)
+
+
+@pytest.mark.parametrize("n", PUSH_GRIDS)
+def test_derivative(benchmark, n):
+    benchmark.extra_info.update(n_points=n, points=n)
+    benchmark(grid.derivative, np.random.default_rng(n).random(n))
 
 
 @pytest.mark.parametrize("n", PUSH_GRIDS)

@@ -113,7 +113,7 @@ def _as_tolerance(value, where):
 
 
 def parse_coeff_triples(text: str, where: str) -> tuple[tuple, tuple]:
-    """`k:a:b` triples -> (cos_coeffs, sin_coeffs), dense up to max k."""
+    """`k:a:b` triples, each k at most once -> (cos_coeffs, sin_coeffs), dense up to max k."""
     cos: dict = {}
     sin: dict = {}
     for item in text.split(","):
@@ -126,6 +126,8 @@ def parse_coeff_triples(text: str, where: str) -> tuple[tuple, tuple]:
         k = _as_int(parts[0], where)
         if not 0 <= k <= MAX_COEFF_INDEX:
             raise ConfigError(f"{where}: harmonic index must be in [0, {MAX_COEFF_INDEX}], got {k}")
+        if k in cos:
+            raise ConfigError(f"{where}: harmonic index {k} is given twice")
         cos[k], sin[k] = _as_float(parts[1], where), _as_float(parts[2], where)
         if not (np.isfinite(cos[k]) and np.isfinite(sin[k])):
             raise ConfigError(f"{where}: coefficients must be finite, got {item!r}")
@@ -260,17 +262,14 @@ def read_simulate(cfg: ExperimentConfig) -> tuple[int, int, int, float]:
     return steps, samples, bins, eps
 
 
+def _coeffs(cfg: ExperimentConfig, section: str, key: str) -> tuple[tuple, tuple]:
+    """(cos_coeffs, sin_coeffs) of the `k:a:b` list `section.key`; empty when unset."""
+    return parse_coeff_triples(_get(cfg.raw, section, key, ""), f"{section}.{key}")
+
+
 def build_map(cfg: ExperimentConfig, section: str = "reference_map") -> CircleMap:
     degree = _as_int(_require(cfg.raw, section, "degree"), f"{section}.degree")
-    coeffs = _get(cfg.raw, section, "coeffs", "")
-    cos, sin = parse_coeff_triples(coeffs, f"{section}.coeffs")
-    return CircleMap(degree, cos_coeffs=cos, sin_coeffs=sin)
-
-
-def build_kick(cfg: ExperimentConfig) -> KickField:
-    coeffs = _get(cfg.raw, "kick", "coeffs", "")
-    cos, sin = parse_coeff_triples(coeffs, "kick.coeffs")
-    return KickField(cos_coeffs=cos, sin_coeffs=sin)
+    return CircleMap(degree, *_coeffs(cfg, section, "coeffs"))
 
 
 def build_noise(cfg: ExperimentConfig) -> NoiseDensity:
@@ -299,7 +298,7 @@ def build_noise(cfg: ExperimentConfig) -> NoiseDensity:
 
 def build_drift_dot(cfg: ExperimentConfig) -> np.ndarray | None:
     """The N node samples of fdot from `[drift] dot`, or None for fdot = 0."""
-    cos, sin = parse_coeff_triples(_get(cfg.raw, "drift", "dot", ""), "drift.dot")
+    cos, sin = _coeffs(cfg, "drift", "dot")
     if not cos:
         return None
     return TrigPoly(cos, sin)(np.arange(cfg.n_points) / cfg.n_points)
@@ -309,7 +308,7 @@ def _entries(cfg: ExperimentConfig, sections: list) -> list:
     """One schedule entry per map section; the entries share one kick, or one fdot and noise density."""
     maps = [build_map(cfg, s) for s in sections]
     if cfg.mode == "deterministic":
-        kick = build_kick(cfg)
+        kick = KickField(*_coeffs(cfg, "kick", "coeffs"))
         return [DeterministicEntry(map=m, kick=kick) for m in maps]
     dot, q = build_drift_dot(cfg), build_noise(cfg)
     return [NoisyEntry(drift=DriftMap(base=m, dot=dot), noise=q) for m in maps]

@@ -9,11 +9,14 @@ four nearest nodes.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 
 MIN_POINTS = 16
+CUBIC_OFFSETS = (-1, 0, 1, 2)  # stencil nodes i0 + s of the 4-point cubic
+QUINTIC_OFFSETS = (-2, -1, 0, 1, 2, 3)  # and of the 6-point quintic
 
 
 class DensityGrid:
@@ -86,10 +89,25 @@ def _cell(n_points: int, x) -> tuple[np.ndarray, np.ndarray]:
     return i0, t
 
 
-def _cubic_weights(t: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Lagrange basis of the cubic on local nodes -1, 0, 1, 2 at offset t."""
-    tp1, tm1, tm2 = t + 1.0, t - 1.0, t - 2.0
-    return -t * tm1 * tm2 / 6.0, tp1 * tm1 * tm2 / 2.0, -tp1 * t * tm2 / 2.0, tp1 * t * tm1 / 6.0
+def _lagrange_weights(t: np.ndarray, offsets) -> list[np.ndarray]:
+    """Lagrange basis on the integer nodes `offsets` at local offset t, one array per node.
+
+    The weight of node s is prod_{r != s} (t - r) / prod_{r != s} (s - r),
+    the factors multiplied in the order of `offsets`; the factor for r = 0
+    is t itself.  Separate arrays, not rows of one block: a fresh block
+    of Monte Carlo size is mapped memory whose page faults cost more than
+    the arithmetic.
+    """
+    factors = [t if r == 0 else t - r for r in offsets]
+    weights = []
+    for j, s in enumerate(offsets):
+        fs = factors[:j] + factors[j + 1 :]
+        num = fs[0] * fs[1]
+        for f in fs[2:]:
+            num *= f
+        num /= math.prod(s - r for r in offsets if r != s)
+        weights.append(num)
+    return weights
 
 
 def interpolation_stencil(n_points: int, x) -> tuple[np.ndarray, np.ndarray]:
@@ -101,8 +119,7 @@ def interpolation_stencil(n_points: int, x) -> tuple[np.ndarray, np.ndarray]:
     to 1, so constants are reproduced exactly.
     """
     i0, t = _cell(n_points, x)
-    idx = np.stack([(i0 - 1) % n_points, i0 % n_points, (i0 + 1) % n_points, (i0 + 2) % n_points])
-    return idx, np.stack(_cubic_weights(t))
+    return np.stack([(i0 + s) % n_points for s in CUBIC_OFFSETS]), np.stack(_lagrange_weights(t, CUBIC_OFFSETS))
 
 
 def interpolation_stencil6(n_points: int, x) -> tuple[np.ndarray, np.ndarray]:
@@ -113,18 +130,7 @@ def interpolation_stencil6(n_points: int, x) -> tuple[np.ndarray, np.ndarray]:
     is not accurate enough for the operator tolerances at N = 256.
     """
     i0, t = _cell(n_points, x)
-    offsets = np.array([-2, -1, 0, 1, 2, 3])
-    w = np.empty((6, t.shape[0]))
-    for row, s in enumerate(offsets):
-        num = np.ones_like(t)
-        den = 1.0
-        for r in offsets:
-            if r != s:
-                num *= t - r
-                den *= s - r
-        w[row] = num / den
-    idx = np.stack([(i0 + s) % n_points for s in offsets])
-    return idx, w
+    return np.stack([(i0 + s) % n_points for s in QUINTIC_OFFSETS]), np.stack(_lagrange_weights(t, QUINTIC_OFFSETS))
 
 
 def interpolate_values(values: np.ndarray, x) -> np.ndarray:
@@ -136,7 +142,7 @@ def interpolate_values(values: np.ndarray, x) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     padded = np.concatenate([values[-1:], values, values[:3]])
     i0, t = _cell(values.shape[0], x)
-    w = _cubic_weights(t)
+    w = _lagrange_weights(t, CUBIC_OFFSETS)
     out = padded[i0] * w[0]
     for k in (1, 2, 3):
         out += padded[k:][i0] * w[k]

@@ -104,10 +104,8 @@ class CircleMap:
         safety shrink of 1e-9 against the probe missing the true minimum;
         a constant derivative (linear lift) is reported exactly.
         """
-        d1 = np.abs(self.eval_d1(_PROBE))
+        d1 = np.abs(self.eval_d1(_PROBE))  # > 1, checked by __init__
         lam0 = float(np.min(d1))
-        if lam0 <= 1.0:
-            raise InvalidSystem("probed min of lift derivative is <= 1")
         m0 = float(np.max(d1))
         if m0 > lam0:
             lam0 -= LAMBDA0_SAFETY
@@ -154,14 +152,6 @@ class KickField(TrigPoly):
         if abs(eps) * self.sup_d1() >= 0.5:
             raise InvalidSystem(f"eps*||X'||_inf = {abs(eps) * self.sup_d1():.3g} >= 0.5")
 
-    def h(self, eps: float, x):
-        """Kick lift H(u) = u + eps*X(u); commutes with integer shifts."""
-        x = np.asarray(x, dtype=float)
-        return x + eps * self(x)
-
-    def h_d1(self, eps: float, x):
-        return 1.0 + eps * self.d1(x)
-
 
 class KickedMap:
     """Composed map T_eps = h_eps o T: the lift, first derivative and inverse branches of CircleMap."""
@@ -174,11 +164,13 @@ class KickedMap:
         self.degree = base.degree
 
     def lift(self, x):
-        return self.kick.h(self.eps, self.base.lift(x))
+        """h_eps(l(x)) = u + eps*X(u) with u = l(x); h_eps commutes with integer shifts."""
+        u = self.base.lift(x)
+        return u + self.eps * self.kick(u)
 
     def eval_d1(self, x):
-        u = self.base.lift(x)
-        return self.kick.h_d1(self.eps, u) * self.base.eval_d1(x)
+        """(1 + eps*X'(u)) * l'(x) with u = l(x)."""
+        return (1.0 + self.eps * self.kick.d1(self.base.lift(x))) * self.base.eval_d1(x)
 
     inverse_branches = CircleMap.inverse_branches  # the same solver on the lift h_eps o l
 

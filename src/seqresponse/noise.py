@@ -112,7 +112,7 @@ def build_kernel(f: DriftMap, eps: float, q: NoiseDensity, n_points: int) -> Tra
     x = np.arange(n_points) / n_points
     idx, w = gridmod.interpolation_stencil(n_points, -f.eval(x, eps))
     cols = np.broadcast_to(np.arange(n_points), idx.shape)
-    return TransferMatrix.from_stencil(-idx % n_points, cols, w, n_points, kernel=q.density.values / n_points)
+    return TransferMatrix(-idx % n_points, cols, w, n_points, kernel=q.density.values / n_points)
 
 
 def kernel_forcing(f: DriftMap, a: TransferMatrix, mu: np.ndarray) -> np.ndarray:

@@ -16,11 +16,13 @@ Each operator is stored matrix-free as A f = K(S f) + (c . f) 1:
   functional (1/N) sum f is preserved to round-off and the zero-mass
   subspace is exactly invariant, which the response series relies on.
 
-`push(a, v)` applies A to raw samples, v of shape (N,) or (m, N) with
-one density per row; the solvers' loops call it.  `apply` is the checked
-edge that takes and returns a DensityGrid.  No N x N array is built
-except by `to_dense` and `compose_matrices`, which the tests use as
-references.
+`TransferMatrix(rows, cols, entries, n_points, kernel)` is the one
+constructor: it checks the stencil and derives c.  `push(a, v)` applies
+A to raw samples, v of shape (N,) or (m, N) with one density per row,
+through one code path that pushes a single density as a block of one
+row; the solvers' loops call it.  `apply` is the checked edge that takes
+and returns a DensityGrid.  No N x N array is built except by `to_dense`
+and `compose_matrices`, which the tests use as references.
 """
 
 from __future__ import annotations
@@ -48,31 +50,18 @@ GATHER_BUDGET = 1 << 16
 class TransferMatrix:
     """Matrix-free realization of one transfer operator, A f = K(S f) + (c . f) 1.
 
-    Build one with `from_stencil`, which checks the stencil against the
-    grid and derives the mass correction.  `rows` is None for a gather
-    stencil and holds the scatter targets otherwise.  `spectrum` is the
-    rfft of the convolution kernel of K, or None for K = identity.  The
-    arrays are stored as read-only copies.
+    `rows` None gives a gather stencil: cols and entries of shape (k, N),
+    row i of S reading column i of both.  Otherwise rows, cols and entries
+    are a scatter of any one shape, stored flattened, with `rows` the
+    targets.  `kernel` is the convolution kernel of K, or None for
+    K = identity: (K f)[i] = sum_m kernel[(i - m) % N] f[m], stored as its
+    rfft `spectrum`.  The constructor checks the stencil against the
+    grid and derives the mass correction c; every column of a circulant
+    sums to sum(kernel), so the column sums of K S are those of S times
+    sum(kernel).  The arrays are stored as read-only copies.
     """
 
-    def __init__(self, cols, entries, correction, rows=None, spectrum=None):
-        self.cols = _frozen(cols, np.int64)
-        self.entries = _frozen(entries, float)
-        self.correction = _frozen(correction, float)
-        self.rows = None if rows is None else _frozen(rows, np.int64)
-        self.spectrum = None if spectrum is None else _frozen(spectrum, complex)
-
-    @classmethod
-    def from_stencil(cls, rows, cols, entries, n_points: int, kernel=None) -> "TransferMatrix":
-        """Mass-corrected operator A = K S + 1 c^T from the stencil S and K's kernel.
-
-        rows None gives a gather: cols and entries of shape (k, N), row i
-        of S reading column i of both.  Otherwise rows, cols and entries
-        are a scatter of any one shape, flattened.
-        K f is the circular convolution (K f)[i] = sum_m kernel[(i - m) % N] f[m].
-        Every column of a circulant sums to sum(kernel), so the column sums
-        of K S are those of S times sum(kernel).
-        """
+    def __init__(self, rows, cols, entries, n_points: int, kernel=None):
         cols, entries = np.asarray(cols), np.asarray(entries)
         if rows is None:
             if not (cols.ndim == 2 and cols.shape == entries.shape and cols.shape[1] == n_points):
@@ -85,11 +74,14 @@ class TransferMatrix:
             if index.size and not (0 <= index.min() and index.max() < n_points):
                 raise ValueError(f"stencil index outside the {n_points}-point grid")
         col_sums = np.bincount(cols.ravel(), entries.ravel(), minlength=n_points)
-        spectrum = None
+        self.spectrum = None
         if kernel is not None:
             col_sums *= np.sum(kernel)
-            spectrum = np.fft.rfft(kernel)
-        return cls(cols, entries, (1.0 - col_sums) / n_points, rows, spectrum)
+            self.spectrum = _frozen(np.fft.rfft(kernel), complex)
+        self.rows = None if rows is None else _frozen(rows, np.int64)
+        self.cols = _frozen(cols, np.int64)
+        self.entries = _frozen(entries, float)
+        self.correction = _frozen((1.0 - col_sums) / n_points, float)
 
     @property
     def n_points(self) -> int:
@@ -116,7 +108,7 @@ def _assemble(points: np.ndarray, weights: np.ndarray) -> TransferMatrix:
     idx, w = gridmod.interpolation_stencil6(n_points, points.ravel())
     cols = idx.reshape(6, n_branches, n_points).swapaxes(0, 1).reshape(-1, n_points)
     entries = (w.reshape(6, n_branches, n_points).swapaxes(0, 1) * weights[:, None, :]).reshape(-1, n_points)
-    return TransferMatrix.from_stencil(None, cols, entries, n_points)
+    return TransferMatrix(None, cols, entries, n_points)
 
 
 def build_deterministic(t: CircleMap | KickedMap, n_points: int) -> TransferMatrix:
@@ -167,48 +159,43 @@ def compose_matrices(outer: TransferMatrix, inner: TransferMatrix) -> TransferMa
         raise InvalidSystem("matrix sizes differ")
     product = push(outer, push(inner, np.eye(outer.n_points))).T
     rows, cols = np.nonzero(product)
-    return TransferMatrix.from_stencil(rows, cols, product[rows, cols], outer.n_points)
+    return TransferMatrix(rows, cols, product[rows, cols], outer.n_points)
 
 
 def _gather(a: TransferMatrix, v: np.ndarray) -> np.ndarray:
-    """S v for a gather stencil, (entries * v[..., cols]).sum(-2), summed in stencil order.
+    """S v for a gather stencil and an (m, N) block v, (entries * v[:, cols]).sum(-2), summed in stencil order.
 
     Blocks of rows that would exceed GATHER_BUDGET run in slices.
     """
     step = max(1, GATHER_BUDGET // a.cols.size)
-    if v.ndim == 1 or v.shape[0] <= step:
+    if v.shape[0] <= step:
         s = v.take(a.cols, axis=-1)
         s *= a.entries
         return s.sum(axis=-2)
     return np.concatenate([_gather(a, v[lo : lo + step]) for lo in range(0, v.shape[0], step)])
 
 
-def _scatter(a: TransferMatrix, v: np.ndarray) -> np.ndarray:
-    """S v for a scatter stencil and one density v, summed in stencil order."""
-    return np.bincount(a.rows, a.entries * v.take(a.cols), minlength=a.n_points)
-
-
 def push(a: TransferMatrix, v) -> np.ndarray:
     """A applied to each row of v, shape (N,) or (m, N): K(S v) + (c . v) 1 in O(nnz) per row.
 
-    Every row of the result has the bits it would have if pushed alone:
-    the stencil sums run in stencil order and the mass correction is one
-    dot product per row.
+    v is pushed as an (m, N) block, one density of shape (N,) as a block
+    of one row.  Every row of the result has the bits it would have if
+    pushed alone: the stencil sums run in stencil order, a scatter is one
+    bincount per row and the mass correction is one dot product per row.
     """
     v = np.asarray(v, dtype=float)
     n = a.n_points
     if v.ndim not in (1, 2) or v.shape[-1] != n:
         raise InvalidSystem(f"matrix is {n}, densities have shape {v.shape}")
+    block = v.reshape(-1, n)
     if a.rows is None:
-        s = _gather(a, v)
+        s = _gather(a, block)
     else:
-        s = _scatter(a, v) if v.ndim == 1 else np.stack([_scatter(a, row) for row in v])
+        s = np.array([np.bincount(a.rows, a.entries * row.take(a.cols), minlength=n) for row in block])
         if a.spectrum is not None:
             s = np.fft.irfft(a.spectrum * np.fft.rfft(s, axis=-1), n=n, axis=-1)
-    if v.ndim == 1:
-        return s + a.correction @ v
-    s += np.array([a.correction @ row for row in v])[:, None]
-    return s
+    s += np.array([a.correction @ row for row in block])[:, None]
+    return s.reshape(v.shape)
 
 
 def apply(a: TransferMatrix, f: DensityGrid) -> DensityGrid:

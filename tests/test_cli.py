@@ -279,6 +279,9 @@ class TestExitCodes:
             pytest.param(SEEDED_DET, "seed = 0", f"seed = {2**64 - 1}", "equivariant", id="schedule-seed-2**64-1"),
             pytest.param(SEEDED_DET, "seed = 0", "seed = -1", "equivariant", id="schedule-seed--1"),
             pytest.param(BASE_DET, "degree = 2", "degree = 2\ncoeffs = 1:nan:0.0", "respond", id="map-coeff-nan"),
+            pytest.param(
+                BASE_DET, "degree = 2", "degree = 2\ncoeffs = 1:0.0:0.05, 1:0.0:0.01", "equivariant", id="map-coeff-duplicate"
+            ),
             pytest.param(BASE_DET, "coeffs = 1:0.0:0.15915494309189535", "coeffs = 1:0.0:inf", "respond", id="kick-coeff-inf"),
             pytest.param(BASE_NOISY, "dot = 2:0.0:1.0", "dot = 2:0.0:nan", "simulate", id="drift-coeff-nan"),
             pytest.param(BASE_DET, "tail_c = 1.0", "tail_c = inf", "respond", id="tail_c-inf"),

@@ -29,6 +29,25 @@ def reference_stencil(n_points, x):
     return idx, np.stack([wm1, w0, w1, w2])
 
 
+def reference_stencil6(n_points, x):
+    """The 6-point stencil as first written: each weight a product over the other nodes, from a ones array."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    u = (x % 1.0) * n_points
+    i0 = np.floor(u).astype(np.int64)
+    t = u - i0
+    offsets = np.array([-2, -1, 0, 1, 2, 3])
+    w = np.empty((6, t.shape[0]))
+    for row, s in enumerate(offsets):
+        num = np.ones_like(t)
+        den = 1.0
+        for r in offsets:
+            if r != s:
+                num *= t - r
+                den *= s - r
+        w[row] = num / den
+    return np.stack([(i0 + s) % n_points for s in offsets]), w
+
+
 def reference_write_density_csv(path, f):
     """The density CSV writer as first written: one write per row of numpy scalars."""
     with open(path, "w") as fh:
@@ -187,14 +206,16 @@ class TestWrap:
         assert np.array_equal(bits(grid.wrap(x)), bits(x % 1.0))
 
 
+# Query points for the stencils, with x < 0, x >= 1 and x whose N (x mod 1) rounds up to N.
+stencil_points = arrays(float, st.integers(1, 200), elements=st.one_of(st.floats(-50.0, 50.0), st.sampled_from(WRAP_EDGES[:4])))
+STENCIL_EDGES = np.array([-1e-20, -0.0, 1.0, -1.0, 0.999999999999999, 16.5, -3.25])
+even_points = st.integers(8, 40).map(lambda h: 2 * h)
+
+
 class TestInterpolationKernels:
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        n=st.integers(8, 40).map(lambda h: 2 * h),
-        seed=st.integers(0, 2**32 - 1),
-        x=arrays(float, st.integers(1, 200), elements=st.one_of(st.floats(-50.0, 50.0), st.sampled_from(WRAP_EDGES[:4]))),
-    )
-    @example(n=16, seed=0, x=np.array([-1e-20, -0.0, 1.0, -1.0, 0.999999999999999, 16.5, -3.25]))
+    @given(n=even_points, seed=st.integers(0, 2**32 - 1), x=stencil_points)
+    @example(n=16, seed=0, x=STENCIL_EDGES)
     def test_padded_gather_matches_stencil(self, n, seed, x):
         # interpolate_values and interpolation_stencil reproduce the first stencil bit for bit,
         # also for x < 0, x >= 1 and x whose N (x mod 1) rounds up to N
@@ -204,6 +225,16 @@ class TestInterpolationKernels:
         assert np.array_equal(got_idx, idx)
         assert np.array_equal(bits(got_w), bits(w))
         assert np.array_equal(bits(grid.interpolate_values(values, x)), bits(np.sum(values[idx] * w, axis=0)))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=even_points, x=stencil_points)
+    @example(n=16, x=STENCIL_EDGES)
+    def test_stencil6_matches_nested_loop(self, n, x):
+        # the 6-point weights from the shared Lagrange rule have the bits of the nested product loop
+        idx, w = reference_stencil6(n, x)
+        got_idx, got_w = grid.interpolation_stencil6(n, x)
+        assert np.array_equal(got_idx, idx)
+        assert np.array_equal(bits(got_w), bits(w))
 
 
 class TestProjectZeroMass:

@@ -143,8 +143,17 @@ class TestMatrixFree:
 
 @st.composite
 def operators(draw):
-    """An admissible operator: a map of degree 2-3, kicked or not, or a bump-noise kernel."""
-    if draw(st.booleans()):
+    """An admissible operator in each stencil layout.
+
+    A gather (a map of degree 2-3, kicked or not), a scatter with a
+    kernel (a bump-noise kernel) or a scatter without one (a kick
+    composed densely with a map).
+    """
+    layout = draw(st.sampled_from(["gather", "kernel", "scatter"]))
+    if layout == "scatter":
+        t, kick, eps = draw(kicked_systems())
+        return transfer.compose_matrices(transfer.build_kick(kick, eps, N), transfer.build_deterministic(t, N))
+    if layout == "gather":
         t, kick, eps = draw(kicked_systems())
         return transfer.build_deterministic(KickedMap(kick, eps, t) if eps != 0.0 and draw(st.booleans()) else t, N)
     drift, q, _ = draw(noisy_systems())
@@ -192,8 +201,8 @@ class TestPush:
             for name in ("cols", "entries", "correction", "rows", "spectrum"):
                 array = getattr(a, name)
                 assert array is None or not array.flags.writeable, name
-        cols, entries, correction = np.zeros((1, N), dtype=np.int64), np.ones((1, N)), np.zeros(N)
-        a = transfer.TransferMatrix(cols, entries, correction)
+        cols, entries = np.zeros((1, N), dtype=np.int64), np.ones((1, N))
+        a = transfer.TransferMatrix(None, cols, entries, N)
         entries[0, 0] = 2.0
         assert a.entries[0, 0] == 1.0
 
@@ -222,7 +231,7 @@ class TestDOperator:
 
 class TestApply:
     def test_identity_kind(self):
-        ident = transfer.TransferMatrix.from_stencil(np.arange(N), np.arange(N), np.ones(N), N)
+        ident = transfer.TransferMatrix(np.arange(N), np.arange(N), np.ones(N), N)
         f = DensityGrid(random_density(np.random.default_rng(8)))
         assert np.all(transfer.apply(ident, f).values == f.values)
 

@@ -1,11 +1,11 @@
 """Batch command-line front end.
 
-Each command reads one experiment config file, runs the pipeline, and
-writes CSV data plus JSON reports into the configured output directory.
-Every run also writes a manifest with the config hash, package and
-library versions, and wall time.  Exit codes: 0 ok, 1 config error,
-2 invalid system, 3 non-convergence, 4 tolerance failure; a failed run
-exits with the `exit_code` of its `errors` class.
+Each command `cmd_<name>(cfg, args)` runs the pipeline of one experiment
+config and writes CSV data plus JSON reports (all through `_write_json`)
+into the configured output directory, and every run a manifest with the
+config hash, package and library versions, and wall time.  Exit codes:
+0 ok, 1 config error, 2 invalid system, 3 non-convergence, 4 tolerance
+failure; a failed run exits with the `exit_code` of its `errors` class.
 """
 
 from __future__ import annotations
@@ -51,16 +51,19 @@ def _config_digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _write_json(path: str, payload: dict) -> None:
+def _write_json(cfg: ExperimentConfig, name: str, payload: dict) -> str:
+    """The JSON report `name` in the output directory, indent 2 with sorted keys; returns its path."""
+    path = os.path.join(cfg.output_dir, name)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return path
 
 
 def _write_manifest(cfg: ExperimentConfig, command: str, outputs: list, t0: float) -> str:
-    path = os.path.join(cfg.output_dir, "manifest.json")
-    _write_json(
-        path,
+    return _write_json(
+        cfg,
+        "manifest.json",
         {
             "command": command,
             "config": cfg.path,
@@ -72,7 +75,6 @@ def _write_manifest(cfg: ExperimentConfig, command: str, outputs: list, t0: floa
             "outputs": sorted(outputs),
         },
     )
-    return path
 
 
 def _emit_gnuplot(cfg: ExperimentConfig, csv_files: list, title: str) -> None:
@@ -86,12 +88,9 @@ def _emit_gnuplot(cfg: ExperimentConfig, csv_files: list, title: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def cmd_certify(cfg: ExperimentConfig) -> tuple[int, list]:
+def cmd_certify(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[int, list]:
     cert = constants.certify(build_map(cfg), cfg.n_points)
-    out = os.path.join(cfg.output_dir, "certificate.json")
-    with open(out, "w") as fh:
-        fh.write(cert.to_json() + "\n")
-    return (EXIT_OK if cert.all_verified else EXIT_TOLERANCE), [out]
+    return (EXIT_OK if cert.all_verified else EXIT_TOLERANCE), [_write_json(cfg, "certificate.json", cert.report())]
 
 
 def _write_window(cfg: ExperimentConfig, w: sequence.Window, prefix: str) -> list:
@@ -104,7 +103,7 @@ def _write_window(cfg: ExperimentConfig, w: sequence.Window, prefix: str) -> lis
     return files
 
 
-def cmd_equivariant(cfg: ExperimentConfig, two_seed: bool) -> tuple[int, list]:
+def cmd_equivariant(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[int, list]:
     sys_ = build_system(cfg)
     seed = DensityGrid.constant(1.0, cfg.n_points)
     fam, residual = sequence.pullback_equivariant(sys_, cfg.burn_in, seed, tol=cfg.pullback_tol)
@@ -115,16 +114,14 @@ def cmd_equivariant(cfg: ExperimentConfig, two_seed: bool) -> tuple[int, list]:
         for n, path, mass, w11 in stats
     ]
     report = {"burn_in": cfg.burn_in, "residual": residual, "family": records}
-    if two_seed:
+    if args.two_seed:
         alt = read_seed(cfg, "equivariant", zero_mass=False)
         fam_b, _ = sequence.pullback_equivariant(sys_, cfg.burn_in, alt, tol=cfg.pullback_tol)
         report["two_seed_l1_gap"] = float(np.max(grid.norm_l1(fam.values - fam_b.values)))
-    out = os.path.join(cfg.output_dir, "family.json")
-    _write_json(out, report)
-    return EXIT_OK, files + [out]
+    return EXIT_OK, files + [_write_json(cfg, "family.json", report)]
 
 
-def cmd_memory(cfg: ExperimentConfig) -> tuple[int, list]:
+def cmd_memory(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[int, list]:
     k_max, start = read_memory(cfg)
     sys_ = build_system(cfg)
     v = grid.project_zero_mass(read_seed(cfg, "memory", zero_mass=True))
@@ -134,9 +131,8 @@ def cmd_memory(cfg: ExperimentConfig) -> tuple[int, list]:
         fh.write("k,w11,l1\n")
         for k, w11, l1 in records:
             fh.write(f"{int(k)},{float(w11)!r},{float(l1)!r}\n")
-    out_json = os.path.join(cfg.output_dir, "memory.json")
-    _write_json(out_json, {"fitted_rate": fitted_rate, "k_max": k_max, "start": start})
-    return EXIT_OK, [out_csv, out_json]
+    report = {"fitted_rate": fitted_rate, "k_max": k_max, "start": start}
+    return EXIT_OK, [out_csv, _write_json(cfg, "memory.json", report)]
 
 
 def _certified_ball(cfg: ExperimentConfig, reference: CircleMap, delta_star: float) -> dict:
@@ -154,7 +150,7 @@ def _certified_ball(cfg: ExperimentConfig, reference: CircleMap, delta_star: flo
     }
 
 
-def cmd_respond(cfg: ExperimentConfig) -> tuple[int, list]:
+def cmd_respond(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[int, list]:
     tail_constants, tail_tol = read_tail(cfg)
     sys_ = build_system(cfg)
     seed = DensityGrid.constant(1.0, cfg.n_points)
@@ -176,7 +172,6 @@ def cmd_respond(cfg: ExperimentConfig) -> tuple[int, list]:
         "max_mass_defect": float(np.max(np.abs(grid.mass(etas.values)))),
         "resolvent_residual": response.resolvent_residual(sys_, etas, g),
     }
-    out_json = os.path.join(cfg.output_dir, "response.json")
     code = EXIT_OK
     if cfg.eps_list:
         fd = response.finite_difference_response(
@@ -184,15 +179,11 @@ def cmd_respond(cfg: ExperimentConfig) -> tuple[int, list]:
         )
         entries, passed = response.validate(etas, fd, tol=cfg.tolerance)
         summary = {"tol": cfg.tolerance, "pass": passed, "entries": [{"eps": e, "D": d} for e, d in entries]}
-        with open(os.path.join(cfg.output_dir, "validation.json"), "w") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
-        files.append(os.path.join(cfg.output_dir, "validation.json"))
+        files.append(_write_json(cfg, "validation.json", summary))
         report["validation_pass"] = passed
         if not passed:
             code = EXIT_TOLERANCE
-    _write_json(out_json, report)
-    return code, files + [out_json]
+    return code, files + [_write_json(cfg, "response.json", report)]
 
 
 def _write_histogram(path: str, density: np.ndarray) -> None:
@@ -202,7 +193,7 @@ def _write_histogram(path: str, density: np.ndarray) -> None:
         fh.write("bin_left,density\n" + "".join(f"{b:.17g},{d:.17g}\n" for b, d in rows))
 
 
-def cmd_simulate(cfg: ExperimentConfig) -> tuple[int, list]:
+def cmd_simulate(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[int, list]:
     steps, samples, bins, eps = read_simulate(cfg)
     sys_ = build_system(cfg)
     drift_at = lambda k: sys_.schedule(k).drift
@@ -214,12 +205,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> tuple[int, list]:
     for k in range(steps):
         f = transfer.push(sys_.operator(k, eps), f)
     l1 = float(np.mean(np.abs(density - noise.bin_density(f, bins))))
-    out_json = os.path.join(cfg.output_dir, "simulate.json")
-    _write_json(
-        out_json,
-        {"steps": steps, "samples": samples, "bins": bins, "eps": eps, "seed": cfg.seed, "l1_vs_operator": l1},
-    )
-    return EXIT_OK, [out_csv, out_json]
+    report = {"steps": steps, "samples": samples, "bins": bins, "eps": eps, "seed": cfg.seed, "l1_vs_operator": l1}
+    return EXIT_OK, [out_csv, _write_json(cfg, "simulate.json", report)]
 
 
 def main(argv=None) -> int:
@@ -240,7 +227,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         os.makedirs(cfg.output_dir, exist_ok=True)
         command = globals()[f"cmd_{args.command}"]  # looked up per run, so a patched module attribute is called
-        code, outputs = command(cfg, args.two_seed) if args.command == "equivariant" else command(cfg)
+        code, outputs = command(cfg, args)
         if args.emit_gnuplot and args.command in PLOT_TITLES:
             _emit_gnuplot(cfg, [f for f in outputs if f.endswith(".csv")], PLOT_TITLES[args.command])
         _write_manifest(cfg, args.command, outputs, t0)

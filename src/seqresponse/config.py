@@ -39,6 +39,7 @@ from .errors import ConfigError
 from .maps import MAX_COEFF_INDEX, CircleMap, KickField, TrigPoly
 from .noise import DriftMap, NoiseDensity
 from .sequence import (
+    DEFAULT_PULLBACK_TOL,
     DeterministicEntry,
     NoisyEntry,
     SequenceSystem,
@@ -170,6 +171,9 @@ def load_config(path: str) -> ExperimentConfig:
     )
     if not all(e != 0.0 and np.isfinite(e) for e in eps_list):
         raise ConfigError(f"experiment.eps entries must be finite and nonzero, got {eps_list}")
+    repeated = [e for i, e in enumerate(eps_list) if e in eps_list[:i]]
+    if repeated:
+        raise ConfigError(f"experiment.eps entry {repeated[0]!r} is given twice")
     burn_in = _as_int(_get(parser, "experiment", "burn_in", "60"), "experiment.burn_in")
     truncation = _as_int(_get(parser, "experiment", "truncation", "8"), "experiment.truncation")
     if burn_in < 1 or truncation < 1:
@@ -186,7 +190,7 @@ def load_config(path: str) -> ExperimentConfig:
         truncation=truncation,
         tolerance=_as_tolerance(_get(parser, "experiment", "tolerance", "1e-2"), "experiment.tolerance"),
         pullback_tol=_as_tolerance(
-            _get(parser, "experiment", "pullback_tol", "1e-8"), "experiment.pullback_tol"
+            _get(parser, "experiment", "pullback_tol", DEFAULT_PULLBACK_TOL), "experiment.pullback_tol"
         ),
         raw=parser,
     )

@@ -2,7 +2,8 @@
 
 Produces a machine-readable certificate: Lasota-Yorke constants, block
 length M, the mixed-norm constant C(T0), the admissible radius
-delta_star, and the resulting loss-of-memory rate.  The weak
+delta_star, and the resulting loss-of-memory rate; `Certificate.report`
+gives it as the one dict the `certify` command writes.  The weak
 contraction condition on L0^M is verified on the discretized operator
 against a probe family, so certificates are numerically certified, not
 proven.
@@ -10,7 +11,6 @@ proven.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -157,38 +157,52 @@ class Certificate:
     def all_verified(self) -> bool:
         return all(self.inequality_checks().values())
 
-    def to_json(self) -> str:
-        payload = asdict(self)
-        payload["formulas"] = FORMULAS
-        payload["inequalities_verified"] = self.inequality_checks()
-        payload["status"] = "numerically certified" if self.all_verified else "FAILED"
-        return json.dumps(payload, indent=2)
+    def report(self) -> dict:
+        """The constants, their formulas, the checked inequalities and the status, as one JSON-ready dict."""
+        return asdict(self) | {
+            "formulas": FORMULAS,
+            "inequalities_verified": self.inequality_checks(),
+            "status": "numerically certified" if self.all_verified else "FAILED",
+        }
 
 
 def certify(t0: CircleMap, n_points: int) -> Certificate:
     """Largest admissible delta_star by bisection, plus the decay certificate.
 
-    lambda1, B, M all depend on delta_star, so each probe recomputes the
-    chain; the probe pushes of L0 behind M are made once and shared.  The
-    strong norm contracts by 9/10 per 2M steps, giving the per-step rate
+    Each probe builds the candidate certificate at its delta, which is
+    feasible iff it has a finite M and its smallness inequality holds; the
+    probe pushes of L0 behind M are made once and shared.  The strong norm
+    contracts by 9/10 per 2M steps, giving the per-step rate
     (9/10)^(1/(2M)) and C_ELoM = (10/9)(B/(1-lambda1)+1).
     """
     lam0, m0, m2 = t0.constants()
     ct0 = c_t0(lam0, m0, m2, t0.degree)
     pushes = ProbePushes(transfer.build_deterministic(t0, n_points))
 
-    def chain(delta):
+    def candidate(delta):
         lam1, b = lasota_yorke_constants(lam0, m2, delta)
         m = choose_M(lam1, b, pushes)
-        return lam1, b, m
+        return Certificate(
+            degree=t0.degree,
+            n_points=n_points,
+            lambda0=lam0,
+            M0=m0,
+            M2=m2,
+            delta_star=delta,
+            lambda1=lam1,
+            B=b,
+            M=m,
+            C_T0=ct0,
+            C_T0_alt=c_t0_alt(lam0, m0, m2, t0.degree),
+            elom_C=(10.0 / 9.0) * (b / (1.0 - lam1) + 1.0),
+            elom_rate=(9.0 / 10.0) ** (1.0 / (2.0 * m)),
+        )
 
     def feasible(delta):
         try:
-            lam1, b, m = chain(delta)
+            return candidate(delta).inequality_checks()["delta_star_smallness"]
         except NotConverged:
             return False
-        rhs = 7.0 * (1.0 - lam1) ** 2 / (10.0 * m * b * (1.0 / (1.0 - lam1) + b))
-        return ct0 * delta <= rhs
 
     lo = 0.0
     hi = lam0 - 1.0 - 1e-9
@@ -207,23 +221,7 @@ def certify(t0: CircleMap, n_points: int) -> Certificate:
         lo = DELTA_BISECT_TOL
         if not feasible(lo):
             raise NotConverged("no positive delta_star satisfies the smallness condition")
-    delta_star = lo
-    lam1, b, m = chain(delta_star)
-    return Certificate(
-        degree=t0.degree,
-        n_points=n_points,
-        lambda0=lam0,
-        M0=m0,
-        M2=m2,
-        delta_star=delta_star,
-        lambda1=lam1,
-        B=b,
-        M=m,
-        C_T0=ct0,
-        C_T0_alt=c_t0_alt(lam0, m0, m2, t0.degree),
-        elom_C=(10.0 / 9.0) * (b / (1.0 - lam1) + 1.0),
-        elom_rate=(9.0 / 10.0) ** (1.0 / (2.0 * m)),
-    )
+    return candidate(lo)
 
 
 def doeblin_certificate(q: NoiseDensity) -> tuple[float, float]:

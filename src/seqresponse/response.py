@@ -18,6 +18,8 @@ are diagnostics only.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import grid as gridmod
@@ -124,14 +126,16 @@ def finite_difference_response(
 def validate(etas: Window, fd: dict[float, Window], tol: float) -> tuple[list, bool]:
     """Per-eps L1 discrepancies D(eps) between the quotients and the series, and whether they pass.
 
-    The entries are (eps, D) pairs by decreasing eps.  They pass iff
-    D(eps) decreases along shrinking eps and D(min eps) <= tol.
+    The entries are (eps, D) pairs by decreasing |eps|, +eps before -eps.
+    They pass iff D does not increase as |eps| shrinks and every D at the
+    smallest |eps| is <= tol; two entries of equal |eps| are not compared.
     """
     entries = []
-    for eps in sorted(fd, reverse=True):
+    for eps in sorted(fd, key=lambda e: (-abs(e), -e)):
         gaps = fd[eps].rows(etas.n_lo, etas.n_hi) - etas.values
         entries.append((eps, float(np.max(gridmod.norm_l1(gaps)))))
-    ds = [d for _, d in entries]
     floor = 1e-6  # discretization floor: below it, ordering is noise
-    decreasing = all(b <= a or max(a, b) <= floor for a, b in zip(ds, ds[1:]))
-    return entries, decreasing and ds[-1] <= tol
+    pairs = itertools.combinations(entries, 2)  # each (e, c) before (f, d), so |e| >= |f|
+    decreasing = all(d <= c or max(c, d) <= floor for (e, c), (f, d) in pairs if abs(f) < abs(e))
+    smallest = abs(entries[-1][0])
+    return entries, decreasing and all(d <= tol for e, d in entries if abs(e) == smallest)

@@ -226,6 +226,7 @@ class TestExitCodes:
             pytest.param(BASE_DET, "burn_in = 60", "burn_in = 0", "equivariant", id="burn_in-0"),
             pytest.param(BASE_DET, "truncation = 8", "truncation = 0", "respond", id="truncation-0"),
             pytest.param(BASE_DET, "eps = 1e-2, 1e-3", "eps = 1e-2, 0", "respond", id="eps-0"),
+            pytest.param(BASE_DET, "eps = 1e-2, 1e-3", "eps = 1e-3, 0.001", "respond", id="eps-duplicate"),
             pytest.param(BASE_NOISY, "samples = 20000", "samples = 9999", "simulate", id="samples-few"),
             pytest.param(BASE_NOISY, "bins = 32", "bins = 48", "simulate", id="bins-not-dividing-n"),
             pytest.param(BASE_DET, "tail_rate = 0.5", "tail_rate = 1.5", "respond", id="tail_rate-1.5"),
@@ -509,8 +510,16 @@ class TestRespond:
         text = (out / "validation.json").read_text()
         summary = json.loads(text)
         assert summary["pass"]
-        assert list(summary) == ["tol", "pass", "entries"] and text == json.dumps(summary, indent=2) + "\n"
+        assert list(summary) == ["entries", "pass", "tol"] and text == json.dumps(summary, indent=2, sort_keys=True) + "\n"
         assert (out / "plot.gp").exists()
+
+    def test_validation_ranks_eps_by_magnitude(self, tmp_path):
+        # D(-1e-2) is about 7e-3: ranked by signed eps it would be the smallest eps and fail the ordering
+        path, out = write_config(tmp_path, BASE_DET.replace("eps = 1e-2, 1e-3", "eps = -1e-2, 1e-3"))
+        assert cli.main(["respond", path]) == 0
+        entries = json.loads((out / "validation.json").read_text())["entries"]
+        assert [e["eps"] for e in entries] == [-1e-2, 1e-3]
+        assert entries[1]["D"] < entries[0]["D"]
 
     def test_zero_perturbation_zero_eta(self, tmp_path):
         path, out = write_config(
@@ -541,6 +550,32 @@ class TestRespond:
         ball = json.loads((out / "response.json").read_text())["certified_ball"]
         delta_star = constants.certify(CircleMap(2), 256).delta_star
         assert ball == {"delta_star": delta_star, "max_c2_distance": max_c2, "maps_outside": outside}
+
+
+class TestReportFormat:
+    """Every JSON file a command writes has one format: indent 2, sorted keys, a final newline."""
+
+    @pytest.mark.parametrize(
+        "base, command",
+        [
+            (BASE_DET, "certify"),
+            (BASE_DET, "equivariant --two-seed"),
+            (BASE_NOISY, "memory"),
+            (BASE_DET, "respond"),
+            (CERTIFIED_DET, "respond"),
+            (BASE_NOISY, "simulate"),
+        ],
+        ids=["certify", "equivariant", "memory", "respond", "respond-certified", "simulate"],
+    )
+    def test_sorted_indent_2(self, tmp_path, base, command):
+        path, out = write_config(tmp_path, base)
+        name, *flags = command.split()
+        assert cli.main([name, path, *flags]) == 0
+        reports = sorted(out.glob("*.json"))
+        assert len(reports) >= 2  # the command's report and the manifest
+        for report in reports:
+            text = report.read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", report.name
 
 
 class TestSimulate:

@@ -151,9 +151,9 @@ class TestProbePushes:
         ids=["doubling", "sine-2", "mixed-3"],
     )
     def test_certificate_matches_per_call_search(self, monkeypatch, t0):
-        shared = constants.certify(t0, N).to_json()
+        shared = constants.certify(t0, N).report()
         monkeypatch.setattr(constants, "choose_M", lambda lam1, b, pushes: per_call_choose_M(t0, lam1, b, N))
-        assert shared == constants.certify(t0, N).to_json()
+        assert shared == constants.certify(t0, N).report()
 
     def test_shared_pushes_match_per_call_search(self):
         # b large against 1 - lambda1: the probe check, not the closed form, sets M
@@ -191,7 +191,7 @@ class TestCertify:
         assert cert.elom_C == pytest.approx((10 / 9) * (cert.B / (1 - cert.lambda1) + 1), abs=1e-12)
 
     def test_json_payload(self, cert):
-        payload = json.loads(cert.to_json())
+        payload = json.loads(json.dumps(cert.report()))
         assert payload["status"] == "numerically certified"
         assert set(payload["inequalities_verified"]) == {
             "delta_star_range",
@@ -219,7 +219,7 @@ class TestCertify:
 
         bad = replace(cert, delta_star=cert.lambda0 - 1.0 + 0.1)
         assert not bad.all_verified
-        assert json.loads(bad.to_json())["status"] == "FAILED"
+        assert bad.report()["status"] == "FAILED"
 
 
 class TestDoeblin:

@@ -331,6 +331,18 @@ class TestValidate:
         )
         assert not response.validate(etas, fd, tol=1e-12)[1]
 
+    @pytest.mark.parametrize(
+        "d_plus, d_minus, passed", [(0.004, 0.006, True), (0.02, 0.004, False)], ids=["both-within-tol", "plus-over-tol"]
+    )
+    def test_ranks_by_magnitude(self, d_plus, d_minus, passed):
+        # quotients that miss a zero response by the constant D: the ranking and the verdict read D alone
+        etas = Window(0, np.zeros((2, N)))
+        fd = {e: Window(0, np.full((2, N), d)) for e, d in ((1e-3, d_plus), (-1e-3, d_minus), (1e-2, 0.05))}
+        entries, ok = response.validate(etas, fd, tol=0.01)
+        assert [e for e, _ in entries] == [1e-2, 1e-3, -1e-3]  # +eps and -eps of one |eps| are not compared
+        assert [d for _, d in entries] == pytest.approx([0.05, d_plus, d_minus], rel=1e-12)
+        assert ok is passed  # every D at the smallest |eps| counts against tol
+
     def test_json(self, bump_setup):
         sys_, fam, g = bump_setup
         etas, _ = response.neumann_response(sys_, g, 6, (1.0, 0.7))

@@ -25,7 +25,11 @@ noise kernel; `certify` of that map runs at N = 256.  The solver stages
 (the pullback, `forcing`, the Neumann series, the eps = 1e-3 difference
 quotients, `validate` and `resolvent_residual`) run on a
 det-256-session-like system: N = 256, window 0..300, burn-in 60, four
-degree-2 maps drawn per index, truncation K = 8.
+degree-2 maps drawn per index, truncation K = 8.  The Neumann series
+and `resolvent_residual` also run at K = 8 on a det-2048-like system
+(N = 2048, window 0..12, the two scheduled maps of the det-2048 workload
+before jitter, periodic, with that kick) and a noisy-1024-like one (N = 1024,
+window 0..10, the noisy-1024 drift and bump noise, constant).
 """
 
 import numpy as np
@@ -35,7 +39,14 @@ from seqresponse import constants, grid, noise, response, sequence, transfer
 from seqresponse.grid import DensityGrid
 from seqresponse.maps import CircleMap, KickedMap, KickField
 from seqresponse.noise import DriftMap, NoiseDensity
-from seqresponse.sequence import DeterministicEntry, SequenceSystem, seeded_random_schedule
+from seqresponse.sequence import (
+    DeterministicEntry,
+    NoisyEntry,
+    SequenceSystem,
+    constant_schedule,
+    periodic_schedule,
+    seeded_random_schedule,
+)
 
 N = 1024
 POINTS = noise.MC_BLOCK_SIZE
@@ -204,6 +215,36 @@ def test_validate(benchmark, session_response, session_sizes):
 def test_resolvent_residual(benchmark, session, session_response, session_sizes):
     sys_, _, g = session
     benchmark(response.resolvent_residual, sys_, session_response[0], g)
+
+
+@pytest.fixture(scope="module", params=["det-2048", "noisy-1024"])
+def workload(request):
+    """System, forcing and K = 8 response of a det-2048-like or noisy-1024-like run, with every operator built."""
+    if request.param == "det-2048":
+        n, window = 2048, (0, 12)
+        maps = [T, CircleMap(2, cos_coeffs=(0.0, 0.02), sin_coeffs=(0.0, 0.04, 0.01))]
+        kick = KickField(sin_coeffs=(0.0, 1 / (2 * np.pi)))
+        schedule = periodic_schedule([DeterministicEntry(t, kick) for t in maps])
+    else:
+        n, window = 1024, (0, 10)
+        drift, _, q, _ = kernel_args(n)
+        schedule = constant_schedule(NoisyEntry(drift, q))
+    sys_ = SequenceSystem(schedule, window, n_points=n)
+    fam, _ = sequence.pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, n))
+    g = response.forcing(sys_, fam)
+    return sys_, g, response.neumann_response(sys_, g, 8, (1.0, 0.5))[0]
+
+
+def test_neumann_response_workload(benchmark, workload):
+    sys_, g, _ = workload
+    benchmark.extra_info.update(n_points=sys_.n_points, points=g.values.size)
+    benchmark(response.neumann_response, sys_, g, 8, (1.0, 0.5))
+
+
+def test_resolvent_residual_workload(benchmark, workload):
+    sys_, g, etas = workload
+    benchmark.extra_info.update(n_points=sys_.n_points, points=etas.values.size)
+    benchmark(response.resolvent_residual, sys_, etas, g)
 
 
 def test_write_density_csv(benchmark, session, tmp_path):

@@ -204,6 +204,8 @@ def read_seed(cfg: ExperimentConfig, section: str, zero_mass: bool) -> gridmod.D
     multiple of n samples to the constant 1, so it is rejected.
     """
     csv = _get(cfg.raw, section, "seed_csv", None)
+    if csv is not None and cfg.raw.has_option(section, "harmonic"):
+        raise ConfigError(f"{section}.seed_csv and {section}.harmonic are exclusive; set one of them")
     if csv is not None:
         where = f"{section}.seed_csv"
         try:
@@ -279,8 +281,8 @@ def build_map(cfg: ExperimentConfig, section: str = "reference_map") -> CircleMa
 def build_noise(cfg: ExperimentConfig) -> NoiseDensity:
     preset = _get(cfg.raw, "noise", "preset", None)
     csv = _get(cfg.raw, "noise", "csv", None)
-    if preset is None and csv is None:
-        raise ConfigError("missing field noise.preset (or noise.csv)")
+    if (preset is None) == (csv is None):
+        raise ConfigError("set exactly one of noise.preset and noise.csv")
     if csv is not None:
         try:
             return NoiseDensity(gridmod.read_density_csv(csv, cfg.n_points))

@@ -48,14 +48,6 @@ def forcing(sys: SequenceSystem, mu: Window) -> Window:
     return Window(mu.n_lo, out)
 
 
-def truncation_order(c: float, rate: float, sup_g: float, tol: float, max_depth: int) -> int:
-    """Smallest K with C rate^K sup||g|| / (1-rate) <= tol, capped at max_depth."""
-    if sup_g <= 0.0:
-        return 1
-    k = int(np.ceil(np.log(tol * (1.0 - rate) / (c * sup_g)) / np.log(rate)))
-    return int(np.clip(k, 1, max_depth))
-
-
 def neumann_response(
     sys: SequenceSystem,
     g: Window,
@@ -66,41 +58,32 @@ def neumann_response(
     """Truncated Neumann series at every index the window depth allows, and its certified tail bound.
 
     Reported indices are n in [n_lo + K + 1, n_hi], with g's window
-    [n_lo, n_hi], so every eta_n uses exactly K + 1 terms; each series
-    is a backward accumulation
-    acc <- L_m acc + g_m over m = n-K .. n-1 seeded with g_{n-K-1}.
-    One pass over m pushes the accumulators of every n that L_m serves,
-    at most K of them, as one block.  The unperturbed operators (eps = 0)
-    propagate the series.
+    [n_lo, n_hi], so every eta_n uses exactly K + 1 terms.  The band
+    eta_n = g_{n-1} over as many indices from n_lo + 1 takes K steps
+    eta <- L eta + g of the global transfer operator (L w)_{n+1} = L_n w_n
+    at eps = 0 (`SequenceSystem.advance`), each moving it one index on.
     """
     if k_order < 1:
         raise ValueError("truncation order must be >= 1")
     c, rate = tail_constants
-    report_lo = g.n_lo + k_order + 1
-    if report_lo > g.n_hi:
+    if g.n_lo + k_order + 1 > g.n_hi:
         raise WindowExceeded(f"window [{g.n_lo}, {g.n_hi}] too shallow for truncation order {k_order}")
     sup_g = float(np.max(gridmod.norm_w11(g.values)))
     tail = c * rate**k_order * sup_g / (1.0 - rate)
     if tol is not None and tail > tol:
-        needed = truncation_order(c, rate, sup_g, tol, 10**6)
+        needed = int(np.ceil(np.log(tol * (1.0 - rate) / (c * sup_g)) / np.log(rate)))
         raise TailNotSmall(f"tail bound {tail:.3g} > tol {tol:.3g}; need K >= {needed}")
-    etas = np.empty((g.n_hi - report_lo + 1, sys.n_points))
-    acc = np.empty((0, sys.n_points))  # live accumulators, one row per reported n, oldest first
-    for m in range(report_lo - k_order, g.n_hi):
-        if m + k_order <= g.n_hi:
-            acc = np.vstack([acc, g[m - 1]])  # eta_n starts from g_{n-K-1}, n = m + K
-        acc = transfer.push(sys.operator(m), acc) + g[m]
-        if m + 1 >= report_lo:
-            etas[m + 1 - report_lo] = acc[0]  # eta_{m+1} has taken its last step
-            acc = acc[1:]
-    return Window(report_lo, etas), tail
+    eta = Window(g.n_lo + 1, g.rows(g.n_lo, g.n_hi - k_order - 1))
+    for _ in range(k_order):
+        eta = Window(eta.n_lo + 1, sys.advance(eta) + g.rows(eta.n_lo, eta.n_hi))
+    return eta, tail
 
 
 def resolvent_residual(sys: SequenceSystem, etas: Window, g: Window) -> float:
-    """max_n || eta_n - L_{n-1} eta_{n-1} - g_{n-1} ||_L1 over interior indices."""
-    gaps = np.empty((etas.n_hi - etas.n_lo, sys.n_points))
-    for n in range(etas.n_lo + 1, etas.n_hi + 1):
-        gaps[n - etas.n_lo - 1] = etas[n] - transfer.push(sys.operator(n - 1), etas[n - 1]) - g[n - 1]
+    """max_n || eta_n - (L eta)_n - g_{n-1} ||_L1 over interior indices; the last row is not pushed."""
+    pushed = sys.advance(Window(etas.n_lo, etas.values[:-1]))  # (L eta)_n for n = n_lo + 1 .. n_hi
+    forced = g.rows(etas.n_lo - 1, etas.n_hi - 1)[1:]  # g_{n-1} for the same n; no rows if eta has one
+    gaps = etas.values[1:] - pushed - forced
     return float(np.max(gridmod.norm_l1(gaps), initial=0.0))
 
 

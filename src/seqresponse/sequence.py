@@ -140,6 +140,20 @@ class SequenceSystem:
         self._cache[cache_key] = mat
         return mat
 
+    def advance(self, w: Window) -> np.ndarray:
+        """The global transfer operator on w: row n - w.n_lo is L_n w_n, the density at index n + 1.
+
+        The rows of one schedule entry share its operator and are pushed as
+        one block, each with the bits of its own push.
+        """
+        rows: dict = {}
+        for i, n in enumerate(range(w.n_lo, w.n_hi + 1)):
+            rows.setdefault(self.schedule(n), []).append(i)
+        out = np.empty_like(w.values)
+        for idx in rows.values():
+            out[idx] = transfer.push(self.operator(w.n_lo + idx[0]), w.values[idx])
+        return out
+
 
 def _sweep(sys: SequenceSystem, burn_in: int, seed_density: DensityGrid, eps: float) -> tuple[np.ndarray, float]:
     """Pullback densities at n_lo .. n_hi, one per row, from burn_in steps back, and their residual.

@@ -1,11 +1,12 @@
 import json
 import os
+import shutil
 import warnings
 
 import numpy as np
 import pytest
 
-from seqresponse import cli, config, constants, errors, noise, transfer
+from seqresponse import cli, config, constants, errors, grid, noise, transfer
 from seqresponse.errors import ConfigError
 from seqresponse.maps import CircleMap, c2_distance
 
@@ -292,12 +293,24 @@ class TestExitCodes:
                 BASE_DET, "[schedule]", f"[equivariant]\nseed_csv = {os.devnull}\n\n[schedule]", "equivariant --two-seed",
                 id="seed-csv-empty",
             ),
+            pytest.param(
+                BASE_NOISY, "[schedule]", "csv = density.csv\n\n[schedule]", "respond", id="noise-preset-and-csv"
+            ),
+            pytest.param(
+                BASE_DET, "[schedule]", "[equivariant]\nseed_csv = density.csv\nharmonic = 2\n\n[schedule]",
+                "equivariant --two-seed", id="equivariant-seed_csv-and-harmonic",
+            ),
+            pytest.param(
+                BASE_DET, "[schedule]", "[memory]\nseed_csv = density.csv\nharmonic = 2\n\n[schedule]", "memory",
+                id="memory-seed_csv-and-harmonic",
+            ),
         ],
     )
     def test_bad_value_is_1(self, tmp_path, capsys, monkeypatch, base, old, new, command):
         assert old in base
         path, _ = write_config(tmp_path, base.replace(old, new))
         (tmp_path / "newline.csv").write_text("\n")  # the noise-csv-newline row reads it
+        grid.write_density_csv(tmp_path / "density.csv", 1.0 + 0.5 * np.cos(2 * np.pi * np.arange(256) / 256))  # a valid one
         monkeypatch.chdir(tmp_path)
         name, *flags = command.split()
         with warnings.catch_warnings(record=True) as caught:
@@ -467,12 +480,19 @@ class TestEquivariant:
         report = json.loads((out / "family.json").read_text())
         assert report["two_seed_l1_gap"] <= 1e-8
 
-    def test_byte_identical_reruns(self, tmp_path):
+    @pytest.mark.parametrize(
+        "command", ["certify", "equivariant --two-seed", "memory", "respond", "simulate"], ids=lambda c: c.split()[0]
+    )
+    def test_byte_identical_reruns(self, tmp_path, command):
+        # every output but manifest.json, which holds the wall time
         path, out = write_config(tmp_path, BASE_NOISY)
-        assert cli.main(["equivariant", path]) == 0
-        first = (out / "mu_0003.csv").read_bytes()
-        assert cli.main(["equivariant", path]) == 0
-        assert (out / "mu_0003.csv").read_bytes() == first
+        name, *flags = command.split()
+        runs = []
+        for _ in range(2):
+            shutil.rmtree(out, ignore_errors=True)
+            assert cli.main([name, path, *flags]) == 0
+            runs.append({f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"})
+        assert runs[0] and runs[1] == runs[0]
 
 
 class TestMemory:

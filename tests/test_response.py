@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_noise import noisy_systems
+from test_sequence import mixed_schedules
 from test_transfer import kicked_systems
 
 from seqresponse import grid, noise, response, sequence, transfer
@@ -20,6 +22,7 @@ from seqresponse.sequence import (
     constant_schedule,
     periodic_schedule,
     pullback_equivariant,
+    seeded_random_schedule,
 )
 
 N = 256
@@ -77,20 +80,24 @@ class TestForcing:
                 g[n]
 
 
+def needed_order(sys_, g, c, rate, tol):
+    """The K that the TailNotSmall of a series at K = 1 names as needed for tol."""
+    with pytest.raises(TailNotSmall) as err:
+        response.neumann_response(sys_, g, 1, (c, rate), tol=tol)
+    return int(re.search(r"need K >= (\d+)$", str(err.value)).group(1))
+
+
 class TestTruncationOrder:
-    def test_monotone_in_tol(self):
-        ks = [response.truncation_order(1.0, 0.7, 5.0, tol, 10**4) for tol in (1e-2, 1e-5, 1e-8)]
+    def test_monotone_in_tol(self, bump_setup):
+        sys_, _, g = bump_setup
+        ks = [needed_order(sys_, g, 1.0, 0.7, tol) for tol in (1e-2, 1e-5, 1e-8)]
         assert ks[0] < ks[1] < ks[2]
 
-    def test_capped(self):
-        assert response.truncation_order(1.0, 0.999, 5.0, 1e-12, 37) == 37
-
-    def test_zero_forcing(self):
-        assert response.truncation_order(1.0, 0.7, 0.0, 1e-12, 100) == 1
-
-    def test_bound_holds_at_order(self):
-        c, rate, sup_g, tol = 1.0, 0.7, 5.0, 1e-5
-        k = response.truncation_order(c, rate, sup_g, tol, 10**4)
+    def test_bound_holds_at_order(self, bump_setup):
+        sys_, _, g = bump_setup
+        c, rate, tol = 1.0, 0.7, 1e-5
+        sup_g = max(grid.norm_w11(row) for row in g.values)
+        k = needed_order(sys_, g, c, rate, tol)
         assert c * rate**k * sup_g / (1 - rate) <= tol
 
 
@@ -174,6 +181,18 @@ class TestBatchedSeries:
         assert etas.n_lo == fam.n_lo + k_order + 1 and etas.n_hi == fam.n_hi and len(etas.values) == len(ref)
         for eta, want in zip(etas.values, ref):
             assert grid.norm_l1(eta - want) <= 1e-13 * grid.norm_l1(want)
+
+
+class TestSeriesProperty:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(schedule=mixed_schedules(), k_order=st.integers(1, 8), extra=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+    def test_matches_double_loop_bits(self, schedule, k_order, extra, seed):
+        # K steps of eta <- L eta + g on the band give every eta_n the bits of its own K pushes
+        sys_ = SequenceSystem(schedule, (0, k_order + 1 + extra), n_points=N)
+        g = Window(0, np.random.default_rng(seed).normal(size=(k_order + 2 + extra, N)))
+        etas, _ = response.neumann_response(sys_, g, k_order, (1.0, 0.5))
+        assert (etas.n_lo, etas.n_hi) == (k_order + 1, g.n_hi)
+        assert np.array_equal(etas.values, np.array(double_loop_response(sys_, g, etas.n_lo, etas.n_hi, k_order)))
 
 
 def mixed_setup(window=(0, 9)):
@@ -378,11 +397,15 @@ def dropped_term_l1(sys_, g, n, k_order):
     return grid.norm_l1(acc)
 
 
+SCHEDULE_SEEDS = st.none() | st.integers(0, 2**32 - 1)  # None: periodic, else the seed of a seeded-random schedule
+
+
 class TestResolventIdentity:
     """eta_n - L_{n-1} eta_{n-1} - g_{n-1} is minus the dropped term, so the residual is its norm."""
 
-    def check(self, entries, k_order):
-        sys_ = SequenceSystem(periodic_schedule(entries), (0, k_order + 4), n_points=N)
+    def check(self, entries, k_order, seed):
+        schedule = periodic_schedule(entries) if seed is None else seeded_random_schedule(entries, seed)
+        sys_ = SequenceSystem(schedule, (0, k_order + 4), n_points=N)
         fam, _ = pullback_equivariant(sys_, 20, DensityGrid.constant(1.0, N), tol=np.inf)
         g = response.forcing(sys_, fam)
         etas, _ = response.neumann_response(sys_, g, k_order, (1.0, 0.5))
@@ -391,11 +414,11 @@ class TestResolventIdentity:
         assert abs(response.resolvent_residual(sys_, etas, g) - dropped) <= 1e-12 * scale
 
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(systems=st.lists(kicked_systems(), min_size=2, max_size=3), k_order=st.integers(1, 6))
-    def test_kicked(self, systems, k_order):
-        self.check([DeterministicEntry(t, kick) for t, kick, _ in systems], k_order)
+    @given(systems=st.lists(kicked_systems(), min_size=2, max_size=3), k_order=st.integers(1, 6), seed=SCHEDULE_SEEDS)
+    def test_kicked(self, systems, k_order, seed):
+        self.check([DeterministicEntry(t, kick) for t, kick, _ in systems], k_order, seed)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(systems=st.lists(noisy_systems(), min_size=2, max_size=3), k_order=st.integers(1, 6))
-    def test_noisy(self, systems, k_order):
-        self.check([NoisyEntry(drift, q) for drift, q, _ in systems], k_order)
+    @given(systems=st.lists(noisy_systems(), min_size=2, max_size=3), k_order=st.integers(1, 6), seed=SCHEDULE_SEEDS)
+    def test_noisy(self, systems, k_order, seed):
+        self.check([NoisyEntry(drift, q) for drift, q, _ in systems], k_order, seed)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_noise import noisy_systems
+from test_transfer import kicked_systems
 
 from seqresponse import grid, sequence, transfer
 from seqresponse.errors import NotConverged, WindowExceeded
@@ -85,6 +87,43 @@ class TestWindow:
     def test_rejects_non_2d(self, shape):
         with pytest.raises(ValueError, match="block"):
             Window(0, np.ones(shape))
+
+
+@st.composite
+def mixed_schedules(draw):
+    """A periodic or seeded-random schedule of 2-4 entries, deterministic and noisy ones mixed."""
+    kicked = draw(st.lists(kicked_systems(), min_size=1, max_size=2))
+    noisy = draw(st.lists(noisy_systems(), min_size=1, max_size=2))
+    entries = [DeterministicEntry(t, kick) for t, kick, _ in kicked] + [NoisyEntry(d, q) for d, q, _ in noisy]
+    entries = draw(st.permutations(entries))
+    if draw(st.booleans()):
+        return periodic_schedule(entries)
+    return seeded_random_schedule(entries, draw(st.integers(0, 2**32 - 1)))
+
+
+class TestAdvance:
+    """advance(w) is the global transfer operator: row n - w.n_lo is L_n w_n."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        schedule=mixed_schedules(),
+        n_lo=st.integers(-20, 20),
+        m=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_are_single_pushes(self, schedule, n_lo, m, seed):
+        sys_ = SequenceSystem(schedule, (n_lo, n_lo + m), n_points=N)
+        values = np.random.default_rng(seed).normal(size=(m, N))
+        values[::2] -= grid.mass(values[::2])[:, None]  # every other row has zero mass
+        w = Window(n_lo, values)
+        out = sys_.advance(w)
+        assert out.shape == values.shape
+        for n in range(w.n_lo, w.n_hi + 1):
+            # the operator at index n, not n - 1, each row with the bits of its own push
+            assert np.array_equal(out[n - n_lo], transfer.push(sys_.operator(n), w[n]))
+        masses, l1 = grid.mass(out), grid.norm_l1(values)
+        assert np.all(np.abs(masses - grid.mass(values)) <= 1e-12 * l1)
+        assert np.all(np.abs(masses[::2]) <= 1e-12 * l1[::2])
 
 
 def unbatched_sweep(sys_, burn_in, seed, eps):

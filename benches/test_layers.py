@@ -36,7 +36,6 @@ import numpy as np
 import pytest
 
 from seqresponse import constants, grid, noise, response, sequence, transfer
-from seqresponse.grid import DensityGrid
 from seqresponse.maps import CircleMap, KickedMap, KickField
 from seqresponse.noise import DriftMap, NoiseDensity
 from seqresponse.sequence import (
@@ -167,7 +166,7 @@ def session():
     ]
     entries = [DeterministicEntry(t, kick) for t in maps]
     sys_ = SequenceSystem(seeded_random_schedule(entries, 7), (0, 300), n_points=n)
-    fam, _ = sequence.pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, n))
+    fam, _ = sequence.pullback_equivariant(sys_, 60, np.ones(n))
     return sys_, fam, response.forcing(sys_, fam)
 
 
@@ -178,7 +177,7 @@ def session_sizes(benchmark):
 
 def test_pullback_equivariant(benchmark, session, session_sizes):
     sys_, _, _ = session
-    benchmark(sequence.pullback_equivariant, sys_, 60, DensityGrid.constant(1.0, sys_.n_points))
+    benchmark(sequence.pullback_equivariant, sys_, 60, np.ones(sys_.n_points))
 
 
 def test_neumann_response(benchmark, session, session_sizes):
@@ -191,7 +190,7 @@ def session_response(session):
     """Response series and eps = 1e-3 difference quotients of the session system."""
     sys_, fam, g = session
     etas, _ = response.neumann_response(sys_, g, 8, (1.0, 0.5))
-    seed = DensityGrid.constant(1.0, sys_.n_points)
+    seed = np.ones(sys_.n_points)
     return etas, response.finite_difference_response(sys_, [1e-3], 60, seed, base_family=fam)
 
 
@@ -203,7 +202,7 @@ def test_forcing(benchmark, session, session_sizes):
 def test_finite_difference_response(benchmark, session, session_response, session_sizes):
     # session_response has built the eps = 1e-3 operators, so only the sweep and the quotients are timed
     sys_, fam, _ = session
-    seed = DensityGrid.constant(1.0, sys_.n_points)
+    seed = np.ones(sys_.n_points)
     benchmark(response.finite_difference_response, sys_, [1e-3], 60, seed, base_family=fam)
 
 
@@ -230,7 +229,7 @@ def workload(request):
         drift, _, q, _ = kernel_args(n)
         schedule = constant_schedule(NoisyEntry(drift, q))
     sys_ = SequenceSystem(schedule, window, n_points=n)
-    fam, _ = sequence.pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, n))
+    fam, _ = sequence.pullback_equivariant(sys_, 60, np.ones(n))
     g = response.forcing(sys_, fam)
     return sys_, g, response.neumann_response(sys_, g, 8, (1.0, 0.5))[0]
 

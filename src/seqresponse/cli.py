@@ -32,7 +32,6 @@ from .config import (
     schedule_sections,
 )
 from .errors import ConfigError, SeqResponseError, TailNotSmall
-from .grid import DensityGrid
 from .maps import CircleMap, c2_distance
 
 EXIT_OK = 0
@@ -105,7 +104,7 @@ def _write_window(cfg: ExperimentConfig, w: sequence.Window, prefix: str) -> lis
 
 def cmd_equivariant(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[int, list]:
     sys_ = build_system(cfg)
-    seed = DensityGrid.constant(1.0, cfg.n_points)
+    seed = np.ones(cfg.n_points)
     fam, residual = sequence.pullback_equivariant(sys_, cfg.burn_in, seed, tol=cfg.pullback_tol)
     files = _write_window(cfg, fam, "mu")
     stats = zip(range(fam.n_lo, fam.n_hi + 1), files, grid.mass(fam.values).tolist(), grid.norm_w11(fam.values).tolist())
@@ -153,7 +152,7 @@ def _certified_ball(cfg: ExperimentConfig, reference: CircleMap, delta_star: flo
 def cmd_respond(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[int, list]:
     tail_constants, tail_tol = read_tail(cfg)
     sys_ = build_system(cfg)
-    seed = DensityGrid.constant(1.0, cfg.n_points)
+    seed = np.ones(cfg.n_points)
     fam, _ = sequence.pullback_equivariant(sys_, cfg.burn_in, seed, tol=cfg.pullback_tol)
     g = response.forcing(sys_, fam)
     report = {}
@@ -186,13 +185,6 @@ def cmd_respond(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[int, l
     return code, files + [_write_json(cfg, "response.json", report)]
 
 
-def _write_histogram(path: str, density: np.ndarray) -> None:
-    """The histogram file: header bin_left,density, one row per uniform bin of [0, 1)."""
-    rows = zip((np.arange(density.shape[0]) / density.shape[0]).tolist(), density.tolist())
-    with open(path, "w") as fh:
-        fh.write("bin_left,density\n" + "".join(f"{b:.17g},{d:.17g}\n" for b, d in rows))
-
-
 def cmd_simulate(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[int, list]:
     steps, samples, bins, eps = read_simulate(cfg)
     sys_ = build_system(cfg)
@@ -200,7 +192,7 @@ def cmd_simulate(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[int, 
     q = sys_.schedule(0).noise  # every scheduled entry shares the one configured noise
     density = noise.simulate_marginal(drift_at, eps, q, steps, samples, seed=cfg.seed, n_bins=bins)
     out_csv = os.path.join(cfg.output_dir, "histogram.csv")
-    _write_histogram(out_csv, density)
+    grid.write_density_csv(out_csv, density, "bin_left,density")
     f = np.ones(cfg.n_points)
     for k in range(steps):
         f = transfer.push(sys_.operator(k, eps), f)

@@ -196,7 +196,7 @@ def load_config(path: str) -> ExperimentConfig:
     )
 
 
-def read_seed(cfg: ExperimentConfig, section: str, zero_mass: bool) -> gridmod.DensityGrid:
+def read_seed(cfg: ExperimentConfig, section: str, zero_mass: bool) -> np.ndarray:
     """`section.seed_csv` if set, else cos(2 pi k x) with k = `section.harmonic`, plus 1 unless zero_mass.
 
     A seed file must be a density file on the experiment's grid and,
@@ -212,7 +212,7 @@ def read_seed(cfg: ExperimentConfig, section: str, zero_mass: bool) -> gridmod.D
             seed = gridmod.read_density_csv(csv, cfg.n_points)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
-        mass = float(gridmod.mass(seed.values))
+        mass = float(gridmod.mass(seed))
         if not (zero_mass or abs(mass - 1.0) <= 1e-10):
             raise ConfigError(f"{where} must have mass 1 within 1e-10, got {mass!r}")
         return seed
@@ -221,7 +221,7 @@ def read_seed(cfg: ExperimentConfig, section: str, zero_mass: bool) -> gridmod.D
         raise ConfigError(f"{section}.harmonic must not be a multiple of experiment.n = {cfg.n_points}, got {k}")
     x = np.arange(cfg.n_points) / cfg.n_points
     wave = np.cos(2 * np.pi * k * x)
-    return gridmod.DensityGrid(wave if zero_mass else 1.0 + 0.5 * wave)
+    return wave if zero_mass else 1.0 + 0.5 * wave
 
 
 def read_tail(cfg: ExperimentConfig) -> tuple[tuple[float, float] | None, float | None]:

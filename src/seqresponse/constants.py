@@ -64,18 +64,18 @@ def c_t0_alt(lambda0: float, M0: float, M2: float, degree: int) -> float:
 
 
 def _probe_family(n_points: int) -> np.ndarray:
-    """Zero-mass probe densities: 20 low harmonics + 30 random smooth combos of the first 8."""
+    """Zero-mass probe densities, one per row: 20 low harmonics + 30 random smooth combos of the first 8."""
     x = np.arange(n_points) / n_points
     cos = [np.cos(2 * np.pi * k * x) for k in range(1, 11)]
     sin = [np.sin(2 * np.pi * k * x) for k in range(1, 11)]
-    cols = [h for pair in zip(cos, sin) for h in pair]
+    probes = [h for pair in zip(cos, sin) for h in pair]
     rng = np.random.default_rng(20250824)
     for _ in range(30):
         v = np.zeros(n_points)
         for k in range(8):
             v += rng.normal() * cos[k] + rng.normal() * sin[k]
-        cols.append(v)
-    return np.array(cols).T  # (N, 50)
+        probes.append(v)
+    return np.array(probes)  # (50, N)
 
 
 class ProbePushes:
@@ -86,7 +86,7 @@ class ProbePushes:
     """
 
     def __init__(self, l0: transfer.TransferMatrix):
-        probes = np.ascontiguousarray(_probe_family(l0.n_points).T)  # one probe per row
+        probes = _probe_family(l0.n_points)
         self.w11 = gridmod.norm_w11(probes)
         self._l0 = l0
         self._pushed = probes

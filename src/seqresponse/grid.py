@@ -1,10 +1,11 @@
 """Periodic grid discretization of densities on the circle.
 
-A density is sampled at the N uniform nodes x_i = i/N and treated as a
-1-periodic function.  Quadrature is the midpoint rule (exact for
-trigonometric polynomials of degree < N), differentiation is a 4th-order
-centered stencil, and off-grid evaluation uses a local cubic through the
-four nearest nodes.
+A density is its raw samples at the N uniform nodes x_i = i/N, an (N,)
+array or one row of an (m, N) block, treated as a 1-periodic function;
+`checked_density` checks samples from outside once.  Quadrature is the
+midpoint rule (exact for trigonometric polynomials of degree < N),
+differentiation is a 4th-order centered stencil, and off-grid evaluation
+uses a local cubic through the four nearest nodes.
 """
 
 from __future__ import annotations
@@ -19,32 +20,32 @@ CUBIC_OFFSETS = (-1, 0, 1, 2)  # stencil nodes i0 + s of the 4-point cubic
 QUINTIC_OFFSETS = (-2, -1, 0, 1, 2, 3)  # and of the 6-point quintic
 
 
-class DensityGrid:
-    """Checked samples of a 1-periodic real function at x_i = i/N.
+def checked_density(values) -> np.ndarray:
+    """A read-only float copy of the samples of one density: 1-d, finite, an even N >= MIN_POINTS."""
+    v = np.array(values, dtype=float)
+    if v.ndim != 1:
+        raise ValueError("grid values must be a 1-d array")
+    n = v.shape[0]
+    if n < MIN_POINTS or n % 2 != 0:
+        raise ValueError(f"need an even number of points >= {MIN_POINTS}, got {n}")
+    if not np.isfinite(v).all():
+        raise ValueError("grid values must be finite")
+    v.setflags(write=False)
+    return v
 
-    `values` is a read-only copy: 1-d, finite, an even number of points
-    >= MIN_POINTS.  The grid formulas below take the raw samples.
+
+class DensityGrid:
+    """Checked samples of one density, the argument and result of `transfer.apply`.
+
+    `values` is the read-only copy made by `checked_density`.
     """
 
     def __init__(self, values):
-        v = np.array(values, dtype=float)
-        if v.ndim != 1:
-            raise ValueError("grid values must be a 1-d array")
-        n = v.shape[0]
-        if n < MIN_POINTS or n % 2 != 0:
-            raise ValueError(f"need an even number of points >= {MIN_POINTS}, got {n}")
-        if not np.isfinite(v).all():
-            raise ValueError("grid values must be finite")
-        v.setflags(write=False)
-        self.values = v
+        self.values = checked_density(values)
 
     @property
     def n_points(self) -> int:
         return self.values.shape[0]
-
-    @classmethod
-    def constant(cls, value: float, n_points: int) -> "DensityGrid":
-        return cls(np.full(n_points, float(value)))
 
 
 def mass(v: np.ndarray):
@@ -149,30 +150,30 @@ def interpolate_values(values: np.ndarray, x) -> np.ndarray:
     return out
 
 
-def project_zero_mass(f: DensityGrid) -> DensityGrid:
-    """Remove the mean so the result lies in the zero-mass subspace."""
-    return DensityGrid(f.values - mass(f.values))
+def project_zero_mass(v: np.ndarray) -> np.ndarray:
+    """Raw samples v less their mean, so the result lies in the zero-mass subspace."""
+    return v - mass(v)
 
 
-_CSV_TEMPLATES: dict[int, str] = {}
+_CSV_TEMPLATES: dict[tuple[str, int], str] = {}
 
 
-def _csv_template(n: int) -> str:
-    """The density file of an n-point grid with a %.17g slot for each value."""
-    if n not in _CSV_TEMPLATES:
-        _CSV_TEMPLATES[n] = "x,value\n" + "".join(f"{i / n:.17g},%.17g\n" for i in range(n))
-    return _CSV_TEMPLATES[n]
+def _csv_template(header: str, n: int) -> str:
+    """The density file of an n-point grid under `header` with a %.17g slot for each value."""
+    if (header, n) not in _CSV_TEMPLATES:
+        _CSV_TEMPLATES[header, n] = header + "\n" + "".join(f"{i / n:.17g},%.17g\n" for i in range(n))
+    return _CSV_TEMPLATES[header, n]
 
 
-def write_density_csv(path, values: np.ndarray) -> None:
-    """Write the density file format of raw samples: header x,value, rows x_i = i/N."""
-    text = _csv_template(values.shape[0]) % tuple(values.tolist())
+def write_density_csv(path, values: np.ndarray, header: str = "x,value") -> None:
+    """Write the density file format of raw samples: the header line, then rows x_i = i/N, value."""
+    text = _csv_template(header, values.shape[0]) % tuple(values.tolist())
     with open(path, "w") as fh:
         fh.write(text)
 
 
-def read_density_csv(path, n_points: int | None = None) -> DensityGrid:
-    """Read a density CSV; an empty file, non-uniform x or a point count other than a given n_points is a ValueError."""
+def read_density_csv(path, n_points: int) -> np.ndarray:
+    """The checked samples of a density CSV; an empty file, non-uniform x or not n_points rows is a ValueError."""
     try:
         with warnings.catch_warnings():  # the ValueError below is the one report of an empty file
             warnings.filterwarnings("ignore", "genfromtxt: Empty input file", UserWarning)
@@ -185,6 +186,6 @@ def read_density_csv(path, n_points: int | None = None) -> DensityGrid:
     expected = np.arange(n) / n
     if n < MIN_POINTS or not np.max(np.abs(x - expected)) <= 1e-12:  # NaN fails too
         raise ValueError(f"{path}: x column is not the uniform grid i/N")
-    if n_points is not None and n != n_points:
+    if n != n_points:
         raise ValueError(f"{path} has {n} points, expected {n_points}")
-    return DensityGrid(v)
+    return checked_density(v)

@@ -17,7 +17,6 @@ import numpy as np
 from . import grid as gridmod
 from . import transfer
 from .errors import InvalidSystem
-from .grid import DensityGrid
 from .maps import CircleMap
 from .transfer import TransferMatrix
 
@@ -32,30 +31,31 @@ MC_CHUNK = 1 << 13
 class NoiseDensity:
     """Grid-sampled noise density q, normalized to unit mass.
 
+    `density` holds the samples, checked by `grid.checked_density`.
     alpha is the probed minorization constant (min sample).  alpha > 0
     is required for Doeblin-mode contraction arguments; alpha = 0 is
     allowed with a warning.
     """
 
-    def __init__(self, density: DensityGrid):
-        v = density.values
+    def __init__(self, density):
+        v = gridmod.checked_density(density)
         m = float(gridmod.mass(v))
         if abs(m - 1.0) > 1e-10:
             raise ValueError(f"noise density mass is {m}, expected 1 within 1e-10")
         if np.min(v) < 0.0:
             raise ValueError("noise density has negative samples")
-        self.density = density
+        self.density = v
         self.alpha = float(np.min(v))
         if self.alpha == 0.0:
             warnings.warn("noise density touches zero; Doeblin contraction unavailable", stacklevel=2)
 
     @property
     def n_points(self) -> int:
-        return self.density.n_points
+        return self.density.shape[0]
 
     @classmethod
     def uniform(cls, n_points: int) -> "NoiseDensity":
-        return cls(DensityGrid.constant(1.0, n_points))
+        return cls(np.ones(n_points))
 
     @classmethod
     def bump(cls, center: float, width: float, floor: float, n_points: int) -> "NoiseDensity":
@@ -73,7 +73,7 @@ class NoiseDensity:
         kappa = 1.0 / scale
         raw = np.exp(kappa * (np.cos(2.0 * np.pi * (x - center)) - 1.0))
         raw /= gridmod.mass(raw)
-        return cls(DensityGrid(floor + (1.0 - floor) * raw))
+        return cls(floor + (1.0 - floor) * raw)
 
 
 class DriftMap:
@@ -111,8 +111,7 @@ def build_kernel(f: DriftMap, eps: float, q: NoiseDensity, n_points: int) -> Tra
     """
     x = np.arange(n_points) / n_points
     idx, w = gridmod.interpolation_stencil(n_points, -f.eval(x, eps))
-    cols = np.broadcast_to(np.arange(n_points), idx.shape)
-    return TransferMatrix(-idx % n_points, cols, w, n_points, kernel=q.density.values / n_points)
+    return TransferMatrix(-idx % n_points, None, w, n_points, kernel=q.density / n_points)
 
 
 def kernel_forcing(f: DriftMap, a: TransferMatrix, mu: np.ndarray) -> np.ndarray:
@@ -133,7 +132,7 @@ def kernel_forcing(f: DriftMap, a: TransferMatrix, mu: np.ndarray) -> np.ndarray
 
 def _inverse_cdf_table(q: NoiseDensity) -> np.ndarray:
     """Cumulative midpoint sums of q at the node edges; F[0]=0, F[N]=1."""
-    cdf = np.minimum(np.concatenate([[0.0], np.cumsum(q.density.values)]) / q.n_points, 1.0)
+    cdf = np.minimum(np.concatenate([[0.0], np.cumsum(q.density)]) / q.n_points, 1.0)
     cdf[-1] = 1.0
     return cdf
 

@@ -27,7 +27,6 @@ from . import noise as noisemod
 from . import sequence as seqmod
 from . import transfer
 from .errors import TailNotSmall, WindowExceeded
-from .grid import DensityGrid
 from .sequence import DeterministicEntry, SequenceSystem, Window
 
 
@@ -91,7 +90,7 @@ def finite_difference_response(
     sys: SequenceSystem,
     eps_list,
     burn_in: int,
-    seed_density: DensityGrid,
+    seed_density: np.ndarray,
     base_family: Window,
     tol: float = seqmod.DEFAULT_PULLBACK_TOL,
 ) -> dict[float, Window]:

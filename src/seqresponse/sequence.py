@@ -23,7 +23,6 @@ from . import grid as gridmod
 from . import noise as noisemod
 from . import transfer
 from .errors import InvalidSystem, NotConverged, WindowExceeded
-from .grid import DensityGrid
 from .maps import CircleMap, KickedMap, KickField
 from .noise import DriftMap, NoiseDensity
 from .transfer import TransferMatrix
@@ -155,7 +154,7 @@ class SequenceSystem:
         return out
 
 
-def _sweep(sys: SequenceSystem, burn_in: int, seed_density: DensityGrid, eps: float) -> tuple[np.ndarray, float]:
+def _sweep(sys: SequenceSystem, burn_in: int, seed: np.ndarray, eps: float) -> tuple[np.ndarray, float]:
     """Pullback densities at n_lo .. n_hi, one per row, from burn_in steps back, and their residual.
 
     The half sweep from max(1, burn_in // 2) steps back shares every
@@ -166,10 +165,10 @@ def _sweep(sys: SequenceSystem, burn_in: int, seed_density: DensityGrid, eps: fl
     """
     n_lo, n_hi = sys.window
     half = max(1, burn_in // 2)
-    full = seed_density.values
+    full = seed
     for m in range(n_lo - burn_in, n_lo - half):
         full = transfer.push(sys.operator(m, eps), full)
-    block = np.stack([full, seed_density.values])
+    block = np.stack([full, seed])
     for m in range(n_lo - half, n_lo):
         block = transfer.push(sys.operator(m, eps), block)
     out = np.empty((n_hi - n_lo + 1, sys.n_points))
@@ -188,7 +187,7 @@ def _sweep(sys: SequenceSystem, burn_in: int, seed_density: DensityGrid, eps: fl
 def pullback_equivariant(
     sys: SequenceSystem,
     burn_in: int,
-    seed_density: DensityGrid,
+    seed_density: np.ndarray,
     tol: float = DEFAULT_PULLBACK_TOL,
     eps: float = 0.0,
 ) -> tuple[Window, float]:
@@ -197,30 +196,32 @@ def pullback_equivariant(
     mu_n is the burn_in-fold pushforward of the seed started at
     n - burn_in; one sweep of length window + burn_in covers all n.
     The residual compares against a half-burn-in sweep in W^{1,1}.
+    The seed's samples are checked by `grid.checked_density`.
     """
     if burn_in < 1:
         raise ValueError("burn_in must be >= 1")
-    if abs(gridmod.mass(seed_density.values) - 1.0) > 1e-10:
+    seed = gridmod.checked_density(seed_density)
+    if abs(gridmod.mass(seed) - 1.0) > 1e-10:
         raise ValueError("seed must be a probability density")
-    full, residual = _sweep(sys, burn_in, seed_density, eps)
+    full, residual = _sweep(sys, burn_in, seed, eps)
     if residual > tol:
         raise NotConverged(f"pullback residual {residual:.3g} > tol {tol:.3g}; increase burn_in")
     return Window(sys.window[0], full), residual
 
 
-def memory_decay(sys: SequenceSystem, v: DensityGrid, j: int, k_max: int) -> tuple[np.ndarray, float]:
+def memory_decay(sys: SequenceSystem, v: np.ndarray, j: int, k_max: int) -> tuple[np.ndarray, float]:
     """Push a zero-mass density through the operators at j, j+1, ...; its norm records and fitted rate.
 
     Row k - 1 of the (k_max, 3) records is (k, W^{1,1} norm, L^1 norm)
     after k steps, k = 1..k_max.  The exponential rate is least-squares
     fitted from log W^{1,1} norm vs k over the last half of the range;
     steps where the norm has collapsed to round-off are excluded from
-    the fit.
+    the fit.  The samples of v are checked once, as a `grid.DensityGrid`.
     """
-    if abs(gridmod.mass(v.values)) > 1e-12:
+    f = gridmod.DensityGrid(v)
+    if abs(gridmod.mass(f.values)) > 1e-12:
         raise ValueError("seed must have zero mass")
     records = np.zeros((k_max, 3))
-    f = v
     for k in range(1, k_max + 1):
         f = transfer.apply(sys.operator(j + k - 1), f)
         records[k - 1] = (k, gridmod.norm_w11(f.values), gridmod.norm_l1(f.values))

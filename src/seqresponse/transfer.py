@@ -2,12 +2,12 @@
 
 Each operator is stored matrix-free as A f = K(S f) + (c . f) 1:
 
-- S is a sparse stencil in one of two layouts.  Branch-formula operators
-  (deterministic and kicked maps) store a gather: cols and entries of
-  shape (k, N), one row per inverse branch and interpolation offset, and
-  (S f)[i] = sum over j of entries[j, i] f[cols[j, i]].  Noise kernels
-  store a scatter in COO form: (S f)[rows[j]] += entries[j] f[cols[j]],
-  one np.bincount per density;
+- S is a stencil of (k, N) arrays in one of two layouts.  A gather
+  reads, (S f)[i] = sum over j of entries[j, i] f[cols[j, i]]: the
+  branch-formula operators of deterministic and kicked maps, one row per
+  inverse branch and interpolation offset.  A spread writes,
+  (S f)[rows[j, i]] += entries[j, i] f[i] by one np.bincount per density:
+  the noise kernels, each node spread onto its drift image;
 - K is an optional circular convolution (the noise kernels), stored as the
   rfft spectrum of its kernel and applied in O(N log N), by one rfft/irfft
   along the last axis for a block of densities;
@@ -17,12 +17,13 @@ Each operator is stored matrix-free as A f = K(S f) + (c . f) 1:
   subspace is exactly invariant, which the response series relies on.
 
 `TransferMatrix(rows, cols, entries, n_points, kernel)` is the one
-constructor: it checks the stencil and derives c.  `push(a, v)` applies
-A to raw samples, v of shape (N,) or (m, N) with one density per row,
-through one code path that pushes a single density as a block of one
-row; the solvers' loops call it.  `apply` is the checked edge that takes
-and returns a DensityGrid.  No N x N array is built except by `to_dense`
-and `compose_matrices`, which the tests use as references.
+constructor: it takes cols for a gather or rows for a spread, checks the
+stencil and derives c.  `push(a, v)` applies A to raw samples, v of
+shape (N,) or (m, N) with one density per row, through one code path
+that pushes a single density as a block of one row; the solvers' loops
+call it.  `apply` is the checked edge that takes and returns a
+DensityGrid.  No N x N array is built except by `to_dense` and
+`compose_matrices` (a gather with k = N), the tests' references.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numpy as np
 
 from . import grid as gridmod
 from .errors import InvalidSystem
-from .grid import DensityGrid
 from .maps import CircleMap, KickedMap, KickField
 
 
@@ -50,36 +50,33 @@ GATHER_BUDGET = 1 << 16
 class TransferMatrix:
     """Matrix-free realization of one transfer operator, A f = K(S f) + (c . f) 1.
 
-    `rows` None gives a gather stencil: cols and entries of shape (k, N),
-    row i of S reading column i of both.  Otherwise rows, cols and entries
-    are a scatter of any one shape, stored flattened, with `rows` the
-    targets.  `kernel` is the convolution kernel of K, or None for
-    K = identity: (K f)[i] = sum_m kernel[(i - m) % N] f[m], stored as its
-    rfft `spectrum`.  The constructor checks the stencil against the
-    grid and derives the mass correction c; every column of a circulant
-    sums to sum(kernel), so the column sums of K S are those of S times
+    Exactly one of `rows` and `cols` is given, each of the shape (k, N)
+    of `entries`.  A gather has cols: row i of S reads column cols[j, i].
+    A spread has rows: column i of S goes to row rows[j, i], so its cols
+    are implicit and its column sums are entries.sum(0).  `kernel` is the
+    convolution kernel of K, or None for K = identity:
+    (K f)[i] = sum_m kernel[(i - m) % N] f[m], stored as its rfft
+    `spectrum`.  The constructor checks the stencil against the grid and
+    derives the mass correction c; every column of a circulant sums to
+    sum(kernel), so the column sums of K S are those of S times
     sum(kernel).  The arrays are stored as read-only copies.
     """
 
     def __init__(self, rows, cols, entries, n_points: int, kernel=None):
-        cols, entries = np.asarray(cols), np.asarray(entries)
-        if rows is None:
-            if not (cols.ndim == 2 and cols.shape == entries.shape and cols.shape[1] == n_points):
-                raise ValueError(f"gather cols and entries must both have shape (k, {n_points})")
-        else:
-            rows, cols, entries = np.ravel(rows), np.ravel(cols), np.ravel(entries)
-            if not rows.shape == cols.shape == entries.shape:
-                raise ValueError("stencil rows, cols and entries must have one length")
-        for index in (cols,) if rows is None else (rows, cols):
-            if index.size and not (0 <= index.min() and index.max() < n_points):
-                raise ValueError(f"stencil index outside the {n_points}-point grid")
-        col_sums = np.bincount(cols.ravel(), entries.ravel(), minlength=n_points)
+        if (rows is None) == (cols is None):
+            raise ValueError("give exactly one of rows (a spread) and cols (a gather)")
+        index, entries = np.asarray(cols if rows is None else rows), np.asarray(entries, dtype=float)
+        if not (index.ndim == 2 and index.shape == entries.shape and index.shape[1] == n_points):
+            raise ValueError(f"stencil indices and entries must both have shape (k, {n_points})")
+        if index.size and not (0 <= index.min() and index.max() < n_points):
+            raise ValueError(f"stencil index outside the {n_points}-point grid")
+        col_sums = entries.sum(0) if cols is None else np.bincount(index.ravel(), entries.ravel(), minlength=n_points)
         self.spectrum = None
         if kernel is not None:
             col_sums *= np.sum(kernel)
             self.spectrum = _frozen(np.fft.rfft(kernel), complex)
         self.rows = None if rows is None else _frozen(rows, np.int64)
-        self.cols = _frozen(cols, np.int64)
+        self.cols = None if cols is None else _frozen(cols, np.int64)
         self.entries = _frozen(entries, float)
         self.correction = _frozen((1.0 - col_sums) / n_points, float)
 
@@ -91,8 +88,8 @@ class TransferMatrix:
         """The N x N matrix of the operator, a reference for the tests."""
         n = self.n_points
         a = np.zeros((n, n))
-        rows = np.broadcast_to(np.arange(n), self.cols.shape) if self.rows is None else self.rows
-        np.add.at(a, (rows, self.cols), self.entries)
+        nodes = np.broadcast_to(np.arange(n), self.entries.shape)
+        np.add.at(a, (nodes, self.cols) if self.rows is None else (self.rows, nodes), self.entries)
         if self.spectrum is not None:
             a = np.fft.irfft(self.spectrum[:, None] * np.fft.rfft(a, axis=0), n=n, axis=0)
         return a + self.correction[None, :]
@@ -150,16 +147,18 @@ def d_operator(kick: KickField, u: np.ndarray) -> np.ndarray:
 
 
 def compose_matrices(outer: TransferMatrix, inner: TransferMatrix) -> TransferMatrix:
-    """Dense product operator: inner acts first.  The one-pass kicked operator is tested against it.
+    """Dense product operator, inner acting first: the reference the one-pass kicked operator is tested against.
 
     Column j of the product is outer pushed on column j of inner, which is
-    inner pushed on the unit vector e_j.
+    inner pushed on the unit vector e_j.  So row j of the pushed identity
+    holds the weights of f[j] in every row: a gather with k = N and
+    cols[j, i] = j.
     """
-    if outer.n_points != inner.n_points:
+    n = outer.n_points
+    if n != inner.n_points:
         raise InvalidSystem("matrix sizes differ")
-    product = push(outer, push(inner, np.eye(outer.n_points))).T
-    rows, cols = np.nonzero(product)
-    return TransferMatrix(rows, cols, product[rows, cols], outer.n_points)
+    cols = np.broadcast_to(np.arange(n)[:, None], (n, n))
+    return TransferMatrix(None, cols, push(outer, push(inner, np.eye(n))), n)
 
 
 def _gather(a: TransferMatrix, v: np.ndarray) -> np.ndarray:
@@ -180,7 +179,7 @@ def push(a: TransferMatrix, v) -> np.ndarray:
 
     v is pushed as an (m, N) block, one density of shape (N,) as a block
     of one row.  Every row of the result has the bits it would have if
-    pushed alone: the stencil sums run in stencil order, a scatter is one
+    pushed alone: the stencil sums run in stencil order, a spread is one
     bincount per row and the mass correction is one dot product per row.
     """
     v = np.asarray(v, dtype=float)
@@ -191,15 +190,15 @@ def push(a: TransferMatrix, v) -> np.ndarray:
     if a.rows is None:
         s = _gather(a, block)
     else:
-        s = np.array([np.bincount(a.rows, a.entries * row.take(a.cols), minlength=n) for row in block])
-        if a.spectrum is not None:
-            s = np.fft.irfft(a.spectrum * np.fft.rfft(s, axis=-1), n=n, axis=-1)
+        s = np.array([np.bincount(a.rows.ravel(), (a.entries * row).ravel(), minlength=n) for row in block])
+    if a.spectrum is not None:
+        s = np.fft.irfft(a.spectrum * np.fft.rfft(s, axis=-1), n=n, axis=-1)
     s += np.array([a.correction @ row for row in block])[:, None]
     return s.reshape(v.shape)
 
 
-def apply(a: TransferMatrix, f: DensityGrid) -> DensityGrid:
+def apply(a: TransferMatrix, f: gridmod.DensityGrid) -> gridmod.DensityGrid:
     """A f for one density on the grid, checked at both ends."""
     if a.n_points != f.n_points:
         raise InvalidSystem(f"matrix is {a.n_points}, grid is {f.n_points}")
-    return DensityGrid(push(a, f.values))
+    return gridmod.DensityGrid(push(a, f.values))

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from seqresponse import constants, grid, noise, response, sequence, transfer
-from seqresponse.grid import DensityGrid
 from seqresponse.maps import CircleMap, KickField, c2_distance
 from seqresponse.noise import DriftMap, NoiseDensity
 from seqresponse.sequence import (
@@ -59,7 +58,7 @@ def cert():
 def doubling_response():
     entry = DeterministicEntry(map=CircleMap(2), kick=KICK)
     sys_ = SequenceSystem(constant_schedule(entry), (0, 12), n_points=N)
-    fam, _ = sequence.pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, N))
+    fam, _ = sequence.pullback_equivariant(sys_, 60, np.ones(N))
     g = response.forcing(sys_, fam)
     etas, _ = response.neumann_response(sys_, g, 8, (1.0, 0.5))
     return sys_, fam, g, etas
@@ -90,14 +89,12 @@ def test_criterion_3_deterministic_memory_loss(cert):
     sched = periodic_schedule([DeterministicEntry(t0, KICK), DeterministicEntry(t1, KICK)])
     assert c2_distance(t1, t0) <= cert.delta_star
     sys_ = SequenceSystem(sched, (0, 30), n_points=N)
-    v = DensityGrid(smooth_density(np.random.default_rng(101), zero_mass=True))
+    v = smooth_density(np.random.default_rng(101), zero_mass=True)
     _, fitted_rate = sequence.memory_decay(sys_, v, 0, 20)
     rate_ok = fitted_rate <= cert.elom_rate
 
     raw = SequenceSystem(constant_schedule(DeterministicEntry(t0, KICK)), (0, 10), n_points=N)
-    seed = grid.project_zero_mass(
-        DensityGrid(sum(np.cos(2 * np.pi * k * X) + np.sin(2 * np.pi * k * X) for k in range(1, 9)))
-    )
+    seed = grid.project_zero_mass(sum(np.cos(2 * np.pi * k * X) + np.sin(2 * np.pi * k * X) for k in range(1, 9)))
     records_raw, _ = sequence.memory_decay(raw, seed, 0, 4)
     dead = records_raw[3, 1]
     report(
@@ -137,7 +134,7 @@ def test_criterion_5_equivariant_uniqueness(bump_q):
         (0, 10),
         n_points=N,
     )
-    seeds = (DensityGrid.constant(1.0, N), DensityGrid(1 + 0.9 * np.cos(2 * np.pi * X)))
+    seeds = (np.ones(N), 1 + 0.9 * np.cos(2 * np.pi * X))
     worst = 0.0
     for sys_ in (det, noisy):
         fams = [sequence.pullback_equivariant(sys_, 60, s)[0] for s in seeds]
@@ -150,7 +147,7 @@ def test_criterion_6_closed_form_response(doubling_response):
     expected = -np.cos(2 * np.pi * X)
     series_err = float(np.max(grid.norm_l1(etas.values - expected)))
     fd = response.finite_difference_response(
-        sys_, [1e-2, 1e-3], 60, DensityGrid.constant(1.0, N), base_family=fam
+        sys_, [1e-2, 1e-3], 60, np.ones(N), base_family=fam
     )
     gaps = {
         eps: float(np.max(grid.norm_l1(fd[eps].rows(etas.n_lo, etas.n_hi) - etas.values)))
@@ -170,12 +167,12 @@ def test_criterion_7_nonautonomous_response():
     t1 = CircleMap(2, sin_coeffs=(0.0, PERTURB_AMP_02))
     sched = periodic_schedule([DeterministicEntry(t0, KICK), DeterministicEntry(t1, KICK)])
     sys_ = SequenceSystem(sched, (0, 12), n_points=N)
-    fam, _ = sequence.pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, N))
+    fam, _ = sequence.pullback_equivariant(sys_, 60, np.ones(N))
     g = response.forcing(sys_, fam)
     etas, tail = response.neumann_response(sys_, g, 8, (1.0, 0.6))
     res = response.resolvent_residual(sys_, etas, g)
     fd = response.finite_difference_response(
-        sys_, [1e-2, 3e-3, 1e-3], 60, DensityGrid.constant(1.0, N), base_family=fam
+        sys_, [1e-2, 3e-3, 1e-3], 60, np.ones(N), base_family=fam
     )
     _, passed = response.validate(etas, fd, tol=2e-2)
     ok = res <= tail + 1e-7 and passed
@@ -191,7 +188,7 @@ def test_criterion_8_noisy_response(bump_q):
     drift = DriftMap(base=CircleMap(2), dot=np.sin(2 * np.pi * X))
     entry = NoisyEntry(drift, bump_q)
     sys_ = SequenceSystem(constant_schedule(entry), (0, 12), n_points=N)
-    fam, _ = sequence.pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, N))
+    fam, _ = sequence.pullback_equivariant(sys_, 60, np.ones(N))
     g = response.forcing(sys_, fam)
     eps = 1e-4
     quot_gap = 0.0
@@ -202,7 +199,7 @@ def test_criterion_8_noisy_response(bump_q):
     c, rate = constants.doeblin_certificate(bump_q)
     etas, _ = response.neumann_response(sys_, g, 8, (c, rate))
     fd = response.finite_difference_response(
-        sys_, [1e-2, 3e-3, 1e-3], 60, DensityGrid.constant(1.0, N), base_family=fam
+        sys_, [1e-2, 3e-3, 1e-3], 60, np.ones(N), base_family=fam
     )
     _, passed = response.validate(etas, fd, tol=1e-2)
     ok = quot_gap <= 5e-3 and passed

@@ -388,6 +388,13 @@ class TestSeedCsv:
         assert code == 1
         assert "config error" in err and "uniform grid" in err
 
+    def test_nan_value_is_1(self, tmp_path, capsys):
+        values = np.ones(256)
+        values[5] = np.nan
+        code, err, _ = self.run(tmp_path, capsys, np.arange(256) / 256, values)
+        assert code == 1
+        assert "config error" in err and "finite" in err
+
 
 class TestNoiseCsv:
     """`[noise] csv` must fit the experiment, or the run is a config error."""
@@ -422,6 +429,13 @@ class TestNoiseCsv:
         code, err = self.run(tmp_path, capsys, np.arange(256) / 256 + 0.5 / 256, np.ones(256))
         assert code == 1
         assert "config error" in err and "uniform grid" in err
+
+    def test_nan_value_is_1(self, tmp_path, capsys):
+        values = np.ones(256)
+        values[5] = np.nan
+        code, err = self.run(tmp_path, capsys, np.arange(256) / 256, values)
+        assert code == 1
+        assert "config error" in err and "finite" in err
 
 
 class TestNoDenseMatrix:

@@ -5,7 +5,6 @@ import pytest
 
 from seqresponse import constants, grid, transfer
 from seqresponse.errors import InvalidSystem, NotConverged
-from seqresponse.grid import DensityGrid
 from seqresponse.maps import CircleMap
 from seqresponse.noise import NoiseDensity
 
@@ -103,7 +102,7 @@ def per_call_choose_M(t0, lambda1, b, n_points):
     if m_closed > constants.M_SEARCH_LIMIT:
         raise NotConverged("closed-form threshold too large")
     l0 = transfer.build_deterministic(t0, n_points).to_dense()
-    probes = constants._probe_family(n_points)
+    probes = constants._probe_family(n_points).T  # one probe per column
     w11 = np.array([grid.norm_w11(probes[:, i].copy()) for i in range(probes.shape[1])])
     threshold = (1.0 - lambda1) / (10.0 * b) if b > 0 else np.inf
     pushed = probes.copy()
@@ -120,23 +119,23 @@ def per_call_choose_M(t0, lambda1, b, n_points):
 def loop_probe_family(n_points):
     """The probe family with every harmonic evaluated afresh per probe: the reference for _probe_family."""
     x = np.arange(n_points) / n_points
-    cols = []
+    probes = []
     for k in range(1, 11):
-        cols.append(np.cos(2 * np.pi * k * x))
-        cols.append(np.sin(2 * np.pi * k * x))
+        probes.append(np.cos(2 * np.pi * k * x))
+        probes.append(np.sin(2 * np.pi * k * x))
     rng = np.random.default_rng(20250824)
     for _ in range(30):
         v = np.zeros(n_points)
         for k in range(1, 9):
             v += rng.normal() * np.cos(2 * np.pi * k * x) + rng.normal() * np.sin(2 * np.pi * k * x)
-        cols.append(v)
-    return np.array(cols).T
+        probes.append(v)
+    return np.array(probes)
 
 
 @pytest.mark.parametrize("n_points", [16, 256, 1024])
 def test_probe_family_bits_match_loop(n_points):
     probes = constants._probe_family(n_points)
-    assert probes.shape == (n_points, 50)
+    assert probes.shape == (50, n_points) and probes.flags.c_contiguous
     assert np.array_equal(probes.view(np.int64), loop_probe_family(n_points).view(np.int64))
 
 
@@ -237,7 +236,7 @@ class TestDoeblin:
     def test_rejects_vanishing(self):
         samples = np.maximum(np.cos(2 * np.pi * X), 0.0)
         with pytest.warns(UserWarning):
-            q = NoiseDensity(DensityGrid(samples / grid.mass(samples)))
+            q = NoiseDensity(samples / grid.mass(samples))
         with pytest.raises(ValueError):
             constants.doeblin_certificate(q)
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from seqresponse import grid
-from seqresponse.grid import DensityGrid
 
 # Floats |x| <= 1e17 with the edge cases of x mod 1 mixed in: signed zeros,
 # tiny negatives (x mod 1 rounds to 1) and halves around 2**52.
@@ -48,12 +47,12 @@ def reference_stencil6(n_points, x):
     return np.stack([(i0 + s) % n_points for s in offsets]), w
 
 
-def reference_write_density_csv(path, f):
+def reference_write_density_csv(path, values):
     """The density CSV writer as first written: one write per row of numpy scalars."""
     with open(path, "w") as fh:
         fh.write("x,value\n")
-        n = f.n_points
-        for i, v in enumerate(f.values):
+        n = values.shape[0]
+        for i, v in enumerate(values):
             fh.write(f"{i / n:.17g},{v:.17g}\n")
 
 
@@ -167,9 +166,9 @@ class TestInterpolate:
 
     def test_node_values_exact(self):
         rng = np.random.default_rng(0)
-        f = DensityGrid(rng.normal(size=64))
+        f = rng.normal(size=64)
         for i in (0, 5, 63):
-            assert grid.interpolate_values(f.values, i / 64)[0] == pytest.approx(f.values[i], abs=1e-13)
+            assert grid.interpolate_values(f, i / 64)[0] == pytest.approx(f[i], abs=1e-13)
 
     def test_sine_off_grid(self):
         v = samples(lambda x: np.sin(2 * np.pi * x), 256)
@@ -177,13 +176,12 @@ class TestInterpolate:
 
     def test_linear_between_nodes(self):
         n = 64
-        f = DensityGrid(np.arange(n) % 2 * 0.0 + 3.0)  # constant; plus genuine linear below
+        f = np.arange(n) % 2 * 0.0 + 3.0  # constant; plus genuine linear below
         # local linear data: cubic through 4 collinear points is that line
         vals = np.zeros(n)
         vals[10:14] = 2.0 * np.arange(4) + 1.0
-        g = DensityGrid(vals)
-        assert grid.interpolate_values(g.values, 11.5 / n)[0] == pytest.approx(2.0 * 1.5 + 1.0, abs=1e-12)
-        assert grid.interpolate_values(f.values, 0.777)[0] == pytest.approx(3.0, abs=1e-13)
+        assert grid.interpolate_values(vals, 11.5 / n)[0] == pytest.approx(2.0 * 1.5 + 1.0, abs=1e-12)
+        assert grid.interpolate_values(f, 0.777)[0] == pytest.approx(3.0, abs=1e-13)
 
 
 class TestWrap:
@@ -239,23 +237,23 @@ class TestInterpolationKernels:
 
 class TestProjectZeroMass:
     def test_constant_to_zero(self):
-        p = grid.project_zero_mass(DensityGrid.constant(1.0, 64))
-        assert np.max(np.abs(p.values)) <= 1e-15
+        p = grid.project_zero_mass(np.ones(64))
+        assert np.max(np.abs(p)) <= 1e-15
 
     def test_removes_mean(self):
-        p = grid.project_zero_mass(DensityGrid(1 + harmonic(1, 64)))
-        assert np.max(np.abs(p.values - harmonic(1, 64))) <= 1e-14
+        p = grid.project_zero_mass(1 + harmonic(1, 64))
+        assert np.max(np.abs(p - harmonic(1, 64))) <= 1e-14
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
-        f = grid.project_zero_mass(DensityGrid(rng.normal(size=64)))
-        assert np.max(np.abs(grid.project_zero_mass(f).values - f.values)) <= 1e-14
+        f = grid.project_zero_mass(rng.normal(size=64))
+        assert np.max(np.abs(grid.project_zero_mass(f) - f)) <= 1e-14
 
     def test_mass_zero_random(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            f = DensityGrid(rng.normal(size=256) * 10)
-            assert abs(grid.mass(grid.project_zero_mass(f).values)) <= 1e-13
+            f = rng.normal(size=256) * 10
+            assert abs(grid.mass(grid.project_zero_mass(f))) <= 1e-13
 
 
 class TestHighDegreeAccuracy:
@@ -280,27 +278,27 @@ class TestHighDegreeAccuracy:
 class TestValidation:
     def test_rejects_odd_or_small(self):
         with pytest.raises(ValueError):
-            DensityGrid(np.zeros(15))
+            grid.checked_density(np.zeros(15))
         with pytest.raises(ValueError):
-            DensityGrid(np.zeros(33))
+            grid.checked_density(np.zeros(33))
 
     def test_rejects_nonfinite(self):
         v = np.zeros(64)
         v[3] = np.nan
         with pytest.raises(ValueError):
-            DensityGrid(v)
+            grid.checked_density(v)
 
     def test_immutable(self):
-        f = DensityGrid.constant(1.0, 64)
+        f = grid.checked_density(np.ones(64))
         with pytest.raises(ValueError):
-            f.values[0] = 2.0
+            f[0] = 2.0
 
     def test_copies_input(self):
         v = np.ones(64)
-        f = DensityGrid(v)
+        f = grid.checked_density(v)
         v[0] = 2.0  # the caller's array stays writeable, and writing it leaves f alone
-        assert np.array_equal(f.values, np.ones(64))
-        assert not f.values.flags.writeable
+        assert np.array_equal(f, np.ones(64))
+        assert not f.flags.writeable
 
 
 class TestCsv:
@@ -308,9 +306,9 @@ class TestCsv:
         v = samples(lambda x: 1 + 0.3 * np.sin(2 * np.pi * x), 64)
         path = tmp_path / "density.csv"
         grid.write_density_csv(path, v)
-        g = grid.read_density_csv(path)
-        assert np.max(np.abs(g.values - v)) <= 1e-15
-        assert grid.read_density_csv(path, 64).n_points == 64
+        g = grid.read_density_csv(path, 64)
+        assert np.max(np.abs(g - v)) <= 1e-15
+        assert not g.flags.writeable
 
     def test_rejects_other_point_count(self, tmp_path):
         path = tmp_path / "density.csv"
@@ -324,8 +322,8 @@ class TestCsv:
         rng = np.random.default_rng(n)
         v = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
         v[:8] = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1 / 3]
-        for f in (DensityGrid(v), DensityGrid(v[::-1])):  # the second write reuses the cached template
-            grid.write_density_csv(tmp_path / "new.csv", f.values)
+        for f in (v, v[::-1]):  # the second write reuses the cached template
+            grid.write_density_csv(tmp_path / "new.csv", f)
             reference_write_density_csv(tmp_path / "old.csv", f)
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -336,7 +334,7 @@ class TestCsv:
             for i in range(64):
                 fh.write(f"{i / 64 + (1e-6 if i == 3 else 0)},{1.0}\n")
         with pytest.raises(ValueError):
-            grid.read_density_csv(path)
+            grid.read_density_csv(path, 64)
 
     def test_rejects_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -345,10 +343,16 @@ class TestCsv:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # the ValueError is the only report
                 with pytest.raises(ValueError, match="is empty"):
-                    grid.read_density_csv(path)
+                    grid.read_density_csv(path, 64)
 
     def test_rejects_nan_x(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,value\n" + "".join(f"{'nan' if i == 3 else i / 64},1.0\n" for i in range(64)))
         with pytest.raises(ValueError, match="uniform grid"):
-            grid.read_density_csv(path)
+            grid.read_density_csv(path, 64)
+
+    def test_rejects_nan_value(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,value\n" + "".join(f"{i / 64},{'nan' if i == 3 else 1.0}\n" for i in range(64)))
+        with pytest.raises(ValueError, match="finite"):
+            grid.read_density_csv(path, 64)

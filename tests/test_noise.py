@@ -5,9 +5,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from seqresponse import cli, grid, noise, transfer
+from seqresponse import grid, noise, transfer
 from seqresponse.errors import InvalidSystem
-from seqresponse.grid import DensityGrid
 from seqresponse.maps import CircleMap
 from seqresponse.noise import DriftMap, NoiseDensity
 
@@ -39,20 +38,20 @@ def forcing(drift, q, mu):
 
 def unit_mass_noise(samples):
     """The noise density of nonnegative samples rescaled to mass 1."""
-    return NoiseDensity(DensityGrid(samples / grid.mass(samples)))
+    return NoiseDensity(samples / grid.mass(samples))
 
 
 def q_prime_quadrature(drift, q, mu):
     """Reference forcing: (1/N) sum_j -q'(y_i - f0(x_j)) fdot(x_j) mu(x_j), q' the grid derivative."""
     shifts = (X[:, None] - drift.base_values(X)[None, :]) % 1.0
-    kq = grid.interpolate_values(grid.derivative(q.density.values), shifts.ravel()).reshape(N, N)
+    kq = grid.interpolate_values(grid.derivative(q.density), shifts.ravel()).reshape(N, N)
     return -(kq @ (mu * drift.dot_values(X))) / N
 
 
 def dense_kernel(drift, eps, q):
     """Reference: A[i,j] = (1/N) q(y_i - f_eps(x_j)) by the 4-point cubic at all N^2 shifts, mass-corrected."""
     shifts = (X[:, None] - drift.eval(X, eps)[None, :]) % 1.0
-    a = grid.interpolate_values(q.density.values, shifts.ravel()).reshape(N, N) / N
+    a = grid.interpolate_values(q.density, shifts.ravel()).reshape(N, N) / N
     return a + (1.0 - a.sum(axis=0))[None, :] / N
 
 
@@ -139,7 +138,7 @@ class TestNoiseDensity:
         x = X
         raw = 1 + np.cos(2 * np.pi * x)
         raw /= np.sum(raw) / N
-        q = NoiseDensity(DensityGrid(0.3 + 0.7 * raw))
+        q = NoiseDensity(0.3 + 0.7 * raw)
         assert q.alpha == pytest.approx(0.3, abs=1e-9)
 
     def test_zero_sample_warns(self):
@@ -154,7 +153,20 @@ class TestNoiseDensity:
 
     def test_mass_enforced(self):
         with pytest.raises(ValueError):
-            NoiseDensity(DensityGrid.constant(2.0, N))
+            NoiseDensity(np.full(N, 2.0))
+
+    def test_samples_are_a_read_only_copy(self):
+        v = np.ones(N)
+        q = NoiseDensity(v)
+        v[0] = 2.0
+        assert np.array_equal(q.density, np.ones(N)) and not q.density.flags.writeable
+
+    @pytest.mark.parametrize(
+        "samples", [np.ones((2, N)), np.ones(N - 1), np.full(N, np.nan)], ids=["2-d", "odd", "nan"]
+    )
+    def test_rejects_unchecked_samples(self, samples):
+        with pytest.raises(ValueError):
+            NoiseDensity(samples)
 
     @pytest.mark.parametrize("width", [0.0, -0.08, np.nan, np.inf, 1e-170])
     def test_bump_rejects_bad_width(self, width):
@@ -181,7 +193,7 @@ class TestBuildKernel:
         a = noise.build_kernel(IdentityDrift(), 0.0, bump_q, N)
         rng = np.random.default_rng(1)
         f = rng.uniform(0.5, 1.5, N)
-        conv = np.array([np.sum(f * bump_q.density.values[(i - np.arange(N)) % N]) / N for i in range(N)])
+        conv = np.array([np.sum(f * bump_q.density[(i - np.arange(N)) % N]) / N for i in range(N)])
         assert grid.norm_l1(transfer.push(a, f) - conv) <= 1e-8
 
     def test_mass_preserved(self, bump_q):
@@ -315,7 +327,7 @@ class TestInverseCdfTable:
     def test_bump_table_unclamped(self, n):
         # The clamp leaves the bump noise of the reference configs bit for bit as it was.
         q = NoiseDensity.bump(center=0.5, width=0.08, floor=0.3, n_points=n)
-        raw = np.concatenate([[0.0], np.cumsum(q.density.values)]) / n
+        raw = np.concatenate([[0.0], np.cumsum(q.density)]) / n
         raw[-1] = 1.0
         assert np.array_equal(noise._inverse_cdf_table(q), raw)
 
@@ -344,8 +356,8 @@ class TestSimulateMarginal:
     def test_csv_bytes_match_row_writer(self, tmp_path):
         rng = np.random.default_rng(3)
         density = rng.normal(size=64) * 10.0 ** rng.integers(-300, 300, size=64)
-        density[:7] = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 2 / 3]
-        cli._write_histogram(tmp_path / "new.csv", density)
+        density[:10] = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 2 / 3, np.inf, -np.inf, np.nan]
+        grid.write_density_csv(tmp_path / "new.csv", density, "bin_left,density")
         reference_write_histogram(tmp_path / "old.csv", density)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 

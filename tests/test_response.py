@@ -11,7 +11,6 @@ from test_transfer import kicked_systems
 
 from seqresponse import grid, noise, response, sequence, transfer
 from seqresponse.errors import TailNotSmall, WindowExceeded
-from seqresponse.grid import DensityGrid
 from seqresponse.maps import CircleMap, KickField
 from seqresponse.noise import DriftMap, NoiseDensity
 from seqresponse.sequence import (
@@ -46,7 +45,7 @@ def bump_system(window=(0, 12)):
 @pytest.fixture(scope="module")
 def doubling_setup():
     sys_ = doubling_system()
-    fam, _ = pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, N))
+    fam, _ = pullback_equivariant(sys_, 60, np.ones(N))
     g = response.forcing(sys_, fam)
     return sys_, fam, g
 
@@ -54,7 +53,7 @@ def doubling_setup():
 @pytest.fixture(scope="module")
 def bump_setup():
     sys_ = bump_system()
-    fam, _ = pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, N))
+    fam, _ = pullback_equivariant(sys_, 60, np.ones(N))
     g = response.forcing(sys_, fam)
     return sys_, fam, g
 
@@ -166,7 +165,7 @@ def two_map_setup(window=(0, 14)):
     t0, t1 = CircleMap(2, sin_coeffs=(0.0, 0.05)), CircleMap(3, cos_coeffs=(0.0, 0.02))
     sched = periodic_schedule([DeterministicEntry(t0, KICK), DeterministicEntry(t1, KICK)])
     sys_ = SequenceSystem(sched, window, n_points=N)
-    fam, _ = pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, N))
+    fam, _ = pullback_equivariant(sys_, 60, np.ones(N))
     return sys_, fam, response.forcing(sys_, fam)
 
 
@@ -202,7 +201,7 @@ def mixed_setup(window=(0, 9)):
         NoisyEntry(DriftMap(base=CircleMap(2), dot=np.sin(4 * np.pi * X)), q),
     ]
     sys_ = SequenceSystem(periodic_schedule(entries), window, n_points=N)
-    fam, _ = pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, N))
+    fam, _ = pullback_equivariant(sys_, 60, np.ones(N))
     return sys_, fam, response.forcing(sys_, fam)
 
 
@@ -221,7 +220,7 @@ def reference_forcing(sys_, fam):
 
 def reference_quotients(sys_, eps, fam):
     """Difference quotients as first written: one density per index."""
-    fam_p, _ = pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, N), eps=eps)
+    fam_p, _ = pullback_equivariant(sys_, 60, np.ones(N), eps=eps)
     return [(p - b) * (1.0 / eps) for p, b in zip(fam_p.values, fam.values)]
 
 
@@ -257,7 +256,7 @@ class TestBlockStages:
     def test_quotients_and_validate(self, setup):
         sys_, fam, g = setup
         eps_list = (1e-2, 3e-3, 1e-3)
-        fd = response.finite_difference_response(sys_, eps_list, 60, DensityGrid.constant(1.0, N), base_family=fam)
+        fd = response.finite_difference_response(sys_, eps_list, 60, np.ones(N), base_family=fam)
         assert list(fd) == list(eps_list)
         for eps in eps_list:
             assert (fd[eps].n_lo, fd[eps].n_hi) == (fam.n_lo, fam.n_hi)
@@ -283,7 +282,7 @@ class TestFiniteDifference:
         sys_, fam, g = doubling_setup
         etas, _ = response.neumann_response(sys_, g, 8, (1.0, 0.5))
         fd = response.finite_difference_response(
-            sys_, [1e-2, 1e-3], 60, DensityGrid.constant(1.0, N), base_family=fam
+            sys_, [1e-2, 1e-3], 60, np.ones(N), base_family=fam
         )
         gaps = {
             eps: max(
@@ -298,7 +297,7 @@ class TestFiniteDifference:
     def test_quotient_outside_window(self, doubling_setup):
         sys_, fam, _ = doubling_setup
         fd = response.finite_difference_response(
-            sys_, [1e-2], 60, DensityGrid.constant(1.0, N), base_family=fam
+            sys_, [1e-2], 60, np.ones(N), base_family=fam
         )
         q = fd[1e-2]
         assert (q.n_lo, q.n_hi) == (fam.n_lo, fam.n_hi)
@@ -311,13 +310,13 @@ class TestFiniteDifference:
     def test_rejects_zero_eps(self, doubling_setup):
         sys_, fam, _ = doubling_setup
         with pytest.raises(ValueError):
-            response.finite_difference_response(sys_, [0.0], 60, DensityGrid.constant(1.0, N), base_family=fam)
+            response.finite_difference_response(sys_, [0.0], 60, np.ones(N), base_family=fam)
 
     def test_noisy_quotient(self, bump_setup):
         sys_, fam, g = bump_setup
         etas, _ = response.neumann_response(sys_, g, 8, (1.0, 0.7))
         fd = response.finite_difference_response(
-            sys_, [1e-4], 60, DensityGrid.constant(1.0, N), base_family=fam
+            sys_, [1e-4], 60, np.ones(N), base_family=fam
         )
         gap = max(
             grid.norm_l1(fd[1e-4][n] - etas[n])
@@ -331,7 +330,7 @@ class TestValidate:
         sys_, fam, g = bump_setup
         etas, _ = response.neumann_response(sys_, g, 8, (1.0, 0.7))
         fd = response.finite_difference_response(
-            sys_, [1e-2, 3e-3, 1e-3], 60, DensityGrid.constant(1.0, N), base_family=fam
+            sys_, [1e-2, 3e-3, 1e-3], 60, np.ones(N), base_family=fam
         )
         entries, passed = response.validate(etas, fd, tol=2e-2)
         assert passed
@@ -346,7 +345,7 @@ class TestValidate:
         sys_, fam, g = bump_setup
         etas, _ = response.neumann_response(sys_, g, 8, (1.0, 0.7))
         fd = response.finite_difference_response(
-            sys_, [1e-2, 1e-3], 60, DensityGrid.constant(1.0, N), base_family=fam
+            sys_, [1e-2, 1e-3], 60, np.ones(N), base_family=fam
         )
         assert not response.validate(etas, fd, tol=1e-12)[1]
 
@@ -366,7 +365,7 @@ class TestValidate:
         sys_, fam, g = bump_setup
         etas, _ = response.neumann_response(sys_, g, 6, (1.0, 0.7))
         fd = response.finite_difference_response(
-            sys_, [1e-3], 60, DensityGrid.constant(1.0, N), base_family=fam
+            sys_, [1e-3], 60, np.ones(N), base_family=fam
         )
         entries, passed = response.validate(etas, fd, tol=1e-2)
         # plain Python values, which json writes as they are (a numpy bool would raise)
@@ -383,7 +382,7 @@ class TestPeriodicSchedule:
             [DeterministicEntry(t0, KICK), DeterministicEntry(t1, KICK)]
         )
         sys_ = SequenceSystem(sched, (0, 12), n_points=N)
-        fam, _ = pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, N))
+        fam, _ = pullback_equivariant(sys_, 60, np.ones(N))
         g = response.forcing(sys_, fam)
         etas, tail = response.neumann_response(sys_, g, 8, (1.0, 0.6))
         assert response.resolvent_residual(sys_, etas, g) <= tail + 1e-7
@@ -406,7 +405,7 @@ class TestResolventIdentity:
     def check(self, entries, k_order, seed):
         schedule = periodic_schedule(entries) if seed is None else seeded_random_schedule(entries, seed)
         sys_ = SequenceSystem(schedule, (0, k_order + 4), n_points=N)
-        fam, _ = pullback_equivariant(sys_, 20, DensityGrid.constant(1.0, N), tol=np.inf)
+        fam, _ = pullback_equivariant(sys_, 20, np.ones(N), tol=np.inf)
         g = response.forcing(sys_, fam)
         etas, _ = response.neumann_response(sys_, g, k_order, (1.0, 0.5))
         dropped = max(dropped_term_l1(sys_, g, n, k_order) for n in range(etas.n_lo + 1, etas.n_hi + 1))

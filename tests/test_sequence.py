@@ -9,7 +9,6 @@ from test_transfer import kicked_systems
 
 from seqresponse import grid, sequence, transfer
 from seqresponse.errors import NotConverged, WindowExceeded
-from seqresponse.grid import DensityGrid
 from seqresponse.maps import CircleMap, KickedMap, KickField
 from seqresponse.noise import DriftMap, NoiseDensity
 from seqresponse.sequence import (
@@ -127,14 +126,14 @@ class TestAdvance:
 
 
 def unbatched_sweep(sys_, burn_in, seed, eps):
-    """The pullback as first written: one sweep per burn-in, one apply per step."""
+    """The pullback as first written: one sweep per burn-in, one push of one density per step."""
     n_lo, n_hi = sys_.window
     mu, out = seed, []
     for m in range(n_lo - burn_in, n_hi + 1):
         if m >= n_lo:
             out.append(mu)
         if m <= n_hi - 1 or m < n_lo:
-            mu = transfer.apply(sys_.operator(m, eps), mu)
+            mu = transfer.push(sys_.operator(m, eps), mu)
     return out
 
 
@@ -153,46 +152,46 @@ class TestBatchedSweep:
     def test_bits_match_unbatched_sweeps(self, make, eps, burn_in):
         # the width-2 block gives the densities and residual of two separate sweeps, bit for bit
         sys_ = make()
-        seed = DensityGrid(1 + 0.5 * np.cos(2 * np.pi * X))
+        seed = 1 + 0.5 * np.cos(2 * np.pi * X)
         fam, residual = pullback_equivariant(sys_, burn_in, seed, tol=np.inf, eps=eps)
         full = unbatched_sweep(sys_, burn_in, seed, eps)
         half = unbatched_sweep(sys_, max(1, burn_in // 2), seed, eps)
         assert (fam.n_lo, fam.n_hi) == sys_.window
-        assert np.array_equal(fam.values, np.array([mu.values for mu in full]))
-        assert residual == max(grid.norm_w11(a.values - b.values) for a, b in zip(full, half))
+        assert np.array_equal(fam.values, np.array(full))
+        assert residual == max(grid.norm_w11(a - b) for a, b in zip(full, half))
 
 
 class TestPullback:
     def test_constant_doubling_uniform(self):
         sys_ = doubling_system()
-        seed = DensityGrid(1 + 0.5 * np.cos(2 * np.pi * X))
+        seed = 1 + 0.5 * np.cos(2 * np.pi * X)
         fam, residual = pullback_equivariant(sys_, 60, seed)
         assert residual <= 1e-9
         for n in range(fam.n_lo, fam.n_hi + 1):
             assert np.max(np.abs(fam[n] - 1.0)) <= 1e-8
 
     def test_uniform_noise_one_step(self):
-        fam, _ = pullback_equivariant(noisy_uniform_system(), 5, DensityGrid(1 + 0.9 * np.cos(2 * np.pi * X)))
+        fam, _ = pullback_equivariant(noisy_uniform_system(), 5, 1 + 0.9 * np.cos(2 * np.pi * X))
         for n in range(fam.n_lo, fam.n_hi + 1):
             assert np.max(np.abs(fam[n] - 1.0)) <= 1e-12
 
     def test_two_seed_uniqueness(self):
         sys_ = bump_system()
-        fam_a, res_a = pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, N))
-        fam_b, res_b = pullback_equivariant(sys_, 60, DensityGrid(1 + 0.9 * np.cos(2 * np.pi * X)))
+        fam_a, res_a = pullback_equivariant(sys_, 60, np.ones(N))
+        fam_b, res_b = pullback_equivariant(sys_, 60, 1 + 0.9 * np.cos(2 * np.pi * X))
         gap = max(grid.norm_l1(a - b) for a, b in zip(fam_a.values, fam_b.values))
         assert gap <= 1e-8
         assert gap <= 10 * max(res_a, res_b) + 1e-12
 
     def test_equivariance_residual(self):
         sys_ = bump_system()
-        fam, _ = pullback_equivariant(sys_, 60, DensityGrid.constant(1.0, N))
+        fam, _ = pullback_equivariant(sys_, 60, np.ones(N))
         for n in range(fam.n_lo, fam.n_hi):
-            pushed = transfer.apply(sys_.operator(n), DensityGrid(fam[n]))
-            assert grid.norm_l1(fam[n + 1] - pushed.values) <= 1e-9
+            pushed = transfer.push(sys_.operator(n), fam[n])
+            assert grid.norm_l1(fam[n + 1] - pushed) <= 1e-9
 
     def test_probability_densities(self):
-        fam, _ = pullback_equivariant(bump_system(), 60, DensityGrid.constant(1.0, N))
+        fam, _ = pullback_equivariant(bump_system(), 60, np.ones(N))
         for mu in fam.values:
             assert abs(grid.mass(mu) - 1.0) <= 1e-10
             assert np.min(mu) >= -1e-12
@@ -201,35 +200,45 @@ class TestPullback:
         # two burn-in steps of a 0.7-contraction cannot reach 1e-12
         sys_ = bump_system(floor=0.3)
         with pytest.raises(NotConverged):
-            pullback_equivariant(sys_, 2, DensityGrid(1 + 0.9 * np.cos(8 * np.pi * X)), tol=1e-12)
+            pullback_equivariant(sys_, 2, 1 + 0.9 * np.cos(8 * np.pi * X), tol=1e-12)
 
     def test_bad_seed_rejected(self):
         with pytest.raises(ValueError):
-            pullback_equivariant(doubling_system(), 10, DensityGrid.constant(2.0, N))
+            pullback_equivariant(doubling_system(), 10, np.full(N, 2.0))
+
+    @pytest.mark.parametrize("seed", [np.ones((2, N)), np.ones(N - 1), np.full(N, np.inf)], ids=["2-d", "odd", "inf"])
+    def test_unchecked_seed_rejected(self, seed):
+        with pytest.raises(ValueError):
+            pullback_equivariant(doubling_system(), 10, seed)
 
 
 class TestMemoryDecay:
     def test_first_harmonic_dies_immediately(self):
-        records, _ = memory_decay(doubling_system(), DensityGrid(np.cos(2 * np.pi * X)), 0, 5)
+        records, _ = memory_decay(doubling_system(), np.cos(2 * np.pi * X), 0, 5)
         assert records[0, 1] <= 1e-8  # W11 norm at k=1
 
     def test_degree_four_dies_in_three(self):
-        records, _ = memory_decay(doubling_system(window=(0, 20)), DensityGrid(np.cos(8 * np.pi * X)), 0, 6)
+        records, _ = memory_decay(doubling_system(window=(0, 20)), np.cos(8 * np.pi * X), 0, 6)
         # cos 8pix -> cos 4pix -> cos 2pix -> 0
         assert records[2, 1] <= 1e-7
 
     def test_doeblin_rate(self):
         sys_ = bump_system()
-        v = grid.project_zero_mass(DensityGrid(np.random.default_rng(1).normal(size=N)))
+        v = grid.project_zero_mass(np.random.default_rng(1).normal(size=N))
         records, _ = memory_decay(sys_, v, 0, 8)
         alpha = 0.3
-        l1_0 = grid.norm_l1(v.values)
+        l1_0 = grid.norm_l1(v)
         for k, _, l1 in records:
             assert l1 <= (1 - alpha) ** k * l1_0 * (1 + 1e-6)
 
     def test_nonzero_mass_rejected(self):
         with pytest.raises(ValueError):
-            memory_decay(doubling_system(), DensityGrid.constant(1.0, N), 0, 3)
+            memory_decay(doubling_system(), np.ones(N), 0, 3)
+
+    @pytest.mark.parametrize("seed", [np.zeros((2, N)), np.zeros(N - 1), np.full(N, np.nan)], ids=["2-d", "odd", "nan"])
+    def test_unchecked_seed_rejected(self, seed):
+        with pytest.raises(ValueError):
+            memory_decay(doubling_system(), seed, 0, 3)
 
     def test_fitted_rate_periodic_schedule(self):
         t0 = CircleMap(2)
@@ -239,7 +248,7 @@ class TestMemoryDecay:
             [DeterministicEntry(t0, kick), DeterministicEntry(t1, kick)]
         )
         sys_ = SequenceSystem(sched, (0, 30), n_points=N)
-        v = DensityGrid(np.cos(2 * np.pi * X) + 0.5 * np.sin(4 * np.pi * X))
+        v = np.cos(2 * np.pi * X) + 0.5 * np.sin(4 * np.pi * X)
         _, fitted_rate = memory_decay(sys_, v, 0, 20)
         assert 0.0 <= fitted_rate < 1.0
 
@@ -285,7 +294,7 @@ class TestStrongBound:
         from seqresponse.constants import lasota_yorke_constants
 
         sys_ = doubling_system()
-        fam, _ = pullback_equivariant(sys_, 60, DensityGrid(1 + 0.9 * np.cos(2 * np.pi * X)))
+        fam, _ = pullback_equivariant(sys_, 60, 1 + 0.9 * np.cos(2 * np.pi * X))
         lam1, b = lasota_yorke_constants(2.0 - 1e-9, 0.0, 0.1)
         bound = b / (1 - lam1) + 1 + 0.5
         assert max(grid.norm_w11(mu) for mu in fam.values) <= bound
@@ -300,11 +309,11 @@ class TestOperatorMemory:
         q = NoiseDensity.bump(0.5, 0.08, 0.3, n)
         noisy = NoisyEntry(DriftMap(CircleMap(2), dot=np.sin(2 * np.pi * x)), q)
         sys_ = SequenceSystem(periodic_schedule([det, noisy]), (0, 1), n_points=n)
-        f = DensityGrid(1.0 + 0.5 * np.cos(2 * np.pi * x))
+        f = 1.0 + 0.5 * np.cos(2 * np.pi * x)
         tracemalloc.start()
         try:
             for n_index, eps in ((0, 0.0), (0, 0.01), (1, 0.01)):
-                transfer.apply(sys_.operator(n_index, eps), f)
+                transfer.push(sys_.operator(n_index, eps), f)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

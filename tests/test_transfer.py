@@ -7,7 +7,6 @@ from test_noise import noisy_systems
 
 from seqresponse import grid, noise, transfer
 from seqresponse.errors import InvalidSystem
-from seqresponse.grid import DensityGrid
 from seqresponse.maps import CircleMap, KickedMap, KickField
 
 N = 256
@@ -49,7 +48,7 @@ def kicked_systems(draw):
 
 class TestDeterministic:
     def test_lebesgue_invariant(self, doubling_matrix):
-        out = transfer.apply(doubling_matrix, DensityGrid.constant(1.0, N))
+        out = transfer.apply(doubling_matrix, grid.DensityGrid(np.ones(N)))
         assert np.max(np.abs(out.values - 1.0)) <= 1e-12
 
     def test_harmonic_annihilation(self, doubling_matrix):
@@ -145,12 +144,12 @@ class TestMatrixFree:
 def operators(draw):
     """An admissible operator in each stencil layout.
 
-    A gather (a map of degree 2-3, kicked or not), a scatter with a
-    kernel (a bump-noise kernel) or a scatter without one (a kick
-    composed densely with a map).
+    A gather (a map of degree 2-3, kicked or not), a dense gather with
+    k = N (a kick composed densely with a map) or a spread with a kernel
+    (a bump-noise kernel).
     """
-    layout = draw(st.sampled_from(["gather", "kernel", "scatter"]))
-    if layout == "scatter":
+    layout = draw(st.sampled_from(["gather", "dense", "spread"]))
+    if layout == "dense":
         t, kick, eps = draw(kicked_systems())
         return transfer.compose_matrices(transfer.build_kick(kick, eps, N), transfer.build_deterministic(t, N))
     if layout == "gather":
@@ -172,7 +171,7 @@ class TestPush:
         assert out.shape == (m, N)
         dense = a.to_dense()
         for r in range(m):
-            alone = transfer.apply(a, DensityGrid(v[r])).values
+            alone = transfer.apply(a, grid.DensityGrid(v[r])).values
             assert np.array_equal(out[r], transfer.push(a, v[r]))
             assert np.sum(np.abs(out[r] - alone)) <= 1e-13 * np.sum(np.abs(alone))
             ref = dense @ v[r]
@@ -210,6 +209,25 @@ class TestPush:
         assert doubling_matrix.rows is None
         assert doubling_matrix.cols.shape == doubling_matrix.entries.shape == (12, N)
 
+    def test_every_stencil_is_k_by_n(self, doubling_matrix):
+        # a noise kernel is a 4-point spread, a dense product a gather with k = N
+        kernel = noise.build_kernel(noise.DriftMap(base=CircleMap(2)), 0.0, noise.NoiseDensity.uniform(N), N)
+        assert kernel.cols is None and kernel.rows.shape == kernel.entries.shape == (4, N)
+        product = transfer.compose_matrices(doubling_matrix, doubling_matrix)
+        assert product.rows is None and product.cols.shape == product.entries.shape == (N, N)
+        assert np.array_equal(product.cols, np.broadcast_to(np.arange(N)[:, None], (N, N)))
+
+    @pytest.mark.parametrize("layout", ["both", "neither"])
+    def test_rows_xor_cols(self, layout):
+        index = np.zeros((1, N), dtype=np.int64) if layout == "both" else None
+        with pytest.raises(ValueError, match="exactly one of rows"):
+            transfer.TransferMatrix(index, index, np.ones((1, N)), N)
+
+    @pytest.mark.parametrize("shape", [(N,), (1, N // 2), (1, 2, N)])
+    def test_rejects_stencil_of_other_shape(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            transfer.TransferMatrix(np.zeros(shape, dtype=np.int64), None, np.ones(shape), N)
+
 
 class TestDOperator:
     def test_constant_everything(self):
@@ -231,21 +249,21 @@ class TestDOperator:
 
 class TestApply:
     def test_identity_kind(self):
-        ident = transfer.TransferMatrix(np.arange(N), np.arange(N), np.ones(N), N)
-        f = DensityGrid(random_density(np.random.default_rng(8)))
+        ident = transfer.TransferMatrix(np.arange(N)[None], None, np.ones((1, N)), N)
+        f = grid.DensityGrid(random_density(np.random.default_rng(8)))
         assert np.all(transfer.apply(ident, f).values == f.values)
 
     def test_zero(self, doubling_matrix):
-        out = transfer.apply(doubling_matrix, DensityGrid.constant(0.0, N))
+        out = transfer.apply(doubling_matrix, grid.DensityGrid(np.zeros(N)))
         assert np.max(np.abs(out.values)) == 0.0
 
     def test_linearity(self, doubling_matrix):
         rng = np.random.default_rng(9)
         f, g = random_density(rng), random_density(rng)
-        lhs = transfer.apply(doubling_matrix, DensityGrid(f + g)).values
-        rhs = transfer.apply(doubling_matrix, DensityGrid(f)).values + transfer.apply(doubling_matrix, DensityGrid(g)).values
+        lhs = transfer.apply(doubling_matrix, grid.DensityGrid(f + g)).values
+        rhs = transfer.apply(doubling_matrix, grid.DensityGrid(f)).values + transfer.apply(doubling_matrix, grid.DensityGrid(g)).values
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_dimension_mismatch(self, doubling_matrix):
         with pytest.raises(InvalidSystem, match="matrix is 256, grid is 128"):
-            transfer.apply(doubling_matrix, DensityGrid.constant(1.0, 128))
+            transfer.apply(doubling_matrix, grid.DensityGrid(np.ones(128)))

@@ -7,9 +7,12 @@ they are kept off the default test paths:
     python benches/record.py BENCH_<n>.json parent=parent.json change=layers.json
 
 The Monte Carlo system is the noisy-1024 reference: N = 1024, drift
-f(x) = 2x + 0.05 sin 2 pi x with fdot = sin 4 pi x sampled at the nodes,
-bump noise (center 0.5, width 0.08, floor 0.3).  Its kernels run on one
-Monte Carlo block of points.
+f(x) = 2x + 0.05 sin 2 pi x with the TrigPoly fdot = sin 4 pi x, bump
+noise (center 0.5, width 0.08, floor 0.3).  Its kernels run on one Monte
+Carlo block of points.  fdot is also timed at the sampler's shape, the
+3e6 points of a 1e6-sample, 3-step run in 8192-point chunks: exactly,
+as the sampler reads it, and by `grid.interpolate_values` from its node
+samples.
 
 The grid kernels are timed at N = 256, 1024 and 2048:
 `interpolation_stencil` at the N query points of that drift map's noise
@@ -36,7 +39,7 @@ import numpy as np
 import pytest
 
 from seqresponse import constants, grid, noise, response, sequence, transfer
-from seqresponse.maps import CircleMap, KickedMap, KickField
+from seqresponse.maps import CircleMap, KickedMap, KickField, TrigPoly
 from seqresponse.noise import DriftMap, NoiseDensity
 from seqresponse.sequence import (
     DeterministicEntry,
@@ -49,6 +52,8 @@ from seqresponse.sequence import (
 
 N = 1024
 POINTS = noise.MC_BLOCK_SIZE
+SAMPLER_POINTS = 3 * 10**6  # samples times steps of the noisy-1024 simulate
+FDOT = TrigPoly(sin_coeffs=(0.0, 0.0, 1.0))  # fdot(x) = sin 4 pi x
 
 
 @pytest.fixture(autouse=True)
@@ -58,8 +63,7 @@ def sizes(benchmark):
 
 @pytest.fixture(scope="module")
 def system():
-    x = np.arange(N) / N
-    drift = DriftMap(base=CircleMap(2, sin_coeffs=(0.0, 0.05)), dot=np.sin(4 * np.pi * x))
+    drift = DriftMap(base=CircleMap(2, sin_coeffs=(0.0, 0.05)), dot=FDOT)
     return drift, NoiseDensity.bump(0.5, 0.08, 0.3, N)
 
 
@@ -79,12 +83,29 @@ def test_trigpoly(benchmark, system, uniforms):
 
 
 def test_interpolate_values(benchmark, system, uniforms):
-    benchmark(grid.interpolate_values, system[0].dot, uniforms)
+    benchmark(grid.interpolate_values, FDOT(np.arange(N) / N), uniforms)
 
 
 def test_sample_noise(benchmark, system, uniforms):
-    cdf = noise._inverse_cdf_table(system[1])
-    benchmark(noise._sample_noise, cdf, noise._guide_table(cdf), uniforms)
+    benchmark(noise._sample_noise, noise._sampler_tables(system[1]), uniforms)
+
+
+@pytest.fixture(scope="module")
+def sampler_chunks():
+    """SAMPLER_POINTS uniform points as the sampler's MC_CHUNK-point slices."""
+    x = np.random.Generator(np.random.Philox(key=(1, 0))).uniform(0.0, 1.0, SAMPLER_POINTS)
+    return [x[lo : lo + noise.MC_CHUNK] for lo in range(0, SAMPLER_POINTS, noise.MC_CHUNK)]
+
+
+def test_fdot_exact(benchmark, sampler_chunks):
+    benchmark.extra_info["points"] = SAMPLER_POINTS
+    benchmark(lambda: [FDOT(c) for c in sampler_chunks])
+
+
+def test_fdot_cubic(benchmark, sampler_chunks):
+    samples = FDOT(np.arange(N) / N)
+    benchmark.extra_info["points"] = SAMPLER_POINTS
+    benchmark(lambda: [grid.interpolate_values(samples, c) for c in sampler_chunks])
 
 
 PUSH_GRIDS = (256, 1024, 2048)
@@ -94,8 +115,7 @@ T = CircleMap(2, sin_coeffs=(0.0, 0.05))
 
 def kernel_args(n: int) -> tuple:
     """Arguments of `noise.build_kernel` for the noisy-1024 reference system at N = n."""
-    x = np.arange(n) / n
-    return DriftMap(base=T, dot=np.sin(4 * np.pi * x)), 0.0, NoiseDensity.bump(0.5, 0.08, 0.3, n), n
+    return DriftMap(base=T, dot=FDOT), 0.0, NoiseDensity.bump(0.5, 0.08, 0.3, n), n
 
 
 def push_operator(kind: str, n: int) -> transfer.TransferMatrix:

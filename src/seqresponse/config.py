@@ -302,21 +302,13 @@ def build_noise(cfg: ExperimentConfig) -> NoiseDensity:
     raise ConfigError(f"unknown noise preset {preset!r}")
 
 
-def build_drift_dot(cfg: ExperimentConfig) -> np.ndarray | None:
-    """The N node samples of fdot from `[drift] dot`, or None for fdot = 0."""
-    cos, sin = _coeffs(cfg, "drift", "dot")
-    if not cos:
-        return None
-    return TrigPoly(cos, sin)(np.arange(cfg.n_points) / cfg.n_points)
-
-
 def _entries(cfg: ExperimentConfig, sections: list) -> list:
     """One schedule entry per map section; the entries share one kick, or one fdot and noise density."""
     maps = [build_map(cfg, s) for s in sections]
     if cfg.mode == "deterministic":
         kick = KickField(*_coeffs(cfg, "kick", "coeffs"))
         return [DeterministicEntry(map=m, kick=kick) for m in maps]
-    dot, q = build_drift_dot(cfg), build_noise(cfg)
+    dot, q = TrigPoly(*_coeffs(cfg, "drift", "dot")), build_noise(cfg)
     return [NoisyEntry(drift=DriftMap(base=m, dot=dot), noise=q) for m in maps]
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import grid as gridmod
 from . import transfer
 from .errors import InvalidSystem
-from .maps import CircleMap
+from .maps import CircleMap, TrigPoly
 from .transfer import TransferMatrix
 
 MC_BLOCK_SIZE = 1 << 16
@@ -79,26 +79,17 @@ class NoiseDensity:
 class DriftMap:
     """Drift f_eps = f0 + eps * fdot (mod 1) of the random system.
 
-    `base` is the CircleMap f0.  `dot` holds fdot's N node samples, read
-    off-grid by the 4-point cubic, or is None for fdot = 0.  The
-    remainder term of the eps-family is fixed at zero.
+    `base` is the CircleMap f0 and `dot` the TrigPoly fdot, zero unless
+    given; both are evaluated exactly.  The remainder term of the
+    eps-family is fixed at zero.
     """
 
-    def __init__(self, base: CircleMap, dot=None):
+    def __init__(self, base: CircleMap, dot: TrigPoly = TrigPoly()):
         self.base = base
         self.dot = dot
 
-    def base_values(self, x) -> np.ndarray:
-        return self.base.eval(gridmod.wrap(np.asarray(x, dtype=float)))
-
-    def dot_values(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.dot is None:
-            return np.zeros_like(x)
-        return gridmod.interpolate_values(np.asarray(self.dot, dtype=float), x)
-
     def eval(self, x, eps: float) -> np.ndarray:
-        return gridmod.wrap(self.base_values(x) + eps * self.dot_values(x))
+        return gridmod.wrap(self.base.eval(x) + eps * self.dot(x))
 
 
 def build_kernel(f: DriftMap, eps: float, q: NoiseDensity, n_points: int) -> TransferMatrix:
@@ -127,7 +118,7 @@ def kernel_forcing(f: DriftMap, a: TransferMatrix, mu: np.ndarray) -> np.ndarray
     mu and g are raw samples of one density; g has zero mass to round-off.
     """
     n = mu.shape[-1]
-    return gridmod.derivative(transfer.push(a, mu * f.dot_values(np.arange(n) / n))) * -1.0
+    return gridmod.derivative(transfer.push(a, mu * f.dot(np.arange(n) / n))) * -1.0
 
 
 def _inverse_cdf_table(q: NoiseDensity) -> np.ndarray:
@@ -149,22 +140,30 @@ def _guide_table(cdf: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(cdf, np.arange(m + 1) / m, side="right") - 1, n - 1)
 
 
-def _sample_noise(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _sampler_tables(q: NoiseDensity) -> tuple:
+    """(cdf, guide, upper, width), the tables of q that _sample_noise reads.
+
+    upper[i] is cdf[i + 1] with the last knot raised to inf, so the search
+    stops at N - 1; width[i] is cdf[i + 1] - cdf[i], or 1 where that is 0.
+    """
+    cdf = _inverse_cdf_table(q)
+    seg = np.diff(cdf)
+    return cdf, _guide_table(cdf), np.append(cdf[1:-1], np.inf), np.where(seg > 0.0, seg, 1.0)
+
+
+def _sample_noise(tables: tuple, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF sampling of u in [0, 1]: guide-table start, linear search, linear interpolation.
 
     The segment index is the last i <= N - 1 with cdf[i] <= u, exactly the
     binary search searchsorted(cdf, u, side="right") - 1 clipped to N - 1.
     """
-    n = cdf.shape[0] - 1
+    cdf, guide, upper, width = tables
     i = guide[(u * (guide.shape[0] - 1)).astype(np.int64)]
-    # cdf[i + 1] with the last knot raised to inf, so the search stops at N - 1.
-    upper = np.append(cdf[1:-1], np.inf)
     moving = np.flatnonzero(upper[i] <= u)
     while moving.size:
         i[moving] += 1
         moving = moving[upper[i[moving]] <= u[moving]]
-    seg = np.diff(cdf)
-    return (i + (u - cdf[i]) / np.where(seg > 0.0, seg, 1.0)[i]) / n
+    return (i + (u - cdf[i]) / width[i]) / (cdf.shape[0] - 1)
 
 
 def simulate_marginal(
@@ -187,8 +186,7 @@ def simulate_marginal(
     """
     if n_samples < 10**4:
         raise ValueError("need at least 1e4 samples")
-    cdf = _inverse_cdf_table(q)
-    guide = _guide_table(cdf)
+    tables = _sampler_tables(q)
     counts = np.zeros(n_bins, dtype=np.int64)
     n_blocks = (n_samples + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
     for b in range(n_blocks):
@@ -199,7 +197,7 @@ def simulate_marginal(
             drift, u = drift_at(step), rng.uniform(0.0, 1.0, size)
             for lo in range(0, size, MC_CHUNK):
                 c = slice(lo, lo + MC_CHUNK)
-                x[c] = gridmod.wrap(drift.eval(x[c], eps) + _sample_noise(cdf, guide, u[c]))
+                x[c] = gridmod.wrap(drift.eval(x[c], eps) + _sample_noise(tables, u[c]))
         counts += np.bincount(np.minimum((x * n_bins).astype(np.int64), n_bins - 1), minlength=n_bins)
     return counts * (n_bins / n_samples)
 

@@ -6,6 +6,7 @@ tests/test_acceptance.py` to see them all.
 
 import numpy as np
 import pytest
+from test_noise import SIN_2PI, SIN_4PI
 
 from seqresponse import constants, grid, noise, response, sequence, transfer
 from seqresponse.maps import CircleMap, KickField, c2_distance
@@ -73,7 +74,7 @@ def test_criterion_1_harmonic_exactness(doubling_matrix):
 
 def test_criterion_2_mass_preservation(doubling_matrix, bump_q):
     kick_mat = transfer.build_kick(KICK, 0.05, N)
-    kernel = noise.build_kernel(DriftMap(base=CircleMap(2), dot=np.sin(4 * np.pi * X)), 0.02, bump_q, N)
+    kernel = noise.build_kernel(DriftMap(base=CircleMap(2), dot=SIN_4PI), 0.02, bump_q, N)
     rng = np.random.default_rng(100)
     worst = 0.0
     for _ in range(100):
@@ -130,7 +131,7 @@ def test_criterion_5_equivariant_uniqueness(bump_q):
         n_points=N,
     )
     noisy = SequenceSystem(
-        constant_schedule(NoisyEntry(DriftMap(base=CircleMap(2), dot=np.sin(4 * np.pi * X)), bump_q)),
+        constant_schedule(NoisyEntry(DriftMap(base=CircleMap(2), dot=SIN_4PI), bump_q)),
         (0, 10),
         n_points=N,
     )
@@ -185,7 +186,7 @@ def test_criterion_7_nonautonomous_response():
 
 
 def test_criterion_8_noisy_response(bump_q):
-    drift = DriftMap(base=CircleMap(2), dot=np.sin(2 * np.pi * X))
+    drift = DriftMap(base=CircleMap(2), dot=SIN_2PI)
     entry = NoisyEntry(drift, bump_q)
     sys_ = SequenceSystem(constant_schedule(entry), (0, 12), n_points=N)
     fam, _ = sequence.pullback_equivariant(sys_, 60, np.ones(N))
@@ -228,7 +229,7 @@ def test_criterion_9_constants_reproduction(cert):
 
 
 def test_criterion_10_monte_carlo(bump_q):
-    drift = DriftMap(base=CircleMap(2), dot=np.sin(4 * np.pi * X))
+    drift = DriftMap(base=CircleMap(2), dot=SIN_4PI)
     eps, steps, samples = 0.02, 3, 10**6
     h1 = noise.simulate_marginal(lambda k: drift, eps, bump_q, steps, samples, seed=55, n_bins=64)
     h2 = noise.simulate_marginal(lambda k: drift, eps, bump_q, steps, samples, seed=55, n_bins=64)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_noise import noisy_systems
+from test_noise import SIN_4PI, noisy_systems
 from test_sequence import mixed_schedules
 from test_transfer import kicked_systems
 
@@ -38,7 +38,7 @@ def bump_system(window=(0, 12)):
     # dot field with the drift's periodicity: preimage contributions add
     # rather than cancel, so the forcing is genuinely nonzero
     q = NoiseDensity.bump(0.5, 0.08, 0.3, N)
-    entry = NoisyEntry(drift=DriftMap(base=CircleMap(2), dot=np.sin(4 * np.pi * X)), noise=q)
+    entry = NoisyEntry(drift=DriftMap(base=CircleMap(2), dot=SIN_4PI), noise=q)
     return SequenceSystem(constant_schedule(entry), window, n_points=N)
 
 
@@ -198,7 +198,7 @@ def mixed_setup(window=(0, 9)):
     q = NoiseDensity.bump(0.5, 0.08, 0.3, N)
     entries = [
         DeterministicEntry(CircleMap(2, sin_coeffs=(0.0, 0.05)), KICK),
-        NoisyEntry(DriftMap(base=CircleMap(2), dot=np.sin(4 * np.pi * X)), q),
+        NoisyEntry(DriftMap(base=CircleMap(2), dot=SIN_4PI), q),
     ]
     sys_ = SequenceSystem(periodic_schedule(entries), window, n_points=N)
     fam, _ = pullback_equivariant(sys_, 60, np.ones(N))
@@ -214,7 +214,7 @@ def reference_forcing(sys_, fam):
             mu_next = fam[n + 1] if n < fam.n_hi else transfer.push(sys_.operator(n, 0.0), mu)
             out.append(grid.derivative(entry.kick(X) * mu_next) * -1.0)
         else:
-            out.append(grid.derivative(transfer.push(sys_.operator(n, 0.0), mu * entry.drift.dot_values(X))) * -1.0)
+            out.append(grid.derivative(transfer.push(sys_.operator(n, 0.0), mu * entry.drift.dot(X))) * -1.0)
     return out
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_noise import noisy_systems
+from test_noise import SIN_2PI, noisy_systems
 from test_transfer import kicked_systems
 
 from seqresponse import grid, sequence, transfer
@@ -39,7 +39,7 @@ def noisy_uniform_system(window=(0, 6)):
 
 def bump_system(window=(0, 10), floor=0.3):
     q = NoiseDensity.bump(0.5, 0.08, floor, N)
-    entry = NoisyEntry(drift=DriftMap(base=CircleMap(2), dot=np.sin(2 * np.pi * X)), noise=q)
+    entry = NoisyEntry(drift=DriftMap(base=CircleMap(2), dot=SIN_2PI), noise=q)
     return SequenceSystem(constant_schedule(entry), window, n_points=N)
 
 
@@ -307,7 +307,7 @@ class TestOperatorMemory:
         x = np.arange(n) / n
         det = DeterministicEntry(CircleMap(2, sin_coeffs=(0.0, 0.05)), KickField(sin_coeffs=(0.0, 0.15)))
         q = NoiseDensity.bump(0.5, 0.08, 0.3, n)
-        noisy = NoisyEntry(DriftMap(CircleMap(2), dot=np.sin(2 * np.pi * x)), q)
+        noisy = NoisyEntry(DriftMap(CircleMap(2), dot=SIN_2PI), q)
         sys_ = SequenceSystem(periodic_schedule([det, noisy]), (0, 1), n_points=n)
         f = 1.0 + 0.5 * np.cos(2 * np.pi * x)
         tracemalloc.start()

@@ -28,11 +28,15 @@ noise kernel; `certify` of that map runs at N = 256.  The solver stages
 (the pullback, `forcing`, the Neumann series, the eps = 1e-3 difference
 quotients, `validate` and `resolvent_residual`) run on a
 det-256-session-like system: N = 256, window 0..300, burn-in 60, four
-degree-2 maps drawn per index, truncation K = 8.  The Neumann series
-and `resolvent_residual` also run at K = 8 on a det-2048-like system
-(N = 2048, window 0..12, the two scheduled maps of the det-2048 workload
-before jitter, periodic, with that kick) and a noisy-1024-like one (N = 1024,
-window 0..10, the noisy-1024 drift and bump noise, constant).
+degree-2 maps drawn per index, truncation K = 8.  The Neumann series,
+`resolvent_residual`, the difference quotients at the workloads' eps
+list (1e-2, 3e-3, 1e-3; each eps's assembly included, as in `respond`)
+and `validate` also run at K = 8 on a det-2048-like system (N = 2048,
+window 0..12, the two scheduled maps of the det-2048 workload before
+jitter, periodic, with that kick) and a noisy-1024-like one (N = 1024,
+window 0..10, the noisy-1024 drift and bump noise, constant).  The
+quotients' bench records in `cached_bytes` the bytes of the operators
+the system passed in still caches after it.
 """
 
 import numpy as np
@@ -54,6 +58,7 @@ N = 1024
 POINTS = noise.MC_BLOCK_SIZE
 SAMPLER_POINTS = 3 * 10**6  # samples times steps of the noisy-1024 simulate
 FDOT = TrigPoly(sin_coeffs=(0.0, 0.0, 1.0))  # fdot(x) = sin 4 pi x
+WORKLOAD_EPS = (1e-2, 3e-3, 1e-3)  # the eps list of the perfbench workloads
 
 
 @pytest.fixture(autouse=True)
@@ -220,7 +225,7 @@ def test_forcing(benchmark, session, session_sizes):
 
 
 def test_finite_difference_response(benchmark, session, session_response, session_sizes):
-    # session_response has built the eps = 1e-3 operators, so only the sweep and the quotients are timed
+    # each call pulls eps back on its own system, so the timing includes eps's assembly, as in `respond`
     sys_, fam, _ = session
     seed = np.ones(sys_.n_points)
     benchmark(response.finite_difference_response, sys_, [1e-3], 60, seed, base_family=fam)
@@ -251,19 +256,39 @@ def workload(request):
     sys_ = SequenceSystem(schedule, window, n_points=n)
     fam, _ = sequence.pullback_equivariant(sys_, 60, np.ones(n))
     g = response.forcing(sys_, fam)
-    return sys_, g, response.neumann_response(sys_, g, 8, (1.0, 0.5))[0]
+    return sys_, fam, g, response.neumann_response(sys_, g, 8, (1.0, 0.5))[0]
 
 
 def test_neumann_response_workload(benchmark, workload):
-    sys_, g, _ = workload
+    sys_, _, g, _ = workload
     benchmark.extra_info.update(n_points=sys_.n_points, points=g.values.size)
     benchmark(response.neumann_response, sys_, g, 8, (1.0, 0.5))
 
 
 def test_resolvent_residual_workload(benchmark, workload):
-    sys_, g, etas = workload
+    sys_, _, g, etas = workload
     benchmark.extra_info.update(n_points=sys_.n_points, points=etas.values.size)
     benchmark(response.resolvent_residual, sys_, etas, g)
+
+
+def cached_bytes(sys_: SequenceSystem) -> int:
+    """Bytes of the arrays of every operator the system caches."""
+    return sum(a.nbytes for mat in sys_._cache.values() for a in vars(mat).values() if isinstance(a, np.ndarray))
+
+
+def test_finite_difference_response_workload(benchmark, workload):
+    # the workloads' eps list; cached_bytes is what the system passed in still holds after the calls
+    sys_, fam, _, _ = workload
+    benchmark.extra_info.update(n_points=sys_.n_points, points=fam.values.size * len(WORKLOAD_EPS))
+    benchmark(response.finite_difference_response, sys_, WORKLOAD_EPS, 60, np.ones(sys_.n_points), base_family=fam)
+    benchmark.extra_info["cached_bytes"] = cached_bytes(sys_)
+
+
+def test_validate_workload(benchmark, workload):
+    sys_, fam, _, etas = workload
+    fd = response.finite_difference_response(sys_, WORKLOAD_EPS, 60, np.ones(sys_.n_points), base_family=fam)
+    benchmark.extra_info.update(n_points=sys_.n_points, points=etas.values.size * len(WORKLOAD_EPS))
+    benchmark(response.validate, etas, fd, 2e-2)
 
 
 def test_write_density_csv(benchmark, session, tmp_path):

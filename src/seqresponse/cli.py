@@ -11,7 +11,6 @@ failure; a failed run exits with the `exit_code` of its `errors` class.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -46,6 +45,7 @@ PLOT_TITLES = {
 
 
 def _config_digest(path: str) -> str:
+    import hashlib  # here, not at the top: OpenSSL then loads after the command's peak memory
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 

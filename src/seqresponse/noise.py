@@ -10,6 +10,7 @@ hence one-step L1 contraction by (1 - alpha) on zero-mass densities.
 
 from __future__ import annotations
 
+import sys
 import warnings
 
 import numpy as np
@@ -47,7 +48,8 @@ class NoiseDensity:
         self.density = v
         self.alpha = float(np.min(v))
         if self.alpha == 0.0:
-            warnings.warn("noise density touches zero; Doeblin contraction unavailable", stacklevel=2)
+            in_module = sys._getframe(1).f_code.co_filename == __file__  # built by `bump`: name its caller
+            warnings.warn("noise density touches zero; Doeblin contraction unavailable", stacklevel=2 + in_module)
 
     @property
     def n_points(self) -> int:

@@ -100,7 +100,8 @@ def finite_difference_response(
         raise ValueError("eps = 0 is not a valid difference quotient")
     quotients = {}
     for eps in eps_list:
-        fam_p, _ = seqmod.pullback_equivariant(sys, burn_in, seed_density, tol=tol, eps=eps)
+        scoped = SequenceSystem(sys.schedule, sys.window, sys.n_points)  # eps's operators go with it; sys keeps eps = 0
+        fam_p, _ = seqmod.pullback_equivariant(scoped, burn_in, seed_density, tol=tol, eps=eps)
         quotients[eps] = Window(base_family.n_lo, (fam_p.values - base_family.values) * (1.0 / eps))
     return quotients
 

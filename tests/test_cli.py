@@ -1,6 +1,10 @@
+import hashlib
 import json
 import os
+import pathlib
 import shutil
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -470,7 +474,7 @@ class TestCertify:
         assert cert["C_T0"] == 6.0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "certify"
-        assert len(manifest["config_sha256"]) == 64
+        assert manifest["config_sha256"] == hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
 
     def test_writes_no_plot(self, tmp_path):
         path, out = write_config(tmp_path, BASE_DET)
@@ -610,6 +614,16 @@ class TestReportFormat:
         for report in reports:
             text = report.read_text()
             assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", report.name
+
+
+class TestManifestDigest:
+    def test_import_leaves_openssl_unloaded(self):
+        # hashlib is imported where the digest is taken, after the command: OpenSSL stays out of its peak
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        code = "import sys, seqresponse.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestSimulate:

@@ -145,6 +145,10 @@ class TestNoiseDensity:
         with pytest.warns(UserWarning, match="touches zero") as record:
             unit_mass_noise(np.maximum(np.cos(2 * np.pi * X), 0.0))
         assert record[0].filename == __file__
+        # through the classmethod too: a zero floor and width 0.001 underflow to 0 away from the center
+        with pytest.warns(UserWarning, match="touches zero") as record:
+            NoiseDensity.bump(0.5, 0.001, 0.0, N)
+        assert record[0].filename == __file__
 
     def test_mass_enforced(self):
         with pytest.raises(ValueError):

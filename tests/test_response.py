@@ -325,6 +325,48 @@ class TestFiniteDifference:
         assert gap <= 5e-3
 
 
+def seeded_setup(window=(60, 69)):
+    """Two kicked maps and a noisy drift picked per index by a seeded-random schedule, from index 0 on."""
+    entries = [
+        DeterministicEntry(CircleMap(2, sin_coeffs=(0.0, 0.05)), KICK),
+        DeterministicEntry(CircleMap(3, cos_coeffs=(0.0, 0.02)), KICK),
+        NoisyEntry(DriftMap(base=CircleMap(2), dot=SIN_4PI), NoiseDensity.bump(0.5, 0.08, 0.3, N)),
+    ]
+    sys_ = SequenceSystem(seeded_random_schedule(entries, seed=5), window, n_points=N)
+    fam, _ = pullback_equivariant(sys_, 60, np.ones(N))
+    return entries, sys_, fam
+
+
+class TestScopedOperators:
+    """Each eps is pulled back on its own system over the shared schedule; the system passed in keeps eps = 0."""
+
+    EPS = (1e-2, -3e-3, 1e-3)
+
+    def test_passed_system_keeps_only_eps_zero(self):
+        _, sys_, fam = seeded_setup()
+        response.finite_difference_response(sys_, self.EPS, 60, np.ones(N), base_family=fam)
+        assert sys_._cache and {eps for _, eps in sys_._cache} == {0.0}
+
+    def test_each_eps_builds_each_entry_once(self, monkeypatch):
+        entries, sys_, fam = seeded_setup()
+        built = []
+        build = transfer.build_deterministic
+
+        def counted(t, n_points):
+            built.append((t.eps, id(t.base)))
+            return build(t, n_points)
+
+        monkeypatch.setattr(transfer, "build_deterministic", counted)
+        response.finite_difference_response(sys_, self.EPS, 60, np.ones(N), base_family=fam)
+        assert sorted(built) == sorted((eps, id(e.map)) for eps in self.EPS for e in entries[:2])
+
+    def test_quotients_match_pullbacks_on_the_shared_system(self):
+        _, sys_, fam = seeded_setup()
+        fd = response.finite_difference_response(sys_, self.EPS, 60, np.ones(N), base_family=fam)
+        for eps in self.EPS:
+            assert np.array_equal(fd[eps].values, np.array(reference_quotients(sys_, eps, fam)))
+
+
 class TestValidate:
     def test_passes(self, bump_setup):
         sys_, fam, g = bump_setup

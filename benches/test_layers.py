@@ -28,15 +28,15 @@ noise kernel; `certify` of that map runs at N = 256.  The solver stages
 (the pullback, `forcing`, the Neumann series, the eps = 1e-3 difference
 quotients, `validate` and `resolvent_residual`) run on a
 det-256-session-like system: N = 256, window 0..300, burn-in 60, four
-degree-2 maps drawn per index, truncation K = 8.  The Neumann series,
-`resolvent_residual`, the difference quotients at the workloads' eps
-list (1e-2, 3e-3, 1e-3; each eps's assembly included, as in `respond`)
-and `validate` also run at K = 8 on a det-2048-like system (N = 2048,
-window 0..12, the two scheduled maps of the det-2048 workload before
-jitter, periodic, with that kick) and a noisy-1024-like one (N = 1024,
-window 0..10, the noisy-1024 drift and bump noise, constant).  The
-quotients' bench records in `cached_bytes` the bytes of the operators
-the system passed in still caches after it.
+degree-2 maps drawn per index, truncation K = 8.  The pullback (burn-in
+60), `forcing`, the Neumann series, `resolvent_residual`, the difference
+quotients at the workloads' eps list (1e-2, 3e-3, 1e-3; each eps's
+assembly included, as in `respond`) and `validate` also run at K = 8 on
+a det-2048-like system (N = 2048, window 0..12, the two scheduled maps
+of the det-2048 workload before jitter, periodic, with that kick) and a
+noisy-1024-like one (N = 1024, window 0..10, the noisy-1024 drift and
+bump noise, constant).  The quotients' bench records in `cached_bytes`
+the bytes of the operators the system passed in still caches after it.
 """
 
 import numpy as np
@@ -257,6 +257,18 @@ def workload(request):
     fam, _ = sequence.pullback_equivariant(sys_, 60, np.ones(n))
     g = response.forcing(sys_, fam)
     return sys_, fam, g, response.neumann_response(sys_, g, 8, (1.0, 0.5))[0]
+
+
+def test_pullback_equivariant_workload(benchmark, workload):
+    sys_, fam, _, _ = workload
+    benchmark.extra_info.update(n_points=sys_.n_points, points=fam.values.size)
+    benchmark(sequence.pullback_equivariant, sys_, 60, np.ones(sys_.n_points))
+
+
+def test_forcing_workload(benchmark, workload):
+    sys_, fam, g, _ = workload
+    benchmark.extra_info.update(n_points=sys_.n_points, points=g.values.size)
+    benchmark(response.forcing, sys_, fam)
 
 
 def test_neumann_response_workload(benchmark, workload):

@@ -4,8 +4,9 @@ Each command `cmd_<name>(cfg, args)` runs the pipeline of one experiment
 config and writes CSV data plus JSON reports (all through `_write_json`)
 into the configured output directory, and every run a manifest with the
 config hash, package and library versions, and wall time.  Exit codes:
-0 ok, 1 config error, 2 invalid system, 3 non-convergence, 4 tolerance
-failure; a failed run exits with the `exit_code` of its `errors` class.
+0 ok, 1 config error or bad command line, 2 invalid system, 3
+non-convergence, 4 tolerance failure; a failed run exits with the
+`exit_code` of its `errors` class.
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ def cmd_respond(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[int, l
 
 def cmd_simulate(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[int, list]:
     steps, samples, bins, eps = read_simulate(cfg)
-    sys_ = build_system(cfg)
+    sys_ = build_system(cfg, eps)
     drift_at = lambda k: sys_.schedule(k).drift
     q = sys_.schedule(0).noise  # every scheduled entry shares the one configured noise
     density = noise.simulate_marginal(drift_at, eps, q, steps, samples, seed=cfg.seed, n_bins=bins)
@@ -195,7 +196,7 @@ def cmd_simulate(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[int, 
     grid.write_density_csv(out_csv, density, "bin_left,density")
     f = np.ones(cfg.n_points)
     for k in range(steps):
-        f = transfer.push(sys_.operator(k, eps), f)
+        f = transfer.push(sys_.operator(k), f)
     l1 = float(np.mean(np.abs(density - noise.bin_density(f, bins))))
     report = {"steps": steps, "samples": samples, "bins": bins, "eps": eps, "seed": cfg.seed, "l1_vs_operator": l1}
     return EXIT_OK, [out_csv, _write_json(cfg, "simulate.json", report)]
@@ -213,7 +214,10 @@ def main(argv=None) -> int:
         p.add_argument("--emit-gnuplot", action="store_true", help="write a plot script beside the CSVs")
         if name == "equivariant":
             p.add_argument("--two-seed", action="store_true", help="rerun from a second seed and report the gap")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a bad command line (usage on stderr), 0 after --help
+        return ConfigError.exit_code if exc.code else EXIT_OK
     t0 = time.monotonic()
     try:
         cfg = load_config(args.config)

@@ -325,7 +325,7 @@ def schedule_sections(cfg: ExperimentConfig) -> tuple[str, list]:
     return kind, names
 
 
-def build_system(cfg: ExperimentConfig) -> SequenceSystem:
+def build_system(cfg: ExperimentConfig, eps: float = 0.0) -> SequenceSystem:
     kind, sections = schedule_sections(cfg)
     entries = _entries(cfg, sections)
     if kind == "constant":
@@ -335,4 +335,4 @@ def build_system(cfg: ExperimentConfig) -> SequenceSystem:
     else:
         sched_seed = _as_seed(_get(cfg.raw, "schedule", "seed", str(cfg.seed)), "schedule.seed")
         schedule = seeded_random_schedule(entries, sched_seed)
-    return SequenceSystem(schedule, cfg.window, n_points=cfg.n_points)
+    return SequenceSystem(schedule, cfg.window, cfg.n_points, eps)

@@ -111,27 +111,22 @@ def _lagrange_weights(t: np.ndarray, offsets) -> list[np.ndarray]:
     return weights
 
 
-def interpolation_stencil(n_points: int, x) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the 4-point periodic cubic at query points x.
+def interpolation_stencil(n_points: int, x, offsets=CUBIC_OFFSETS) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the periodic Lagrange interpolant on the stencil offsets at query points x.
 
-    Returns (indices, weights) of shape (4, len(x)): the cubic through
-    nodes i0-1 .. i0+2 where i0 = floor(N x), evaluated at local offset
-    t = N x - i0.  Exact for cubics sampled on the stencil; weights sum
-    to 1, so constants are reproduced exactly.
+    Returns (indices, weights) of shape (len(offsets), len(x)): by default
+    the cubic through nodes i0-1 .. i0+2 where i0 = floor(N x), evaluated
+    at local offset t = N x - i0.  Exact for polynomials of the stencil's
+    degree sampled on it; weights sum to 1, so constants are reproduced
+    exactly.
     """
     i0, t = _cell(n_points, x)
-    return np.stack([(i0 + s) % n_points for s in CUBIC_OFFSETS]), np.stack(_lagrange_weights(t, CUBIC_OFFSETS))
+    return np.stack([(i0 + s) % n_points for s in offsets]), np.stack(_lagrange_weights(t, offsets))
 
 
 def interpolation_stencil6(n_points: int, x) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the 6-point periodic quintic at query points x.
-
-    Same layout as interpolation_stencil but one order higher on each
-    side; used inside transfer-matrix assembly, where the 4-point cubic
-    is not accurate enough for the operator tolerances at N = 256.
-    """
-    i0, t = _cell(n_points, x)
-    return np.stack([(i0 + s) % n_points for s in QUINTIC_OFFSETS]), np.stack(_lagrange_weights(t, QUINTIC_OFFSETS))
+    """The 6-point quintic stencil, for transfer-matrix assembly, where the cubic is not accurate enough at N = 256."""
+    return interpolation_stencil(n_points, x, QUINTIC_OFFSETS)
 
 
 def interpolate_values(values: np.ndarray, x) -> np.ndarray:

@@ -100,8 +100,8 @@ def finite_difference_response(
         raise ValueError("eps = 0 is not a valid difference quotient")
     quotients = {}
     for eps in eps_list:
-        scoped = SequenceSystem(sys.schedule, sys.window, sys.n_points)  # eps's operators go with it; sys keeps eps = 0
-        fam_p, _ = seqmod.pullback_equivariant(scoped, burn_in, seed_density, tol=tol, eps=eps)
+        perturbed = SequenceSystem(sys.schedule, sys.window, sys.n_points, eps)
+        fam_p, _ = seqmod.pullback_equivariant(perturbed, burn_in, seed_density, tol=tol)
         quotients[eps] = Window(base_family.n_lo, (fam_p.values - base_family.values) * (1.0 / eps))
     return quotients
 

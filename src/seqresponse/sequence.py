@@ -109,18 +109,24 @@ class Window:
 
 
 class SequenceSystem:
-    """Schedule of operators on a finite window with matrix caching."""
+    """The operators L_n^eps of a schedule at one perturbation strength eps on a finite window.
 
-    def __init__(self, schedule, window: tuple[int, int], n_points: int):
+    The perturbed dynamics is a sequential system in its own right: each
+    strength is its own system over the shared schedule, and `operator`
+    caches one operator per entry.
+    """
+
+    def __init__(self, schedule, window: tuple[int, int], n_points: int, eps: float = 0.0):
         if window[1] < window[0]:
             raise ValueError("empty window")
         self.schedule = schedule
         self.window = (int(window[0]), int(window[1]))
         self.n_points = int(n_points)
+        self.eps = float(eps)
         self._cache: dict = {}
 
-    def operator(self, n: int, eps: float = 0.0) -> TransferMatrix:
-        """Transfer matrix at index n and perturbation strength eps, cached per (entry, eps).
+    def operator(self, n: int) -> TransferMatrix:
+        """Transfer matrix L_n^eps at index n, cached per schedule entry.
 
         Deterministic entries realize L_n^eps = L_{h_eps o T_n}, the
         operator of the post-composition kicked map, assembled in one pass
@@ -128,15 +134,14 @@ class SequenceSystem:
         the tests compare it against.
         """
         entry = self.schedule(n)
-        cache_key = (entry, eps)
-        if cache_key in self._cache:
-            return self._cache[cache_key]
+        if entry in self._cache:
+            return self._cache[entry]
         if isinstance(entry, DeterministicEntry):
-            t = entry.map if eps == 0.0 else KickedMap(entry.kick, eps, entry.map)
+            t = entry.map if self.eps == 0.0 else KickedMap(entry.kick, self.eps, entry.map)
             mat = transfer.build_deterministic(t, self.n_points)
         else:
-            mat = noisemod.build_kernel(entry.drift, eps, entry.noise, self.n_points)
-        self._cache[cache_key] = mat
+            mat = noisemod.build_kernel(entry.drift, self.eps, entry.noise, self.n_points)
+        self._cache[entry] = mat
         return mat
 
     def advance(self, w: Window) -> np.ndarray:
@@ -154,59 +159,47 @@ class SequenceSystem:
         return out
 
 
-def _sweep(sys: SequenceSystem, burn_in: int, seed: np.ndarray, eps: float) -> tuple[np.ndarray, float]:
-    """Pullback densities at n_lo .. n_hi, one per row, from burn_in steps back, and their residual.
-
-    The half sweep from max(1, burn_in // 2) steps back shares every
-    operator with the full one from its start on, so both are pushed as
-    one width-2 block.  The residual is the largest W^{1,1} distance
-    between the two inside the window, taken as the sweep goes on
-    batches of differences of at most RESIDUAL_BUDGET samples.
-    """
-    n_lo, n_hi = sys.window
-    half = max(1, burn_in // 2)
-    full = seed
-    for m in range(n_lo - burn_in, n_lo - half):
-        full = transfer.push(sys.operator(m, eps), full)
-    block = np.stack([full, seed])
-    for m in range(n_lo - half, n_lo):
-        block = transfer.push(sys.operator(m, eps), block)
-    out = np.empty((n_hi - n_lo + 1, sys.n_points))
-    gaps, residual = [], 0.0
-    for m in range(n_lo, n_hi + 1):
-        out[m - n_lo] = block[0]
-        gaps.append(block[0] - block[1])
-        if len(gaps) * sys.n_points >= RESIDUAL_BUDGET or m == n_hi:
-            residual = max(residual, float(np.max(gridmod.norm_w11(np.array(gaps)))))
-            gaps.clear()
-        if m < n_hi:
-            block = transfer.push(sys.operator(m, eps), block)
-    return out, residual
-
-
 def pullback_equivariant(
     sys: SequenceSystem,
     burn_in: int,
     seed_density: np.ndarray,
     tol: float = DEFAULT_PULLBACK_TOL,
-    eps: float = 0.0,
 ) -> tuple[Window, float]:
     """Equivariant family (mu_n) on the system's window by the pullback construction, and its residual.
 
     mu_n is the burn_in-fold pushforward of the seed started at
-    n - burn_in; one sweep of length window + burn_in covers all n.
-    The residual compares against a half-burn-in sweep in W^{1,1}.
-    The seed's samples are checked by `grid.checked_density`.
+    n - burn_in; one sweep from n_lo - burn_in covers all n.  The
+    half-burn-in sweep from n_lo - max(1, burn_in // 2) shares every
+    operator with it from there on, so it joins the pushed block as a
+    second row.  The residual is the largest W^{1,1} distance between
+    the two rows inside the window, normed in batches of differences of
+    at most RESIDUAL_BUDGET samples.  The seed's samples are checked by
+    `grid.checked_density`.
     """
     if burn_in < 1:
         raise ValueError("burn_in must be >= 1")
     seed = gridmod.checked_density(seed_density)
     if abs(gridmod.mass(seed) - 1.0) > 1e-10:
         raise ValueError("seed must be a probability density")
-    full, residual = _sweep(sys, burn_in, seed, eps)
+    n_lo, n_hi = sys.window
+    join = n_lo - max(1, burn_in // 2)
+    block = seed[None]
+    out = np.empty((n_hi - n_lo + 1, sys.n_points))
+    gaps, residual = [], 0.0
+    for m in range(n_lo - burn_in, n_hi + 1):
+        if m == join:
+            block = np.stack([block[0], seed])
+        if m >= n_lo:
+            out[m - n_lo] = block[0]
+            gaps.append(block[0] - block[1])
+            if len(gaps) * sys.n_points >= RESIDUAL_BUDGET or m == n_hi:
+                residual = max(residual, float(np.max(gridmod.norm_w11(np.array(gaps)))))
+                gaps.clear()
+        if m < n_hi:
+            block = transfer.push(sys.operator(m), block)
     if residual > tol:
         raise NotConverged(f"pullback residual {residual:.3g} > tol {tol:.3g}; increase burn_in")
-    return Window(sys.window[0], full), residual
+    return Window(n_lo, out), residual
 
 
 def memory_decay(sys: SequenceSystem, v: np.ndarray, j: int, k_max: int) -> tuple[np.ndarray, float]:

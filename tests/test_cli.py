@@ -219,6 +219,18 @@ class TestExitCodes:
         assert cli.main(["simulate", path]) == 1
 
     @pytest.mark.parametrize(
+        "argv", [[], ["respond"], ["bogus", "x.ini"], ["certify", "x.ini", "--two-seed"]],
+        ids=["no-arguments", "no-config", "unknown-command", "unknown-flag"],
+    )
+    def test_bad_command_line_is_1(self, capsys, argv):
+        assert cli.main(argv) == 1
+        assert "usage: seqresponse" in capsys.readouterr().err
+
+    def test_help_is_0(self, capsys):
+        assert cli.main(["--help"]) == 0
+        assert "usage: seqresponse" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
         "base, old, new, command",
         [
             pytest.param(BASE_DET, "n = 256", "n = 255", "certify", id="odd-n"),

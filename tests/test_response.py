@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_noise import SIN_4PI, noisy_systems
-from test_sequence import mixed_schedules
+from test_sequence import fresh_operator, mixed_schedules, same_bits
 from test_transfer import kicked_systems
 
 from seqresponse import grid, noise, response, sequence, transfer
@@ -156,7 +156,7 @@ def double_loop_response(sys_, g, n_lo, n_hi, k_order):
     for n in range(n_lo, n_hi + 1):
         acc = g[n - k_order - 1]
         for m in range(n - k_order, n):
-            acc = transfer.push(sys_.operator(m, 0.0), acc) + g[m]
+            acc = transfer.push(sys_.operator(m), acc) + g[m]
         etas.append(acc)
     return etas
 
@@ -211,16 +211,16 @@ def reference_forcing(sys_, fam):
     for n in range(fam.n_lo, fam.n_hi + 1):
         entry, mu = sys_.schedule(n), fam[n]
         if isinstance(entry, DeterministicEntry):
-            mu_next = fam[n + 1] if n < fam.n_hi else transfer.push(sys_.operator(n, 0.0), mu)
+            mu_next = fam[n + 1] if n < fam.n_hi else transfer.push(sys_.operator(n), mu)
             out.append(grid.derivative(entry.kick(X) * mu_next) * -1.0)
         else:
-            out.append(grid.derivative(transfer.push(sys_.operator(n, 0.0), mu * entry.drift.dot(X))) * -1.0)
+            out.append(grid.derivative(transfer.push(sys_.operator(n), mu * entry.drift.dot(X))) * -1.0)
     return out
 
 
 def reference_quotients(sys_, eps, fam):
     """Difference quotients as first written: one density per index."""
-    fam_p, _ = pullback_equivariant(sys_, 60, np.ones(N), eps=eps)
+    fam_p, _ = pullback_equivariant(SequenceSystem(sys_.schedule, sys_.window, N, eps), 60, np.ones(N))
     return [(p - b) * (1.0 / eps) for p, b in zip(fam_p.values, fam.values)]
 
 
@@ -236,7 +236,7 @@ def reference_resolvent_residual(sys_, etas, g):
     """The residual as first written: one push and one L1 norm per interior index."""
     res = 0.0
     for n in range(etas.n_lo + 1, etas.n_hi + 1):
-        pushed = transfer.push(sys_.operator(n - 1, 0.0), etas[n - 1])
+        pushed = transfer.push(sys_.operator(n - 1), etas[n - 1])
         res = max(res, float(grid.norm_l1(etas[n] - pushed - g[n - 1])))
     return res
 
@@ -345,7 +345,9 @@ class TestScopedOperators:
     def test_passed_system_keeps_only_eps_zero(self):
         _, sys_, fam = seeded_setup()
         response.finite_difference_response(sys_, self.EPS, 60, np.ones(N), base_family=fam)
-        assert sys_._cache and {eps for _, eps in sys_._cache} == {0.0}
+        assert sys_.eps == 0.0 and sys_._cache
+        for entry, mat in sys_._cache.items():
+            assert same_bits(mat, fresh_operator(entry, 0.0))
 
     def test_each_eps_builds_each_entry_once(self, monkeypatch):
         entries, sys_, fam = seeded_setup()
@@ -434,7 +436,7 @@ def dropped_term_l1(sys_, g, n, k_order):
     """||L_{n-1} ... L_{n-K-1} g_{n-K-2}||_L1, the (K+1)-st series term that truncation at K drops."""
     acc = g[n - k_order - 2]
     for m in range(n - k_order - 1, n):
-        acc = transfer.push(sys_.operator(m, 0.0), acc)
+        acc = transfer.push(sys_.operator(m), acc)
     return grid.norm_l1(acc)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from test_noise import SIN_2PI, noisy_systems
 from test_transfer import kicked_systems
 
-from seqresponse import grid, sequence, transfer
+from seqresponse import grid, noise, sequence, transfer
 from seqresponse.errors import NotConverged, WindowExceeded
 from seqresponse.maps import CircleMap, KickedMap, KickField
 from seqresponse.noise import DriftMap, NoiseDensity
@@ -37,10 +37,10 @@ def noisy_uniform_system(window=(0, 6)):
     return SequenceSystem(constant_schedule(entry), window, n_points=N)
 
 
-def bump_system(window=(0, 10), floor=0.3):
+def bump_system(window=(0, 10), floor=0.3, eps=0.0):
     q = NoiseDensity.bump(0.5, 0.08, floor, N)
     entry = NoisyEntry(drift=DriftMap(base=CircleMap(2), dot=SIN_2PI), noise=q)
-    return SequenceSystem(constant_schedule(entry), window, n_points=N)
+    return SequenceSystem(constant_schedule(entry), window, n_points=N, eps=eps)
 
 
 class TestWindow:
@@ -125,7 +125,7 @@ class TestAdvance:
         assert np.all(np.abs(masses[::2]) <= 1e-12 * l1[::2])
 
 
-def unbatched_sweep(sys_, burn_in, seed, eps):
+def unbatched_sweep(sys_, burn_in, seed):
     """The pullback as first written: one sweep per burn-in, one push of one density per step."""
     n_lo, n_hi = sys_.window
     mu, out = seed, []
@@ -133,17 +133,17 @@ def unbatched_sweep(sys_, burn_in, seed, eps):
         if m >= n_lo:
             out.append(mu)
         if m <= n_hi - 1 or m < n_lo:
-            mu = transfer.push(sys_.operator(m, eps), mu)
+            mu = transfer.push(sys_.operator(m), mu)
     return out
 
 
-def two_map_system(window=(0, 9)):
+def two_map_system(window=(0, 9), eps=0.0):
     kick = KickField(sin_coeffs=(0.0, 1 / (2 * np.pi)))
     entries = [
         DeterministicEntry(CircleMap(2, sin_coeffs=(0.0, 0.05)), kick),
         DeterministicEntry(CircleMap(3, cos_coeffs=(0.0, 0.02)), kick),
     ]
-    return SequenceSystem(periodic_schedule(entries), window, n_points=N)
+    return SequenceSystem(periodic_schedule(entries), window, n_points=N, eps=eps)
 
 
 class TestBatchedSweep:
@@ -151,11 +151,11 @@ class TestBatchedSweep:
     @pytest.mark.parametrize("make, eps", [(two_map_system, 0.0), (two_map_system, 3e-3), (bump_system, 1e-2)])
     def test_bits_match_unbatched_sweeps(self, make, eps, burn_in):
         # the width-2 block gives the densities and residual of two separate sweeps, bit for bit
-        sys_ = make()
+        sys_ = make(eps=eps)
         seed = 1 + 0.5 * np.cos(2 * np.pi * X)
-        fam, residual = pullback_equivariant(sys_, burn_in, seed, tol=np.inf, eps=eps)
-        full = unbatched_sweep(sys_, burn_in, seed, eps)
-        half = unbatched_sweep(sys_, max(1, burn_in // 2), seed, eps)
+        fam, residual = pullback_equivariant(sys_, burn_in, seed, tol=np.inf)
+        full = unbatched_sweep(sys_, burn_in, seed)
+        half = unbatched_sweep(sys_, max(1, burn_in // 2), seed)
         assert (fam.n_lo, fam.n_hi) == sys_.window
         assert np.array_equal(fam.values, np.array(full))
         assert residual == max(grid.norm_w11(a - b) for a, b in zip(full, half))
@@ -253,6 +253,21 @@ class TestMemoryDecay:
         assert 0.0 <= fitted_rate < 1.0
 
 
+def fresh_operator(entry, eps):
+    """L^eps of one schedule entry, assembled anew."""
+    if isinstance(entry, DeterministicEntry):
+        return transfer.build_deterministic(entry.map if eps == 0.0 else KickedMap(entry.kick, eps, entry.map), N)
+    return noise.build_kernel(entry.drift, eps, entry.noise, N)
+
+
+def same_bits(a, b):
+    """Two transfer matrices with the same stencil, spectrum and mass correction, bit for bit."""
+    va, vb = vars(a), vars(b)
+    return va.keys() == vb.keys() and all(
+        np.array_equal(va[k], vb[k]) if isinstance(va[k], np.ndarray) else va[k] == vb[k] for k in va
+    )
+
+
 class TestSchedules:
     def test_seeded_random_deterministic(self):
         entries = [
@@ -277,15 +292,17 @@ class TestSchedules:
         for a, b in ((DeterministicEntry(t, kick), DeterministicEntry(t, kick)), (NoisyEntry(drift, q), NoisyEntry(drift, q))):
             assert a != b and len({a: 0, b: 1}) == 2
 
-    def test_entries_sharing_a_key_get_their_own_operators(self):
-        kick = KickField(sin_coeffs=(0.0, 0.1))
-        maps = (CircleMap(2), CircleMap(2, sin_coeffs=(0.0, 0.05)))
-        entries = [DeterministicEntry(t, kick) for t in maps]
-        sys_ = SequenceSystem(periodic_schedule(entries), (0, 3), n_points=N)
-        for eps in (0.0, 0.01):
-            for n, t in enumerate(maps):
-                expected = transfer.build_deterministic(t if eps == 0.0 else KickedMap(kick, eps, t), N)
-                assert np.array_equal(sys_.operator(n, eps).to_dense(), expected.to_dense())
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(schedule=mixed_schedules(), size=st.floats(1e-4, 1e-2), sign=st.sampled_from([-1.0, 1.0]))
+    def test_entries_sharing_a_key_get_their_own_operators(self, schedule, size, sign):
+        # each strength is its own system over the shared schedule: its operators are fresh ones at eps
+        eps = sign * size
+        sys_eps = SequenceSystem(schedule, (0, 7), N, eps)
+        sys_0 = SequenceSystem(schedule, (0, 7), N)
+        for n in range(8):
+            got = sys_eps.operator(n)
+            assert same_bits(got, fresh_operator(schedule(n), eps))
+            assert sys_0.operator(n) is not got
 
 
 class TestStrongBound:
@@ -308,12 +325,12 @@ class TestOperatorMemory:
         det = DeterministicEntry(CircleMap(2, sin_coeffs=(0.0, 0.05)), KickField(sin_coeffs=(0.0, 0.15)))
         q = NoiseDensity.bump(0.5, 0.08, 0.3, n)
         noisy = NoisyEntry(DriftMap(CircleMap(2), dot=SIN_2PI), q)
-        sys_ = SequenceSystem(periodic_schedule([det, noisy]), (0, 1), n_points=n)
+        systems = {eps: SequenceSystem(periodic_schedule([det, noisy]), (0, 1), n, eps) for eps in (0.0, 0.01)}
         f = 1.0 + 0.5 * np.cos(2 * np.pi * x)
         tracemalloc.start()
         try:
             for n_index, eps in ((0, 0.0), (0, 0.01), (1, 0.01)):
-                transfer.push(sys_.operator(n_index, eps), f)
+                transfer.push(systems[eps].operator(n_index), f)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -28,10 +28,12 @@ noise kernel; `certify` of that map runs at N = 256.  The solver stages
 (the pullback, `forcing`, the Neumann series, the eps = 1e-3 difference
 quotients, `validate` and `resolvent_residual`) run on a
 det-256-session-like system: N = 256, window 0..300, burn-in 60, four
-degree-2 maps drawn per index, truncation K = 8.  The pullback (burn-in
-60), `forcing`, the Neumann series, `resolvent_residual`, the difference
-quotients at the workloads' eps list (1e-2, 3e-3, 1e-3; each eps's
-assembly included, as in `respond`) and `validate` also run at K = 8 on
+degree-2 maps drawn per index, truncation K = 8; `forcing` also runs
+over the three maps the det-256-session workload schedules, before
+jitter.  The pullback (burn-in 60), `forcing`, the Neumann series,
+`resolvent_residual`, the difference quotients at the workloads' eps
+list (1e-2, 3e-3, 1e-3; each eps's assembly included, as in `respond`)
+and `validate` also run at K = 8 on
 a det-2048-like system (N = 2048, window 0..12, the two scheduled maps
 of the det-2048 workload before jitter, periodic, with that kick) and a
 noisy-1024-like one (N = 1024, window 0..10, the noisy-1024 drift and
@@ -43,7 +45,7 @@ import numpy as np
 import pytest
 
 from seqresponse import constants, grid, noise, response, sequence, transfer
-from seqresponse.maps import CircleMap, KickedMap, KickField, TrigPoly
+from seqresponse.maps import CircleMap, KickedMap, TrigPoly
 from seqresponse.noise import DriftMap, NoiseDensity
 from seqresponse.sequence import (
     DeterministicEntry,
@@ -142,7 +144,7 @@ def test_push(benchmark, kind, width, n):
 @pytest.mark.parametrize("n", PUSH_GRIDS)
 @pytest.mark.parametrize("kind", ["plain", "kicked"])
 def test_build_deterministic(benchmark, kind, n):
-    t = T if kind == "plain" else KickedMap(KickField(sin_coeffs=(0.0, 1 / (2 * np.pi))), 1e-2, T)
+    t = T if kind == "plain" else KickedMap(TrigPoly(sin_coeffs=(0.0, 1 / (2 * np.pi))), 1e-2, T)
     benchmark.extra_info.update(n_points=n, points=n)
     benchmark(transfer.build_deterministic, t, n)
 
@@ -182,7 +184,7 @@ def test_certify(benchmark):
 def session():
     """System, family and forcing of a det-256-session-like run, with every operator built."""
     n = 256
-    kick = KickField(sin_coeffs=(0.0, 1 / (2 * np.pi)))
+    kick = TrigPoly(sin_coeffs=(0.0, 1 / (2 * np.pi)))
     maps = [
         T,
         CircleMap(2, cos_coeffs=(0.0, 0.02), sin_coeffs=(0.0, 0.04, 0.01)),
@@ -224,6 +226,25 @@ def test_forcing(benchmark, session, session_sizes):
     benchmark(response.forcing, sys_, fam)
 
 
+@pytest.fixture(scope="module")
+def session_three_maps():
+    """System and family of the det-256-session window over the three maps that workload schedules, before jitter."""
+    kick = TrigPoly(sin_coeffs=(0.0, 1 / (2 * np.pi)))
+    maps = [
+        T,
+        CircleMap(2, cos_coeffs=(0.0, 0.02), sin_coeffs=(0.0, 0.04, 0.01)),
+        CircleMap(2, cos_coeffs=(0.0, 0.0, 0.005), sin_coeffs=(0.0, 0.04)),
+    ]
+    entries = [DeterministicEntry(t, kick) for t in maps]
+    sys_ = SequenceSystem(seeded_random_schedule(entries, 7), (0, 300), n_points=256)
+    fam, _ = sequence.pullback_equivariant(sys_, 60, np.ones(256))
+    return sys_, fam
+
+
+def test_forcing_three_maps(benchmark, session_three_maps, session_sizes):
+    benchmark(response.forcing, *session_three_maps)
+
+
 def test_finite_difference_response(benchmark, session, session_response, session_sizes):
     # each call pulls eps back on its own system, so the timing includes eps's assembly, as in `respond`
     sys_, fam, _ = session
@@ -247,7 +268,7 @@ def workload(request):
     if request.param == "det-2048":
         n, window = 2048, (0, 12)
         maps = [T, CircleMap(2, cos_coeffs=(0.0, 0.02), sin_coeffs=(0.0, 0.04, 0.01))]
-        kick = KickField(sin_coeffs=(0.0, 1 / (2 * np.pi)))
+        kick = TrigPoly(sin_coeffs=(0.0, 1 / (2 * np.pi)))
         schedule = periodic_schedule([DeterministicEntry(t, kick) for t in maps])
     else:
         n, window = 1024, (0, 10)

@@ -8,6 +8,6 @@ with independent finite-difference and Monte Carlo validation.
 
 __version__ = "0.1.0"
 
-from .maps import CircleMap, KickedMap, KickField  # noqa: F401
+from .maps import CircleMap, KickedMap, TrigPoly  # noqa: F401
 from .noise import DriftMap, NoiseDensity  # noqa: F401
 from .sequence import DeterministicEntry, NoisyEntry, SequenceSystem  # noqa: F401

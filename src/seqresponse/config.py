@@ -36,7 +36,7 @@ import numpy as np
 
 from . import grid as gridmod
 from .errors import ConfigError
-from .maps import MAX_COEFF_INDEX, CircleMap, KickField, TrigPoly
+from .maps import MAX_COEFF_INDEX, CircleMap, TrigPoly
 from .noise import DriftMap, NoiseDensity
 from .sequence import (
     DEFAULT_PULLBACK_TOL,
@@ -114,7 +114,7 @@ def _as_tolerance(value, where):
 
 
 def parse_coeff_triples(text: str, where: str) -> tuple[tuple, tuple]:
-    """`k:a:b` triples, each k at most once -> (cos_coeffs, sin_coeffs), dense up to max k."""
+    """`k:a:b` triples, each k at most once and b = 0 at k = 0 -> (cos_coeffs, sin_coeffs), dense up to max k."""
     cos: dict = {}
     sin: dict = {}
     for item in text.split(","):
@@ -132,13 +132,10 @@ def parse_coeff_triples(text: str, where: str) -> tuple[tuple, tuple]:
         cos[k], sin[k] = _as_float(parts[1], where), _as_float(parts[2], where)
         if not (np.isfinite(cos[k]) and np.isfinite(sin[k])):
             raise ConfigError(f"{where}: coefficients must be finite, got {item!r}")
-    if not cos:
-        return (), ()
-    kmax = max(cos)
-    return (
-        tuple(cos.get(k, 0.0) for k in range(kmax + 1)),
-        tuple(sin.get(k, 0.0) for k in range(kmax + 1)),
-    )
+        if k == 0 and sin[k] != 0.0:
+            raise ConfigError(f"{where}: harmonic 0 has no sine term, give 0:a:0, got {item!r}")
+    ks = range(max(cos, default=-1) + 1)
+    return tuple(cos.get(k, 0.0) for k in ks), tuple(sin.get(k, 0.0) for k in ks)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -306,7 +303,7 @@ def _entries(cfg: ExperimentConfig, sections: list) -> list:
     """One schedule entry per map section; the entries share one kick, or one fdot and noise density."""
     maps = [build_map(cfg, s) for s in sections]
     if cfg.mode == "deterministic":
-        kick = KickField(*_coeffs(cfg, "kick", "coeffs"))
+        kick = TrigPoly(*_coeffs(cfg, "kick", "coeffs"))
         return [DeterministicEntry(map=m, kick=kick) for m in maps]
     dot, q = TrigPoly(*_coeffs(cfg, "drift", "dot")), build_noise(cfg)
     return [NoisyEntry(drift=DriftMap(base=m, dot=dot), noise=q) for m in maps]

@@ -142,22 +142,13 @@ class CircleMap:
         return y[:, 0] if scalar else y
 
 
-class KickField(TrigPoly):
-    """Vector field X on the circle defining the kick h_eps(x) = x + eps*X(x); X(x) is kick(x)."""
-
-    def sup_d1(self) -> float:
-        return float(np.max(np.abs(self.d1(_PROBE))))
-
-    def check_diffeo(self, eps: float) -> None:
-        if abs(eps) * self.sup_d1() >= 0.5:
-            raise InvalidSystem(f"eps*||X'||_inf = {abs(eps) * self.sup_d1():.3g} >= 0.5")
-
-
 class KickedMap:
-    """Composed map T_eps = h_eps o T: the lift, first derivative and inverse branches of CircleMap."""
+    """Composed map T_eps = h_eps o T, h_eps(x) = x + eps*X(x) for the TrigPoly X = kick; probed eps*||X'|| < 1/2."""
 
-    def __init__(self, kick: KickField, eps: float, base: CircleMap):
-        kick.check_diffeo(eps)
+    def __init__(self, kick: TrigPoly, eps: float, base: CircleMap):
+        bound = abs(eps) * float(np.max(np.abs(kick.d1(_PROBE))))
+        if bound >= 0.5:
+            raise InvalidSystem(f"eps*||X'||_inf = {bound:.3g} >= 0.5")
         self.kick = kick
         self.eps = float(eps)
         self.base = base

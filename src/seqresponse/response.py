@@ -36,14 +36,15 @@ def forcing(sys: SequenceSystem, mu: Window) -> Window:
     Deterministic entries: g_n = D mu_{n+1} with D u = -(X u)'.  Noisy
     entries: g_n = -(A_n (fdot mu_n))' from the cached eps = 0 kernel A_n.
     """
+    ahead = mu.values[1:]  # row i is mu_{n+1} at n = n_lo + i; mu_{n_hi + 1} is pushed only when a kick reads it
+    if isinstance(sys.schedule(mu.n_hi), DeterministicEntry):
+        ahead = np.concatenate([ahead, transfer.push(sys.operator(mu.n_hi), mu.values[-1:])])
     out = np.empty_like(mu.values)
-    for n in range(mu.n_lo, mu.n_hi + 1):
-        entry = sys.schedule(n)
+    for entry, idx in sys.entry_rows(mu).items():
         if isinstance(entry, DeterministicEntry):
-            mu_next = mu[n + 1] if n < mu.n_hi else transfer.push(sys.operator(n), mu[n])
-            out[n - mu.n_lo] = transfer.d_operator(entry.kick, mu_next)
+            out[idx] = transfer.d_operator(entry.kick, ahead[idx])
         else:
-            out[n - mu.n_lo] = noisemod.kernel_forcing(entry.drift, sys.operator(n), mu[n])
+            out[idx] = noisemod.kernel_forcing(entry.drift, sys.operator(mu.n_lo + idx[0]), mu.values[idx])
     return Window(mu.n_lo, out)
 
 

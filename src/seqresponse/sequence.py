@@ -17,13 +17,15 @@ this time-ordered semantics and it is used consistently everywhere.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import grid as gridmod
 from . import noise as noisemod
 from . import transfer
 from .errors import InvalidSystem, NotConverged, WindowExceeded
-from .maps import CircleMap, KickedMap, KickField
+from .maps import CircleMap, KickedMap, TrigPoly
 from .noise import DriftMap, NoiseDensity
 from .transfer import TransferMatrix
 
@@ -40,7 +42,7 @@ class DeterministicEntry:
     between two entries.
     """
 
-    def __init__(self, map: CircleMap, kick: KickField):
+    def __init__(self, map: CircleMap, kick: TrigPoly):
         self.map = map
         self.kick = kick
 
@@ -65,13 +67,11 @@ def periodic_schedule(entries):
 def seeded_random_schedule(entries, seed: int):
     """Deterministic per-index choice among a finite entry list, drawn once per index."""
     entries = list(entries)
-    picks = {}
 
+    @functools.cache
     def schedule(n):
-        if n not in picks:
-            rng = np.random.Generator(np.random.Philox(key=(seed, n & 0xFFFFFFFFFFFFFFFF)))
-            picks[n] = entries[rng.integers(len(entries))]
-        return picks[n]
+        rng = np.random.Generator(np.random.Philox(key=(seed, n & 0xFFFFFFFFFFFFFFFF)))
+        return entries[rng.integers(len(entries))]
 
     return schedule
 
@@ -144,17 +144,21 @@ class SequenceSystem:
         self._cache[entry] = mat
         return mat
 
+    def entry_rows(self, w: Window) -> dict:
+        """{schedule entry: its rows n - w.n_lo in w}, the grouping by which a stage treats w one entry at a time."""
+        rows: dict = {}
+        for i, n in enumerate(range(w.n_lo, w.n_hi + 1)):
+            rows.setdefault(self.schedule(n), []).append(i)
+        return rows
+
     def advance(self, w: Window) -> np.ndarray:
         """The global transfer operator on w: row n - w.n_lo is L_n w_n, the density at index n + 1.
 
         The rows of one schedule entry share its operator and are pushed as
         one block, each with the bits of its own push.
         """
-        rows: dict = {}
-        for i, n in enumerate(range(w.n_lo, w.n_hi + 1)):
-            rows.setdefault(self.schedule(n), []).append(i)
         out = np.empty_like(w.values)
-        for idx in rows.values():
+        for idx in self.entry_rows(w).values():
             out[idx] = transfer.push(self.operator(w.n_lo + idx[0]), w.values[idx])
         return out
 

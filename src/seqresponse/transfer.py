@@ -32,7 +32,7 @@ import numpy as np
 
 from . import grid as gridmod
 from .errors import InvalidSystem
-from .maps import CircleMap, KickedMap, KickField
+from .maps import CircleMap, KickedMap, TrigPoly
 
 
 def _frozen(a, dtype) -> np.ndarray:
@@ -131,7 +131,7 @@ class _Identity:
         return 1.0
 
 
-def build_kick(kick: KickField, eps: float, n_points: int) -> TransferMatrix:
+def build_kick(kick: TrigPoly, eps: float, n_points: int) -> TransferMatrix:
     """Diffeomorphism operator (L_h u)(x_i) = u(h^{-1}(x_i)) / h'(h^{-1}(x_i)).
 
     It is the kicked operator of the identity lift, so h^{-1} comes from
@@ -140,8 +140,8 @@ def build_kick(kick: KickField, eps: float, n_points: int) -> TransferMatrix:
     return build_deterministic(KickedMap(kick, eps, _Identity()), n_points)
 
 
-def d_operator(kick: KickField, u: np.ndarray) -> np.ndarray:
-    """First-order perturbation operator Du = -(Xu)' on the raw samples u of one density."""
+def d_operator(kick: TrigPoly, u: np.ndarray) -> np.ndarray:
+    """First-order perturbation operator Du = -(Xu)' on raw samples u, shape (N,) or (m, N) with one density per row."""
     n = u.shape[-1]
     return gridmod.derivative(kick(np.arange(n) / n) * u) * -1.0
 

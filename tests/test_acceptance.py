@@ -9,7 +9,7 @@ import pytest
 from test_noise import SIN_2PI, SIN_4PI
 
 from seqresponse import constants, grid, noise, response, sequence, transfer
-from seqresponse.maps import CircleMap, KickField, c2_distance
+from seqresponse.maps import CircleMap, TrigPoly, c2_distance
 from seqresponse.noise import DriftMap, NoiseDensity
 from seqresponse.sequence import (
     DeterministicEntry,
@@ -21,7 +21,7 @@ from seqresponse.sequence import (
 
 N = 256
 X = np.arange(N) / N
-KICK = KickField(sin_coeffs=(0.0, 1 / (2 * np.pi)))
+KICK = TrigPoly(sin_coeffs=(0.0, 1 / (2 * np.pi)))
 PERTURB_AMP_02 = 0.02 / (1 + 2 * np.pi + 4 * np.pi**2)  # C2 distance 0.02
 PERTURB_AMP_01 = 0.01 / (1 + 2 * np.pi + 4 * np.pi**2)  # C2 distance 0.01
 

@@ -360,6 +360,38 @@ class TestExitCodes:
         assert "invalid system" in capsys.readouterr().err
 
 
+class TestSineAtHarmonic0:
+    """sin(0) = 0, so a sine amplitude at k = 0 would be dropped: it is a config error that names its key."""
+
+    # each new text holds the k = 0 triple as 0:A0:B0
+    CASES = [
+        pytest.param(BASE_DET, "degree = 2", "degree = 2\ncoeffs = 0:A0:B0", "certify", "reference_map.coeffs", id="map"),
+        pytest.param(
+            PERIODIC_NOISY, "coeffs = 1:0.0:0.05", "coeffs = 1:0.0:0.05, 0:A0:B0", "equivariant", "map.a.coeffs",
+            id="schedule-map",
+        ),
+        pytest.param(
+            BASE_DET, "coeffs = 1:0.0:0.15915494309189535", "coeffs = 0:A0:B0, 1:0.0:0.15915494309189535", "respond",
+            "kick.coeffs", id="kick",
+        ),
+        pytest.param(BASE_NOISY, "dot = 2:0.0:1.0", "dot = 0:A0:B0, 2:0.0:1.0", "simulate", "drift.dot", id="drift"),
+    ]
+
+    @pytest.mark.parametrize("base, old, new, command, key", CASES)
+    @pytest.mark.parametrize("b", ["0.3", "-1e-300"])
+    def test_is_1(self, tmp_path, capsys, base, old, new, command, key, b):
+        path, _ = write_config(tmp_path, base.replace(old, new.replace("A0", "0.0").replace("B0", b)))
+        assert cli.main([command, path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: harmonic 0 has no sine term") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("base, old, new, command, key", CASES)
+    def test_constant_term_is_0(self, tmp_path, base, old, new, command, key):
+        assert old in base
+        path, _ = write_config(tmp_path, base.replace(old, new.replace("A0", "0.01").replace("B0", "0")))
+        assert cli.main([command, path]) == 0
+
+
 def test_every_error_names_its_exit_code():
     def subclasses(cls):
         for sub in cls.__subclasses__():

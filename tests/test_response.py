@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_noise import SIN_4PI, noisy_systems
 from test_sequence import fresh_operator, mixed_schedules, same_bits
@@ -11,7 +11,7 @@ from test_transfer import kicked_systems
 
 from seqresponse import grid, noise, response, sequence, transfer
 from seqresponse.errors import TailNotSmall, WindowExceeded
-from seqresponse.maps import CircleMap, KickField
+from seqresponse.maps import CircleMap, TrigPoly
 from seqresponse.noise import DriftMap, NoiseDensity
 from seqresponse.sequence import (
     DeterministicEntry,
@@ -26,7 +26,7 @@ from seqresponse.sequence import (
 
 N = 256
 X = np.arange(N) / N
-KICK = KickField(sin_coeffs=(0.0, 1 / (2 * np.pi)))  # X(x) = sin(2 pi x) / (2 pi)
+KICK = TrigPoly(sin_coeffs=(0.0, 1 / (2 * np.pi)))  # X(x) = sin(2 pi x) / (2 pi)
 
 
 def doubling_system(window=(0, 12)):
@@ -275,6 +275,27 @@ class TestBlockStages:
         fd = {1e-2: Window(etas.n_lo + 1, np.zeros((len(etas.values), N)))}
         with pytest.raises(WindowExceeded):
             response.validate(etas, fd, tol=1.0)
+
+
+class TestForcingProperty:
+    """The forcing takes each schedule entry's rows as one block and gives the bits of its per-index loop."""
+
+    @pytest.mark.parametrize("last", [DeterministicEntry, NoisyEntry])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(schedule=mixed_schedules(), n_lo=st.integers(-20, 20), m=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_bits(self, last, schedule, n_lo, m, seed):
+        # `last` is the kind of the window's last entry: a deterministic one reads the pushed mu_{n_hi + 1}
+        assume(isinstance(schedule(n_lo + m - 1), last))
+        sys_ = SequenceSystem(schedule, (n_lo, n_lo + m - 1), n_points=N)
+        mu = Window(n_lo, 1.0 + 0.5 * np.random.default_rng(seed).uniform(-1.0, 1.0, size=(m, N)))
+        kicks, d_operator = [], transfer.d_operator
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(transfer, "d_operator", lambda kick, u: kicks.append(kick) or d_operator(kick, u))
+            g = response.forcing(sys_, mu)
+        assert np.array_equal(g.values, np.array(reference_forcing(sys_, mu)))
+        entries = {schedule(n) for n in range(n_lo, n_lo + m)}
+        # one d_operator call per distinct deterministic entry, each with that entry's kick
+        assert sorted(map(id, kicks)) == sorted(id(e.kick) for e in entries if isinstance(e, DeterministicEntry))
 
 
 class TestFiniteDifference:

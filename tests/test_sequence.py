@@ -9,7 +9,7 @@ from test_transfer import kicked_systems
 
 from seqresponse import grid, noise, sequence, transfer
 from seqresponse.errors import NotConverged, WindowExceeded
-from seqresponse.maps import CircleMap, KickedMap, KickField
+from seqresponse.maps import CircleMap, KickedMap, TrigPoly
 from seqresponse.noise import DriftMap, NoiseDensity
 from seqresponse.sequence import (
     DeterministicEntry,
@@ -28,7 +28,7 @@ X = np.arange(N) / N
 
 
 def doubling_system(window=(0, 10)):
-    entry = DeterministicEntry(map=CircleMap(2), kick=KickField(sin_coeffs=(0.0, 1 / (2 * np.pi))))
+    entry = DeterministicEntry(map=CircleMap(2), kick=TrigPoly(sin_coeffs=(0.0, 1 / (2 * np.pi))))
     return SequenceSystem(constant_schedule(entry), window, n_points=N)
 
 
@@ -138,7 +138,7 @@ def unbatched_sweep(sys_, burn_in, seed):
 
 
 def two_map_system(window=(0, 9), eps=0.0):
-    kick = KickField(sin_coeffs=(0.0, 1 / (2 * np.pi)))
+    kick = TrigPoly(sin_coeffs=(0.0, 1 / (2 * np.pi)))
     entries = [
         DeterministicEntry(CircleMap(2, sin_coeffs=(0.0, 0.05)), kick),
         DeterministicEntry(CircleMap(3, cos_coeffs=(0.0, 0.02)), kick),
@@ -243,7 +243,7 @@ class TestMemoryDecay:
     def test_fitted_rate_periodic_schedule(self):
         t0 = CircleMap(2)
         t1 = CircleMap(2, sin_coeffs=(0.0, 0.02 / (1 + 2 * np.pi + 4 * np.pi**2)))
-        kick = KickField(sin_coeffs=(0.0, 1 / (2 * np.pi)))
+        kick = TrigPoly(sin_coeffs=(0.0, 1 / (2 * np.pi)))
         sched = periodic_schedule(
             [DeterministicEntry(t0, kick), DeterministicEntry(t1, kick)]
         )
@@ -271,8 +271,8 @@ def same_bits(a, b):
 class TestSchedules:
     def test_seeded_random_deterministic(self):
         entries = [
-            DeterministicEntry(CircleMap(2), KickField()),
-            DeterministicEntry(CircleMap(3), KickField()),
+            DeterministicEntry(CircleMap(2), TrigPoly()),
+            DeterministicEntry(CircleMap(3), TrigPoly()),
         ]
         s1 = seeded_random_schedule(entries, seed=9)
         s2 = seeded_random_schedule(entries, seed=9)
@@ -286,7 +286,7 @@ class TestSchedules:
         assert sys_.operator(0) is sys_.operator(7)
 
     def test_equal_entries_are_distinct_keys(self):
-        t, kick = CircleMap(2), KickField(sin_coeffs=(0.0, 0.1))
+        t, kick = CircleMap(2), TrigPoly(sin_coeffs=(0.0, 0.1))
         q = NoiseDensity.uniform(N)
         drift = DriftMap(base=t)
         for a, b in ((DeterministicEntry(t, kick), DeterministicEntry(t, kick)), (NoisyEntry(drift, q), NoisyEntry(drift, q))):
@@ -322,7 +322,7 @@ class TestOperatorMemory:
         # a deterministic, a kicked and a noisy operator are built and applied in under N^2 / 4 doubles
         n = 1024
         x = np.arange(n) / n
-        det = DeterministicEntry(CircleMap(2, sin_coeffs=(0.0, 0.05)), KickField(sin_coeffs=(0.0, 0.15)))
+        det = DeterministicEntry(CircleMap(2, sin_coeffs=(0.0, 0.05)), TrigPoly(sin_coeffs=(0.0, 0.15)))
         q = NoiseDensity.bump(0.5, 0.08, 0.3, n)
         noisy = NoisyEntry(DriftMap(CircleMap(2), dot=SIN_2PI), q)
         systems = {eps: SequenceSystem(periodic_schedule([det, noisy]), (0, 1), n, eps) for eps in (0.0, 0.01)}

@@ -15,11 +15,10 @@ as the sampler reads it, and by `grid.interpolate_values` from its node
 samples.
 
 The grid kernels are timed at N = 256, 1024 and 2048:
-`interpolation_stencil` at the N query points of that drift map's noise
-kernel, `interpolation_stencil6` at the 2N inverse-branch points of its
-deterministic operator, and `derivative` on one density.
+`interpolation_stencil6` at the 2N inverse-branch points of that drift
+map's deterministic operator, and `derivative` on one density.
 
-`transfer.push` is timed on blocks of 1, 2 and 8 densities for the
+`transfer.push` is timed on blocks of 1, 2, 8 and 12 densities for the
 deterministic operator of that drift map and for its noise kernel, at
 N = 256, 1024 and 2048.  Operator assembly is timed at the same sizes:
 `build_deterministic` for that map, plain and kicked by the det-2048 kick
@@ -116,7 +115,7 @@ def test_fdot_cubic(benchmark, sampler_chunks):
 
 
 PUSH_GRIDS = (256, 1024, 2048)
-PUSH_WIDTHS = (1, 2, 8)
+PUSH_WIDTHS = (1, 2, 8, 12)
 T = CircleMap(2, sin_coeffs=(0.0, 0.05))
 
 
@@ -147,13 +146,6 @@ def test_build_deterministic(benchmark, kind, n):
     t = T if kind == "plain" else KickedMap(TrigPoly(sin_coeffs=(0.0, 1 / (2 * np.pi))), 1e-2, T)
     benchmark.extra_info.update(n_points=n, points=n)
     benchmark(transfer.build_deterministic, t, n)
-
-
-@pytest.mark.parametrize("n", PUSH_GRIDS)
-def test_interpolation_stencil(benchmark, n):
-    x = -T.eval(np.arange(n) / n)  # the query points of the eps = 0 noise kernel
-    benchmark.extra_info.update(n_points=n, points=x.size)
-    benchmark(grid.interpolation_stencil, n, x)
 
 
 @pytest.mark.parametrize("n", PUSH_GRIDS)

@@ -4,8 +4,8 @@ A density is its raw samples at the N uniform nodes x_i = i/N, an (N,)
 array or one row of an (m, N) block, treated as a 1-periodic function;
 `checked_density` checks samples from outside once.  Quadrature is the
 midpoint rule (exact for trigonometric polynomials of degree < N),
-differentiation is a 4th-order centered stencil, and off-grid evaluation
-uses a local cubic through the four nearest nodes.
+differentiation is a 4th-order centered stencil, and operator assembly
+reads a density off the grid by the 6-point quintic stencil.
 """
 
 from __future__ import annotations
@@ -111,14 +111,14 @@ def _lagrange_weights(t: np.ndarray, offsets) -> list[np.ndarray]:
     return weights
 
 
-def interpolation_stencil(n_points: int, x, offsets=CUBIC_OFFSETS) -> tuple[np.ndarray, np.ndarray]:
+def interpolation_stencil(n_points: int, x, offsets) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the periodic Lagrange interpolant on the stencil offsets at query points x.
 
-    Returns (indices, weights) of shape (len(offsets), len(x)): by default
-    the cubic through nodes i0-1 .. i0+2 where i0 = floor(N x), evaluated
-    at local offset t = N x - i0.  Exact for polynomials of the stencil's
-    degree sampled on it; weights sum to 1, so constants are reproduced
-    exactly.
+    Returns (indices, weights) of shape (len(offsets), len(x)): the
+    polynomial through nodes i0 + s for s in offsets, where
+    i0 = floor(N x), evaluated at local offset t = N x - i0.  Exact for
+    polynomials of the stencil's degree sampled on it; weights sum to 1,
+    so constants are reproduced exactly.
     """
     i0, t = _cell(n_points, x)
     return np.stack([(i0 + s) % n_points for s in offsets]), np.stack(_lagrange_weights(t, offsets))
@@ -130,7 +130,7 @@ def interpolation_stencil6(n_points: int, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def interpolate_values(values: np.ndarray, x) -> np.ndarray:
-    """Periodic cubic interpolation of raw sample values at points x.
+    """Periodic cubic interpolation of raw sample values at points x; no library code calls it.
 
     Gathers from the samples padded by one node before and three after
     (i0 may be N), so stencil node i0 - 1 + k is padded[i0 + k].

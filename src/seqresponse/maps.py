@@ -28,8 +28,8 @@ _PROBE = np.arange(PROBE_POINTS) / PROBE_POINTS
 class TrigPoly:
     """1-periodic trigonometric polynomial sum_k a_k cos(2 pi k x) + b_k sin(2 pi k x).
 
-    Coefficient arrays are indexed by k = 0..K (b_0 is ignored); k = 0
-    carries the constant term.
+    Coefficient arrays are indexed by k = 0..K; k = 0 carries the
+    constant term, and b_0, the amplitude of sin 0 = 0, must be 0.
     """
 
     def __init__(self, cos_coeffs=(), sin_coeffs=()):
@@ -38,11 +38,12 @@ class TrigPoly:
         k = max(a.shape[0], b.shape[0])
         if k - 1 > MAX_COEFF_INDEX:
             raise ValueError(f"coefficient index exceeds {MAX_COEFF_INDEX}")
+        if b[0] != 0.0:
+            raise ValueError(f"harmonic 0 has no sine term, got amplitude {b[0]!r}")
         self.a = np.zeros(k)
         self.b = np.zeros(k)
         self.a[: a.shape[0]] = a
         self.b[: b.shape[0]] = b
-        self.b[0] = 0.0
         w = 2.0 * np.pi * np.arange(k)
         # (frequency, coefficient, trig function) per nonzero harmonic k >= 1, cosines first.
         cos_k = [(w[j], self.a[j]) for j in range(1, k) if self.a[j] != 0.0]

@@ -2,10 +2,10 @@
 
 The one-step kernel is k(x, y) = q(y - f(x)) for a common noise density
 q; the annealed operator integrates it against the current density.  It
-is stored matrix-free: the 4-point spread of each node's mass onto the
-grid near its drift image, then an FFT circular convolution with q.  A
-uniformly positive q gives Doeblin minorization with alpha = min q and
-hence one-step L1 contraction by (1 - alpha) on zero-mass densities.
+is A = K_q L_f, the drift's transfer operator (a gather) and then an FFT
+circular convolution with q.  A uniformly positive q gives Doeblin
+minorization with alpha = min q and hence one-step L1 contraction by
+(1 - alpha) on zero-mass densities.
 """
 
 from __future__ import annotations
@@ -83,7 +83,8 @@ class DriftMap:
 
     `base` is the CircleMap f0 and `dot` the TrigPoly fdot, zero unless
     given; both are evaluated exactly.  The remainder term of the
-    eps-family is fixed at zero.
+    eps-family is fixed at zero.  `at(eps)` is f_eps as a CircleMap, the
+    drift whose operator `build_kernel` assembles.
     """
 
     def __init__(self, base: CircleMap, dot: TrigPoly = TrigPoly()):
@@ -93,31 +94,34 @@ class DriftMap:
     def eval(self, x, eps: float) -> np.ndarray:
         return gridmod.wrap(self.base.eval(x) + eps * self.dot(x))
 
+    def at(self, eps: float) -> CircleMap:
+        """f_eps as the CircleMap of f0's degree with f0's lift coefficients plus eps times fdot's; it must expand."""
+        k = max(self.base.p.a.shape[0], self.dot.a.shape[0])
+        p0, p1 = (np.pad([p.a, p.b], ((0, 0), (0, k - p.a.shape[0]))) for p in (self.base.p, self.dot))
+        try:
+            return CircleMap(self.base.degree, *(p0 + eps * p1))
+        except InvalidSystem as exc:
+            raise InvalidSystem(f"drift f0 + eps*fdot at eps = {eps:g}: {exc}") from None
+
 
 def build_kernel(f: DriftMap, eps: float, q: NoiseDensity, n_points: int) -> TransferMatrix:
-    """Annealed operator A[i,j] = (1/N) q(y_i - f_eps(x_j)), mass-corrected.
+    """Annealed operator A = K_q L_{f_eps}, mass-corrected.
 
-    q(y_i - c_j) is read by the 4-point cubic, whose weights at y_i - c_j
-    do not depend on i: it is sum_k w_kj q[(i + idx_kj) % N] with (idx, w)
-    the stencil of -c_j.  So A f is q/N circularly convolved with the
-    spread S f, (S f)[-idx_kj % N] += w_kj f_j, in O(N log N).
+    L_{f_eps} is the (6d, N) gather of the drift's branch formula and K_q
+    the circular convolution (K_q g)[i] = (1/N) sum_m q[(i - m) % N] g[m].
     """
-    x = np.arange(n_points) / n_points
-    idx, w = gridmod.interpolation_stencil(n_points, -f.eval(x, eps))
-    return TransferMatrix(-idx % n_points, None, w, n_points, kernel=q.density / n_points)
+    return transfer.build_deterministic(f.at(eps), n_points, kernel=q.density / n_points)
 
 
 def kernel_forcing(f: DriftMap, a: TransferMatrix, mu: np.ndarray) -> np.ndarray:
     """Derivative of the kernel operator along the drift perturbation.
 
-    g = -(A (fdot mu))', with A the eps = 0 kernel of build_kernel and '
-    the grid derivative.  Column j of A interpolates q at y_i - f0(x_j) with
-    weights that do not depend on i, a circular convolution in i that
-    commutes with the grid derivative, and the derivative removes the
-    constant mass correction.  So g is the integral of
-    mu(x) * (-q'(y - f0(x))) * fdot(x) dx with q' the grid derivative of q,
-    the discretization bias that the difference quotients share.
-    mu and g are raw samples of one density; g has zero mass to round-off.
+    g = -(A (fdot mu))', with A = K_q L_{f0} the eps = 0 kernel of
+    build_kernel and ' the grid derivative: the grid form of d/d eps of
+    the integral of q(y - f_eps(x)) mu(x) dx, which is -d/dy of the
+    integral of q(y - f0(x)) fdot(x) mu(x) dx.  The derivative removes
+    A's constant mass correction, so g has zero mass to round-off.
+    mu and g are raw samples of one density or an (m, N) block.
     """
     n = mu.shape[-1]
     return gridmod.derivative(transfer.push(a, mu * f.dot(np.arange(n) / n))) * -1.0

@@ -2,27 +2,24 @@
 
 Each operator is stored matrix-free as A f = K(S f) + (c . f) 1:
 
-- S is a stencil of (k, N) arrays in one of two layouts.  A gather
-  reads, (S f)[i] = sum over j of entries[j, i] f[cols[j, i]]: the
-  branch-formula operators of deterministic and kicked maps, one row per
-  inverse branch and interpolation offset.  A spread writes,
-  (S f)[rows[j, i]] += entries[j, i] f[i] by one np.bincount per density:
-  the noise kernels, each node spread onto its drift image;
-- K is an optional circular convolution (the noise kernels), stored as the
-  rfft spectrum of its kernel and applied in O(N log N), by one rfft/irfft
-  along the last axis for a block of densities;
+- S is a gather stencil of (k, N) arrays, (S f)[i] = sum over j of
+  entries[j, i] f[cols[j, i]]: the branch formula of a map's transfer
+  operator, one row per inverse branch and interpolation offset;
+- K is an optional circular convolution (the noise kernels, K_q after the
+  drift's S), stored as the rfft spectrum of its kernel and applied in
+  O(N log N), by one rfft/irfft along the last axis for a block of
+  densities;
 - c is the rank-one mass correction c_j = (1 - column sum_j of K S) / N,
   which makes every column of A sum to exactly 1, so the discrete mass
   functional (1/N) sum f is preserved to round-off and the zero-mass
   subspace is exactly invariant, which the response series relies on.
 
-`TransferMatrix(rows, cols, entries, n_points, kernel)` is the one
-constructor: it takes cols for a gather or rows for a spread, checks the
-stencil and derives c.  `push(a, v)` applies A to raw samples, v of
-shape (N,) or (m, N) with one density per row, through one code path
-that pushes a single density as a block of one row; the solvers' loops
-call it.  `apply` is the checked edge that takes and returns a
-DensityGrid.  No N x N array is built except by `to_dense` and
+`TransferMatrix(cols, entries, n_points, kernel)` is the one constructor:
+it checks the stencil and derives c.  `push(a, v)` applies A to raw
+samples, v of shape (N,) or (m, N) with one density per row, through one
+code path that pushes a single density as a block of one row; the
+solvers' loops call it.  `apply` is the checked edge that takes and
+returns a DensityGrid.  No N x N array is built except by `to_dense` and
 `compose_matrices` (a gather with k = N), the tests' references.
 """
 
@@ -50,11 +47,9 @@ GATHER_BUDGET = 1 << 16
 class TransferMatrix:
     """Matrix-free realization of one transfer operator, A f = K(S f) + (c . f) 1.
 
-    Exactly one of `rows` and `cols` is given, each of the shape (k, N)
-    of `entries`.  A gather has cols: row i of S reads column cols[j, i].
-    A spread has rows: column i of S goes to row rows[j, i], so its cols
-    are implicit and its column sums are entries.sum(0).  `kernel` is the
-    convolution kernel of K, or None for K = identity:
+    `cols` and `entries` have one shape (k, N): row i of S reads column
+    cols[j, i] with weight entries[j, i].  `kernel` is the convolution
+    kernel of K, or None for K = identity:
     (K f)[i] = sum_m kernel[(i - m) % N] f[m], stored as its rfft
     `spectrum`.  The constructor checks the stencil against the grid and
     derives the mass correction c; every column of a circulant sums to
@@ -62,21 +57,18 @@ class TransferMatrix:
     sum(kernel).  The arrays are stored as read-only copies.
     """
 
-    def __init__(self, rows, cols, entries, n_points: int, kernel=None):
-        if (rows is None) == (cols is None):
-            raise ValueError("give exactly one of rows (a spread) and cols (a gather)")
-        index, entries = np.asarray(cols if rows is None else rows), np.asarray(entries, dtype=float)
-        if not (index.ndim == 2 and index.shape == entries.shape and index.shape[1] == n_points):
+    def __init__(self, cols, entries, n_points: int, kernel=None):
+        cols, entries = np.asarray(cols), np.asarray(entries, dtype=float)
+        if not (cols.ndim == 2 and cols.shape == entries.shape and cols.shape[1] == n_points):
             raise ValueError(f"stencil indices and entries must both have shape (k, {n_points})")
-        if index.size and not (0 <= index.min() and index.max() < n_points):
+        if cols.size and not (0 <= cols.min() and cols.max() < n_points):
             raise ValueError(f"stencil index outside the {n_points}-point grid")
-        col_sums = entries.sum(0) if cols is None else np.bincount(index.ravel(), entries.ravel(), minlength=n_points)
+        col_sums = np.bincount(cols.ravel(), entries.ravel(), minlength=n_points)
         self.spectrum = None
         if kernel is not None:
             col_sums *= np.sum(kernel)
             self.spectrum = _frozen(np.fft.rfft(kernel), complex)
-        self.rows = None if rows is None else _frozen(rows, np.int64)
-        self.cols = None if cols is None else _frozen(cols, np.int64)
+        self.cols = _frozen(cols, np.int64)
         self.entries = _frozen(entries, float)
         self.correction = _frozen((1.0 - col_sums) / n_points, float)
 
@@ -88,35 +80,27 @@ class TransferMatrix:
         """The N x N matrix of the operator, a reference for the tests."""
         n = self.n_points
         a = np.zeros((n, n))
-        nodes = np.broadcast_to(np.arange(n), self.entries.shape)
-        np.add.at(a, (nodes, self.cols) if self.rows is None else (self.rows, nodes), self.entries)
+        np.add.at(a, (np.broadcast_to(np.arange(n), self.cols.shape), self.cols), self.entries)
         if self.spectrum is not None:
             a = np.fft.irfft(self.spectrum[:, None] * np.fft.rfft(a, axis=0), n=n, axis=0)
         return a + self.correction[None, :]
 
 
-def _assemble(points: np.ndarray, weights: np.ndarray) -> TransferMatrix:
-    """Mass-corrected operator with (Af)[i] = sum_b weights[b, i] f(points[b, i]).
+def build_deterministic(t: CircleMap | KickedMap, n_points: int, kernel=None) -> TransferMatrix:
+    """Mass-corrected branch-formula operator (Lf)(x_i) = sum_j f(h_j(x_i)) / l'(h_j(x_i)), then K.
 
-    f is read off-grid by the 6-point stencil.  The gather has one row
-    per (branch, offset) pair, in branch-major order.
-    """
-    n_branches, n_points = points.shape
-    idx, w = gridmod.interpolation_stencil6(n_points, points.ravel())
-    cols = idx.reshape(6, n_branches, n_points).swapaxes(0, 1).reshape(-1, n_points)
-    entries = (w.reshape(6, n_branches, n_points).swapaxes(0, 1) * weights[:, None, :]).reshape(-1, n_points)
-    return TransferMatrix(None, cols, entries, n_points)
-
-
-def build_deterministic(t: CircleMap | KickedMap, n_points: int) -> TransferMatrix:
-    """Branch-formula operator (Lf)(x_i) = sum_j f(h_j(x_i)) / l'(h_j(x_i)).
-
-    A KickedMap h_eps o T gives the kicked operator L_{h_eps o T} in the
-    same single pass.
+    f is read off-grid by the 6-point stencil: the gather has one row per
+    (branch, offset) pair, in branch-major order.  A KickedMap h_eps o T
+    gives the kicked operator L_{h_eps o T} in the same single pass.  With
+    a `kernel` it is K L, as a noise kernel is its drift's L and then K.
     """
     x = np.arange(n_points) / n_points
     branches = t.inverse_branches(x)  # (d, N)
-    return _assemble(branches, 1.0 / t.eval_d1(branches))  # lift derivative is positive for our maps
+    weights = 1.0 / t.eval_d1(branches)  # lift derivative is positive for our maps
+    idx, w = gridmod.interpolation_stencil6(n_points, branches.ravel())
+    cols = idx.reshape(6, t.degree, n_points).swapaxes(0, 1).reshape(-1, n_points)
+    entries = (w.reshape(6, t.degree, n_points).swapaxes(0, 1) * weights[:, None, :]).reshape(-1, n_points)
+    return TransferMatrix(cols, entries, n_points, kernel)
 
 
 class _Identity:
@@ -158,11 +142,11 @@ def compose_matrices(outer: TransferMatrix, inner: TransferMatrix) -> TransferMa
     if n != inner.n_points:
         raise InvalidSystem("matrix sizes differ")
     cols = np.broadcast_to(np.arange(n)[:, None], (n, n))
-    return TransferMatrix(None, cols, push(outer, push(inner, np.eye(n))), n)
+    return TransferMatrix(cols, push(outer, push(inner, np.eye(n))), n)
 
 
 def _gather(a: TransferMatrix, v: np.ndarray) -> np.ndarray:
-    """S v for a gather stencil and an (m, N) block v, (entries * v[:, cols]).sum(-2), summed in stencil order.
+    """S v for an (m, N) block v, (entries * v[:, cols]).sum(-2), summed in stencil order.
 
     Blocks of rows that would exceed GATHER_BUDGET run in slices.
     """
@@ -179,18 +163,15 @@ def push(a: TransferMatrix, v) -> np.ndarray:
 
     v is pushed as an (m, N) block, one density of shape (N,) as a block
     of one row.  Every row of the result has the bits it would have if
-    pushed alone: the stencil sums run in stencil order, a spread is one
-    bincount per row and the mass correction is one dot product per row.
+    pushed alone: the stencil sums run in stencil order and the mass
+    correction is one dot product per row.
     """
     v = np.asarray(v, dtype=float)
     n = a.n_points
     if v.ndim not in (1, 2) or v.shape[-1] != n:
         raise InvalidSystem(f"matrix is {n}, densities have shape {v.shape}")
     block = v.reshape(-1, n)
-    if a.rows is None:
-        s = _gather(a, block)
-    else:
-        s = np.array([np.bincount(a.rows.ravel(), (a.entries * row).ravel(), minlength=n) for row in block])
+    s = _gather(a, block)
     if a.spectrum is not None:
         s = np.fft.irfft(a.spectrum * np.fft.rfft(s, axis=-1), n=n, axis=-1)
     s += np.array([a.correction @ row for row in block])[:, None]

@@ -359,6 +359,21 @@ class TestExitCodes:
         assert cli.main([command, path]) == 2
         assert "invalid system" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, command",
+        [
+            pytest.param("eps = 1e-2, 1e-3", "eps = 1e-1, 1e-3", "respond", id="fd-eps"),
+            pytest.param("eps = 0.02", "eps = 0.1", "simulate", id="simulate-eps"),
+        ],
+    )
+    def test_non_expanding_eps_drift_is_2(self, tmp_path, capsys, old, new, command):
+        # with fdot = sin 4 pi x the eps-drift's l' = 2 + 4 pi eps cos 4 pi x dips below 1 at eps = 0.1
+        assert BASE_NOISY.count(old) == 1
+        path, _ = write_config(tmp_path, BASE_NOISY.replace(old, new))
+        assert cli.main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid system: drift f0 + eps*fdot at eps = 0.1: probed min") and err.count("\n") == 1, err
+
 
 class TestSineAtHarmonic0:
     """sin(0) = 0, so a sine amplitude at k = 0 would be dropped: it is a config error that names its key."""

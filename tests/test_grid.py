@@ -219,7 +219,7 @@ class TestInterpolationKernels:
         # also for x < 0, x >= 1 and x whose N (x mod 1) rounds up to N
         values = np.random.default_rng(seed).normal(size=n)
         idx, w = reference_stencil(n, x)
-        got_idx, got_w = grid.interpolation_stencil(n, x)
+        got_idx, got_w = grid.interpolation_stencil(n, x, grid.CUBIC_OFFSETS)
         assert np.array_equal(got_idx, idx)
         assert np.array_equal(bits(got_w), bits(w))
         assert np.array_equal(bits(grid.interpolate_values(values, x)), bits(np.sum(values[idx] * w, axis=0)))

@@ -21,6 +21,7 @@ def outer_product_trigpoly(p, x, order):
 
 # Coefficient vectors over k = 0..16, about half of the entries zero.
 sparse_coeffs = st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), min_size=1, max_size=maps.MAX_COEFF_INDEX + 1)
+# The same for sines, whose amplitude at k = 0 is 0.
 
 
 def doubling():
@@ -50,7 +51,7 @@ class TestTrigPoly:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
         a=sparse_coeffs,
-        b=sparse_coeffs,
+        b=sparse_coeffs.map(lambda b: [0.0, *b[1:]]),
         x=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=50),
     )
     @example(a=[0.0], b=[0.0, 0.05], x=[-0.25, 0.0, 0.3, 1.75])  # the reference map's p: one sin
@@ -69,6 +70,15 @@ class TestTrigPoly:
         assert np.ndim(p(0.3)) == np.ndim(p.d1(0.3)) == np.ndim(p.d2(0.3)) == 0
         assert p(0.3) == pytest.approx(float(outer_product_trigpoly(p, 0.3, 0)), abs=1e-15)
         assert TrigPoly()(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("b0", [0.3, -1e-300, np.nan])
+    def test_sine_at_harmonic_0_raises(self, b0):
+        # sin 0 = 0, so an amplitude there would be dropped without a word
+        with pytest.raises(ValueError, match="harmonic 0 has no sine term"):
+            TrigPoly(sin_coeffs=(b0, 0.1))
+
+    def test_negative_zero_sine_at_harmonic_0_is_zero(self):
+        assert np.array_equal(TrigPoly(sin_coeffs=(-0.0, 0.1)).b, [0.0, 0.1])
 
 
 class TestConstants:
@@ -165,6 +175,11 @@ def circle_distance(a, b):
 
 small_coeffs = st.lists(st.floats(-0.04, 0.04), min_size=2, max_size=4)  # k <= 3
 kick_coeffs = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4)
+
+
+def no_sine_at_0(coeffs):
+    """Sine amplitudes drawn like cosine ones, with the one at k = 0 set to 0."""
+    return coeffs.map(lambda b: [0.0, *b[1:]])
 # 1 - 2**-53 is the largest double below 1; 5e-324 is the smallest subnormal.
 EDGE_POINTS = [0.0, -0.0, 1.0 - 2.0**-53, 5e-324]
 
@@ -173,11 +188,11 @@ EDGE_POINTS = [0.0, -0.0, 1.0 - 2.0**-53, 5e-324]
 def admissible_maps(draw):
     """Degree-2 or -3 maps with small trig parts, half of them kicked by |eps| <= 0.05."""
     try:
-        t = CircleMap(draw(st.sampled_from([2, 3])), draw(small_coeffs), draw(small_coeffs))
+        t = CircleMap(draw(st.sampled_from([2, 3])), draw(small_coeffs), draw(no_sine_at_0(small_coeffs)))
     except InvalidSystem:
         assume(False)
     if draw(st.booleans()):
-        kick = TrigPoly(draw(kick_coeffs), draw(kick_coeffs))
+        kick = TrigPoly(draw(kick_coeffs), draw(no_sine_at_0(kick_coeffs)))
         eps = draw(st.floats(-0.05, 0.05))
         try:
             t = KickedMap(kick, eps, t)  # it checks eps * ||X'|| < 0.5

@@ -22,7 +22,7 @@ def bump_q():
 
 
 class IdentityDrift:
-    """Drift stub f_eps(x) = x mod 1 for every eps, with the `eval` that build_kernel and the sampler call."""
+    """Drift stub f_eps(x) = x mod 1 for every eps, with the `eval` that the sampler calls."""
 
     def eval(self, x, eps):
         return grid.wrap(np.asarray(x, dtype=float))
@@ -32,22 +32,29 @@ def forcing(drift, q, mu):
     return noise.kernel_forcing(drift, noise.build_kernel(drift, 0.0, q, N), mu)
 
 
+def expanding_drift(drift, eps):
+    """f0 + eps * fdot as a CircleMap; an example where it does not expand is rejected."""
+    try:
+        return drift.at(eps)
+    except InvalidSystem:
+        assume(False)
+
+
 def unit_mass_noise(samples):
     """The noise density of nonnegative samples rescaled to mass 1."""
     return NoiseDensity(samples / grid.mass(samples))
 
 
-def q_prime_quadrature(drift, q, mu):
-    """Reference forcing: (1/N) sum_j -q'(y_i - f0(x_j)) fdot(x_j) mu(x_j), q' the grid derivative."""
-    shifts = (X[:, None] - drift.base.eval(X)[None, :]) % 1.0
-    kq = grid.interpolate_values(grid.derivative(q.density), shifts.ravel()).reshape(N, N)
-    return -(kq @ (mu * drift.dot(X))) / N
-
-
 def dense_kernel(drift, eps, q):
-    """Reference: A[i,j] = (1/N) q(y_i - f_eps(x_j)) by the 4-point cubic at all N^2 shifts, mass-corrected."""
-    shifts = (X[:, None] - drift.eval(X, eps)[None, :]) % 1.0
-    a = grid.interpolate_values(q.density, shifts.ravel()).reshape(N, N) / N
+    """Reference: the circulant C[i, m] = q[(i - m) % N] / N times the drift's dense gather, then mass-corrected.
+
+    The gather is the N x N matrix of f_eps's operator less its own mass
+    correction, and the product gets the correction that makes every
+    column sum to 1.
+    """
+    gather = transfer.build_deterministic(drift.at(eps), N)
+    circulant = q.density[(np.arange(N)[:, None] - np.arange(N)[None, :]) % N] / N
+    a = circulant @ (gather.to_dense() - gather.correction[None, :])
     return a + (1.0 - a.sum(axis=0))[None, :] / N
 
 
@@ -110,7 +117,7 @@ def noisy_systems(draw):
     """(drift, q, mu): expanding degree 2-3 base, smooth fdot, bump noise, positive smooth mu."""
     coeffs = st.lists(st.floats(-0.04, 0.04), min_size=4, max_size=4)
     try:
-        base = CircleMap(draw(st.integers(2, 3)), draw(coeffs), draw(coeffs))
+        base = CircleMap(draw(st.integers(2, 3)), draw(coeffs), [0.0, *draw(coeffs)[1:]])
     except InvalidSystem:
         assume(False)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -182,18 +189,20 @@ class TestNoiseDensity:
 class TestBuildKernel:
     def test_uniform_noise_projects(self, bump_q):
         q = NoiseDensity.uniform(N)
-        a = noise.build_kernel(IdentityDrift(), 0.0, q, N)
+        a = noise.build_kernel(DriftMap(base=CircleMap(2, sin_coeffs=(0.0, 0.05)), dot=SIN_2PI), 0.02, q, N)
         rng = np.random.default_rng(0)
         f = rng.normal(size=N) + 2
         assert np.max(np.abs(transfer.push(a, f) - grid.mass(f))) <= 1e-12
 
     def test_convolution_oracle(self, bump_q):
-        # identity drift: kernel is the circulant of q node values
-        a = noise.build_kernel(IdentityDrift(), 0.0, bump_q, N)
+        # the kernel is the circulant of q node values applied to the drift's push
+        drift = DriftMap(base=CircleMap(2, sin_coeffs=(0.0, 0.05)))
+        a = noise.build_kernel(drift, 0.0, bump_q, N)
         rng = np.random.default_rng(1)
         f = rng.uniform(0.5, 1.5, N)
-        conv = np.array([np.sum(f * bump_q.density[(i - np.arange(N)) % N]) / N for i in range(N)])
-        assert grid.norm_l1(transfer.push(a, f) - conv) <= 1e-8
+        pushed = transfer.push(transfer.build_deterministic(drift.base, N), f)
+        conv = np.array([np.sum(pushed * bump_q.density[(i - np.arange(N)) % N]) / N for i in range(N)])
+        assert grid.norm_l1(transfer.push(a, f) - conv) <= 1e-12
 
     def test_mass_preserved(self, bump_q):
         drift = DriftMap(base=CircleMap(2), dot=SIN_2PI)
@@ -230,14 +239,17 @@ class TestBuildKernel:
             NoiseDensity.bump(0.5, 0.08, 0.3, N),
             1 + 0.2 * np.cos(2 * np.pi * X),
         ),
-        eps=1e-4,  # f_eps(x_128) = 1.2e-20 mod 1: N f_eps(x_128) = 3e-18 sits just above node 0
+        eps=1e-4,
     )
     def test_matches_dense_kernel(self, system, eps):
-        # the FFT kernel equals the N^2 interpolated kernel, keeps mass and the zero-mass subspace
+        # the kernel equals the dense circulant of q/N times the drift's gather, up to the mass
+        # correction, and keeps mass and the zero-mass subspace
         drift, q, mu = system
+        expanding_drift(drift, eps)
         a = noise.build_kernel(drift, eps, q, N)
         ref = dense_kernel(drift, eps, q)
         assert np.sum(np.abs(a.to_dense() - ref)) <= 1e-13 * np.sum(np.abs(ref))
+        assert np.max(np.abs(a.to_dense().sum(axis=0) - 1.0)) <= 1e-12
         out = transfer.push(a, mu)
         assert grid.norm_l1(out - ref @ mu) <= 1e-13 * grid.norm_l1(out)
         assert abs(grid.mass(out) - grid.mass(mu)) <= 1e-12
@@ -274,12 +286,12 @@ class TestKernelForcing:
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(system=noisy_systems())
-    def test_matches_q_prime_quadrature(self, system):
-        # -(A (fdot mu))' from the eps = 0 kernel equals the q' quadrature
+    def test_matches_dense_derivative(self, system):
+        # -(A (fdot mu))' from the eps = 0 kernel equals -D of the dense kernel applied to fdot mu
         drift, q, mu = system
         g = forcing(drift, q, mu)
-        ref = q_prime_quadrature(drift, q, mu)
-        assert grid.norm_l1(g - ref) <= 1e-10 * grid.norm_l1(ref)
+        ref = -grid.derivative(dense_kernel(drift, 0.0, q) @ (drift.dot(X) * mu))
+        assert grid.norm_l1(g - ref) <= 1e-12 * grid.norm_l1(ref)
         assert abs(grid.mass(g)) <= 1e-12
 
 
@@ -405,6 +417,30 @@ class TestSimulateMarginal:
 
 
 class TestDriftMap:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(system=noisy_systems(), eps=st.floats(-0.05, 0.05))
+    def test_at_is_the_eps_drift(self, system, eps):
+        # the CircleMap of summed lift coefficients is f0 + eps * fdot, a map of f0's degree
+        drift, _, _ = system
+        t = expanding_drift(drift, eps)
+        x = np.random.default_rng(0).uniform(0.0, 1.0, 1000)
+        assert t.degree == drift.base.degree
+        assert np.max(np.abs(t.lift(x) - (drift.base.lift(x) + eps * drift.dot(x)))) <= 1e-14
+        assert np.max(np.abs(t.eval_d1(x) - (drift.base.eval_d1(x) + eps * drift.dot.d1(x)))) <= 1e-12
+
+    def test_at_zero_is_the_base(self):
+        base = CircleMap(2, sin_coeffs=(0.0, 0.05))
+        t = DriftMap(base=base, dot=SIN_4PI).at(0.0)
+        assert np.array_equal(t.p.a, [0.0, 0.0, 0.0]) and np.array_equal(t.p.b, [0.0, 0.05, 0.0])
+        x = np.random.default_rng(2).uniform(0.0, 1.0, 1000)
+        assert np.array_equal(t.lift(x), base.lift(x))
+
+    def test_non_expanding_eps_drift_names_eps(self, bump_q):
+        # f' = 2 + 0.5 * 2 pi cos 2 pi x dips to 2 - pi < 1: no expanding map, no kernel
+        drift = DriftMap(base=CircleMap(2), dot=SIN_2PI)
+        with pytest.raises(InvalidSystem, match=r"eps = 0\.5: probed min of lift derivative is <= 1"):
+            noise.build_kernel(drift, 0.5, bump_q, N)
+
     def test_dot_exact(self):
         d = DriftMap(base=CircleMap(2), dot=SIN_2PI)
         x = np.random.default_rng(0).uniform(0.0, 1.0, 1000)
@@ -427,9 +463,9 @@ class TestDriftMap:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_cubic_reads_node_samples_exactly(self, n, harmonics, seed):
-        # build_kernel and kernel_forcing read fdot only at the nodes, where the 4-point cubic of
-        # the node samples returns each sample bit for bit; so reading fdot exactly moves no
-        # output of theirs.  i/N * N is i only for N a power of two.
+        # kernel_forcing reads fdot only at the nodes, where the 4-point cubic of the node
+        # samples returns each sample bit for bit; so reading fdot exactly moved no output of
+        # it.  i/N * N is i only for N a power of two.
         rng = np.random.default_rng(seed)
         dot = smooth_field(rng, 1.0, harmonics)
         nodes = np.arange(n) / n

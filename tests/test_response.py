@@ -371,17 +371,25 @@ class TestScopedOperators:
             assert same_bits(mat, fresh_operator(entry, 0.0))
 
     def test_each_eps_builds_each_entry_once(self, monkeypatch):
+        # a noise kernel is the drift's gather with a kernel: build_kernel counts it, not its inner call
         entries, sys_, fam = seeded_setup()
         built = []
-        build = transfer.build_deterministic
+        build, build_kernel = transfer.build_deterministic, noise.build_kernel
 
-        def counted(t, n_points):
-            built.append((t.eps, id(t.base)))
-            return build(t, n_points)
+        def counted(t, n_points, kernel=None):
+            if kernel is None:
+                built.append((t.eps, id(t.base)))
+            return build(t, n_points, kernel)
+
+        def counted_kernel(f, eps, q, n_points):
+            built.append((eps, id(f.base)))
+            return build_kernel(f, eps, q, n_points)
 
         monkeypatch.setattr(transfer, "build_deterministic", counted)
+        monkeypatch.setattr(noise, "build_kernel", counted_kernel)
         response.finite_difference_response(sys_, self.EPS, 60, np.ones(N), base_family=fam)
-        assert sorted(built) == sorted((eps, id(e.map)) for eps in self.EPS for e in entries[:2])
+        maps = [e.map for e in entries[:2]] + [entries[2].drift.base]
+        assert sorted(built) == sorted((eps, id(t)) for eps in self.EPS for t in maps)
 
     def test_quotients_match_pullbacks_on_the_shared_system(self):
         _, sys_, fam = seeded_setup()

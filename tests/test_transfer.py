@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from test_noise import noisy_systems
+from test_noise import expanding_drift, noisy_systems
 
 from seqresponse import grid, noise, transfer
 from seqresponse.errors import InvalidSystem
@@ -28,19 +28,20 @@ def random_density(rng, n=N, smooth=True):
     return rng.normal(size=n)
 
 
-def _trig_coeffs(bound):
-    """Cosine and sine coefficients for harmonics k = 0..3, each within +-bound."""
-    return st.lists(st.floats(-bound, bound), min_size=4, max_size=4)
+def _trig_coeffs(bound, sine=False):
+    """Cosine (or sine) coefficients for harmonics k = 0..3, each within +-bound; a sine's at k = 0 is 0."""
+    coeffs = st.lists(st.floats(-bound, bound), min_size=4, max_size=4)
+    return coeffs.map(lambda b: [0.0, *b[1:]]) if sine else coeffs
 
 
 @st.composite
 def kicked_systems(draw):
     """Admissible (T, X, eps): T expanding of degree 2-3, eps * ||X'|| < 0.5."""
     try:
-        t = CircleMap(draw(st.integers(2, 3)), draw(_trig_coeffs(0.04)), draw(_trig_coeffs(0.04)))
+        t = CircleMap(draw(st.integers(2, 3)), draw(_trig_coeffs(0.04)), draw(_trig_coeffs(0.04, sine=True)))
     except InvalidSystem:
         assume(False)
-    kick = TrigPoly(cos_coeffs=tuple(draw(_trig_coeffs(0.2))), sin_coeffs=tuple(draw(_trig_coeffs(0.2))))
+    kick = TrigPoly(cos_coeffs=tuple(draw(_trig_coeffs(0.2))), sin_coeffs=tuple(draw(_trig_coeffs(0.2, sine=True))))
     eps = draw(st.floats(-0.05, 0.05))
     try:
         KickedMap(kick, eps, t)  # it checks eps * ||X'|| < 0.5
@@ -145,13 +146,13 @@ class TestMatrixFree:
 
 @st.composite
 def operators(draw):
-    """An admissible operator in each stencil layout.
+    """An admissible operator of each kind.
 
     A gather (a map of degree 2-3, kicked or not), a dense gather with
-    k = N (a kick composed densely with a map) or a spread with a kernel
+    k = N (a kick composed densely with a map) or a gather with a kernel
     (a bump-noise kernel).
     """
-    layout = draw(st.sampled_from(["gather", "dense", "spread"]))
+    layout = draw(st.sampled_from(["gather", "dense", "kernel"]))
     if layout == "dense":
         t, kick, eps = draw(kicked_systems())
         return transfer.compose_matrices(transfer.build_kick(kick, eps, N), transfer.build_deterministic(t, N))
@@ -159,7 +160,9 @@ def operators(draw):
         t, kick, eps = draw(kicked_systems())
         return transfer.build_deterministic(KickedMap(kick, eps, t) if eps != 0.0 and draw(st.booleans()) else t, N)
     drift, q, _ = draw(noisy_systems())
-    return noise.build_kernel(drift, draw(st.floats(-0.05, 0.05)), q, N)
+    eps = draw(st.floats(-0.05, 0.05))
+    expanding_drift(drift, eps)
+    return noise.build_kernel(drift, eps, q, N)
 
 
 class TestPush:
@@ -200,36 +203,40 @@ class TestPush:
         q = noise.NoiseDensity.uniform(N)
         kernel = noise.build_kernel(noise.DriftMap(base=CircleMap(2)), 0.0, q, N)
         for a in (doubling_matrix, kernel):
-            for name in ("cols", "entries", "correction", "rows", "spectrum"):
+            for name in ("cols", "entries", "correction", "spectrum"):
                 array = getattr(a, name)
                 assert array is None or not array.flags.writeable, name
         cols, entries = np.zeros((1, N), dtype=np.int64), np.ones((1, N))
-        a = transfer.TransferMatrix(None, cols, entries, N)
+        a = transfer.TransferMatrix(cols, entries, N)
         entries[0, 0] = 2.0
         assert a.entries[0, 0] == 1.0
 
     def test_deterministic_stencil_is_a_gather(self, doubling_matrix):
-        assert doubling_matrix.rows is None
+        assert doubling_matrix.spectrum is None
         assert doubling_matrix.cols.shape == doubling_matrix.entries.shape == (12, N)
 
     def test_every_stencil_is_k_by_n(self, doubling_matrix):
-        # a noise kernel is a 4-point spread, a dense product a gather with k = N
-        kernel = noise.build_kernel(noise.DriftMap(base=CircleMap(2)), 0.0, noise.NoiseDensity.uniform(N), N)
-        assert kernel.cols is None and kernel.rows.shape == kernel.entries.shape == (4, N)
+        # a noise kernel is the drift's (6d, N) gather with a spectrum, a dense product a gather with k = N
+        q = noise.NoiseDensity.bump(0.5, 0.08, 0.3, N)
+        kernel = noise.build_kernel(noise.DriftMap(base=CircleMap(2)), 0.0, q, N)
+        assert kernel.cols.shape == kernel.entries.shape == (12, N)
+        assert np.array_equal(kernel.cols, doubling_matrix.cols) and np.array_equal(kernel.entries, doubling_matrix.entries)
+        assert np.array_equal(kernel.spectrum, np.fft.rfft(q.density / N))
         product = transfer.compose_matrices(doubling_matrix, doubling_matrix)
-        assert product.rows is None and product.cols.shape == product.entries.shape == (N, N)
+        assert product.cols.shape == product.entries.shape == (N, N)
         assert np.array_equal(product.cols, np.broadcast_to(np.arange(N)[:, None], (N, N)))
 
-    @pytest.mark.parametrize("layout", ["both", "neither"])
-    def test_rows_xor_cols(self, layout):
-        index = np.zeros((1, N), dtype=np.int64) if layout == "both" else None
-        with pytest.raises(ValueError, match="exactly one of rows"):
-            transfer.TransferMatrix(index, index, np.ones((1, N)), N)
+    @pytest.mark.parametrize("index", [-1, N], ids=["below", "above"])
+    def test_rejects_index_outside_grid(self, index):
+        cols = np.zeros((2, N), dtype=np.int64)
+        cols[1, 7] = index
+        with pytest.raises(ValueError, match="outside the 256-point grid"):
+            transfer.TransferMatrix(cols, np.ones((2, N)), N)
 
     @pytest.mark.parametrize("shape", [(N,), (1, N // 2), (1, 2, N)])
     def test_rejects_stencil_of_other_shape(self, shape):
         with pytest.raises(ValueError, match="shape"):
-            transfer.TransferMatrix(np.zeros(shape, dtype=np.int64), None, np.ones(shape), N)
+            transfer.TransferMatrix(np.zeros(shape, dtype=np.int64), np.ones(shape), N)
 
 
 class TestDOperator:
@@ -246,13 +253,13 @@ class TestDOperator:
         rng = np.random.default_rng(7)
         for _ in range(20):
             u = random_density(rng)
-            kick = TrigPoly(cos_coeffs=rng.normal(size=4) * 0.1, sin_coeffs=rng.normal(size=4) * 0.1)
+            kick = TrigPoly(cos_coeffs=rng.normal(size=4) * 0.1, sin_coeffs=np.r_[0.0, rng.normal(size=4)[1:] * 0.1])
             assert abs(grid.mass(transfer.d_operator(kick, u))) <= 1e-12
 
 
 class TestApply:
     def test_identity_kind(self):
-        ident = transfer.TransferMatrix(np.arange(N)[None], None, np.ones((1, N)), N)
+        ident = transfer.TransferMatrix(np.arange(N)[None], np.ones((1, N)), N)
         f = grid.DensityGrid(random_density(np.random.default_rng(8)))
         assert np.all(transfer.apply(ident, f).values == f.values)
 

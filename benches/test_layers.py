@@ -23,8 +23,8 @@ deterministic operator of that drift map and for its noise kernel, at
 N = 256, 1024 and 2048.  Operator assembly is timed at the same sizes:
 `build_deterministic` for that map, plain and kicked by the det-2048 kick
 (X(x) = sin(2 pi x) / (2 pi), eps = 1e-2), and `build_kernel` for its
-noise kernel; `certify` of that map runs at N = 256.  The solver stages
-(the pullback, `forcing`, the Neumann series, the eps = 1e-3 difference
+noise kernel; so is `certify` of that map.  The solver stages (the
+pullback, `forcing`, the Neumann series, the eps = 1e-3 difference
 quotients, `validate` and `resolvent_residual`) run on a
 det-256-session-like system: N = 256, window 0..300, burn-in 60, four
 degree-2 maps drawn per index, truncation K = 8; `forcing` also runs
@@ -167,9 +167,10 @@ def test_build_kernel(benchmark, n):
     benchmark(noise.build_kernel, *kernel_args(n))
 
 
-def test_certify(benchmark):
-    benchmark.extra_info.update(n_points=256, points=256)
-    benchmark(constants.certify, T, 256)
+@pytest.mark.parametrize("n", PUSH_GRIDS)
+def test_certify(benchmark, n):
+    benchmark.extra_info.update(n_points=n, points=n)
+    benchmark(constants.certify, T, n)
 
 
 @pytest.fixture(scope="module")

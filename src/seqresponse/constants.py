@@ -5,8 +5,8 @@ length M, the mixed-norm constant C(T0), the admissible radius
 delta_star, and the resulting loss-of-memory rate; `Certificate.report`
 gives it as the one dict the `certify` command writes.  The weak
 contraction condition on L0^M is verified on the discretized operator
-against a probe family, so certificates are numerically certified, not
-proven.
+through its step profile, for every zero-mass grid vector in the TV
+seminorm, so certificates are numerically certified, not proven.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ DELTA_BISECT_TOL = 1e-6
 FORMULAS = {
     "lambda1": "1 / (lambda0 - delta_star)",
     "B": "(M2 + delta_star) / (lambda0 - delta_star)^2",
-    "M": "min M with lambda1^M <= 1/(10(B/(1-lambda1)+1)) and ||L0^M v||_L1 <= (1-lambda1)/(10B) ||v||_W11 on probes",
+    "M": "min M with lambda1^M <= 1/(10(B/(1-lambda1)+1)) and q_M <= (1-lambda1)/(10B), so ||L0^M v||_L1 <= (1-lambda1)/(10B) TV(v) for every zero-mass grid vector v",
+    "q_M": "max_j ||L0^M s_j||_L1 over the zero-mass steps s_j = 1_[0,j/N) - j/N, j = 1..N-1; it bounds ||L0^M v||_L1 / TV(v), TV(v) = sum_i |v_(i+1) - v_i|; TV, not the grid W11 norm, since grid.derivative sends the Nyquist mode (-1)^i to 0",
     "C_T0": "d [ 2(M0+lambda0-1)/lambda0^2 + (M0+lambda0-1)(M2/lambda0^3 + 1/lambda0) ]",
-    "C_T0_alt": "2 d (M0+lambda0-1) (1/lambda0^2 + M2/lambda0^3 + 1/lambda0)",
     "delta_star": "largest delta with C_T0 delta <= 7(1-lambda1)^2 / (10 M B (1/(1-lambda1) + B))",
     "elom_rate": "(9/10)^(1/(2M)) per step",
     "elom_C": "(10/9) (B/(1-lambda1) + 1)",
@@ -54,58 +54,38 @@ def c_t0(lambda0: float, M0: float, M2: float, degree: int) -> float:
     return degree * (2.0 * a / lambda0**2 + a * (M2 / lambda0**3 + 1.0 / lambda0))
 
 
-def c_t0_alt(lambda0: float, M0: float, M2: float, degree: int) -> float:
-    """Alternative closed form of the same constant, reported side by side.
+# Steps pushed per block by `step_profile`: 64 rows of N floats, 1 MiB at N = 2048.
+STEP_BATCH = 64
 
-    Disagrees with c_t0 in factor arrangement (9 vs 6 for the doubling
-    map); c_t0 is the one backed by a proof and used in certificates.
+
+def step_profile(l0: transfer.TransferMatrix, depth: int) -> np.ndarray:
+    """q(L0^m) = max_j ||L0^m s_j||_L1 for m = 1 .. depth, over the steps s_j = 1_[0, j/N) - j/N.
+
+    Every zero-mass grid vector is v = -sum_k (v[k+1] - v[k]) s_{k+1}, so
+    ||L0^m v||_L1 <= TV(v) q(L0^m) with TV(v) = sum_k |v[k+1] - v[k]|,
+    indices circular.  The steps s_1 .. s_{N-1} are pushed STEP_BATCH rows
+    at a time and only the maxima are kept; a row's norms have the same
+    bits in any batch, so q does not depend on STEP_BATCH.
     """
-    return 2.0 * degree * (M0 + lambda0 - 1.0) * (1.0 / lambda0**2 + M2 / lambda0**3 + 1.0 / lambda0)
+    n = l0.n_points
+    q = np.zeros(depth)
+    for lo in range(1, n, STEP_BATCH):
+        j = np.arange(lo, min(lo + STEP_BATCH, n))[:, None]
+        v = (np.arange(n) < j) - j / n
+        for m in range(depth):
+            v = transfer.push(l0, v)
+            q[m] = max(q[m], gridmod.norm_l1(v).max())
+    return q
 
 
-def _probe_family(n_points: int) -> np.ndarray:
-    """Zero-mass probe densities, one per row: 20 low harmonics + 30 random smooth combos of the first 8."""
-    x = np.arange(n_points) / n_points
-    cos = [np.cos(2 * np.pi * k * x) for k in range(1, 11)]
-    sin = [np.sin(2 * np.pi * k * x) for k in range(1, 11)]
-    probes = [h for pair in zip(cos, sin) for h in pair]
-    rng = np.random.default_rng(20250824)
-    for _ in range(30):
-        v = np.zeros(n_points)
-        for k in range(8):
-            v += rng.normal() * cos[k] + rng.normal() * sin[k]
-        probes.append(v)
-    return np.array(probes)  # (50, N)
-
-
-class ProbePushes:
-    """Per-probe norms of L0^m v over the probe family, each push made once.
-
-    The probes are pushed through L0 as one block as far as the largest
-    m asked for so far; l1(m) then answers from the cache.
-    """
-
-    def __init__(self, l0: transfer.TransferMatrix):
-        probes = _probe_family(l0.n_points)
-        self.w11 = gridmod.norm_w11(probes)
-        self._l0 = l0
-        self._pushed = probes
-        self._l1: list[np.ndarray] = []  # _l1[m - 1] holds ||L0^m v||_L1 per probe
-
-    def l1(self, m: int) -> np.ndarray:
-        while len(self._l1) < m:
-            self._pushed = transfer.push(self._l0, self._pushed)
-            self._l1.append(gridmod.norm_l1(self._pushed))
-        return self._l1[m - 1]
-
-
-def choose_M(lambda1: float, b: float, pushes: ProbePushes) -> int:
+def choose_M(lambda1: float, b: float, q=None) -> int:
     """Smallest block length M passing both contraction conditions.
 
-    Closed form gives the lambda1^M threshold; the weak condition
-    ||L0^M v||_L1 <= (1-lambda1)/(10 B) ||v||_W11 is then verified on
-    the probe family, continuing the search upward on failure.  `pushes`
-    holds the probe pushes of L0, shared between calls.
+    Closed form gives the lambda1^M threshold, which is M when `q` is
+    None.  Otherwise the weak condition q(M) <= (1-lambda1)/(10 B) is
+    checked, continuing the search upward on failure; `q(m)` is the step
+    profile q(L0^m), so the condition holds for every zero-mass grid
+    vector in the TV seminorm.
     """
     if not 0.0 < lambda1 < 1.0:
         raise NotConverged(f"lambda1 = {lambda1} admits no finite M")
@@ -113,9 +93,11 @@ def choose_M(lambda1: float, b: float, pushes: ProbePushes) -> int:
     m_closed = max(1, int(np.ceil(np.log(target) / np.log(lambda1))))
     if m_closed > M_SEARCH_LIMIT:
         raise NotConverged(f"closed-form threshold already exceeds {M_SEARCH_LIMIT}")
+    if q is None:
+        return m_closed
     threshold = (1.0 - lambda1) / (10.0 * b) if b > 0 else np.inf
     for m in range(m_closed, M_SEARCH_LIMIT + 1):
-        if np.all(pushes.l1(m) <= threshold * pushes.w11):
+        if q(m) <= threshold:
             return m
     raise NotConverged(f"no M <= {M_SEARCH_LIMIT} passes the weak contraction check")
 
@@ -133,13 +115,13 @@ class Certificate:
     lambda1: float
     B: float
     M: int
+    q_M: float
     C_T0: float
-    C_T0_alt: float
     elom_C: float
     elom_rate: float
 
     def inequality_checks(self) -> dict[str, bool]:
-        """Re-validate the four defining inequalities exactly as stated."""
+        """Re-validate the five defining inequalities exactly as stated."""
         lam1, b = self.lambda1, self.B
         return {
             "delta_star_range": 0.0 < self.delta_star < self.lambda0 - 1.0,
@@ -149,6 +131,7 @@ class Certificate:
                 and abs(b - (self.M2 + self.delta_star) / (self.lambda0 - self.delta_star) ** 2) < 1e-12
             ),
             "block_length": lam1**self.M <= 1.0 / (10.0 * (b / (1.0 - lam1) + 1.0)),
+            "weak_contraction": self.q_M <= (1.0 - lam1) / (10.0 * b),
             "delta_star_smallness": self.C_T0 * self.delta_star
             <= 7.0 * (1.0 - lam1) ** 2 / (10.0 * self.M * b * (1.0 / (1.0 - lam1) + b)),
         }
@@ -170,18 +153,28 @@ def certify(t0: CircleMap, n_points: int) -> Certificate:
     """Largest admissible delta_star by bisection, plus the decay certificate.
 
     Each probe builds the candidate certificate at its delta, which is
-    feasible iff it has a finite M and its smallness inequality holds; the
-    probe pushes of L0 behind M are made once and shared.  The strong norm
+    feasible iff it has a finite M and its smallness inequality holds.
+    That inequality's right side falls as M grows, so it is first checked
+    at the closed-form M, which asks no q: a delta failing there fails at
+    every M.  The step profile of L0 behind the weak check is shared; it
+    is computed afresh only when a larger m is asked.  The strong norm
     contracts by 9/10 per 2M steps, giving the per-step rate
     (9/10)^(1/(2M)) and C_ELoM = (10/9)(B/(1-lambda1)+1).
     """
     lam0, m0, m2 = t0.constants()
     ct0 = c_t0(lam0, m0, m2, t0.degree)
-    pushes = ProbePushes(transfer.build_deterministic(t0, n_points))
+    l0 = transfer.build_deterministic(t0, n_points)
+    qs = np.zeros(0)  # q(L0^m) for m = 1 .. qs.size
 
-    def candidate(delta):
+    def profile(m):
+        nonlocal qs
+        if m > qs.size:
+            qs = step_profile(l0, m)
+        return float(qs[m - 1])
+
+    def candidate(delta, q):
         lam1, b = lasota_yorke_constants(lam0, m2, delta)
-        m = choose_M(lam1, b, pushes)
+        m = choose_M(lam1, b, q)
         return Certificate(
             degree=t0.degree,
             n_points=n_points,
@@ -192,15 +185,15 @@ def certify(t0: CircleMap, n_points: int) -> Certificate:
             lambda1=lam1,
             B=b,
             M=m,
+            q_M=np.nan if q is None else q(m),
             C_T0=ct0,
-            C_T0_alt=c_t0_alt(lam0, m0, m2, t0.degree),
             elom_C=(10.0 / 9.0) * (b / (1.0 - lam1) + 1.0),
             elom_rate=(9.0 / 10.0) ** (1.0 / (2.0 * m)),
         )
 
     def feasible(delta):
         try:
-            return candidate(delta).inequality_checks()["delta_star_smallness"]
+            return all(candidate(delta, q).inequality_checks()["delta_star_smallness"] for q in (None, profile))
         except NotConverged:
             return False
 
@@ -221,7 +214,7 @@ def certify(t0: CircleMap, n_points: int) -> Certificate:
         lo = DELTA_BISECT_TOL
         if not feasible(lo):
             raise NotConverged("no positive delta_star satisfies the smallness condition")
-    return candidate(lo)
+    return candidate(lo, profile)
 
 
 def doeblin_certificate(q: NoiseDensity) -> tuple[float, float]:

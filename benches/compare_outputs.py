@@ -9,7 +9,9 @@ from each tree's `src/`, in a fresh output directory.  The script
 compares the exit codes, every output file byte for byte and
 `manifest.json` by its keys and the basenames of its outputs (its wall
 time, paths and config digest differ between any two runs).  It prints
-one line per difference and exits 1 if there is any.
+one line per difference, then the largest L1 distance (perfbench's
+`checks.csv_distance`) of a differing CSV from the parent's beside the
+bound `checks.MAX_OUTPUT_DEV`, and exits 1 if there is any difference.
 """
 
 import collections
@@ -20,6 +22,7 @@ import sys
 import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+import checks  # noqa: E402
 import workloads  # noqa: E402
 
 COMMANDS = (("certify",), ("equivariant", "--two-seed"), ("memory",), ("respond",), ("simulate",))
@@ -77,6 +80,19 @@ def differences(parent: dict, change: dict) -> list:
     return lines
 
 
+def largest_csv_distance(parent: dict, change: dict):
+    """(L1 distance, where) of the differing CSV farthest from the parent's, or None if no CSV differs."""
+    worst = None
+    for key, (_, files_a) in parent.items():
+        files_b = change[key][1]
+        for f in sorted(set(files_a) & set(files_b)):
+            if f.endswith(".csv") and read(files_a[f]) != read(files_b[f]):
+                d = checks.csv_distance(checks.read_csv(files_a[f]), checks.read_csv(files_b[f]))
+                if worst is None or d > worst[0]:
+                    worst = d, "{} seed {} {}: {}".format(*key, f)
+    return worst
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
@@ -87,8 +103,11 @@ def main(argv) -> int:
             os.mkdir(os.path.join(work, label))
             runs.append(run_all(tree, os.path.join(work, label)))
         lines = differences(*runs)
+        worst = largest_csv_distance(*runs)
     for line in lines:
         print(line)
+    if worst is not None:
+        print(f"largest CSV L1 distance {worst[0]:.3g} ({worst[1]}), MAX_OUTPUT_DEV {checks.MAX_OUTPUT_DEV:g}")
     n_files = sum(len(files) for _, files in runs[0].values())
     codes = collections.Counter(code for code, _ in runs[0].values())
     exits = ", ".join(f"{n} exit {code}" for code, n in sorted(codes.items()))

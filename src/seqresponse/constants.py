@@ -156,10 +156,12 @@ def certify(t0: CircleMap, n_points: int) -> Certificate:
     feasible iff it has a finite M and its smallness inequality holds.
     That inequality's right side falls as M grows, so it is first checked
     at the closed-form M, which asks no q: a delta failing there fails at
-    every M.  The step profile of L0 behind the weak check is shared; it
-    is computed afresh only when a larger m is asked.  The strong norm
-    contracts by 9/10 per 2M steps, giving the per-step rate
-    (9/10)^(1/(2M)) and C_ELoM = (10/9)(B/(1-lambda1)+1).
+    every M.  Feasibility is monotone in delta (C_T0 delta grows, the
+    right side falls, M never decreases), so a bisection that ends at 0
+    leaves no positive delta_star.  The step profile of L0 behind the
+    weak check is shared; it is computed afresh only when a larger m is
+    asked.  The strong norm contracts by 9/10 per 2M steps, giving the
+    per-step rate (9/10)^(1/(2M)) and C_ELoM = (10/9)(B/(1-lambda1)+1).
     """
     lam0, m0, m2 = t0.constants()
     ct0 = c_t0(lam0, m0, m2, t0.degree)
@@ -209,11 +211,7 @@ def certify(t0: CircleMap, n_points: int) -> Certificate:
             else:
                 hi = mid
     if lo <= 0.0:
-        # Fall back to a tiny but feasible radius; B -> 0 makes the
-        # smallness condition vacuous in that limit.
-        lo = DELTA_BISECT_TOL
-        if not feasible(lo):
-            raise NotConverged("no positive delta_star satisfies the smallness condition")
+        raise NotConverged("no positive delta_star satisfies the smallness condition")
     return candidate(lo, profile)
 
 

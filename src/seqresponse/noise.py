@@ -84,15 +84,13 @@ class DriftMap:
     `base` is the CircleMap f0 and `dot` the TrigPoly fdot, zero unless
     given; both are evaluated exactly.  The remainder term of the
     eps-family is fixed at zero.  `at(eps)` is f_eps as a CircleMap, the
-    drift whose operator `build_kernel` assembles.
+    one eps-drift: `build_kernel` assembles its operator and
+    `simulate_marginal` moves samples with its `eval`.
     """
 
     def __init__(self, base: CircleMap, dot: TrigPoly = TrigPoly()):
         self.base = base
         self.dot = dot
-
-    def eval(self, x, eps: float) -> np.ndarray:
-        return gridmod.wrap(self.base.eval(x) + eps * self.dot(x))
 
     def at(self, eps: float) -> CircleMap:
         """f_eps as the CircleMap of f0's degree with f0's lift coefficients plus eps times fdot's; it must expand."""
@@ -119,8 +117,9 @@ def kernel_forcing(f: DriftMap, a: TransferMatrix, mu: np.ndarray) -> np.ndarray
     g = -(A (fdot mu))', with A = K_q L_{f0} the eps = 0 kernel of
     build_kernel and ' the grid derivative: the grid form of d/d eps of
     the integral of q(y - f_eps(x)) mu(x) dx, which is -d/dy of the
-    integral of q(y - f0(x)) fdot(x) mu(x) dx.  The derivative removes
-    A's constant mass correction, so g has zero mass to round-off.
+    integral of q(y - f0(x)) fdot(x) mu(x) dx.  A push adds back each
+    row's mass defect as a constant, which the derivative removes, so g
+    has zero mass to round-off.
     mu and g are raw samples of one density or an (m, N) block.
     """
     n = mu.shape[-1]
@@ -183,27 +182,29 @@ def simulate_marginal(
 ) -> np.ndarray:
     """Monte Carlo marginal of X_{n_steps} for X_{k+1} = f_k^eps(X_k) + xi_k mod 1, as a histogram.
 
-    drift_at(k) is the DriftMap f_k of step k.  X_0 is uniform; xi_k ~ q
-    via the guide-table inverse CDF.  Returns the density of each of the
-    n_bins uniform bins [i / n_bins, (i + 1) / n_bins).  Samples are
-    processed in fixed-size blocks with a counter-based Philox stream
-    keyed by (seed, block), so the result is reproducible and
-    independent of any block-level parallelism.
+    drift_at(k) is the DriftMap f_k of step k; samples move by
+    f_k.at(eps), built once per call.  X_0 is uniform; xi_k ~ q via the
+    guide-table inverse CDF.  Returns the density of each of the n_bins
+    uniform bins [i / n_bins, (i + 1) / n_bins).  Samples are processed
+    in fixed-size blocks with a counter-based Philox stream keyed by
+    (seed, block), so the result is reproducible and independent of any
+    block-level parallelism.
     """
     if n_samples < 10**4:
         raise ValueError("need at least 1e4 samples")
     tables = _sampler_tables(q)
+    drifts = [drift_at(step).at(eps) for step in range(n_steps)]
     counts = np.zeros(n_bins, dtype=np.int64)
     n_blocks = (n_samples + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
     for b in range(n_blocks):
         size = min(MC_BLOCK_SIZE, n_samples - b * MC_BLOCK_SIZE)
         rng = np.random.Generator(np.random.Philox(key=(seed, b)))
         x = rng.uniform(0.0, 1.0, size)
-        for step in range(n_steps):
-            drift, u = drift_at(step), rng.uniform(0.0, 1.0, size)
+        for drift in drifts:
+            u = rng.uniform(0.0, 1.0, size)
             for lo in range(0, size, MC_CHUNK):
                 c = slice(lo, lo + MC_CHUNK)
-                x[c] = gridmod.wrap(drift.eval(x[c], eps) + _sample_noise(tables, u[c]))
+                x[c] = gridmod.wrap(drift.eval(x[c]) + _sample_noise(tables, u[c]))
         counts += np.bincount(np.minimum((x * n_bins).astype(np.int64), n_bins - 1), minlength=n_bins)
     return counts * (n_bins / n_samples)
 

@@ -1,6 +1,6 @@
 """Discretized Perron-Frobenius operators on the periodic grid.
 
-Each operator is stored matrix-free as A f = K(S f) + (c . f) 1:
+Each operator is stored matrix-free as its stencil S and kernel K:
 
 - S is a gather stencil of (k, N) arrays, (S f)[i] = sum over j of
   entries[j, i] f[cols[j, i]]: the branch formula of a map's transfer
@@ -8,19 +8,22 @@ Each operator is stored matrix-free as A f = K(S f) + (c . f) 1:
 - K is an optional circular convolution (the noise kernels, K_q after the
   drift's S), stored as the rfft spectrum of its kernel and applied in
   O(N log N), by one rfft/irfft along the last axis for a block of
-  densities;
-- c is the rank-one mass correction c_j = (1 - column sum_j of K S) / N,
-  which makes every column of A sum to exactly 1, so the discrete mass
-  functional (1/N) sum f is preserved to round-off and the zero-mass
-  subspace is exactly invariant, which the response series relies on.
+  densities.
 
-`TransferMatrix(cols, entries, n_points, kernel)` is the one constructor:
-it checks the stencil and derives c.  `push(a, v)` applies A to raw
-samples, v of shape (N,) or (m, N) with one density per row, through one
-code path that pushes a single density as a block of one row; the
-solvers' loops call it.  `apply` is the checked edge that takes and
-returns a DensityGrid.  No N x N array is built except by `to_dense` and
-`compose_matrices` (a gather with k = N), the tests' references.
+The operator is A f = K(S f) + (mass(f) - mass(K S f)) 1: each pushed
+density gets back its own mass defect, so the discrete mass functional
+(1/N) sum f is preserved to round-off and the zero-mass subspace is
+invariant, which the response series relies on.  As a matrix A is
+K S + 1 c^T with c_j = (1 - column sum_j of K S) / N, which `to_dense`
+builds.
+
+`TransferMatrix(cols, entries, kernel=None)` is the one constructor; it
+checks the stencil, and N is its number of columns.  `push(a, v)` applies
+A to raw samples, v of shape (N,) or (m, N) with one density per row,
+through one code path that pushes a single density as a block of one
+row; the solvers' loops call it.  `apply` is the checked edge that takes
+and returns a DensityGrid.  No N x N array is built except by `to_dense`
+and `compose_matrices` (a gather with k = N), the tests' references.
 """
 
 from __future__ import annotations
@@ -45,49 +48,43 @@ GATHER_BUDGET = 1 << 16
 
 
 class TransferMatrix:
-    """Matrix-free realization of one transfer operator, A f = K(S f) + (c . f) 1.
+    """Matrix-free realization of one transfer operator, its stencil S and kernel K.
 
     `cols` and `entries` have one shape (k, N): row i of S reads column
     cols[j, i] with weight entries[j, i].  `kernel` is the convolution
     kernel of K, or None for K = identity:
     (K f)[i] = sum_m kernel[(i - m) % N] f[m], stored as its rfft
-    `spectrum`.  The constructor checks the stencil against the grid and
-    derives the mass correction c; every column of a circulant sums to
-    sum(kernel), so the column sums of K S are those of S times
-    sum(kernel).  The arrays are stored as read-only copies.
+    `spectrum`.  The constructor checks the stencil against its N columns
+    and stores the arrays as read-only copies.
     """
 
-    def __init__(self, cols, entries, n_points: int, kernel=None):
+    def __init__(self, cols, entries, kernel=None):
         cols, entries = np.asarray(cols), np.asarray(entries, dtype=float)
-        if not (cols.ndim == 2 and cols.shape == entries.shape and cols.shape[1] == n_points):
-            raise ValueError(f"stencil indices and entries must both have shape (k, {n_points})")
-        if cols.size and not (0 <= cols.min() and cols.max() < n_points):
-            raise ValueError(f"stencil index outside the {n_points}-point grid")
-        col_sums = np.bincount(cols.ravel(), entries.ravel(), minlength=n_points)
-        self.spectrum = None
-        if kernel is not None:
-            col_sums *= np.sum(kernel)
-            self.spectrum = _frozen(np.fft.rfft(kernel), complex)
+        if not (cols.ndim == 2 and cols.shape == entries.shape):
+            raise ValueError(f"stencil indices {cols.shape} and entries {entries.shape} must share one shape (k, N)")
+        n = cols.shape[1]
+        if cols.size and not (0 <= cols.min() and cols.max() < n):
+            raise ValueError(f"stencil index outside the {n}-point grid")
         self.cols = _frozen(cols, np.int64)
         self.entries = _frozen(entries, float)
-        self.correction = _frozen((1.0 - col_sums) / n_points, float)
+        self.spectrum = None if kernel is None else _frozen(np.fft.rfft(kernel), complex)
 
     @property
     def n_points(self) -> int:
-        return self.correction.shape[0]
+        return self.cols.shape[1]
 
     def to_dense(self) -> np.ndarray:
-        """The N x N matrix of the operator, a reference for the tests."""
+        """The N x N matrix K S + 1 c^T of the operator, a reference for the tests."""
         n = self.n_points
         a = np.zeros((n, n))
         np.add.at(a, (np.broadcast_to(np.arange(n), self.cols.shape), self.cols), self.entries)
         if self.spectrum is not None:
             a = np.fft.irfft(self.spectrum[:, None] * np.fft.rfft(a, axis=0), n=n, axis=0)
-        return a + self.correction[None, :]
+        return a + (1.0 - a.sum(axis=0)) / n
 
 
 def build_deterministic(t: CircleMap | KickedMap, n_points: int, kernel=None) -> TransferMatrix:
-    """Mass-corrected branch-formula operator (Lf)(x_i) = sum_j f(h_j(x_i)) / l'(h_j(x_i)), then K.
+    """Mass-preserving branch-formula operator (Lf)(x_i) = sum_j f(h_j(x_i)) / l'(h_j(x_i)), then K.
 
     f is read off-grid by the 6-point stencil: the gather has one row per
     (branch, offset) pair, in branch-major order.  A KickedMap h_eps o T
@@ -100,7 +97,7 @@ def build_deterministic(t: CircleMap | KickedMap, n_points: int, kernel=None) ->
     idx, w = gridmod.interpolation_stencil6(n_points, branches.ravel())
     cols = idx.reshape(6, t.degree, n_points).swapaxes(0, 1).reshape(-1, n_points)
     entries = (w.reshape(6, t.degree, n_points).swapaxes(0, 1) * weights[:, None, :]).reshape(-1, n_points)
-    return TransferMatrix(cols, entries, n_points, kernel)
+    return TransferMatrix(cols, entries, kernel)
 
 
 class _Identity:
@@ -142,7 +139,7 @@ def compose_matrices(outer: TransferMatrix, inner: TransferMatrix) -> TransferMa
     if n != inner.n_points:
         raise InvalidSystem("matrix sizes differ")
     cols = np.broadcast_to(np.arange(n)[:, None], (n, n))
-    return TransferMatrix(cols, push(outer, push(inner, np.eye(n))), n)
+    return TransferMatrix(cols, push(outer, push(inner, np.eye(n))))
 
 
 def _gather(a: TransferMatrix, v: np.ndarray) -> np.ndarray:
@@ -159,22 +156,22 @@ def _gather(a: TransferMatrix, v: np.ndarray) -> np.ndarray:
 
 
 def push(a: TransferMatrix, v) -> np.ndarray:
-    """A applied to each row of v, shape (N,) or (m, N): K(S v) + (c . v) 1 in O(nnz) per row.
+    """A applied to each row of v, shape (N,) or (m, N): K(S v) plus the row's mass defect, in O(nnz) per row.
 
-    v is pushed as an (m, N) block, one density of shape (N,) as a block
-    of one row.  Every row of the result has the bits it would have if
-    pushed alone: the stencil sums run in stencil order and the mass
-    correction is one dot product per row.
+    v is pushed as a C-ordered (m, N) block, one density of shape (N,) as
+    a block of one row.  Every row of the result has the bits it would
+    have if pushed alone, whatever the layout of v: the stencil sums run
+    in stencil order and each row's masses are sums over that row alone.
     """
     v = np.asarray(v, dtype=float)
     n = a.n_points
     if v.ndim not in (1, 2) or v.shape[-1] != n:
         raise InvalidSystem(f"matrix is {n}, densities have shape {v.shape}")
-    block = v.reshape(-1, n)
+    block = np.ascontiguousarray(v.reshape(-1, n))
     s = _gather(a, block)
     if a.spectrum is not None:
         s = np.fft.irfft(a.spectrum * np.fft.rfft(s, axis=-1), n=n, axis=-1)
-    s += np.array([a.correction @ row for row in block])[:, None]
+    s += (gridmod.mass(block) - gridmod.mass(s))[:, None]
     return s.reshape(v.shape)
 
 

@@ -82,3 +82,11 @@ def test_manifest_shape_ignores_wall_time_and_paths(tmp_path, compare):
         ["command", "config", "config_sha256", "outputs", "wall_time_s"],
         ["eta_0009.csv"],
     )
+
+
+def test_largest_csv_distance_names_its_file(tmp_path, compare):
+    # only the CSVs that differ count, the farthest one is named, and its distance is perfbench's
+    parent = tree(tmp_path, "parent", {"eta_0009.csv": "x,value\n0,1\n0.5,3\n", "eta_0010.csv": "x,value\n0,1\n", "a.json": "1"})
+    change = tree(tmp_path, "change", {"eta_0009.csv": "x,value\n0,1\n0.5,2.5\n", "eta_0010.csv": "x,value\n0,1\n", "a.json": "2"})
+    assert compare.largest_csv_distance(parent, change) == (0.25, "det-256-session seed 1 respond: eta_0009.csv")
+    assert compare.largest_csv_distance(parent, parent) is None

@@ -243,6 +243,11 @@ class TestCertify:
         cert = constants.certify(CircleMap(2, sin_coeffs=(0.0, 0.05)), N)
         assert depths == [cert.M] == [7]
 
+    def test_no_positive_delta_raises(self):
+        # feasibility is monotone in delta, so a bisection that ends at 0 has no radius to fall back to
+        with pytest.raises(NotConverged, match="no positive delta_star satisfies the smallness condition"):
+            constants.certify(CircleMap(2, sin_coeffs=(0.0, 0.14)), 64)
+
     def test_empirical_decay_dominated(self, cert):
         # actual strong-norm decay of the doubling matrix sits below the
         # certified envelope C rho^k ||v||_W11 for zero-mass seeds

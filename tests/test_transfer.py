@@ -194,6 +194,24 @@ class TestPush:
         out = transfer.push(doubling_matrix, v)
         assert all(np.array_equal(out[r], transfer.push(doubling_matrix, v[r])) for r in range(m))
 
+    @pytest.mark.parametrize("kind", ["gather", "kernel"])
+    @pytest.mark.parametrize("m", [3, 40])
+    @pytest.mark.parametrize("layout", ["fortran", "transposed", "strided"])
+    def test_rows_match_for_any_layout(self, doubling_matrix, kind, m, layout):
+        # a block that is not C-ordered still gives each row the bits of its own push
+        q = noise.NoiseDensity.bump(0.5, 0.08, 0.3, N)
+        a = doubling_matrix if kind == "gather" else noise.build_kernel(noise.DriftMap(base=CircleMap(2)), 0.0, q, N)
+        rng = np.random.default_rng(m)
+        if layout == "fortran":
+            v = np.asfortranarray(rng.normal(size=(m, N)))
+        elif layout == "transposed":
+            v = rng.normal(size=(N, m)).T
+        else:
+            v = rng.normal(size=(2 * m, 2 * N))[::2, ::2]
+        assert v.shape == (m, N) and not v.flags.c_contiguous
+        out = transfer.push(a, v)
+        assert all(np.array_equal(out[r], transfer.push(a, np.array(v[r]))) for r in range(m))
+
     @pytest.mark.parametrize("shape", [(N + 2,), (3, N // 2), (2, 2, N)])
     def test_shape_mismatch(self, doubling_matrix, shape):
         with pytest.raises(InvalidSystem, match="densities have shape"):
@@ -203,11 +221,11 @@ class TestPush:
         q = noise.NoiseDensity.uniform(N)
         kernel = noise.build_kernel(noise.DriftMap(base=CircleMap(2)), 0.0, q, N)
         for a in (doubling_matrix, kernel):
-            for name in ("cols", "entries", "correction", "spectrum"):
+            for name in ("cols", "entries", "spectrum"):
                 array = getattr(a, name)
                 assert array is None or not array.flags.writeable, name
         cols, entries = np.zeros((1, N), dtype=np.int64), np.ones((1, N))
-        a = transfer.TransferMatrix(cols, entries, N)
+        a = transfer.TransferMatrix(cols, entries)
         entries[0, 0] = 2.0
         assert a.entries[0, 0] == 1.0
 
@@ -231,12 +249,13 @@ class TestPush:
         cols = np.zeros((2, N), dtype=np.int64)
         cols[1, 7] = index
         with pytest.raises(ValueError, match="outside the 256-point grid"):
-            transfer.TransferMatrix(cols, np.ones((2, N)), N)
+            transfer.TransferMatrix(cols, np.ones((2, N)))
 
     @pytest.mark.parametrize("shape", [(N,), (1, N // 2), (1, 2, N)])
     def test_rejects_stencil_of_other_shape(self, shape):
+        # indices that are not (k, N) or not the entries' shape, here N / 2 columns against N
         with pytest.raises(ValueError, match="shape"):
-            transfer.TransferMatrix(np.zeros(shape, dtype=np.int64), np.ones(shape), N)
+            transfer.TransferMatrix(np.zeros(shape, dtype=np.int64), np.ones(shape[:-1] + (N,)))
 
 
 class TestDOperator:
@@ -259,7 +278,7 @@ class TestDOperator:
 
 class TestApply:
     def test_identity_kind(self):
-        ident = transfer.TransferMatrix(np.arange(N)[None], np.ones((1, N)), N)
+        ident = transfer.TransferMatrix(np.arange(N)[None], np.ones((1, N)))
         f = grid.DensityGrid(random_density(np.random.default_rng(8)))
         assert np.all(transfer.apply(ident, f).values == f.values)
 

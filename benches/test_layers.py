@@ -38,12 +38,19 @@ of the det-2048 workload before jitter, periodic, with that kick) and a
 noisy-1024-like one (N = 1024, window 0..10, the noisy-1024 drift and
 bump noise, constant).  The quotients' bench records in `cached_bytes`
 the bytes of the operators the system passed in still caches after it.
+
+The set-up the benchmark times as `setup_s`, `config.load_config` and
+then `config.build_system`, runs on each workload's seed-0 config as
+`perfbench/workloads.py` writes it.
 """
+
+import os
+import sys
 
 import numpy as np
 import pytest
 
-from seqresponse import constants, grid, noise, response, sequence, transfer
+from seqresponse import config, constants, grid, noise, response, sequence, transfer
 from seqresponse.maps import CircleMap, KickedMap, TrigPoly
 from seqresponse.noise import DriftMap, NoiseDensity
 from seqresponse.sequence import (
@@ -54,6 +61,9 @@ from seqresponse.sequence import (
     periodic_schedule,
     seeded_random_schedule,
 )
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+import workloads  # noqa: E402
 
 N = 1024
 POINTS = noise.MC_BLOCK_SIZE
@@ -321,3 +331,12 @@ def test_write_density_csv(benchmark, session, tmp_path):
     mu = session[1][0]
     benchmark.extra_info.update(n_points=mu.shape[0], points=mu.shape[0])
     benchmark(grid.write_density_csv, tmp_path / "mu.csv", mu)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_load_config_build_system(benchmark, tmp_path, name):
+    path = tmp_path / "exp.ini"
+    path.write_text(workloads.make_config(name, 0, str(tmp_path / "out")))
+    n = workloads.WORKLOADS[name].n_points
+    benchmark.extra_info.update(n_points=n, points=n)
+    benchmark(lambda: config.build_system(config.load_config(str(path))))

@@ -70,51 +70,52 @@ class ExperimentConfig:
     raw: configparser.ConfigParser = field(repr=False, compare=False)
 
 
-def _require(parser: configparser.ConfigParser, section: str, key: str) -> str:
-    if not parser.has_section(section):
-        raise ConfigError(f"missing section [{section}]")
-    value = parser.get(section, key, fallback=None)
-    if value is None:
-        raise ConfigError(f"missing field {section}.{key}")
-    return value.strip()
+_REQUIRED = object()  # the default of a key that must be set
 
 
-def _get(parser, section, key, default):
-    if parser.has_section(section) and parser.get(section, key, fallback=None) is not None:
-        return parser.get(section, key).strip()
-    return default
+def _read(raw: configparser.ConfigParser, key: str, parse, default=_REQUIRED):
+    """The value of `key` ("section.key") in raw, parsed by `parse`; `default` when unset.
 
-
-def _as_int(value, where):
+    parse(text) raises ValueError(reason) on a bad value, or OSError on
+    a file it cannot read; either becomes ConfigError("key: reason").  A
+    key without default must be set: its absence reports the missing
+    section or field.
+    """
+    section, _, name = key.rpartition(".")
+    text = raw.get(section, name, fallback=None)
+    if text is None and default is _REQUIRED:
+        raise ConfigError(f"missing field {key}" if raw.has_section(section) else f"missing section [{section}]")
+    if text is None:
+        return default
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be an integer, got {value!r}") from None
+        return parse(text.strip())
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
-def _as_float(value, where):
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+def _checked(convert, ok, what: str):
+    """The parse convert(text), which must satisfy ok, else ValueError("must be <what>, got <value>")."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise ValueError(f"must be {what}, got {value!r}")
+        return value
+
+    return parse
 
 
-def _as_seed(value, where):
-    seed = _as_int(value, where)
-    if not 0 <= seed < 2**63:
-        raise ConfigError(f"{where} must be an integer in [0, 2**63), got {seed}")
-    return seed
+def _one_of(choices: tuple):
+    return _checked(str, lambda s: s in choices, f"one of {choices}")
 
 
-def _as_tolerance(value, where):
-    tol = _as_float(value, where)
-    if not 0.0 < tol < np.inf:  # NaN fails too
-        raise ConfigError(f"{where} must be finite and > 0, got {tol!r}")
-    return tol
+_GRID_SIZE = _checked(int, lambda n: n >= gridmod.MIN_POINTS and n % 2 == 0, f"even and >= {gridmod.MIN_POINTS}")
+_SEED = _checked(int, lambda s: 0 <= s < 2**63, "in [0, 2**63)")
+_POSITIVE_FINITE = _checked(float, lambda t: 0.0 < t < np.inf, "finite and > 0")  # NaN fails too
+_AT_LEAST_1 = _checked(int, lambda k: k >= 1, ">= 1")
 
 
-def parse_coeff_triples(text: str, where: str) -> tuple[tuple, tuple]:
-    """`k:a:b` triples, each k at most once and b = 0 at k = 0 -> (cos_coeffs, sin_coeffs), dense up to max k."""
+def _coeff_triples(text: str) -> tuple[tuple, tuple]:
     cos: dict = {}
     sin: dict = {}
     for item in text.split(","):
@@ -123,19 +124,50 @@ def parse_coeff_triples(text: str, where: str) -> tuple[tuple, tuple]:
             continue
         parts = item.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"{where}: expected k:a:b triple, got {item!r}")
-        k = _as_int(parts[0], where)
+            raise ValueError(f"expected k:a:b triple, got {item!r}")
+        k = int(parts[0])
         if not 0 <= k <= MAX_COEFF_INDEX:
-            raise ConfigError(f"{where}: harmonic index must be in [0, {MAX_COEFF_INDEX}], got {k}")
+            raise ValueError(f"harmonic index must be in [0, {MAX_COEFF_INDEX}], got {k}")
         if k in cos:
-            raise ConfigError(f"{where}: harmonic index {k} is given twice")
-        cos[k], sin[k] = _as_float(parts[1], where), _as_float(parts[2], where)
+            raise ValueError(f"harmonic index {k} is given twice")
+        cos[k], sin[k] = float(parts[1]), float(parts[2])
         if not (np.isfinite(cos[k]) and np.isfinite(sin[k])):
-            raise ConfigError(f"{where}: coefficients must be finite, got {item!r}")
+            raise ValueError(f"coefficients must be finite, got {item!r}")
         if k == 0 and sin[k] != 0.0:
-            raise ConfigError(f"{where}: harmonic 0 has no sine term, give 0:a:0, got {item!r}")
+            raise ValueError(f"harmonic 0 has no sine term, give 0:a:0, got {item!r}")
     ks = range(max(cos, default=-1) + 1)
     return tuple(cos.get(k, 0.0) for k in ks), tuple(sin.get(k, 0.0) for k in ks)
+
+
+def parse_coeff_triples(text: str, where: str) -> tuple[tuple, tuple]:
+    """`k:a:b` triples, each k at most once and b = 0 at k = 0 -> (cos_coeffs, sin_coeffs), dense up to max k.
+
+    A bad list is a ConfigError that names `where` ("section.key").
+    """
+    section, _, name = where.rpartition(".")
+    raw = configparser.ConfigParser(interpolation=None)
+    raw.read_dict({section: {name: text}})
+    return _read(raw, where, _coeff_triples)
+
+
+def _window(text: str) -> tuple[int, int]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError("must be two comma-separated integers")
+    window = int(parts[0]), int(parts[1])
+    if window[1] < window[0]:
+        raise ValueError(f"must have hi >= lo, got {window}")
+    return window
+
+
+def _eps_list(text: str) -> tuple:
+    eps_list = tuple(float(e) for e in text.split(",") if e.strip())
+    if not all(e != 0.0 and np.isfinite(e) for e in eps_list):
+        raise ValueError(f"entries must be finite and nonzero, got {eps_list}")
+    repeated = [e for i, e in enumerate(eps_list) if e in eps_list[:i]]
+    if repeated:
+        raise ValueError(f"entry {repeated[0]!r} is given twice")
+    return eps_list
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -147,48 +179,18 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot parse config file {path}: {message}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    mode = _require(parser, "experiment", "mode")
-    if mode not in MODES:
-        raise ConfigError(f"experiment.mode must be one of {MODES}, got {mode!r}")
-    n = _as_int(_require(parser, "experiment", "n"), "experiment.n")
-    if n < gridmod.MIN_POINTS or n % 2 != 0:
-        raise ConfigError(f"experiment.n must be even and >= {gridmod.MIN_POINTS}, got {n}")
-    window_text = _get(parser, "experiment", "window", "0, 10").split(",")
-    if len(window_text) != 2:
-        raise ConfigError("experiment.window must be two comma-separated integers")
-    window = (
-        _as_int(window_text[0], "experiment.window"),
-        _as_int(window_text[1], "experiment.window"),
-    )
-    if window[1] < window[0]:
-        raise ConfigError(f"experiment.window must have hi >= lo, got {window}")
-    eps_text = _get(parser, "experiment", "eps", "")
-    eps_list = tuple(
-        _as_float(e, "experiment.eps") for e in eps_text.split(",") if e.strip()
-    )
-    if not all(e != 0.0 and np.isfinite(e) for e in eps_list):
-        raise ConfigError(f"experiment.eps entries must be finite and nonzero, got {eps_list}")
-    repeated = [e for i, e in enumerate(eps_list) if e in eps_list[:i]]
-    if repeated:
-        raise ConfigError(f"experiment.eps entry {repeated[0]!r} is given twice")
-    burn_in = _as_int(_get(parser, "experiment", "burn_in", "60"), "experiment.burn_in")
-    truncation = _as_int(_get(parser, "experiment", "truncation", "8"), "experiment.truncation")
-    if burn_in < 1 or truncation < 1:
-        raise ConfigError(f"experiment.burn_in and truncation must be >= 1, got {burn_in}, {truncation}")
     return ExperimentConfig(
         path=str(path),
-        mode=mode,
-        n_points=n,
-        window=window,
-        burn_in=burn_in,
-        eps_list=eps_list,
-        seed=_as_seed(_get(parser, "experiment", "seed", "0"), "experiment.seed"),
-        output_dir=_get(parser, "experiment", "output_dir", "out"),
-        truncation=truncation,
-        tolerance=_as_tolerance(_get(parser, "experiment", "tolerance", "1e-2"), "experiment.tolerance"),
-        pullback_tol=_as_tolerance(
-            _get(parser, "experiment", "pullback_tol", DEFAULT_PULLBACK_TOL), "experiment.pullback_tol"
-        ),
+        mode=_read(parser, "experiment.mode", _one_of(MODES)),
+        n_points=_read(parser, "experiment.n", _GRID_SIZE),
+        window=_read(parser, "experiment.window", _window, (0, 10)),
+        burn_in=_read(parser, "experiment.burn_in", _checked(int, lambda b: b >= 2, ">= 2"), 60),
+        eps_list=_read(parser, "experiment.eps", _eps_list, ()),
+        seed=_read(parser, "experiment.seed", _SEED, 0),
+        output_dir=_read(parser, "experiment.output_dir", str, "out"),
+        truncation=_read(parser, "experiment.truncation", _AT_LEAST_1, 8),
+        tolerance=_read(parser, "experiment.tolerance", _POSITIVE_FINITE, 1e-2),
+        pullback_tol=_read(parser, "experiment.pullback_tol", _POSITIVE_FINITE, DEFAULT_PULLBACK_TOL),
         raw=parser,
     )
 
@@ -200,22 +202,23 @@ def read_seed(cfg: ExperimentConfig, section: str, zero_mass: bool) -> np.ndarra
     unless zero_mass, have mass 1 within 1e-10.  A harmonic that is a
     multiple of n samples to the constant 1, so it is rejected.
     """
-    csv = _get(cfg.raw, section, "seed_csv", None)
-    if csv is not None and cfg.raw.has_option(section, "harmonic"):
-        raise ConfigError(f"{section}.seed_csv and {section}.harmonic are exclusive; set one of them")
-    if csv is not None:
-        where = f"{section}.seed_csv"
-        try:
-            seed = gridmod.read_density_csv(csv, cfg.n_points)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
+
+    def density(path: str) -> np.ndarray:
+        seed = gridmod.read_density_csv(path, cfg.n_points)
         mass = float(gridmod.mass(seed))
         if not (zero_mass or abs(mass - 1.0) <= 1e-10):
-            raise ConfigError(f"{where} must have mass 1 within 1e-10, got {mass!r}")
+            raise ValueError(f"must have mass 1 within 1e-10, got {mass!r}")
         return seed
-    k = _as_int(_get(cfg.raw, section, "harmonic", "1"), f"{section}.harmonic")
+
+    seed = _read(cfg.raw, f"{section}.seed_csv", density, None)
+    k = _read(cfg.raw, f"{section}.harmonic", int, None)
+    if seed is not None and k is not None:
+        raise ConfigError(f"{section}.seed_csv and {section}.harmonic are exclusive; set one of them")
+    if seed is not None:
+        return seed
+    k = 1 if k is None else k
     if k % cfg.n_points == 0:
-        raise ConfigError(f"{section}.harmonic must not be a multiple of experiment.n = {cfg.n_points}, got {k}")
+        raise ConfigError(f"{section}.harmonic: must not be a multiple of experiment.n = {cfg.n_points}, got {k}")
     x = np.arange(cfg.n_points) / cfg.n_points
     wave = np.cos(2 * np.pi * k * x)
     return wave if zero_mass else 1.0 + 0.5 * wave
@@ -223,80 +226,59 @@ def read_seed(cfg: ExperimentConfig, section: str, zero_mass: bool) -> np.ndarra
 
 def read_tail(cfg: ExperimentConfig) -> tuple[tuple[float, float] | None, float | None]:
     """((tail_c, tail_rate) or None when neither is set, tail_tol or None) from [experiment]."""
-    c = _get(cfg.raw, "experiment", "tail_c", None)
-    rate = _get(cfg.raw, "experiment", "tail_rate", None)
+    c = _read(cfg.raw, "experiment.tail_c", _POSITIVE_FINITE, None)
+    rate = _read(cfg.raw, "experiment.tail_rate", _checked(float, lambda r: 0.0 < r < 1.0, "in (0, 1)"), None)
     if (c is None) != (rate is None):
         raise ConfigError("experiment.tail_c and experiment.tail_rate must be set together")
-    constants = None
-    if c is not None:
-        c, rate = _as_float(c, "experiment.tail_c"), _as_float(rate, "experiment.tail_rate")
-        if not (0.0 < c < np.inf and 0.0 < rate < 1.0):
-            raise ConfigError(f"need finite experiment.tail_c > 0 and 0 < tail_rate < 1, got {c}, {rate}")
-        constants = (c, rate)
-    tol = _get(cfg.raw, "experiment", "tail_tol", None)
-    return constants, (_as_tolerance(tol, "experiment.tail_tol") if tol is not None else None)
+    constants = None if c is None else (c, rate)
+    return constants, _read(cfg.raw, "experiment.tail_tol", _POSITIVE_FINITE, None)
 
 
 def read_memory(cfg: ExperimentConfig) -> tuple[int, int]:
     """(k_max, start) from [memory]; start defaults to the window's low end."""
-    k_max = _as_int(_get(cfg.raw, "memory", "k_max", "12"), "memory.k_max")
-    if k_max < 1:
-        raise ConfigError(f"memory.k_max must be >= 1, got {k_max}")
-    start = _as_int(_get(cfg.raw, "memory", "start", str(cfg.window[0])), "memory.start")
-    return k_max, start
+    return _read(cfg.raw, "memory.k_max", _AT_LEAST_1, 12), _read(cfg.raw, "memory.start", int, cfg.window[0])
 
 
 def read_simulate(cfg: ExperimentConfig) -> tuple[int, int, int, float]:
     """(steps, samples, bins, eps) from [simulate], for a noisy experiment."""
     if cfg.mode != "noisy":
         raise ConfigError("simulate requires experiment.mode = noisy")
-    steps = _as_int(_get(cfg.raw, "simulate", "steps", "5"), "simulate.steps")
-    samples = _as_int(_get(cfg.raw, "simulate", "samples", "100000"), "simulate.samples")
-    bins = _as_int(_get(cfg.raw, "simulate", "bins", "64"), "simulate.bins")
-    eps = _as_float(_get(cfg.raw, "simulate", "eps", "0.0"), "simulate.eps")
-    if steps < 0:
-        raise ConfigError(f"simulate.steps must be >= 0, got {steps}")
-    if samples < 10**4:
-        raise ConfigError(f"simulate.samples must be >= 1e4, got {samples}")
-    if not np.isfinite(eps):
-        raise ConfigError(f"simulate.eps must be finite, got {eps!r}")
-    if bins < 1 or cfg.n_points % bins != 0:
-        raise ConfigError(f"simulate.bins must divide experiment.n = {cfg.n_points}, got {bins}")
+    steps = _read(cfg.raw, "simulate.steps", _checked(int, lambda s: s >= 0, ">= 0"), 5)
+    samples = _read(cfg.raw, "simulate.samples", _checked(int, lambda s: s >= 10**4, ">= 1e4"), 100000)
+    bins = _read(cfg.raw, "simulate.bins", _AT_LEAST_1, 64)
+    if cfg.n_points % bins != 0:
+        raise ConfigError(f"simulate.bins: must divide experiment.n = {cfg.n_points}, got {bins}")
+    eps = _read(cfg.raw, "simulate.eps", _checked(float, np.isfinite, "finite"), 0.0)
     return steps, samples, bins, eps
 
 
 def _coeffs(cfg: ExperimentConfig, section: str, key: str) -> tuple[tuple, tuple]:
     """(cos_coeffs, sin_coeffs) of the `k:a:b` list `section.key`; empty when unset."""
-    return parse_coeff_triples(_get(cfg.raw, section, key, ""), f"{section}.{key}")
+    return _read(cfg.raw, f"{section}.{key}", _coeff_triples, ((), ()))
 
 
 def build_map(cfg: ExperimentConfig, section: str = "reference_map") -> CircleMap:
-    degree = _as_int(_require(cfg.raw, section, "degree"), f"{section}.degree")
-    return CircleMap(degree, *_coeffs(cfg, section, "coeffs"))
+    return CircleMap(_read(cfg.raw, f"{section}.degree", int), *_coeffs(cfg, section, "coeffs"))
+
+
+def _noise_preset(text: str, n_points: int) -> NoiseDensity:
+    if text == "uniform":
+        return NoiseDensity.uniform(n_points)
+    if not text.startswith("bump:"):
+        raise ValueError(f"unknown preset {text!r}")
+    parts = text[len("bump:") :].split(",")
+    if len(parts) != 3:
+        raise ValueError("bump wants bump:center,width,floor")
+    return NoiseDensity.bump(*map(float, parts), n_points)
 
 
 def build_noise(cfg: ExperimentConfig) -> NoiseDensity:
-    preset = _get(cfg.raw, "noise", "preset", None)
-    csv = _get(cfg.raw, "noise", "csv", None)
+    n = cfg.n_points
+    preset = _read(cfg.raw, "noise.preset", lambda text: _noise_preset(text, n), None)
+    csv = _read(cfg.raw, "noise.csv", lambda path: NoiseDensity(gridmod.read_density_csv(path, n)), None)
     if (preset is None) == (csv is None):
         raise ConfigError("set exactly one of noise.preset and noise.csv")
-    if csv is not None:
-        try:
-            return NoiseDensity(gridmod.read_density_csv(csv, cfg.n_points))
-        except ValueError as exc:
-            raise ConfigError(f"noise.csv: {exc}") from None
-    if preset == "uniform":
-        return NoiseDensity.uniform(cfg.n_points)
-    if preset.startswith("bump:"):
-        parts = preset[len("bump:") :].split(",")
-        if len(parts) != 3:
-            raise ConfigError("noise.preset bump wants bump:center,width,floor")
-        c, w, f = (_as_float(p, "noise.preset") for p in parts)
-        try:
-            return NoiseDensity.bump(c, w, f, cfg.n_points)
-        except ValueError as exc:
-            raise ConfigError(f"noise.preset: {exc}") from None
-    raise ConfigError(f"unknown noise preset {preset!r}")
+    return csv if preset is None else preset
 
 
 def _entries(cfg: ExperimentConfig, sections: list) -> list:
@@ -311,15 +293,11 @@ def _entries(cfg: ExperimentConfig, sections: list) -> list:
 
 def schedule_sections(cfg: ExperimentConfig) -> tuple[str, list]:
     """(kind, map section names) from [schedule]; a constant schedule runs [reference_map]."""
-    kind = _get(cfg.raw, "schedule", "kind", "constant")
-    if kind not in SCHEDULE_KINDS:
-        raise ConfigError(f"schedule.kind must be one of {SCHEDULE_KINDS}, got {kind!r}")
+    kind = _read(cfg.raw, "schedule.kind", _one_of(SCHEDULE_KINDS), "constant")
     if kind == "constant":
         return kind, ["reference_map"]
-    names = [s.strip() for s in _require(cfg.raw, "schedule", "maps").split(",") if s.strip()]
-    if not names:
-        raise ConfigError("schedule.maps must list at least one map section")
-    return kind, names
+    names = _checked(lambda text: [s.strip() for s in text.split(",") if s.strip()], len, "a list of map sections")
+    return kind, _read(cfg.raw, "schedule.maps", names)
 
 
 def build_system(cfg: ExperimentConfig, eps: float = 0.0) -> SequenceSystem:
@@ -330,6 +308,5 @@ def build_system(cfg: ExperimentConfig, eps: float = 0.0) -> SequenceSystem:
     elif kind == "periodic":
         schedule = periodic_schedule(entries)
     else:
-        sched_seed = _as_seed(_get(cfg.raw, "schedule", "seed", str(cfg.seed)), "schedule.seed")
-        schedule = seeded_random_schedule(entries, sched_seed)
+        schedule = seeded_random_schedule(entries, _read(cfg.raw, "schedule.seed", _SEED, cfg.seed))
     return SequenceSystem(schedule, cfg.window, cfg.n_points, eps)

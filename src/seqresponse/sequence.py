@@ -173,20 +173,21 @@ def pullback_equivariant(
 
     mu_n is the burn_in-fold pushforward of the seed started at
     n - burn_in; one sweep from n_lo - burn_in covers all n.  The
-    half-burn-in sweep from n_lo - max(1, burn_in // 2) shares every
-    operator with it from there on, so it joins the pushed block as a
-    second row.  The residual is the largest W^{1,1} distance between
-    the two rows inside the window, normed in batches of differences of
-    at most RESIDUAL_BUDGET samples.  The seed's samples are checked by
-    `grid.checked_density`.
+    half-burn-in sweep from n_lo - burn_in // 2 shares every operator
+    with it from there on, so it joins the pushed block as a second row.
+    burn_in must be >= 2: at 1 the half sweep would be the full sweep
+    and the residual 0 without checking anything.  The residual is the
+    largest W^{1,1} distance between the two rows inside the window,
+    normed in batches of differences of at most RESIDUAL_BUDGET samples.
+    The seed's samples are checked by `grid.checked_density`.
     """
-    if burn_in < 1:
-        raise ValueError("burn_in must be >= 1")
+    if burn_in < 2:
+        raise ValueError("burn_in must be >= 2")
     seed = gridmod.checked_density(seed_density)
     if abs(gridmod.mass(seed) - 1.0) > 1e-10:
         raise ValueError("seed must be a probability density")
     n_lo, n_hi = sys.window
-    join = n_lo - max(1, burn_in // 2)
+    join = n_lo - burn_in // 2
     block = seed[None]
     out = np.empty((n_hi - n_lo + 1, sys.n_points))
     gaps, residual = [], 0.0

@@ -18,12 +18,13 @@ K S + 1 c^T with c_j = (1 - column sum_j of K S) / N, which `to_dense`
 builds.
 
 `TransferMatrix(cols, entries, kernel=None)` is the one constructor; it
-checks the stencil, and N is its number of columns.  `push(a, v)` applies
-A to raw samples, v of shape (N,) or (m, N) with one density per row,
-through one code path that pushes a single density as a block of one
-row; the solvers' loops call it.  `apply` is the checked edge that takes
-and returns a DensityGrid.  No N x N array is built except by `to_dense`
-and `compose_matrices` (a gather with k = N), the tests' references.
+checks the stencil and the kernel's shape, and N is the stencil's number
+of columns.  `push(a, v)` applies A to raw samples, v of shape (N,) or
+(m, N) with one density per row, through one code path that pushes a
+single density as a block of one row; the solvers' loops call it.
+`apply` is the checked edge that takes and returns a DensityGrid.  No
+N x N array is built except by `to_dense` and `compose_matrices` (a
+gather with k = N), the tests' references.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ class TransferMatrix:
     kernel of K, or None for K = identity:
     (K f)[i] = sum_m kernel[(i - m) % N] f[m], stored as its rfft
     `spectrum`.  The constructor checks the stencil against its N columns
-    and stores the arrays as read-only copies.
+    and the kernel's shape against (N,), and stores the arrays as
+    read-only copies.
     """
 
     def __init__(self, cols, entries, kernel=None):
@@ -65,6 +67,8 @@ class TransferMatrix:
         n = cols.shape[1]
         if cols.size and not (0 <= cols.min() and cols.max() < n):
             raise ValueError(f"stencil index outside the {n}-point grid")
+        if kernel is not None and np.shape(kernel) != (n,):
+            raise ValueError(f"kernel of shape {np.shape(kernel)} must have shape ({n},)")
         self.cols = _frozen(cols, np.int64)
         self.entries = _frozen(entries, float)
         self.spectrum = None if kernel is None else _frozen(np.fft.rfft(kernel), complex)

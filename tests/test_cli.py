@@ -145,6 +145,41 @@ class TestConfigParsing:
         path, out = write_config(tmp_path, BASE_DET.replace("output_dir = {out}", "output_dir = {out}/100%"))
         assert config.load_config(path).output_dir == f"{out}/100%"
 
+    def test_unset_keys_take_typed_defaults(self, tmp_path):
+        path = tmp_path / "min.ini"
+        path.write_text("[experiment]\nmode = noisy\nn = 256\n")
+        cfg = config.load_config(str(path))
+        assert (cfg.window, cfg.burn_in, cfg.eps_list, cfg.seed, cfg.output_dir) == ((0, 10), 60, (), 0, "out")
+        assert (cfg.truncation, cfg.tolerance, cfg.pullback_tol) == (8, 1e-2, 1e-8)
+        assert config.read_tail(cfg) == (None, None)
+        assert config.read_memory(cfg) == (12, 0)
+        assert config.read_simulate(cfg) == (5, 100000, 64, 0.0)
+        assert config.schedule_sections(cfg) == ("constant", ["reference_map"])
+
+    def test_default_bins_must_divide_n(self, tmp_path):
+        # a default is not parsed, so the rule across keys still sees the default 64 bins
+        path = tmp_path / "n48.ini"
+        path.write_text("[experiment]\nmode = noisy\nn = 48\n")
+        with pytest.raises(ConfigError, match=r"^simulate.bins: must divide experiment.n = 48, got 64$"):
+            config.read_simulate(config.load_config(str(path)))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[experiment]\nmode = noisy\n", "missing field experiment.n"),
+            ("[reference_map]\n", "missing section [experiment]"),
+            ("[experiment]\nmode = noisy\nn = 2.5e2\n", "experiment.n: invalid literal for int() with base 10: '2.5e2'"),
+            ("[experiment]\nmode = noisy\nn = 256\nwindow = 1, 2, 3\n", "experiment.window: must be two comma-separated integers"),
+        ],
+        ids=["missing-field", "missing-section", "parse", "check"],
+    )
+    def test_reader_names_the_key(self, tmp_path, text, message):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            config.load_config(str(path))
+        assert str(info.value) == message
+
     def test_roundtrip_system(self, tmp_path):
         path, _ = write_config(tmp_path, BASE_DET)
         cfg = config.load_config(path)
@@ -231,98 +266,99 @@ class TestExitCodes:
         assert "usage: seqresponse" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "base, old, new, command",
+        "base, old, new, command, key",
         [
-            pytest.param(BASE_DET, "n = 256", "n = 255", "certify", id="odd-n"),
-            pytest.param(BASE_DET, "n = 256", "n = 8", "certify", id="small-n"),
-            pytest.param(BASE_DET, "[schedule]", "[memory]\nk_max = twelve\n\n[schedule]", "memory", id="k_max"),
-            pytest.param(BASE_DET, "tail_c = 1.0", "tail_c = one", "respond", id="tail_c"),
-            pytest.param(BASE_DET, "[schedule]", "[memory]\nharmonic = two\n\n[schedule]", "memory", id="harmonic"),
-            pytest.param(BASE_NOISY, "samples = 20000", "samples = 1e5", "simulate", id="samples"),
-            pytest.param(BASE_DET, "window = 0, 12", "window = 5, 0", "equivariant", id="window-reversed"),
-            pytest.param(BASE_DET, "burn_in = 60", "burn_in = 0", "equivariant", id="burn_in-0"),
-            pytest.param(BASE_DET, "truncation = 8", "truncation = 0", "respond", id="truncation-0"),
-            pytest.param(BASE_DET, "eps = 1e-2, 1e-3", "eps = 1e-2, 0", "respond", id="eps-0"),
-            pytest.param(BASE_DET, "eps = 1e-2, 1e-3", "eps = 1e-3, 0.001", "respond", id="eps-duplicate"),
-            pytest.param(BASE_NOISY, "samples = 20000", "samples = 9999", "simulate", id="samples-few"),
-            pytest.param(BASE_NOISY, "bins = 32", "bins = 48", "simulate", id="bins-not-dividing-n"),
-            pytest.param(BASE_DET, "tail_rate = 0.5", "tail_rate = 1.5", "respond", id="tail_rate-1.5"),
-            pytest.param(BASE_DET, "tail_rate = 0.5", "tail_rate = 1.0", "respond", id="tail_rate-1"),
-            pytest.param(BASE_DET, "tail_rate = 0.5", "tail_rate = -0.5", "respond", id="tail_rate-negative"),
-            pytest.param(BASE_DET, "tail_c = 1.0", "tail_c = 0", "respond", id="tail_c-0"),
-            pytest.param(BASE_DET, "tail_rate = 0.5\n", "", "respond", id="tail_c-alone"),
-            pytest.param(BASE_DET, "tail_c = 1.0\n", "", "respond", id="tail_rate-alone"),
-            pytest.param(BASE_DET, "window = 0, 12", "window = 0, 5", "respond", id="window-below-truncation"),
-            pytest.param(BASE_DET, "[schedule]", "[memory]\nk_max = -1\n\n[schedule]", "memory", id="k_max-negative"),
-            pytest.param(BASE_DET, "[schedule]", "[memory]\nk_max = 0\n\n[schedule]", "memory", id="k_max-0"),
-            pytest.param(BASE_NOISY, "steps = 3", "steps = -1", "simulate", id="steps-negative"),
-            pytest.param(BASE_DET, "degree = 2", "degree = 2\ncoeffs = 17:0.0:0.001", "certify", id="index-17"),
-            pytest.param(BASE_DET, "coeffs = 1:0.0:", "coeffs = 17:0.0:", "respond", id="kick-index-17"),
-            pytest.param(BASE_NOISY, "bump:0.5,0.08,0.3", "bump:0.5,0.08,1.0", "simulate", id="floor-1"),
-            pytest.param(BASE_NOISY, "bump:0.5,0.08,0.3", "bump:0.5,0.08,-0.1", "respond", id="floor-negative"),
-            pytest.param(BASE_NOISY, "bump:0.5,0.08,0.3", "bump:0.5,0,0.3", "respond", id="width-0"),
-            pytest.param(BASE_NOISY, "bump:0.5,0.08,0.3", "bump:nan,0.08,0.3", "simulate", id="center-nan"),
-            pytest.param(BASE_DET, "n = 256", "n = 256\nn = 256", "respond", id="duplicate-key"),
-            pytest.param(BASE_DET, "[schedule]", "[kick]\ncoeffs = 1:0.0:0.1\n\n[schedule]", "respond", id="duplicate-section"),
-            pytest.param(BASE_DET, "[experiment]\n", "", "respond", id="no-section-header"),
-            pytest.param(BASE_DET, "tolerance = 2e-2", "tolerance = 2%", "respond", id="percent-literal"),
-            pytest.param(BASE_DET, "tolerance = 2e-2", "tolerance = nan", "respond", id="tolerance-nan"),
-            pytest.param(BASE_DET, "tolerance = 2e-2", "tolerance = inf", "respond", id="tolerance-inf"),
-            pytest.param(BASE_DET, "tolerance = 2e-2", "tolerance = -inf", "respond", id="tolerance--inf"),
-            pytest.param(BASE_DET, "tolerance = 2e-2", "tolerance = 0", "respond", id="tolerance-0"),
-            pytest.param(BASE_DET, "burn_in = 60", "burn_in = 60\npullback_tol = nan", "respond", id="pullback_tol-nan"),
-            pytest.param(BASE_DET, "burn_in = 60", "burn_in = 60\npullback_tol = inf", "equivariant", id="pullback_tol-inf"),
-            pytest.param(BASE_DET, "burn_in = 60", "burn_in = 60\npullback_tol = -1e-8", "equivariant", id="pullback_tol-negative"),
-            pytest.param(BASE_DET, "tail_rate = 0.5", "tail_rate = 0.5\ntail_tol = nan", "respond", id="tail_tol-nan"),
-            pytest.param(BASE_DET, "tail_rate = 0.5", "tail_rate = 0.5\ntail_tol = inf", "respond", id="tail_tol-inf"),
-            pytest.param(BASE_DET, "eps = 1e-2, 1e-3", "eps = 1e-2, nan", "respond", id="eps-nan"),
-            pytest.param(BASE_DET, "eps = 1e-2, 1e-3", "eps = inf, 1e-3", "respond", id="eps-inf"),
-            pytest.param(BASE_DET, "eps = 1e-2, 1e-3", "eps = 1e-2, -inf", "respond", id="eps--inf"),
-            pytest.param(BASE_NOISY, "eps = 0.02", "eps = nan", "simulate", id="simulate-eps-nan"),
-            pytest.param(BASE_NOISY, "eps = 0.02", "eps = inf", "simulate", id="simulate-eps-inf"),
+            pytest.param(BASE_DET, "n = 256", "n = 255", "certify", "experiment.n", id="odd-n"),
+            pytest.param(BASE_DET, "n = 256", "n = 8", "certify", "experiment.n", id="small-n"),
+            pytest.param(BASE_DET, "[schedule]", "[memory]\nk_max = twelve\n\n[schedule]", "memory", "memory.k_max", id="k_max"),
+            pytest.param(BASE_DET, "tail_c = 1.0", "tail_c = one", "respond", "experiment.tail_c", id="tail_c"),
+            pytest.param(BASE_DET, "[schedule]", "[memory]\nharmonic = two\n\n[schedule]", "memory", "memory.harmonic", id="harmonic"),
+            pytest.param(BASE_NOISY, "samples = 20000", "samples = 1e5", "simulate", "simulate.samples", id="samples"),
+            pytest.param(BASE_DET, "window = 0, 12", "window = 5, 0", "equivariant", "experiment.window", id="window-reversed"),
+            pytest.param(BASE_DET, "burn_in = 60", "burn_in = 0", "equivariant", "experiment.burn_in", id="burn_in-0"),
+            pytest.param(BASE_DET, "burn_in = 60", "burn_in = 1", "equivariant", "experiment.burn_in", id="burn_in-1"),
+            pytest.param(BASE_DET, "truncation = 8", "truncation = 0", "respond", "experiment.truncation", id="truncation-0"),
+            pytest.param(BASE_DET, "eps = 1e-2, 1e-3", "eps = 1e-2, 0", "respond", "experiment.eps", id="eps-0"),
+            pytest.param(BASE_DET, "eps = 1e-2, 1e-3", "eps = 1e-3, 0.001", "respond", "experiment.eps", id="eps-duplicate"),
+            pytest.param(BASE_NOISY, "samples = 20000", "samples = 9999", "simulate", "simulate.samples", id="samples-few"),
+            pytest.param(BASE_NOISY, "bins = 32", "bins = 48", "simulate", "simulate.bins", id="bins-not-dividing-n"),
+            pytest.param(BASE_DET, "tail_rate = 0.5", "tail_rate = 1.5", "respond", "experiment.tail_rate", id="tail_rate-1.5"),
+            pytest.param(BASE_DET, "tail_rate = 0.5", "tail_rate = 1.0", "respond", "experiment.tail_rate", id="tail_rate-1"),
+            pytest.param(BASE_DET, "tail_rate = 0.5", "tail_rate = -0.5", "respond", "experiment.tail_rate", id="tail_rate-negative"),
+            pytest.param(BASE_DET, "tail_c = 1.0", "tail_c = 0", "respond", "experiment.tail_c", id="tail_c-0"),
+            pytest.param(BASE_DET, "tail_rate = 0.5\n", "", "respond", "experiment.tail_rate", id="tail_c-alone"),
+            pytest.param(BASE_DET, "tail_c = 1.0\n", "", "respond", "experiment.tail_c", id="tail_rate-alone"),
+            pytest.param(BASE_DET, "window = 0, 12", "window = 0, 5", "respond", "truncation", id="window-below-truncation"),
+            pytest.param(BASE_DET, "[schedule]", "[memory]\nk_max = -1\n\n[schedule]", "memory", "memory.k_max", id="k_max-negative"),
+            pytest.param(BASE_DET, "[schedule]", "[memory]\nk_max = 0\n\n[schedule]", "memory", "memory.k_max", id="k_max-0"),
+            pytest.param(BASE_NOISY, "steps = 3", "steps = -1", "simulate", "simulate.steps", id="steps-negative"),
+            pytest.param(BASE_DET, "degree = 2", "degree = 2\ncoeffs = 17:0.0:0.001", "certify", "reference_map.coeffs", id="index-17"),
+            pytest.param(BASE_DET, "coeffs = 1:0.0:", "coeffs = 17:0.0:", "respond", "kick.coeffs", id="kick-index-17"),
+            pytest.param(BASE_NOISY, "bump:0.5,0.08,0.3", "bump:0.5,0.08,1.0", "simulate", "noise.preset", id="floor-1"),
+            pytest.param(BASE_NOISY, "bump:0.5,0.08,0.3", "bump:0.5,0.08,-0.1", "respond", "noise.preset", id="floor-negative"),
+            pytest.param(BASE_NOISY, "bump:0.5,0.08,0.3", "bump:0.5,0,0.3", "respond", "noise.preset", id="width-0"),
+            pytest.param(BASE_NOISY, "bump:0.5,0.08,0.3", "bump:nan,0.08,0.3", "simulate", "noise.preset", id="center-nan"),
+            pytest.param(BASE_DET, "n = 256", "n = 256\nn = 256", "respond", "exp.ini", id="duplicate-key"),
+            pytest.param(BASE_DET, "[schedule]", "[kick]\ncoeffs = 1:0.0:0.1\n\n[schedule]", "respond", "exp.ini", id="duplicate-section"),
+            pytest.param(BASE_DET, "[experiment]\n", "", "respond", "exp.ini", id="no-section-header"),
+            pytest.param(BASE_DET, "tolerance = 2e-2", "tolerance = 2%", "respond", "experiment.tolerance", id="percent-literal"),
+            pytest.param(BASE_DET, "tolerance = 2e-2", "tolerance = nan", "respond", "experiment.tolerance", id="tolerance-nan"),
+            pytest.param(BASE_DET, "tolerance = 2e-2", "tolerance = inf", "respond", "experiment.tolerance", id="tolerance-inf"),
+            pytest.param(BASE_DET, "tolerance = 2e-2", "tolerance = -inf", "respond", "experiment.tolerance", id="tolerance--inf"),
+            pytest.param(BASE_DET, "tolerance = 2e-2", "tolerance = 0", "respond", "experiment.tolerance", id="tolerance-0"),
+            pytest.param(BASE_DET, "burn_in = 60", "burn_in = 60\npullback_tol = nan", "respond", "experiment.pullback_tol", id="pullback_tol-nan"),
+            pytest.param(BASE_DET, "burn_in = 60", "burn_in = 60\npullback_tol = inf", "equivariant", "experiment.pullback_tol", id="pullback_tol-inf"),
+            pytest.param(BASE_DET, "burn_in = 60", "burn_in = 60\npullback_tol = -1e-8", "equivariant", "experiment.pullback_tol", id="pullback_tol-negative"),
+            pytest.param(BASE_DET, "tail_rate = 0.5", "tail_rate = 0.5\ntail_tol = nan", "respond", "experiment.tail_tol", id="tail_tol-nan"),
+            pytest.param(BASE_DET, "tail_rate = 0.5", "tail_rate = 0.5\ntail_tol = inf", "respond", "experiment.tail_tol", id="tail_tol-inf"),
+            pytest.param(BASE_DET, "eps = 1e-2, 1e-3", "eps = 1e-2, nan", "respond", "experiment.eps", id="eps-nan"),
+            pytest.param(BASE_DET, "eps = 1e-2, 1e-3", "eps = inf, 1e-3", "respond", "experiment.eps", id="eps-inf"),
+            pytest.param(BASE_DET, "eps = 1e-2, 1e-3", "eps = 1e-2, -inf", "respond", "experiment.eps", id="eps--inf"),
+            pytest.param(BASE_NOISY, "eps = 0.02", "eps = nan", "simulate", "simulate.eps", id="simulate-eps-nan"),
+            pytest.param(BASE_NOISY, "eps = 0.02", "eps = inf", "simulate", "simulate.eps", id="simulate-eps-inf"),
             pytest.param(
                 BASE_DET, "[schedule]", "[equivariant]\nharmonic = 0\n\n[schedule]", "equivariant --two-seed",
-                id="equivariant-harmonic-0",
+                "equivariant.harmonic", id="equivariant-harmonic-0",
             ),
             pytest.param(
                 BASE_DET, "[schedule]", "[equivariant]\nharmonic = 256\n\n[schedule]", "equivariant --two-seed",
-                id="equivariant-harmonic-n",
+                "equivariant.harmonic", id="equivariant-harmonic-n",
             ),
-            pytest.param(BASE_DET, "[schedule]", "[memory]\nharmonic = 0\n\n[schedule]", "memory", id="memory-harmonic-0"),
-            pytest.param(BASE_DET, "[schedule]", "[memory]\nharmonic = -512\n\n[schedule]", "memory", id="memory-harmonic--2n"),
-            pytest.param(BASE_NOISY, "seed = 11", f"seed = {2**70}", "simulate", id="seed-2**70"),
-            pytest.param(BASE_NOISY, "seed = 11", f"seed = {2**64 - 1}", "simulate", id="seed-2**64-1"),
-            pytest.param(BASE_NOISY, "seed = 11", "seed = -1", "simulate", id="seed--1"),
-            pytest.param(SEEDED_DET, "seed = 0", f"seed = {2**70}", "equivariant", id="schedule-seed-2**70"),
-            pytest.param(SEEDED_DET, "seed = 0", f"seed = {2**64 - 1}", "equivariant", id="schedule-seed-2**64-1"),
-            pytest.param(SEEDED_DET, "seed = 0", "seed = -1", "equivariant", id="schedule-seed--1"),
-            pytest.param(BASE_DET, "degree = 2", "degree = 2\ncoeffs = 1:nan:0.0", "respond", id="map-coeff-nan"),
+            pytest.param(BASE_DET, "[schedule]", "[memory]\nharmonic = 0\n\n[schedule]", "memory", "memory.harmonic", id="memory-harmonic-0"),
+            pytest.param(BASE_DET, "[schedule]", "[memory]\nharmonic = -512\n\n[schedule]", "memory", "memory.harmonic", id="memory-harmonic--2n"),
+            pytest.param(BASE_NOISY, "seed = 11", f"seed = {2**70}", "simulate", "experiment.seed", id="seed-2**70"),
+            pytest.param(BASE_NOISY, "seed = 11", f"seed = {2**64 - 1}", "simulate", "experiment.seed", id="seed-2**64-1"),
+            pytest.param(BASE_NOISY, "seed = 11", "seed = -1", "simulate", "experiment.seed", id="seed--1"),
+            pytest.param(SEEDED_DET, "seed = 0", f"seed = {2**70}", "equivariant", "schedule.seed", id="schedule-seed-2**70"),
+            pytest.param(SEEDED_DET, "seed = 0", f"seed = {2**64 - 1}", "equivariant", "schedule.seed", id="schedule-seed-2**64-1"),
+            pytest.param(SEEDED_DET, "seed = 0", "seed = -1", "equivariant", "schedule.seed", id="schedule-seed--1"),
+            pytest.param(BASE_DET, "degree = 2", "degree = 2\ncoeffs = 1:nan:0.0", "respond", "reference_map.coeffs", id="map-coeff-nan"),
             pytest.param(
-                BASE_DET, "degree = 2", "degree = 2\ncoeffs = 1:0.0:0.05, 1:0.0:0.01", "equivariant", id="map-coeff-duplicate"
+                BASE_DET, "degree = 2", "degree = 2\ncoeffs = 1:0.0:0.05, 1:0.0:0.01", "equivariant", "reference_map.coeffs", id="map-coeff-duplicate"
             ),
-            pytest.param(BASE_DET, "coeffs = 1:0.0:0.15915494309189535", "coeffs = 1:0.0:inf", "respond", id="kick-coeff-inf"),
-            pytest.param(BASE_NOISY, "dot = 2:0.0:1.0", "dot = 2:0.0:nan", "simulate", id="drift-coeff-nan"),
-            pytest.param(BASE_DET, "tail_c = 1.0", "tail_c = inf", "respond", id="tail_c-inf"),
-            pytest.param(BASE_NOISY, "preset = bump:0.5,0.08,0.3", f"csv = {os.devnull}", "respond", id="noise-csv-empty"),
-            pytest.param(BASE_NOISY, "preset = bump:0.5,0.08,0.3", "csv = newline.csv", "respond", id="noise-csv-newline"),
+            pytest.param(BASE_DET, "coeffs = 1:0.0:0.15915494309189535", "coeffs = 1:0.0:inf", "respond", "kick.coeffs", id="kick-coeff-inf"),
+            pytest.param(BASE_NOISY, "dot = 2:0.0:1.0", "dot = 2:0.0:nan", "simulate", "drift.dot", id="drift-coeff-nan"),
+            pytest.param(BASE_DET, "tail_c = 1.0", "tail_c = inf", "respond", "experiment.tail_c", id="tail_c-inf"),
+            pytest.param(BASE_NOISY, "preset = bump:0.5,0.08,0.3", f"csv = {os.devnull}", "respond", "noise.csv", id="noise-csv-empty"),
+            pytest.param(BASE_NOISY, "preset = bump:0.5,0.08,0.3", "csv = newline.csv", "respond", "noise.csv", id="noise-csv-newline"),
             pytest.param(
                 BASE_DET, "[schedule]", f"[equivariant]\nseed_csv = {os.devnull}\n\n[schedule]", "equivariant --two-seed",
-                id="seed-csv-empty",
+                "equivariant.seed_csv", id="seed-csv-empty",
             ),
             pytest.param(
-                BASE_NOISY, "[schedule]", "csv = density.csv\n\n[schedule]", "respond", id="noise-preset-and-csv"
+                BASE_NOISY, "[schedule]", "csv = density.csv\n\n[schedule]", "respond", "noise.csv", id="noise-preset-and-csv"
             ),
             pytest.param(
                 BASE_DET, "[schedule]", "[equivariant]\nseed_csv = density.csv\nharmonic = 2\n\n[schedule]",
-                "equivariant --two-seed", id="equivariant-seed_csv-and-harmonic",
+                "equivariant --two-seed", "equivariant.harmonic", id="equivariant-seed_csv-and-harmonic",
             ),
             pytest.param(
                 BASE_DET, "[schedule]", "[memory]\nseed_csv = density.csv\nharmonic = 2\n\n[schedule]", "memory",
-                id="memory-seed_csv-and-harmonic",
+                "memory.harmonic", id="memory-seed_csv-and-harmonic",
             ),
         ],
     )
-    def test_bad_value_is_1(self, tmp_path, capsys, monkeypatch, base, old, new, command):
+    def test_bad_value_is_1(self, tmp_path, capsys, monkeypatch, base, old, new, command, key):
         assert old in base
         path, _ = write_config(tmp_path, base.replace(old, new))
         (tmp_path / "newline.csv").write_text("\n")  # the noise-csv-newline row reads it
@@ -333,7 +369,8 @@ class TestExitCodes:
             warnings.simplefilter("always")
             assert cli.main([name, path, *flags]) == 1
         err = capsys.readouterr().err
-        assert "config error" in err
+        # one line naming the key at fault; a file that does not parse is named instead
+        assert err.startswith("config error: ") and key in err, err
         assert not caught, [str(w.message) for w in caught]  # no warning is printed before the error
         assert err.count("\n") == 1, err
 

@@ -257,6 +257,12 @@ class TestPush:
         with pytest.raises(ValueError, match="shape"):
             transfer.TransferMatrix(np.zeros(shape, dtype=np.int64), np.ones(shape[:-1] + (N,)))
 
+    @pytest.mark.parametrize("shape", [(N + 1,), (N // 2,), (N - 1,), (2, N)])
+    def test_rejects_kernel_of_other_shape(self, shape):
+        # an (N + 1,) kernel has the N / 2 + 1 rfft bins of an (N,) one, so only its shape tells it apart
+        with pytest.raises(ValueError, match=rf"kernel of shape .* must have shape \({N},\)"):
+            transfer.TransferMatrix(np.zeros((1, N), dtype=np.int64), np.ones((1, N)), np.ones(shape) / N)
+
 
 class TestDOperator:
     def test_constant_everything(self):

@@ -28,7 +28,7 @@ from .config import (
     read_memory,
     read_seed,
     read_simulate,
-    read_tail,
+    read_respond,
     schedule_sections,
 )
 from .errors import ConfigError, SeqResponseError, TailNotSmall
@@ -151,7 +151,7 @@ def _certified_ball(cfg: ExperimentConfig, reference: CircleMap, delta_star: flo
 
 
 def cmd_respond(cfg: ExperimentConfig, args: argparse.Namespace) -> tuple[int, list]:
-    tail_constants, tail_tol = read_tail(cfg)
+    tail_constants, tail_tol = read_respond(cfg)
     sys_ = build_system(cfg)
     seed = np.ones(cfg.n_points)
     fam, _ = sequence.pullback_equivariant(sys_, cfg.burn_in, seed, tol=cfg.pullback_tol)

@@ -224,8 +224,15 @@ def read_seed(cfg: ExperimentConfig, section: str, zero_mass: bool) -> np.ndarra
     return wave if zero_mass else 1.0 + 0.5 * wave
 
 
-def read_tail(cfg: ExperimentConfig) -> tuple[tuple[float, float] | None, float | None]:
-    """((tail_c, tail_rate) or None when neither is set, tail_tol or None) from [experiment]."""
+def read_respond(cfg: ExperimentConfig) -> tuple[tuple[float, float] | None, float | None]:
+    """((tail_c, tail_rate) or None when neither is set, tail_tol or None) from [experiment].
+
+    The series reports eta at depth truncation + 1 into the window, so
+    the window must span at least that many steps.
+    """
+    lo, hi = cfg.window
+    if hi - lo < cfg.truncation + 1:
+        raise ConfigError(f"experiment.truncation: must be <= hi - lo - 1 = {hi - lo - 1} of experiment.window, got {cfg.truncation}")
     c = _read(cfg.raw, "experiment.tail_c", _POSITIVE_FINITE, None)
     rate = _read(cfg.raw, "experiment.tail_rate", _checked(float, lambda r: 0.0 < r < 1.0, "in (0, 1)"), None)
     if (c is None) != (rate is None):

@@ -30,6 +30,12 @@ class TrigPoly:
 
     Coefficient arrays are indexed by k = 0..K; k = 0 carries the
     constant term, and b_0, the amplitude of sin 0 = 0, must be 0.
+
+    Every evaluation takes one tan per point: with t = tan(pi x), the
+    rotation of harmonic 1 is cos 2 pi x = (1 - t^2) / (1 + t^2) and
+    sin 2 pi x = 2t / (1 + t^2), and harmonic k's rotation is harmonic
+    k - 1's turned by it (angle addition).  The value and each
+    derivative sum those same rotations with their own coefficients.
     """
 
     def __init__(self, cos_coeffs=(), sin_coeffs=()):
@@ -45,34 +51,51 @@ class TrigPoly:
         self.a[: a.shape[0]] = a
         self.b[: b.shape[0]] = b
         w = 2.0 * np.pi * np.arange(k)
-        # (frequency, coefficient, trig function) per nonzero harmonic k >= 1, cosines first.
-        cos_k = [(w[j], self.a[j]) for j in range(1, k) if self.a[j] != 0.0]
-        sin_k = [(w[j], self.b[j]) for j in range(1, k) if self.b[j] != 0.0]
-        self._terms = [(f, c, np.cos) for f, c in cos_k] + [(f, c, np.sin) for f, c in sin_k]
-        self._terms_d1 = [(f, -f * c, np.sin) for f, c in cos_k] + [(f, f * c, np.cos) for f, c in sin_k]
-        self._terms_d2 = [(f, -(f**2) * c, np.cos) for f, c in cos_k] + [(f, -(f**2) * c, np.sin) for f, c in sin_k]
+        # (cosine, sine) coefficients of each harmonic in p, p' and p'': d/dx of a cos wx + b sin wx is wb cos wx - wa sin wx
+        self._coeffs = ((self.a, self.b), (w * self.b, -w * self.a), (-(w**2) * self.a, -(w**2) * self.b))
+        self._const = (self.a[0], 0.0, 0.0)
+        self._top = max((j for j in range(1, k) if self.a[j] != 0.0 or self.b[j] != 0.0), default=0)
 
-    @staticmethod
-    def _sum(x, const: float, terms):
-        """const + sum of c * trig(f x) over terms, one trig call per nonzero harmonic."""
+    def derivatives(self, x, orders):
+        """p^(o)(x) for each o in orders (0, 1 or 2), one array each, from one set of rotations.
+
+        A term whose coefficient is 0 is skipped; NaN and inf give NaN,
+        also where no harmonic is left.
+        """
         x = np.asarray(x, dtype=float)
-        out = np.full(x.shape, const)
-        th = np.empty(x.shape)
-        for f, c, trig in terms:
-            np.multiply(x, f, out=th)
-            trig(th, out=th)
-            th *= c
-            out += th
-        return out[()]
+        sums = [None] * len(orders)
+        if self._top:
+            t = np.tan(np.pi * x)
+            c1 = 2.0 / (1.0 + t * t)  # 1 + cos 2 pi x
+            s1 = t * c1
+            c1 -= 1.0
+            c, s = c1, s1
+            for k in range(1, self._top + 1):
+                if k > 1:
+                    c, s = c * c1 - s * s1, s * c1 + c * s1
+                for i, o in enumerate(orders):
+                    for coeff, rot in zip(self._coeffs[o], (c, s)):
+                        if coeff[k] != 0.0:
+                            term = coeff[k] * rot
+                            if sums[i] is None:
+                                sums[i] = term
+                            else:
+                                sums[i] += term
+        for i, o in enumerate(orders):
+            if sums[i] is None:
+                sums[i] = x * 0.0 + self._const[o]
+            elif self._const[o] != 0.0:
+                sums[i] += self._const[o]
+        return sums
 
     def __call__(self, x):
-        return self._sum(x, self.a[0], self._terms)
+        return self.derivatives(x, (0,))[0]
 
     def d1(self, x):
-        return self._sum(x, 0.0, self._terms_d1)
+        return self.derivatives(x, (1,))[0]
 
     def d2(self, x):
-        return self._sum(x, 0.0, self._terms_d2)
+        return self.derivatives(x, (2,))[0]
 
 
 class CircleMap:
@@ -94,6 +117,12 @@ class CircleMap:
 
     def eval_d1(self, x):
         return self.degree + self.p.d1(x)
+
+    def lift_d1(self, x):
+        """(l(x), l'(x)) from one evaluation of p."""
+        x = np.asarray(x, dtype=float)
+        p, dp = self.p.derivatives(x, (0, 1))
+        return self.degree * x + p, self.degree + dp
 
     def eval_d2(self, x):
         return self.p.d2(x)
@@ -119,7 +148,7 @@ class CircleMap:
         solves l(y) = x + m0 + j from the linear guess; a Newton step that
         leaves the point's bracket, tightened by the sign of the residual,
         bisects it instead (rtsafe, Numerical Recipes 9.4).  Reads only
-        lift, eval_d1 and degree.  Stops at residual <= 1e-13.
+        lift, lift_d1 and degree.  Stops at residual <= 1e-13.
         """
         scalar = np.ndim(x) == 0
         x = wrap(np.atleast_1d(np.asarray(x, dtype=float)))
@@ -128,13 +157,14 @@ class CircleMap:
         y = np.clip((target - ell0) / self.degree, 0.0, 1.0)
         lo, hi = np.zeros_like(y), np.ones_like(y)
         for _ in range(64):
-            res = self.lift(y) - target
+            ell, d1 = self.lift_d1(y)
+            res = ell - target
             if np.max(np.abs(res)) <= BRANCH_RESIDUAL_TOL:
                 break
             below = res < 0.0
             np.copyto(lo, y, where=below)
             np.copyto(hi, y, where=~below)
-            step = y - res / self.eval_d1(y)
+            step = y - res / d1
             # inclusive, so a converged point whose step rounds onto the bracket end stays put
             y = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
         else:
@@ -161,8 +191,13 @@ class KickedMap:
         return u + self.eps * self.kick(u)
 
     def eval_d1(self, x):
-        """(1 + eps*X'(u)) * l'(x) with u = l(x)."""
-        return (1.0 + self.eps * self.kick.d1(self.base.lift(x))) * self.base.eval_d1(x)
+        return self.lift_d1(x)[1]
+
+    def lift_d1(self, x):
+        """(h_eps(u), (1 + eps*X'(u)) * l'(x)) with u = l(x) evaluated once, and X and X' from one evaluation."""
+        u = self.base.lift(x)
+        kick, dkick = self.kick.derivatives(u, (0, 1))
+        return u + self.eps * kick, (1.0 + self.eps * dkick) * self.base.eval_d1(x)
 
     inverse_branches = CircleMap.inverse_branches  # the same solver on the lift h_eps o l
 

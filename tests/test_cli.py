@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from seqresponse import cli, config, constants, errors, grid, noise, transfer
+from seqresponse import cli, config, constants, errors, grid, noise, sequence, transfer
 from seqresponse.errors import ConfigError
 from seqresponse.maps import CircleMap, c2_distance
 
@@ -151,7 +151,7 @@ class TestConfigParsing:
         cfg = config.load_config(str(path))
         assert (cfg.window, cfg.burn_in, cfg.eps_list, cfg.seed, cfg.output_dir) == ((0, 10), 60, (), 0, "out")
         assert (cfg.truncation, cfg.tolerance, cfg.pullback_tol) == (8, 1e-2, 1e-8)
-        assert config.read_tail(cfg) == (None, None)
+        assert config.read_respond(cfg) == (None, None)
         assert config.read_memory(cfg) == (12, 0)
         assert config.read_simulate(cfg) == (5, 100000, 64, 0.0)
         assert config.schedule_sections(cfg) == ("constant", ["reference_map"])
@@ -248,6 +248,27 @@ class TestExitCodes:
     def test_validation_failure_is_4(self, tmp_path):
         path, _ = write_config(tmp_path, BASE_DET.replace("tolerance = 2e-2", "tolerance = 1e-12"))
         assert cli.main(["respond", path]) == 4
+
+    def test_window_too_short_for_truncation_is_1(self, tmp_path, capsys, monkeypatch):
+        # found before any work: respond's reader checks it, so the pullback never runs
+        pullbacks = []
+        monkeypatch.setattr(sequence, "pullback_equivariant", lambda *a, **k: pullbacks.append(a))
+        path, _ = write_config(tmp_path, BASE_DET.replace("window = 0, 12", "window = 0, 5"))
+        assert cli.main(["respond", path]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: experiment.truncation: must be <= hi - lo - 1 = 4 of experiment.window, got 8\n"
+        assert not pullbacks
+
+    @pytest.mark.parametrize("hi, ok", [(9, True), (8, False)])
+    def test_window_depth_is_truncation_plus_1(self, tmp_path, hi, ok):
+        # the series reports eta_n from n = lo + K + 1 on, as neumann_response's own check has it
+        path, _ = write_config(tmp_path, BASE_DET.replace("window = 0, 12", f"window = 0, {hi}"))
+        cfg = config.load_config(path)
+        if ok:
+            assert config.read_respond(cfg) == ((1.0, 0.5), None)
+        else:
+            with pytest.raises(ConfigError, match="^experiment.truncation: "):
+                config.read_respond(cfg)
 
     def test_simulate_needs_noisy(self, tmp_path):
         path, _ = write_config(tmp_path, BASE_DET)

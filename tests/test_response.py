@@ -434,6 +434,16 @@ class TestValidate:
         assert [d for _, d in entries] == pytest.approx([0.05, d_plus, d_minus], rel=1e-12)
         assert ok is passed  # every D at the smallest |eps| counts against tol
 
+    @pytest.mark.parametrize("scale, passed", [(1.0, False), (1e-4, True)], ids=["rising", "rising-under-floor"])
+    def test_rising_discrepancy(self, scale, passed):
+        # D rises from 0.002 to 0.005 as |eps| shrinks and ends within tol: the ordering rule alone fails it,
+        # unless every D is under the 1e-6 discretization floor, where ordering is noise
+        etas = Window(0, np.zeros((2, N)))
+        fd = {e: Window(0, np.full((2, N), d * scale)) for e, d in ((1e-2, 0.002), (1e-3, 0.005))}
+        entries, ok = response.validate(etas, fd, tol=0.01)
+        assert [d for _, d in entries] == pytest.approx([0.002 * scale, 0.005 * scale], rel=1e-12)
+        assert ok is passed
+
     def test_json(self, bump_setup):
         sys_, fam, g = bump_setup
         etas, _ = response.neumann_response(sys_, g, 6, (1.0, 0.7))

@@ -116,6 +116,7 @@ _AT_LEAST_1 = _checked(int, lambda k: k >= 1, ">= 1")
 
 
 def _coeff_triples(text: str) -> tuple[tuple, tuple]:
+    """`k:a:b` triples, each k at most once and b = 0 at k = 0 -> (cos_coeffs, sin_coeffs), dense up to max k."""
     cos: dict = {}
     sin: dict = {}
     for item in text.split(","):
@@ -137,17 +138,6 @@ def _coeff_triples(text: str) -> tuple[tuple, tuple]:
             raise ValueError(f"harmonic 0 has no sine term, give 0:a:0, got {item!r}")
     ks = range(max(cos, default=-1) + 1)
     return tuple(cos.get(k, 0.0) for k in ks), tuple(sin.get(k, 0.0) for k in ks)
-
-
-def parse_coeff_triples(text: str, where: str) -> tuple[tuple, tuple]:
-    """`k:a:b` triples, each k at most once and b = 0 at k = 0 -> (cos_coeffs, sin_coeffs), dense up to max k.
-
-    A bad list is a ConfigError that names `where` ("section.key").
-    """
-    section, _, name = where.rpartition(".")
-    raw = configparser.ConfigParser(interpolation=None)
-    raw.read_dict({section: {name: text}})
-    return _read(raw, where, _coeff_triples)
 
 
 def _window(text: str) -> tuple[int, int]:

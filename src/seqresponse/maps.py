@@ -2,9 +2,10 @@
 
 Maps are stored as lifts l(x) = d*x + p(x) with p a trigonometric
 polynomial, so all derivatives are exact and the C^3 norms are finite by
-construction.  A kick h_eps(x) = x + eps*X(x) post-composed with a map
-yields a KickedMap with the lift, first derivative and inverse branches
-that operator assembly reads.
+construction.  Operator assembly reads a map only through `lift_d1`,
+(l, l') at the same points, and `degree`.  A kick h_eps(x) = x + eps*X(x)
+post-composed with a map yields a KickedMap whose `lift_d1` evaluates
+the base's (l, l') once and X, X' once.
 
 Inverse branches of plain and kicked maps alike come from one
 safeguarded Newton solver, which solves all d branches as one array.
@@ -106,7 +107,7 @@ class CircleMap:
             raise InvalidSystem("covering degree must be >= 2")
         self.degree = int(degree)
         self.p = TrigPoly(cos_coeffs, sin_coeffs)
-        if np.min(self.degree + self.p.d1(_PROBE)) <= 1.0:
+        if not np.min(self.degree + self.p.d1(_PROBE)) > 1.0:  # NaN fails too
             raise InvalidSystem("probed min of lift derivative is <= 1")
 
     def lift(self, x):
@@ -115,17 +116,11 @@ class CircleMap:
     def eval(self, x):
         return wrap(self.lift(x))
 
-    def eval_d1(self, x):
-        return self.degree + self.p.d1(x)
-
     def lift_d1(self, x):
         """(l(x), l'(x)) from one evaluation of p."""
         x = np.asarray(x, dtype=float)
         p, dp = self.p.derivatives(x, (0, 1))
         return self.degree * x + p, self.degree + dp
-
-    def eval_d2(self, x):
-        return self.p.d2(x)
 
     def constants(self) -> tuple[float, float, float]:
         """(lambda0, M0, M2): probed extrema of |l'| and |l''|.
@@ -134,12 +129,13 @@ class CircleMap:
         safety shrink of 1e-9 against the probe missing the true minimum;
         a constant derivative (linear lift) is reported exactly.
         """
-        d1 = np.abs(self.eval_d1(_PROBE))  # > 1, checked by __init__
+        dp, d2p = self.p.derivatives(_PROBE, (1, 2))
+        d1 = np.abs(self.degree + dp)  # > 1, checked by __init__
         lam0 = float(np.min(d1))
         m0 = float(np.max(d1))
         if m0 > lam0:
             lam0 -= LAMBDA0_SAFETY
-        return lam0, m0, float(np.max(np.abs(self.eval_d2(_PROBE))))
+        return lam0, m0, float(np.max(np.abs(d2p)))
 
     def inverse_branches(self, x) -> np.ndarray:
         """All d preimages of x, ordered increasingly, by safeguarded Newton.
@@ -148,11 +144,11 @@ class CircleMap:
         solves l(y) = x + m0 + j from the linear guess; a Newton step that
         leaves the point's bracket, tightened by the sign of the residual,
         bisects it instead (rtsafe, Numerical Recipes 9.4).  Reads only
-        lift, lift_d1 and degree.  Stops at residual <= 1e-13.
+        lift_d1 and degree.  Stops at residual <= 1e-13.
         """
         scalar = np.ndim(x) == 0
         x = wrap(np.atleast_1d(np.asarray(x, dtype=float)))
-        ell0 = float(self.lift(0.0))
+        ell0 = float(self.lift_d1(0.0)[0])
         target = x + np.ceil(ell0 - x - 1e-14) + np.arange(self.degree)[:, None]
         y = np.clip((target - ell0) / self.degree, 0.0, 1.0)
         lo, hi = np.zeros_like(y), np.ones_like(y)
@@ -178,35 +174,33 @@ class KickedMap:
 
     def __init__(self, kick: TrigPoly, eps: float, base: CircleMap):
         bound = abs(eps) * float(np.max(np.abs(kick.d1(_PROBE))))
-        if bound >= 0.5:
+        if not bound < 0.5:  # NaN fails too
             raise InvalidSystem(f"eps*||X'||_inf = {bound:.3g} >= 0.5")
         self.kick = kick
         self.eps = float(eps)
         self.base = base
         self.degree = base.degree
 
-    def lift(self, x):
-        """h_eps(l(x)) = u + eps*X(u) with u = l(x); h_eps commutes with integer shifts."""
-        u = self.base.lift(x)
-        return u + self.eps * self.kick(u)
-
-    def eval_d1(self, x):
-        return self.lift_d1(x)[1]
-
     def lift_d1(self, x):
-        """(h_eps(u), (1 + eps*X'(u)) * l'(x)) with u = l(x) evaluated once, and X and X' from one evaluation."""
-        u = self.base.lift(x)
+        """(h_eps(u), (1 + eps*X'(u)) * u') with (u, u') = (l(x), l'(x)) from one base evaluation and X, X' from one.
+
+        h_eps commutes with integer shifts, so h_eps(u) is a lift of h_eps o T.
+        """
+        u, du = self.base.lift_d1(x)
         kick, dkick = self.kick.derivatives(u, (0, 1))
-        return u + self.eps * kick, (1.0 + self.eps * dkick) * self.base.eval_d1(x)
+        return u + self.eps * kick, (1.0 + self.eps * dkick) * du
 
     inverse_branches = CircleMap.inverse_branches  # the same solver on the lift h_eps o l
 
 
 def c2_distance(t1, t2) -> float:
-    """Probed C^2 sup distance of the lifts (degrees equal, so periodic)."""
+    """Probed C^2 sup distance of two CircleMaps' lifts (degrees equal, so periodic)."""
     if t1.degree != t2.degree:
         raise InvalidSystem(f"degrees differ: {t1.degree} vs {t2.degree}")
-    d0 = np.max(np.abs(t1.lift(_PROBE) - t2.lift(_PROBE)))
-    d1 = np.max(np.abs(t1.eval_d1(_PROBE) - t2.eval_d1(_PROBE)))
-    d2 = np.max(np.abs(t1.eval_d2(_PROBE) - t2.eval_d2(_PROBE)))
+    p1, dp1, d2p1 = t1.p.derivatives(_PROBE, (0, 1, 2))
+    p2, dp2, d2p2 = t2.p.derivatives(_PROBE, (0, 1, 2))
+    lift = t1.degree * _PROBE
+    d0 = np.max(np.abs((lift + p1) - (lift + p2)))
+    d1 = np.max(np.abs((t1.degree + dp1) - (t2.degree + dp2)))
+    d2 = np.max(np.abs(d2p1 - d2p2))
     return float(d0 + d1 + d2)

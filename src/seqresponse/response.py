@@ -114,6 +114,8 @@ def validate(etas: Window, fd: dict[float, Window], tol: float) -> tuple[list, b
     They pass iff D does not increase as |eps| shrinks and every D at the
     smallest |eps| is <= tol; two entries of equal |eps| are not compared.
     """
+    if not fd:
+        raise ValueError("no difference quotient was given")
     entries = []
     for eps in sorted(fd, key=lambda e: (-abs(e), -e)):
         gaps = fd[eps].rows(etas.n_lo, etas.n_hi) - etas.values

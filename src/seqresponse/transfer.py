@@ -97,7 +97,7 @@ def build_deterministic(t: CircleMap | KickedMap, n_points: int, kernel=None) ->
     """
     x = np.arange(n_points) / n_points
     branches = t.inverse_branches(x)  # (d, N)
-    weights = 1.0 / t.eval_d1(branches)  # lift derivative is positive for our maps
+    weights = 1.0 / t.lift_d1(branches)[1]  # lift derivative is positive for our maps
     idx, w = gridmod.interpolation_stencil6(n_points, branches.ravel())
     cols = idx.reshape(6, t.degree, n_points).swapaxes(0, 1).reshape(-1, n_points)
     entries = (w.reshape(6, t.degree, n_points).swapaxes(0, 1) * weights[:, None, :]).reshape(-1, n_points)
@@ -109,11 +109,8 @@ class _Identity:
 
     degree = 1
 
-    def lift(self, x):
-        return np.asarray(x, dtype=float)
-
-    def eval_d1(self, x):
-        return 1.0
+    def lift_d1(self, x):
+        return x, 1.0
 
 
 def build_kick(kick: TrigPoly, eps: float, n_points: int) -> TransferMatrix:

@@ -105,6 +105,13 @@ degree = 3
 """
 
 
+# numpy's warnings from a coefficient that overflows to inf and from inf * 0 = NaN, which the row provokes on purpose
+OVERFLOW_WARNINGS = [
+    pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
+    pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning"),
+]
+
+
 def write_config(tmp_path, text, name="exp.ini", **extra):
     out = tmp_path / "out"
     body = text.format(out=out)
@@ -132,14 +139,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="mode"):
             config.load_config(str(path))
 
-    def test_coeff_triples(self):
-        cos, sin = config.parse_coeff_triples("0:0.5:0.0, 2:0.1:-0.2", "t")
-        assert cos == (0.5, 0.0, 0.1)
-        assert sin == (0.0, 0.0, -0.2)
-
-    def test_coeff_triples_malformed(self):
-        with pytest.raises(ConfigError, match="k:a:b"):
-            config.parse_coeff_triples("1:0.5", "t")
+    def test_coeff_triples(self, tmp_path):
+        path, _ = write_config(tmp_path, BASE_DET.replace("degree = 2", "degree = 2\ncoeffs = 0:0.5:0.0, 2:0.01:-0.02"))
+        p = config.build_map(config.load_config(path)).p
+        assert p.a.tolist() == [0.5, 0.0, 0.01]
+        assert p.b.tolist() == [0.0, 0.0, -0.02]
 
     def test_percent_is_literal(self, tmp_path):
         path, out = write_config(tmp_path, BASE_DET.replace("output_dir = {out}", "output_dir = {out}/100%"))
@@ -354,6 +358,7 @@ class TestExitCodes:
             pytest.param(SEEDED_DET, "seed = 0", f"seed = {2**64 - 1}", "equivariant", "schedule.seed", id="schedule-seed-2**64-1"),
             pytest.param(SEEDED_DET, "seed = 0", "seed = -1", "equivariant", "schedule.seed", id="schedule-seed--1"),
             pytest.param(BASE_DET, "degree = 2", "degree = 2\ncoeffs = 1:nan:0.0", "respond", "reference_map.coeffs", id="map-coeff-nan"),
+            pytest.param(BASE_DET, "degree = 2", "degree = 2\ncoeffs = 1:0.5", "certify", "reference_map.coeffs: expected k:a:b triple", id="map-coeff-pair"),
             pytest.param(
                 BASE_DET, "degree = 2", "degree = 2\ncoeffs = 1:0.0:0.05, 1:0.0:0.01", "equivariant", "reference_map.coeffs", id="map-coeff-duplicate"
             ),
@@ -409,6 +414,11 @@ class TestExitCodes:
             # the Doeblin floor 1e-220 rounds away in 1 - alpha; at width 0.001 it is 0
             pytest.param(BASE_NOISY, "bump:0.5,0.08,0.3", "bump:0.5,0.01,0.0", "respond", id="floor-rounds-away"),
             pytest.param(BASE_NOISY, "bump:0.5,0.08,0.3", "bump:0.5,0.001,0.0", "respond", id="floor-0"),
+            # l' = 2 - 4 pi 1e308 sin 4 pi x overflows to inf * 0 = NaN at x = 0, which must not pass as expanding
+            pytest.param(
+                BASE_DET, "degree = 2", "degree = 2\ncoeffs = 2:1e308:0", "certify", id="map-derivative-nan",
+                marks=OVERFLOW_WARNINGS,
+            ),
         ],
     )
     def test_invalid_system_is_2(self, tmp_path, capsys, base, old, new, command):
@@ -418,19 +428,24 @@ class TestExitCodes:
         assert "invalid system" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "old, new, command",
+        "old, new, command, shown",
         [
-            pytest.param("eps = 1e-2, 1e-3", "eps = 1e-1, 1e-3", "respond", id="fd-eps"),
-            pytest.param("eps = 0.02", "eps = 0.1", "simulate", id="simulate-eps"),
+            pytest.param("eps = 1e-2, 1e-3", "eps = 1e-1, 1e-3", "respond", "0.1", id="fd-eps"),
+            pytest.param("eps = 0.02", "eps = 0.1", "simulate", "0.1", id="simulate-eps"),
+            # 4 pi eps overflows to inf, and inf * cos 4 pi x is NaN where the cosine is 0
+            pytest.param(
+                "eps = 0.02", "eps = 1e308", "simulate", "1e+308", id="simulate-eps-1e308",
+                marks=OVERFLOW_WARNINGS,
+            ),
         ],
     )
-    def test_non_expanding_eps_drift_is_2(self, tmp_path, capsys, old, new, command):
+    def test_non_expanding_eps_drift_is_2(self, tmp_path, capsys, old, new, command, shown):
         # with fdot = sin 4 pi x the eps-drift's l' = 2 + 4 pi eps cos 4 pi x dips below 1 at eps = 0.1
         assert BASE_NOISY.count(old) == 1
         path, _ = write_config(tmp_path, BASE_NOISY.replace(old, new))
         assert cli.main([command, path]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("invalid system: drift f0 + eps*fdot at eps = 0.1: probed min") and err.count("\n") == 1, err
+        assert err.startswith(f"invalid system: drift f0 + eps*fdot at eps = {shown}: probed min") and err.count("\n") == 1, err
 
 
 class TestSineAtHarmonic0:

@@ -431,7 +431,7 @@ class TestDriftMap:
         x = np.random.default_rng(0).uniform(0.0, 1.0, 1000)
         assert t.degree == drift.base.degree
         assert np.max(np.abs(t.lift(x) - (drift.base.lift(x) + eps * drift.dot(x)))) <= 1e-14
-        assert np.max(np.abs(t.eval_d1(x) - (drift.base.eval_d1(x) + eps * drift.dot.d1(x)))) <= 1e-12
+        assert np.max(np.abs(t.lift_d1(x)[1] - (drift.base.lift_d1(x)[1] + eps * drift.dot.d1(x)))) <= 1e-12
 
     def test_at_zero_is_the_base(self):
         base = CircleMap(2, sin_coeffs=(0.0, 0.05))

@@ -434,6 +434,11 @@ class TestValidate:
         assert [d for _, d in entries] == pytest.approx([0.05, d_plus, d_minus], rel=1e-12)
         assert ok is passed  # every D at the smallest |eps| counts against tol
 
+    def test_no_quotient_raises(self):
+        # with no eps there is no smallest |eps| to hold against tol
+        with pytest.raises(ValueError, match="no difference quotient was given"):
+            response.validate(Window(0, np.zeros((2, N))), {}, tol=0.01)
+
     @pytest.mark.parametrize("scale, passed", [(1.0, False), (1e-4, True)], ids=["rising", "rising-under-floor"])
     def test_rising_discrepancy(self, scale, passed):
         # D rises from 0.002 to 0.005 as |eps| shrinks and ends within tol: the ordering rule alone fails it,

@@ -12,6 +12,11 @@ time, paths and config digest differ between any two runs).  It prints
 one line per difference, then the largest L1 distance (perfbench's
 `checks.csv_distance`) of a differing CSV from the parent's beside the
 bound `checks.MAX_OUTPUT_DEV`, and exits 1 if there is any difference.
+Each command's peak RSS, from its own rusage (`os.wait4`, as
+perfbench's runner reads it), is printed for both trees with the
+largest rise, for the record only: it never sets the exit code.  A
+spawned child's peak starts at the peak of the process that spawned it
+(about 28 MiB for this script, which loads numpy), so no run reads less.
 """
 
 import collections
@@ -31,10 +36,21 @@ SEEDS = (0, 1, 2)
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1"}
 
 
-def run_all(tree: str, work: str) -> dict:
-    """{(workload, seed, command): (exit code, {file name: path})} for every run from tree's src/."""
+def run_child(argv: list, env: dict, cwd: str) -> tuple[int, float]:
+    """Run argv to completion with its output discarded: (exit code, peak RSS in MiB)."""
+    proc = subprocess.Popen(argv, env=env, cwd=cwd, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4, so Popen must not wait for it
+    return proc.returncode, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+
+
+def run_all(tree: str, work: str) -> tuple[dict, dict]:
+    """Every run from tree's src/: {key: (exit code, {file name: path})} and {key: peak RSS in MiB}.
+
+    A key is (workload, seed, command).
+    """
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"), **ENV)
-    runs = {}
+    runs, peaks = {}, {}
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
             for command in COMMANDS:
@@ -44,10 +60,10 @@ def run_all(tree: str, work: str) -> dict:
                 with open(cfg, "w") as fh:
                     fh.write(workloads.make_config(name, seed, out))
                 argv = [sys.executable, "-m", "seqresponse.cli", command[0], cfg, *command[1:], "--emit-gnuplot"]
-                code = subprocess.run(argv, env=env, cwd=work, capture_output=True).returncode
+                code, peaks[key] = run_child(argv, env, work)
                 files = sorted(os.listdir(out)) if os.path.isdir(out) else []
                 runs[key] = code, {f: os.path.join(out, f) for f in files}
-    return runs
+    return runs, peaks
 
 
 def read(path: str) -> bytes:
@@ -93,17 +109,35 @@ def largest_csv_distance(parent: dict, change: dict):
     return worst
 
 
+def rss_lines(parent: dict, change: dict) -> list:
+    """One line per run with its peak RSS in both trees, then the largest rise from parent to change."""
+    lines, rises = [], []
+    for key, before in parent.items():
+        where = "{} seed {} {}".format(*key)
+        after = change[key]
+        lines.append(f"{where}: peak RSS {before:.2f} -> {after:.2f} MiB ({after - before:+.2f})")
+        rises.append((after - before, where))
+    if rises:
+        rise, where = max(rises)
+        lines.append(f"largest peak RSS rise {rise:+.2f} MiB ({where})")
+    return lines
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as work:
-        runs = []
+        runs, peaks = [], []
         for label, tree in zip(("parent", "change"), argv):
             os.mkdir(os.path.join(work, label))
-            runs.append(run_all(tree, os.path.join(work, label)))
+            tree_runs, tree_peaks = run_all(tree, os.path.join(work, label))
+            runs.append(tree_runs)
+            peaks.append(tree_peaks)
         lines = differences(*runs)
         worst = largest_csv_distance(*runs)
+    for line in rss_lines(*peaks):
+        print(line)
     for line in lines:
         print(line)
     if worst is not None:

@@ -52,10 +52,21 @@ class TrigPoly:
         self.a[: a.shape[0]] = a
         self.b[: b.shape[0]] = b
         w = 2.0 * np.pi * np.arange(k)
-        # (cosine, sine) coefficients of each harmonic in p, p' and p'': d/dx of a cos wx + b sin wx is wb cos wx - wa sin wx
-        self._coeffs = ((self.a, self.b), (w * self.b, -w * self.a), (-(w**2) * self.a, -(w**2) * self.b))
+        # (cosine, sine) coefficients of each harmonic in p, p' and p'': d/dx of a cos wx + b sin wx is wb cos wx - wa sin wx.
+        # One past the float range is inf (or NaN from inf * 0), which `check_finite` names.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._coeffs = ((self.a, self.b), (w * self.b, -w * self.a), (-(w**2) * self.a, -(w**2) * self.b))
         self._const = (self.a[0], 0.0, 0.0)
         self._top = max((j for j in range(1, k) if self.a[j] != 0.0 or self.b[j] != 0.0), default=0)
+
+    def check_finite(self, name: str) -> None:
+        """Raise InvalidSystem naming the lowest harmonic with a non-finite coefficient in name, name' or name''."""
+        for order, (a, b) in enumerate(self._coeffs):
+            bad = ~(np.isfinite(a) & np.isfinite(b))
+            if bad.any():
+                primes = "'" * order
+                k = int(np.argmax(bad))
+                raise InvalidSystem(f"coefficient of harmonic {k} in {name}{primes} overflows: it is not finite")
 
     def derivatives(self, x, orders):
         """p^(o)(x) for each o in orders (0, 1 or 2), one array each, from one set of rotations.
@@ -107,6 +118,7 @@ class CircleMap:
             raise InvalidSystem("covering degree must be >= 2")
         self.degree = int(degree)
         self.p = TrigPoly(cos_coeffs, sin_coeffs)
+        self.p.check_finite("p")
         if not np.min(self.degree + self.p.d1(_PROBE)) > 1.0:  # NaN fails too
             raise InvalidSystem("probed min of lift derivative is <= 1")
 
@@ -173,6 +185,7 @@ class KickedMap:
     """Composed map T_eps = h_eps o T, h_eps(x) = x + eps*X(x) for the TrigPoly X = kick; probed eps*||X'|| < 1/2."""
 
     def __init__(self, kick: TrigPoly, eps: float, base: CircleMap):
+        kick.check_finite("X")
         bound = abs(eps) * float(np.max(np.abs(kick.d1(_PROBE))))
         if not bound < 0.5:  # NaN fails too
             raise InvalidSystem(f"eps*||X'||_inf = {bound:.3g} >= 0.5")

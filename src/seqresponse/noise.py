@@ -96,8 +96,10 @@ class DriftMap:
         """f_eps as the CircleMap of f0's degree with f0's lift coefficients plus eps times fdot's; it must expand."""
         k = max(self.base.p.a.shape[0], self.dot.a.shape[0])
         p0, p1 = (np.pad([p.a, p.b], ((0, 0), (0, k - p.a.shape[0]))) for p in (self.base.p, self.dot))
+        with np.errstate(over="ignore"):  # a coefficient past the float range is inf, which CircleMap names
+            coeffs = p0 + eps * p1
         try:
-            return CircleMap(self.base.degree, *(p0 + eps * p1))
+            return CircleMap(self.base.degree, *coeffs)
         except InvalidSystem as exc:
             raise InvalidSystem(f"drift f0 + eps*fdot at eps = {eps:g}: {exc}") from None
 

@@ -33,16 +33,20 @@ from .sequence import DeterministicEntry, SequenceSystem, Window
 def forcing(sys: SequenceSystem, mu: Window) -> Window:
     """Derivative of the perturbed operator along the reference family; every g_n has zero mass.
 
-    Deterministic entries: g_n = D mu_{n+1} with D u = -(X u)'.  Noisy
-    entries: g_n = -(A_n (fdot mu_n))' from the cached eps = 0 kernel A_n.
+    Deterministic entries: g_n = D mu_{n+1} with D u = -(X u)', mu_{n+1}
+    read from the next row of mu.  Noisy entries: g_n = -(A_n (fdot mu_n))'
+    from the cached eps = 0 kernel A_n.
     """
-    ahead = mu.values[1:]  # row i is mu_{n+1} at n = n_lo + i; mu_{n_hi + 1} is pushed only when a kick reads it
-    if isinstance(sys.schedule(mu.n_hi), DeterministicEntry):
-        ahead = np.concatenate([ahead, transfer.push(sys.operator(mu.n_hi), mu.values[-1:])])
+    m = mu.values.shape[0]
     out = np.empty_like(mu.values)
     for entry, idx in sys.entry_rows(mu).items():
         if isinstance(entry, DeterministicEntry):
-            out[idx] = transfer.d_operator(entry.kick, ahead[idx])
+            ahead = [i + 1 for i in idx]  # the rows of mu_{n+1}; increasing, so only the last can be m
+            if ahead[-1] < m:
+                u = mu.values[ahead]
+            else:  # mu_{n_hi + 1}, past the window, is pushed only when a kick reads it
+                u = np.concatenate([mu.values[ahead[:-1]], transfer.push(sys.operator(mu.n_hi), mu.values[-1:])])
+            out[idx] = transfer.d_operator(entry.kick, u)
         else:
             out[idx] = noisemod.kernel_forcing(entry.drift, sys.operator(mu.n_lo + idx[0]), mu.values[idx])
     return Window(mu.n_lo, out)
@@ -75,7 +79,9 @@ def neumann_response(
         raise TailNotSmall(f"tail bound {tail:.3g} > tol {tol:.3g}; need K >= {needed}")
     eta = Window(g.n_lo + 1, g.rows(g.n_lo, g.n_hi - k_order - 1))
     for _ in range(k_order):
-        eta = Window(eta.n_lo + 1, sys.advance(eta) + g.rows(eta.n_lo, eta.n_hi))
+        step = sys.advance(eta)
+        step += g.rows(eta.n_lo, eta.n_hi)
+        eta = Window(eta.n_lo + 1, step)
     return eta, tail
 
 
@@ -83,43 +89,54 @@ def resolvent_residual(sys: SequenceSystem, etas: Window, g: Window) -> float:
     """max_n || eta_n - (L eta)_n - g_{n-1} ||_L1 over interior indices; the last row is not pushed."""
     pushed = sys.advance(Window(etas.n_lo, etas.values[:-1]))  # (L eta)_n for n = n_lo + 1 .. n_hi
     forced = g.rows(etas.n_lo - 1, etas.n_hi - 1)[1:]  # g_{n-1} for the same n; no rows if eta has one
-    gaps = etas.values[1:] - pushed - forced
+    gaps = np.subtract(etas.values[1:], pushed, out=pushed)
+    gaps -= forced
     return float(np.max(gridmod.norm_l1(gaps), initial=0.0))
 
 
 def finite_difference_response(
     sys: SequenceSystem,
-    eps_list,
+    eps: float,
     burn_in: int,
     seed_density: np.ndarray,
     base_family: Window,
     tol: float = seqmod.DEFAULT_PULLBACK_TOL,
-) -> dict[float, Window]:
-    """Difference quotients (mu^eps - mu^0) / eps per eps against the unperturbed family mu^0."""
-    eps_list = tuple(float(e) for e in eps_list)
-    if any(e == 0.0 for e in eps_list):
+) -> Window:
+    """The difference quotient (mu^eps - mu^0) / eps against the unperturbed family mu^0.
+
+    mu^eps is pulled back on its own system at strength eps over the
+    shared schedule; the system passed in keeps its eps = 0 operators.
+    """
+    eps = float(eps)
+    if eps == 0.0:
         raise ValueError("eps = 0 is not a valid difference quotient")
-    quotients = {}
-    for eps in eps_list:
-        perturbed = SequenceSystem(sys.schedule, sys.window, sys.n_points, eps)
-        fam_p, _ = seqmod.pullback_equivariant(perturbed, burn_in, seed_density, tol=tol)
-        quotients[eps] = Window(base_family.n_lo, (fam_p.values - base_family.values) * (1.0 / eps))
-    return quotients
+    perturbed = SequenceSystem(sys.schedule, sys.window, sys.n_points, eps)
+    fam_p, _ = seqmod.pullback_equivariant(perturbed, burn_in, seed_density, tol=tol)
+    quotient = np.subtract(fam_p.values, base_family.values)
+    quotient *= 1.0 / eps
+    return Window(base_family.n_lo, quotient)
 
 
-def validate(etas: Window, fd: dict[float, Window], tol: float) -> tuple[list, bool]:
+def validate(etas: Window, quotients, tol: float) -> tuple[list, bool]:
     """Per-eps L1 discrepancies D(eps) between the quotients and the series, and whether they pass.
 
-    The entries are (eps, D) pairs by decreasing |eps|, +eps before -eps.
-    They pass iff D does not increase as |eps| shrinks and every D at the
-    smallest |eps| is <= tol; two entries of equal |eps| are not compared.
+    `quotients` is an iterable of (eps, difference quotient) pairs, which
+    may make each quotient only when it is pulled: each is reduced to its
+    D and dropped before the next is pulled, so one quotient is alive at
+    a time.  The entries are (eps, D) pairs by decreasing |eps|, +eps
+    before -eps.  They pass iff D does not increase as |eps| shrinks and
+    every D at the smallest |eps| is <= tol; two entries of equal |eps|
+    are not compared.
     """
-    if not fd:
-        raise ValueError("no difference quotient was given")
     entries = []
-    for eps in sorted(fd, key=lambda e: (-abs(e), -e)):
-        gaps = fd[eps].rows(etas.n_lo, etas.n_hi) - etas.values
-        entries.append((eps, float(np.max(gridmod.norm_l1(gaps)))))
+    for eps, q in quotients:
+        gaps = q.rows(etas.n_lo, etas.n_hi) - etas.values
+        del q  # before gaps is normed, and before the next quotient is made
+        entries.append((float(eps), float(np.max(gridmod.norm_l1(gaps)))))
+        del gaps
+    if not entries:
+        raise ValueError("no difference quotient was given")
+    entries.sort(key=lambda entry: (-abs(entry[0]), -entry[0]))
     floor = 1e-6  # discretization floor: below it, ordering is noise
     pairs = itertools.combinations(entries, 2)  # each (e, c) before (f, d), so |e| >= |f|
     decreasing = all(d <= c or max(c, d) <= floor for (e, c), (f, d) in pairs if abs(f) < abs(e))

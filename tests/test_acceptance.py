@@ -147,9 +147,7 @@ def test_criterion_6_closed_form_response(doubling_response):
     sys_, fam, g, etas = doubling_response
     expected = -np.cos(2 * np.pi * X)
     series_err = float(np.max(grid.norm_l1(etas.values - expected)))
-    fd = response.finite_difference_response(
-        sys_, [1e-2, 1e-3], 60, np.ones(N), base_family=fam
-    )
+    fd = {e: response.finite_difference_response(sys_, e, 60, np.ones(N), base_family=fam) for e in (1e-2, 1e-3)}
     gaps = {
         eps: float(np.max(grid.norm_l1(fd[eps].rows(etas.n_lo, etas.n_hi) - etas.values)))
         for eps in (1e-2, 1e-3)
@@ -172,10 +170,8 @@ def test_criterion_7_nonautonomous_response():
     g = response.forcing(sys_, fam)
     etas, tail = response.neumann_response(sys_, g, 8, (1.0, 0.6))
     res = response.resolvent_residual(sys_, etas, g)
-    fd = response.finite_difference_response(
-        sys_, [1e-2, 3e-3, 1e-3], 60, np.ones(N), base_family=fam
-    )
-    _, passed = response.validate(etas, fd, tol=2e-2)
+    fd = {e: response.finite_difference_response(sys_, e, 60, np.ones(N), base_family=fam) for e in (1e-2, 3e-3, 1e-3)}
+    _, passed = response.validate(etas, fd.items(), tol=2e-2)
     ok = res <= tail + 1e-7 and passed
     report(
         7,
@@ -200,10 +196,8 @@ def test_criterion_8_noisy_response(bump_q):
         quot_gap = max(quot_gap, float(grid.norm_l1(quot - g[n])))
     c, rate = constants.doeblin_certificate(bump_q)
     etas, _ = response.neumann_response(sys_, g, 8, (c, rate))
-    fd = response.finite_difference_response(
-        sys_, [1e-2, 3e-3, 1e-3], 60, np.ones(N), base_family=fam
-    )
-    _, passed = response.validate(etas, fd, tol=1e-2)
+    fd = {e: response.finite_difference_response(sys_, e, 60, np.ones(N), base_family=fam) for e in (1e-2, 3e-3, 1e-3)}
+    _, passed = response.validate(etas, fd.items(), tol=1e-2)
     ok = quot_gap <= 5e-3 and passed
     report(
         8,

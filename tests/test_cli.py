@@ -105,13 +105,6 @@ degree = 3
 """
 
 
-# numpy's warnings from a coefficient that overflows to inf and from inf * 0 = NaN, which the row provokes on purpose
-OVERFLOW_WARNINGS = [
-    pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
-    pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning"),
-]
-
-
 def write_config(tmp_path, text, name="exp.ini", **extra):
     out = tmp_path / "out"
     body = text.format(out=out)
@@ -408,44 +401,54 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "base, old, new, command",
+        "base, old, new, command, warned",
         [
-            pytest.param(BASE_DET, "degree = 2", "degree = 1", "certify", id="degree-1"),
+            pytest.param(BASE_DET, "degree = 2", "degree = 1", "certify", [], id="degree-1"),
             # the Doeblin floor 1e-220 rounds away in 1 - alpha; at width 0.001 it is 0
-            pytest.param(BASE_NOISY, "bump:0.5,0.08,0.3", "bump:0.5,0.01,0.0", "respond", id="floor-rounds-away"),
-            pytest.param(BASE_NOISY, "bump:0.5,0.08,0.3", "bump:0.5,0.001,0.0", "respond", id="floor-0"),
-            # l' = 2 - 4 pi 1e308 sin 4 pi x overflows to inf * 0 = NaN at x = 0, which must not pass as expanding
+            pytest.param(BASE_NOISY, "bump:0.5,0.08,0.3", "bump:0.5,0.01,0.0", "respond", [], id="floor-rounds-away"),
             pytest.param(
-                BASE_DET, "degree = 2", "degree = 2\ncoeffs = 2:1e308:0", "certify", id="map-derivative-nan",
-                marks=OVERFLOW_WARNINGS,
+                BASE_NOISY, "bump:0.5,0.08,0.3", "bump:0.5,0.001,0.0", "respond",
+                ["noise density touches zero; Doeblin contraction unavailable"], id="floor-0",
             ),
+            # l' = 2 - 4 pi 1e308 sin 4 pi x: the coefficient of p' overflows, and is named before any probe
+            pytest.param(BASE_DET, "degree = 2", "degree = 2\ncoeffs = 2:1e308:0", "certify", [], id="map-derivative-nan"),
         ],
     )
-    def test_invalid_system_is_2(self, tmp_path, capsys, base, old, new, command):
+    def test_invalid_system_is_2(self, tmp_path, capsys, base, old, new, command, warned):
         assert old in base
         path, _ = write_config(tmp_path, base.replace(old, new))
-        assert cli.main([command, path]) == 2
-        assert "invalid system" in capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid system: ") and err.count("\n") == 1, err
+        assert [str(w.message) for w in caught] == warned
+        if "1e308" in new:
+            assert err == "invalid system: coefficient of harmonic 2 in p' overflows: it is not finite\n"
 
     @pytest.mark.parametrize(
-        "old, new, command, shown",
+        "old, new, command, shown, reason",
         [
-            pytest.param("eps = 1e-2, 1e-3", "eps = 1e-1, 1e-3", "respond", "0.1", id="fd-eps"),
-            pytest.param("eps = 0.02", "eps = 0.1", "simulate", "0.1", id="simulate-eps"),
-            # 4 pi eps overflows to inf, and inf * cos 4 pi x is NaN where the cosine is 0
+            pytest.param("eps = 1e-2, 1e-3", "eps = 1e-1, 1e-3", "respond", "0.1", "probed min", id="fd-eps"),
+            pytest.param("eps = 0.02", "eps = 0.1", "simulate", "0.1", "probed min", id="simulate-eps"),
+            # 4 pi eps overflows to inf: p' has a coefficient past the float range, named before any probe
             pytest.param(
-                "eps = 0.02", "eps = 1e308", "simulate", "1e+308", id="simulate-eps-1e308",
-                marks=OVERFLOW_WARNINGS,
+                "eps = 0.02", "eps = 1e308", "simulate", "1e+308",
+                "coefficient of harmonic 2 in p' overflows: it is not finite", id="simulate-eps-1e308",
             ),
         ],
     )
-    def test_non_expanding_eps_drift_is_2(self, tmp_path, capsys, old, new, command, shown):
+    def test_non_expanding_eps_drift_is_2(self, tmp_path, capsys, old, new, command, shown, reason):
         # with fdot = sin 4 pi x the eps-drift's l' = 2 + 4 pi eps cos 4 pi x dips below 1 at eps = 0.1
         assert BASE_NOISY.count(old) == 1
         path, _ = write_config(tmp_path, BASE_NOISY.replace(old, new))
-        assert cli.main([command, path]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main([command, path]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"invalid system: drift f0 + eps*fdot at eps = {shown}: probed min") and err.count("\n") == 1, err
+        prefix = f"invalid system: drift f0 + eps*fdot at eps = {shown}: {reason}"
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+        assert not caught, [str(w.message) for w in caught]
 
 
 class TestSineAtHarmonic0:

@@ -1,6 +1,9 @@
 import importlib.util
 import json
+import os
 import pathlib
+import resource
+import sys
 
 import pytest
 
@@ -90,3 +93,26 @@ def test_largest_csv_distance_names_its_file(tmp_path, compare):
     change = tree(tmp_path, "change", {"eta_0009.csv": "x,value\n0,1\n0.5,2.5\n", "eta_0010.csv": "x,value\n0,1\n", "a.json": "2"})
     assert compare.largest_csv_distance(parent, change) == (0.25, "det-256-session seed 1 respond: eta_0009.csv")
     assert compare.largest_csv_distance(parent, parent) is None
+
+
+def test_run_child_reads_each_childs_own_peak_rss(tmp_path, compare):
+    # a spawned child's peak starts at its spawner's own peak, so the first child writes 64 MiB more than that;
+    # the second, run after it, reports its own smaller peak, not the first's
+    size = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024) + 64
+    big = [sys.executable, "-c", f"import sys; b = b'x' * ({size} << 20); sys.exit(3)"]
+    code, big_peak = compare.run_child(big, dict(os.environ), str(tmp_path))
+    assert code == 3 and big_peak >= size
+    code, small_peak = compare.run_child([sys.executable, "-c", "pass"], dict(os.environ), str(tmp_path))
+    assert code == 0 and 0 < small_peak < big_peak
+
+
+def test_rss_lines_give_each_run_and_the_largest_rise(compare):
+    keys = [("det-2048", 0, "respond"), ("det-256-session", 1, "respond")]
+    parent = {keys[0]: 34.0, keys[1]: 41.5}
+    change = {keys[0]: 34.25, keys[1]: 39.5}
+    assert compare.rss_lines(parent, change) == [
+        "det-2048 seed 0 respond: peak RSS 34.00 -> 34.25 MiB (+0.25)",
+        "det-256-session seed 1 respond: peak RSS 41.50 -> 39.50 MiB (-2.00)",
+        "largest peak RSS rise +0.25 MiB (det-2048 seed 0 respond)",
+    ]
+    assert compare.rss_lines({}, {}) == []

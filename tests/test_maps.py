@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -128,11 +130,19 @@ class TestConstants:
         with pytest.raises(InvalidSystem, match="probed min of lift derivative is <= 1"):
             CircleMap(2, sin_coeffs=(0.0, 0.5))  # p' dips to -pi < 1 - 2
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # from the inf * 0 itself
     def test_nan_derivative(self):
-        # p' = -4 pi inf sin 4 pi x is inf * 0 = NaN at x = 0, and np.min of it is NaN
-        with pytest.raises(InvalidSystem, match="probed min of lift derivative is <= 1"):
-            CircleMap(2, cos_coeffs=(0.0, 0.0, np.inf))
+        # p' = -4 pi inf sin 4 pi x would be inf * 0 = NaN at x = 0: the coefficient is named before any probe
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidSystem, match="^coefficient of harmonic 2 in p overflows: it is not finite$"):
+                CircleMap(2, cos_coeffs=(0.0, 0.0, np.inf))
+
+    def test_overflowing_second_derivative(self):
+        # p'' = -(2 pi 16)^2 1e305 cos 32 pi x leaves the float range, p' = 2 pi 16 1e305 sin 32 pi x does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidSystem, match="^coefficient of harmonic 16 in p'' overflows: it is not finite$"):
+                CircleMap(2, cos_coeffs=(0.0,) * 16 + (1e305,))
 
 
 class TestInverseBranches:
@@ -320,8 +330,9 @@ class TestKick:
         with pytest.raises(InvalidSystem, match=">= 0.5"):
             KickedMap(k, 0.2, doubling())
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # from the inf * 0 itself
     def test_nan_derivative(self):
-        # X' = -2 pi inf sin 2 pi x is NaN at x = 0, so the probed eps * ||X'|| is NaN
-        with pytest.raises(InvalidSystem, match=r"eps\*\|\|X'\|\|_inf = nan >= 0.5"):
-            KickedMap(TrigPoly(cos_coeffs=(0.0, np.inf)), 0.01, CircleMap(2))
+        # X' = -2 pi inf sin 2 pi x would be NaN at x = 0: the coefficient is named before eps * ||X'|| is probed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidSystem, match="^coefficient of harmonic 1 in X overflows: it is not finite$"):
+                KickedMap(TrigPoly(cos_coeffs=(0.0, np.inf)), 0.01, CircleMap(2))

@@ -1,5 +1,7 @@
+import itertools
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -224,6 +226,11 @@ def reference_quotients(sys_, eps, fam):
     return [(p - b) * (1.0 / eps) for p, b in zip(fam_p.values, fam.values)]
 
 
+def quotients(sys_, eps_list, fam):
+    """{eps: difference quotient} from one finite_difference_response call per eps."""
+    return {e: response.finite_difference_response(sys_, e, 60, np.ones(N), base_family=fam) for e in eps_list}
+
+
 def reference_validate_entries(etas, fd):
     """(eps, D) as first written: the largest of one L1 norm per index."""
     return tuple(
@@ -256,13 +263,12 @@ class TestBlockStages:
     def test_quotients_and_validate(self, setup):
         sys_, fam, g = setup
         eps_list = (1e-2, 3e-3, 1e-3)
-        fd = response.finite_difference_response(sys_, eps_list, 60, np.ones(N), base_family=fam)
-        assert list(fd) == list(eps_list)
+        fd = quotients(sys_, eps_list, fam)
         for eps in eps_list:
             assert (fd[eps].n_lo, fd[eps].n_hi) == (fam.n_lo, fam.n_hi)
             assert np.array_equal(fd[eps].values, np.array(reference_quotients(sys_, eps, fam)))
         etas, _ = response.neumann_response(sys_, g, 3, (1.0, 0.5))
-        assert response.validate(etas, fd, tol=1.0)[0] == list(reference_validate_entries(etas, fd))
+        assert response.validate(etas, fd.items(), tol=1.0)[0] == list(reference_validate_entries(etas, fd))
 
     def test_resolvent_residual(self, setup):
         sys_, fam, g = setup
@@ -274,7 +280,7 @@ class TestBlockStages:
         etas, _ = response.neumann_response(sys_, g, 3, (1.0, 0.5))
         fd = {1e-2: Window(etas.n_lo + 1, np.zeros((len(etas.values), N)))}
         with pytest.raises(WindowExceeded):
-            response.validate(etas, fd, tol=1.0)
+            response.validate(etas, fd.items(), tol=1.0)
 
 
 class TestForcingProperty:
@@ -302,9 +308,7 @@ class TestFiniteDifference:
     def test_quotient_converges_to_series(self, doubling_setup):
         sys_, fam, g = doubling_setup
         etas, _ = response.neumann_response(sys_, g, 8, (1.0, 0.5))
-        fd = response.finite_difference_response(
-            sys_, [1e-2, 1e-3], 60, np.ones(N), base_family=fam
-        )
+        fd = quotients(sys_, [1e-2, 1e-3], fam)
         gaps = {
             eps: max(
                 grid.norm_l1(fd[eps][n] - etas[n])
@@ -317,10 +321,7 @@ class TestFiniteDifference:
 
     def test_quotient_outside_window(self, doubling_setup):
         sys_, fam, _ = doubling_setup
-        fd = response.finite_difference_response(
-            sys_, [1e-2], 60, np.ones(N), base_family=fam
-        )
-        q = fd[1e-2]
+        q = response.finite_difference_response(sys_, 1e-2, 60, np.ones(N), base_family=fam)
         assert (q.n_lo, q.n_hi) == (fam.n_lo, fam.n_hi)
         assert np.array_equal(q[fam.n_lo], q.values[0])
         assert np.array_equal(q[fam.n_hi], q.values[-1])
@@ -331,16 +332,14 @@ class TestFiniteDifference:
     def test_rejects_zero_eps(self, doubling_setup):
         sys_, fam, _ = doubling_setup
         with pytest.raises(ValueError):
-            response.finite_difference_response(sys_, [0.0], 60, np.ones(N), base_family=fam)
+            response.finite_difference_response(sys_, 0.0, 60, np.ones(N), base_family=fam)
 
     def test_noisy_quotient(self, bump_setup):
         sys_, fam, g = bump_setup
         etas, _ = response.neumann_response(sys_, g, 8, (1.0, 0.7))
-        fd = response.finite_difference_response(
-            sys_, [1e-4], 60, np.ones(N), base_family=fam
-        )
+        q = response.finite_difference_response(sys_, 1e-4, 60, np.ones(N), base_family=fam)
         gap = max(
-            grid.norm_l1(fd[1e-4][n] - etas[n])
+            grid.norm_l1(q[n] - etas[n])
             for n in range(etas.n_lo, etas.n_hi + 1)
         )
         assert gap <= 5e-3
@@ -365,7 +364,7 @@ class TestScopedOperators:
 
     def test_passed_system_keeps_only_eps_zero(self):
         _, sys_, fam = seeded_setup()
-        response.finite_difference_response(sys_, self.EPS, 60, np.ones(N), base_family=fam)
+        quotients(sys_, self.EPS, fam)
         assert sys_.eps == 0.0 and sys_._cache
         for entry, mat in sys_._cache.items():
             assert same_bits(mat, fresh_operator(entry, 0.0))
@@ -387,13 +386,13 @@ class TestScopedOperators:
 
         monkeypatch.setattr(transfer, "build_deterministic", counted)
         monkeypatch.setattr(noise, "build_kernel", counted_kernel)
-        response.finite_difference_response(sys_, self.EPS, 60, np.ones(N), base_family=fam)
+        quotients(sys_, self.EPS, fam)
         maps = [e.map for e in entries[:2]] + [entries[2].drift.base]
         assert sorted(built) == sorted((eps, id(t)) for eps in self.EPS for t in maps)
 
     def test_quotients_match_pullbacks_on_the_shared_system(self):
         _, sys_, fam = seeded_setup()
-        fd = response.finite_difference_response(sys_, self.EPS, 60, np.ones(N), base_family=fam)
+        fd = quotients(sys_, self.EPS, fam)
         for eps in self.EPS:
             assert np.array_equal(fd[eps].values, np.array(reference_quotients(sys_, eps, fam)))
 
@@ -402,10 +401,8 @@ class TestValidate:
     def test_passes(self, bump_setup):
         sys_, fam, g = bump_setup
         etas, _ = response.neumann_response(sys_, g, 8, (1.0, 0.7))
-        fd = response.finite_difference_response(
-            sys_, [1e-2, 3e-3, 1e-3], 60, np.ones(N), base_family=fam
-        )
-        entries, passed = response.validate(etas, fd, tol=2e-2)
+        fd = quotients(sys_, [1e-2, 3e-3, 1e-3], fam)
+        entries, passed = response.validate(etas, fd.items(), tol=2e-2)
         assert passed
         eps_order = [e for e, _ in entries]
         assert eps_order == sorted(eps_order, reverse=True)
@@ -417,10 +414,33 @@ class TestValidate:
     def test_fails_on_absurd_tol(self, bump_setup):
         sys_, fam, g = bump_setup
         etas, _ = response.neumann_response(sys_, g, 8, (1.0, 0.7))
-        fd = response.finite_difference_response(
-            sys_, [1e-2, 1e-3], 60, np.ones(N), base_family=fam
-        )
-        assert not response.validate(etas, fd, tol=1e-12)[1]
+        fd = quotients(sys_, [1e-2, 1e-3], fam)
+        assert not response.validate(etas, fd.items(), tol=1e-12)[1]
+
+    def test_one_quotient_alive_at_a_time(self, bump_setup):
+        # pairs from a generator expression, as `respond` passes them: each quotient is made only when
+        # validate pulls it, and validate drops the one before, so every earlier quotient is dead by then
+        sys_, fam, g = bump_setup
+        etas, _ = response.neumann_response(sys_, g, 8, (1.0, 0.7))
+        made = []
+
+        def quotient(eps):
+            q = response.finite_difference_response(sys_, eps, 60, np.ones(N), base_family=fam)
+            assert [ref() for ref in made] == [None] * len(made)
+            made.append(weakref.ref(q))
+            return q
+
+        entries, _ = response.validate(etas, ((e, quotient(e)) for e in (1e-2, 3e-3, 1e-3)), tol=2e-2)
+        assert len(made) == len(entries) == 3 and made[-1]() is None
+
+    def test_entries_do_not_depend_on_pair_order(self, bump_setup):
+        sys_, fam, g = bump_setup
+        etas, _ = response.neumann_response(sys_, g, 8, (1.0, 0.7))
+        fd = quotients(sys_, [1e-2, -3e-3, 3e-3, 1e-3], fam)
+        expected = response.validate(etas, fd.items(), tol=2e-2)
+        assert [e for e, _ in expected[0]] == [1e-2, 3e-3, -3e-3, 1e-3]
+        for order in itertools.permutations(fd.items()):
+            assert response.validate(etas, iter(order), tol=2e-2) == expected
 
     @pytest.mark.parametrize(
         "d_plus, d_minus, passed", [(0.004, 0.006, True), (0.02, 0.004, False)], ids=["both-within-tol", "plus-over-tol"]
@@ -429,7 +449,7 @@ class TestValidate:
         # quotients that miss a zero response by the constant D: the ranking and the verdict read D alone
         etas = Window(0, np.zeros((2, N)))
         fd = {e: Window(0, np.full((2, N), d)) for e, d in ((1e-3, d_plus), (-1e-3, d_minus), (1e-2, 0.05))}
-        entries, ok = response.validate(etas, fd, tol=0.01)
+        entries, ok = response.validate(etas, fd.items(), tol=0.01)
         assert [e for e, _ in entries] == [1e-2, 1e-3, -1e-3]  # +eps and -eps of one |eps| are not compared
         assert [d for _, d in entries] == pytest.approx([0.05, d_plus, d_minus], rel=1e-12)
         assert ok is passed  # every D at the smallest |eps| counts against tol
@@ -437,7 +457,7 @@ class TestValidate:
     def test_no_quotient_raises(self):
         # with no eps there is no smallest |eps| to hold against tol
         with pytest.raises(ValueError, match="no difference quotient was given"):
-            response.validate(Window(0, np.zeros((2, N))), {}, tol=0.01)
+            response.validate(Window(0, np.zeros((2, N))), iter(()), tol=0.01)
 
     @pytest.mark.parametrize("scale, passed", [(1.0, False), (1e-4, True)], ids=["rising", "rising-under-floor"])
     def test_rising_discrepancy(self, scale, passed):
@@ -445,17 +465,15 @@ class TestValidate:
         # unless every D is under the 1e-6 discretization floor, where ordering is noise
         etas = Window(0, np.zeros((2, N)))
         fd = {e: Window(0, np.full((2, N), d * scale)) for e, d in ((1e-2, 0.002), (1e-3, 0.005))}
-        entries, ok = response.validate(etas, fd, tol=0.01)
+        entries, ok = response.validate(etas, fd.items(), tol=0.01)
         assert [d for _, d in entries] == pytest.approx([0.002 * scale, 0.005 * scale], rel=1e-12)
         assert ok is passed
 
     def test_json(self, bump_setup):
         sys_, fam, g = bump_setup
         etas, _ = response.neumann_response(sys_, g, 6, (1.0, 0.7))
-        fd = response.finite_difference_response(
-            sys_, [1e-3], 60, np.ones(N), base_family=fam
-        )
-        entries, passed = response.validate(etas, fd, tol=1e-2)
+        fd = quotients(sys_, [1e-3], fam)
+        entries, passed = response.validate(etas, fd.items(), tol=1e-2)
         # plain Python values, which json writes as they are (a numpy bool would raise)
         payload = json.loads(json.dumps({"pass": passed, "entries": entries}))
         assert payload == {"pass": passed, "entries": [[1e-3, entries[0][1]]]} and type(passed) is bool

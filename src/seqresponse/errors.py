@@ -26,9 +26,10 @@ class WindowExceeded(ConfigError):
 class InvalidSystem(SeqResponseError, ValueError):
     """The system breaks a hypothesis of the theory or of its discretization.
 
-    A map that does not expand or has covering degree < 2, kicks too
-    large for h_eps to be a diffeomorphism, maps of unequal degree, grid
-    sizes that disagree, or a noise density without a Doeblin floor.
+    A map that does not expand or has covering degree < 2, a kick too
+    large for h_eps to be a diffeomorphism, noise without a Doeblin floor;
+    in library calls only, maps of unequal degree (`c2_distance`) or grid
+    sizes that disagree (`push`).
     """
 
     exit_code, label = 2, "invalid system"

@@ -2,8 +2,8 @@
 
 The forcing (g_n), the response (eta_n) and the difference quotients
 are sequence-space elements on a finite window, each one
-`sequence.Window` block with a row per index.  The response density at
-index n is the truncated causal series
+`sequence.Window` block with a row per index.  With g_n = Ldot_n mu_n,
+the response density at index n is the truncated causal series
 
     eta_n ~= g_{n-1} + sum_{k=1..K} L_{n-1} ... L_{n-k} g_{n-k-1},
 
@@ -23,32 +23,19 @@ import itertools
 import numpy as np
 
 from . import grid as gridmod
-from . import noise as noisemod
 from . import sequence as seqmod
-from . import transfer
 from .errors import TailNotSmall, WindowExceeded
-from .sequence import DeterministicEntry, SequenceSystem, Window
+from .sequence import SequenceSystem, Window
 
 
 def forcing(sys: SequenceSystem, mu: Window) -> Window:
-    """Derivative of the perturbed operator along the reference family; every g_n has zero mass.
+    """g_n = Ldot_n mu_n, each schedule entry's rows one block through its `derivative`; every g_n has zero mass.
 
-    Deterministic entries: g_n = D mu_{n+1} with D u = -(X u)', mu_{n+1}
-    read from the next row of mu.  Noisy entries: g_n = -(A_n (fdot mu_n))'
-    from the cached eps = 0 kernel A_n.
+    Ldot_n is the eps-derivative of L_n^eps at 0, so sys's operators are those at eps = 0.
     """
-    m = mu.values.shape[0]
     out = np.empty_like(mu.values)
     for entry, idx in sys.entry_rows(mu).items():
-        if isinstance(entry, DeterministicEntry):
-            ahead = [i + 1 for i in idx]  # the rows of mu_{n+1}; increasing, so only the last can be m
-            if ahead[-1] < m:
-                u = mu.values[ahead]
-            else:  # mu_{n_hi + 1}, past the window, is pushed only when a kick reads it
-                u = np.concatenate([mu.values[ahead[:-1]], transfer.push(sys.operator(mu.n_hi), mu.values[-1:])])
-            out[idx] = transfer.d_operator(entry.kick, u)
-        else:
-            out[idx] = noisemod.kernel_forcing(entry.drift, sys.operator(mu.n_lo + idx[0]), mu.values[idx])
+        out[idx] = entry.derivative(sys.operator(mu.n_lo + idx[0]), mu.values[idx])
     return Window(mu.n_lo, out)
 
 

@@ -2,9 +2,11 @@
 
 A schedule assigns to each time index a system element: a deterministic
 expanding map with its kick field, or a drift map with its noise
-density.  A sequence-space element (mu_n, g_n or eta_n) restricted to
-a finite window [n_lo, n_hi] is one `Window`: a read-only (m, N) block
-whose row n - n_lo holds the density at index n.  Equivariant families
+density.  Each entry assembles its own operator L_n^eps (`assemble`)
+and applies its eps-derivative at 0, Ldot_n (`derivative`).  A
+sequence-space element (mu_n, g_n or eta_n) restricted to a finite
+window [n_lo, n_hi] is one `Window`: a read-only (m, N) block whose row
+n - n_lo holds the density at index n.  Equivariant families
 are produced by the pullback sweep: push an arbitrary probability seed
 forward from burn_in steps before the window and record the densities
 inside it, one row per index.
@@ -36,23 +38,43 @@ RESIDUAL_BUDGET = 1 << 13
 
 
 class DeterministicEntry:
-    """One scheduled deterministic step: expanding map + kick direction.
+    """One scheduled deterministic step: expanding map T + kick direction X.
 
-    Entries hash by identity, so operator caches never share a slot
-    between two entries.
+    Its L^eps = L_{h_eps o T}, the operator of the post-composition kicked
+    map, is assembled in one pass from its inverse branches and equals
+    L_{h_eps} L_T, the product the tests compare it against; so its
+    eps-derivative at 0 is D L_T, with D u = -(X u)'.  Entries hash by
+    identity, so operator caches never share a slot between two entries.
     """
 
     def __init__(self, map: CircleMap, kick: TrigPoly):
         self.map = map
         self.kick = kick
 
+    def assemble(self, eps: float, n_points: int) -> TransferMatrix:
+        return transfer.build_deterministic(self.map if eps == 0.0 else KickedMap(self.kick, eps, self.map), n_points)
+
+    def derivative(self, a: TransferMatrix, w: np.ndarray) -> np.ndarray:
+        """D(a w) for the eps = 0 operator a and raw samples w, one density per row."""
+        return transfer.d_operator(self.kick, transfer.push(a, w))
+
 
 class NoisyEntry:
-    """One scheduled noisy step: drift map + common noise density; hashes by identity."""
+    """One scheduled noisy step: drift map + common noise density; hashes by identity.
+
+    Its L^eps is the annealed kernel K_q L_{f_eps} of `noise.build_kernel`.
+    """
 
     def __init__(self, drift: DriftMap, noise: NoiseDensity):
         self.drift = drift
         self.noise = noise
+
+    def assemble(self, eps: float, n_points: int) -> TransferMatrix:
+        return noisemod.build_kernel(self.drift, eps, self.noise, n_points)
+
+    def derivative(self, a: TransferMatrix, w: np.ndarray) -> np.ndarray:
+        """-(a (fdot w))' for the eps = 0 kernel a and raw samples w, one density per row."""
+        return noisemod.kernel_forcing(self.drift, a, w)
 
 
 def constant_schedule(entry):
@@ -126,23 +148,11 @@ class SequenceSystem:
         self._cache: dict = {}
 
     def operator(self, n: int) -> TransferMatrix:
-        """Transfer matrix L_n^eps at index n, cached per schedule entry.
-
-        Deterministic entries realize L_n^eps = L_{h_eps o T_n}, the
-        operator of the post-composition kicked map, assembled in one pass
-        from its inverse branches.  It equals L_{h_eps} L_{T_n}, the product
-        the tests compare it against.
-        """
+        """Transfer matrix L_n^eps at index n: its schedule entry's `assemble`, cached per entry."""
         entry = self.schedule(n)
-        if entry in self._cache:
-            return self._cache[entry]
-        if isinstance(entry, DeterministicEntry):
-            t = entry.map if self.eps == 0.0 else KickedMap(entry.kick, self.eps, entry.map)
-            mat = transfer.build_deterministic(t, self.n_points)
-        else:
-            mat = noisemod.build_kernel(entry.drift, self.eps, entry.noise, self.n_points)
-        self._cache[entry] = mat
-        return mat
+        if entry not in self._cache:
+            self._cache[entry] = entry.assemble(self.eps, self.n_points)
+        return self._cache[entry]
 
     def entry_rows(self, w: Window) -> dict:
         """{schedule entry: its rows n - w.n_lo in w}, the grouping by which a stage treats w one entry at a time."""

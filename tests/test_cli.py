@@ -724,6 +724,15 @@ class TestRespond:
         delta_star = constants.certify(CircleMap(2), 256).delta_star
         assert ball == {"delta_star": delta_star, "max_c2_distance": max_c2, "maps_outside": outside}
 
+    def test_mixed_degree_schedule(self, tmp_path):
+        # unequal degrees are an InvalidSystem of c2_distance alone: a run may schedule them, and respond names
+        # the map of the other degree as outside the certified ball
+        text = CERTIFIED_DET.replace("kind = constant", "kind = periodic\nmaps = reference_map, map.cubic") + FAR_MAPS
+        path, out = write_config(tmp_path, text)
+        for command in ("certify", "equivariant", "memory", "respond"):
+            assert cli.main([command, path]) == 0, command
+        assert json.loads((out / "response.json").read_text())["certified_ball"]["maps_outside"] == ["map.cubic"]
+
 
 class TestReportFormat:
     """Every JSON file a command writes has one format: indent 2, sorted keys, a final newline."""
